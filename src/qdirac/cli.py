@@ -75,6 +75,13 @@ def _cfg_float(cfg: dict, key: str, default=None, required: bool = False) -> flo
     return v
 
 
+def _cfg_int(cfg: dict, key: str, default=None, required: bool = False) -> int:
+    v = _cfg_get(cfg, key, default, required)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
+        raise ConfigError(f"field {key!r} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _cfg_vec3(cfg: dict, key: str, default=None, required: bool = False):
     v = _cfg_get(cfg, key, default, required)
     if v is default and not required:
@@ -161,9 +168,9 @@ def _solution_record(index: int, s, seed: int) -> dict:
         "label": s.label,
         "mass": s.mass,
         "theta0": s.theta0,
-        "k0": list(s.k0.as_array()),
-        "k1": list(s.k1.as_array()),
-        "theta": list(s.theta.as_array()),
+        "k0": s.k0.as_array().tolist(),
+        "k1": s.k1.as_array().tolist(),
+        "theta": s.theta.as_array().tolist(),
         "u0": _complex_pairs(s.u0),
         "u1": _complex_pairs(s.u1),
         "density": s.density(FourVector()),
@@ -290,8 +297,12 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
     residual_tol = tol if tol is not None else _cfg_float(tolerances, "residual", 1e-12)
     gram_tol = _cfg_float(tolerances, "gram", 1e-10)
     mass = _cfg_float(cfg, "mass", 1.0)
+    if mass <= 0:
+        raise ConfigError(f"field 'mass' must be > 0, got {mass!r}")
     box_length = _cfg_float(cfg, "box_length", 2.0 * math.pi)
-    box_cells = int(_cfg_get(cfg, "box_cells", 12))
+    if box_length <= 0:
+        raise ConfigError(f"field 'box_length' must be > 0, got {box_length!r}")
+    box_cells = _cfg_int(cfg, "box_cells", 12)
     if box_cells < 2:
         raise ConfigError("field 'box_cells' must be >= 2")
     theta0 = _cfg_float(cfg, "theta0", math.pi / 8.0)
@@ -470,7 +481,7 @@ def _parse_b(cfg: dict):
 
 
 def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
-    levels = int(_cfg_get(cfg, "levels", 3))
+    levels = _cfg_int(cfg, "levels", 3)
     if levels < 3:
         raise ConfigError("field 'levels' must be >= 3")
     b = _parse_b(cfg)

@@ -8,6 +8,7 @@ stencil wrap.  Layout is row-major (it, ix, iy, iz) and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class SpacetimeGrid:
         periodic = tuple(bool(p) for p in self.periodic)
         if len(spacing) != 4 or len(counts) != 4 or len(periodic) != 4:
             raise ValueError("spacing, counts and periodic must have 4 entries")
-        if any(s <= 0 for s in spacing):
-            raise ValueError("grid spacings must be positive")
+        if not all(s > 0 and math.isfinite(s) for s in spacing):
+            raise ValueError(f"grid spacings must be finite and positive, got {spacing}")
+        if not np.isfinite(self.origin.as_array()).all():
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
         if any(c < 1 for c in counts):
             raise ValueError("grid counts must be >= 1")
         object.__setattr__(self, "spacing", spacing)
@@ -75,7 +78,7 @@ class SpacetimeGrid:
 
     def to_dict(self) -> dict:
         return {
-            "origin": list(self.origin.as_array()),
+            "origin": self.origin.as_array().tolist(),
             "spacing": list(self.spacing),
             "counts": list(self.counts),
             "periodic": list(self.periodic),

@@ -29,11 +29,13 @@ positive, so constructions are deterministic.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import verify
 from .grid import SampledField, SpacetimeGrid
 from .spinor import (
     FourVector,
@@ -50,9 +52,9 @@ SPINS = ("up", "down")
 CHIRALITIES = ("L", "R")
 NORM_CHOICES = ("E", "E_over_m")
 
-# Deterministic sample points used by build-time residual certification.
+# Seed of the deterministic sample points used by build-time residual
+# certification.
 _CERT_SEED = 8643
-_CERT_POINTS = 32
 
 
 class CertificationError(RuntimeError):
@@ -161,9 +163,10 @@ def build_u_spinor(
     return u
 
 
-def _massless_kernel_spinor(kfour: FourVector, chirality: str) -> np.ndarray:
+def _massless_kernel_spinor(kfour: FourVector, chirality: str, energy: float) -> np.ndarray:
     """Element of the 2-dimensional ker(slashed(k)) for null k != 0,
-    selected by chirality ("R" -> +1, "L" -> -1 eigenvalue of gamma5).
+    selected by chirality ("R" -> +1, "L" -> -1 eigenvalue of gamma5),
+    phase-fixed and scaled to u^dag u = energy.
 
     The helicity of the returned spinor is chirality * sign(k.t) / 2 * 2;
     concretely u = (chi_h, c*chi_h) with h = c * sign(k.t).
@@ -174,19 +177,78 @@ def _massless_kernel_spinor(kfour: FourVector, chirality: str) -> np.ndarray:
     if float(np.linalg.norm(kvec)) == 0.0 or kfour.t == 0.0:
         raise ValueError("massless kernel needs a nonzero null four-momentum")
     c = 1 if chirality == "R" else -1
-    eps = 1 if kfour.t > 0 else -1
-    h = c * eps
+    h = c * (1 if kfour.t > 0 else -1)
     chi_up, chi_down = spin_basis(kvec)
     chi = chi_up if h > 0 else chi_down
-    return np.concatenate((chi, c * chi)).astype(complex)
+    u = _fix_phase(np.concatenate((chi, c * chi)).astype(complex))
+    return u * math.sqrt(energy / float(np.real(np.vdot(u, u))))
 
 
 # ---------------------------------------------------------------------------
 # solution descriptors
 
 
+class _PlaneWaveSum:
+    """Evaluation shared by every field in this module.
+
+    Each symplectic half of a field is a finite sum of plane-wave terms
+    c exp(i k.x) u, listed by the subclass's _terms() as (c, k, u)
+    triples with complex coefficient c, four-momentum k and spinor u.
+    """
+
+    __slots__ = ()
+
+    def _stacked_terms(self):
+        """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4)."""
+        return [(np.array([k.lowered() for _, k, _ in half], dtype=float).reshape(-1, 4),
+                 np.array([c * u for c, _, u in half], dtype=complex).reshape(-1, 4))
+                for half in self._terms()]
+
+    def eval_with_derivatives(self, points):
+        """Values and analytic first derivatives at a batch of points.
+
+        Returns (psi0, psi1, d0, d1): values with shape (P, 4) and
+        derivatives with shape (P, 4, 4) indexed (point, lowered mu,
+        spinor component).
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 4)
+        values, derivs = [], []
+        for kl, cu in self._stacked_terms():
+            phase = np.exp(1j * (pts @ kl.T))
+            values.append(phase @ cu)
+            # d_mu exp(i k.x) = i k_mu exp(i k.x), term by term
+            dcu = (1j * kl[:, :, None] * cu[:, None, :]).reshape(-1, 16)
+            derivs.append((phase @ dcu).reshape(-1, 4, 4))
+        return values[0], values[1], derivs[0], derivs[1]
+
+    def _sample_grid(self, grid: SpacetimeGrid) -> SampledField:
+        """Values on every lattice point.
+
+        exp(i k.x) factorizes by axis, so the exponentials are taken on
+        the axes only; the (t, x, y) phase block is then contracted
+        against the z phases times c*u in one matrix product.
+        """
+        nt, nx, ny, nz = grid.counts
+        halves = []
+        for kl, cu in self._stacked_terms():
+            et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, kl[:, i]))
+                              for i, a in enumerate(grid.axes()))
+            txy = et[:, None, None] * ex[:, None] * ey
+            zu = (ez.T[:, :, None] * cu[:, None, :]).reshape(len(cu), nz * 4)
+            halves.append((txy.reshape(nt * nx * ny, len(cu)) @ zu).reshape(grid.counts + (4,)))
+        return SampledField(grid, *halves)
+
+    def evaluate(self, x: FourVector) -> QSpinor4:
+        psi0, psi1, _, _ = self.eval_with_derivatives(x.as_array())
+        return QSpinor4(psi0[0], psi1[0])
+
+    def density(self, x: FourVector) -> float:
+        s = self.evaluate(x)
+        return float(np.sum(np.abs(s.psi0) ** 2 + np.abs(s.psi1) ** 2))
+
+
 @dataclass(frozen=True, slots=True)
-class PlaneWaveSolution:
+class PlaneWaveSolution(_PlaneWaveSum):
     """Closed-form solution descriptor, evaluable at any spacetime point.
 
     evaluate(x) = cos(Theta) exp(i k0.x) u0 + sin(Theta) exp(i k1.x) u1 j
@@ -216,59 +278,20 @@ class PlaneWaveSolution:
         if self.mass < 0 or not math.isfinite(self.mass):
             raise ValueError("mass must be finite and >= 0")
 
-    # -- evaluation ---------------------------------------------------
-
-    def eval_with_derivatives(self, points):
-        """Values and analytic first derivatives at a batch of points.
-
-        Returns (psi0, psi1, d0, d1): values with shape (P, 4) and
-        derivatives with shape (P, 4, 4) indexed (point, lowered mu,
-        spinor component).
-        """
-        pts = np.asarray(points, dtype=float).reshape(-1, 4)
-        k0l = self.k0.lowered()
-        k1l = self.k1.lowered()
-        thl = self.theta.lowered()
-        phase0 = np.exp(1j * (pts @ k0l))
-        phase1 = np.exp(1j * (pts @ k1l))
-        ang = pts @ thl + self.theta0
-        c = np.cos(ang)
-        s = np.sin(ang)
-        psi0 = (c * phase0)[:, None] * self.u0
-        psi1 = (s * phase1)[:, None] * self.u1
-        coef0 = (-s[:, None] * thl + 1j * c[:, None] * k0l) * phase0[:, None]
-        coef1 = (c[:, None] * thl + 1j * s[:, None] * k1l) * phase1[:, None]
-        d0 = coef0[:, :, None] * self.u0[None, None, :]
-        d1 = coef1[:, :, None] * self.u1[None, None, :]
-        return psi0, psi1, d0, d1
-
-    def evaluate(self, x: FourVector) -> QSpinor4:
-        psi0, psi1, _, _ = self.eval_with_derivatives(x.as_array())
-        return QSpinor4(psi0[0], psi1[0])
+    def _terms(self):
+        """One term per half at constant phase; with a running phase,
+        cos(Theta) exp(i k.x) = (e^{i theta0} exp(i(k+theta).x)
+        + e^{-i theta0} exp(i(k-theta).x)) / 2, and likewise for sin."""
+        if self.theta.is_zero():
+            return (((math.cos(self.theta0), self.k0, self.u0),),
+                    ((math.sin(self.theta0), self.k1, self.u1),))
+        e = 0.5 * cmath.exp(1j * self.theta0)
+        th = self.theta
+        return (((e, self.k0 + th, self.u0), (e.conjugate(), self.k0 - th, self.u0)),
+                ((-1j * e, self.k1 + th, self.u1), (1j * e.conjugate(), self.k1 - th, self.u1)))
 
     def evaluate_grid(self, grid: SpacetimeGrid) -> SampledField:
-        ts, xs, ys, zs = grid.axes()
-        coords = (
-            ts[:, None, None, None],
-            xs[None, :, None, None],
-            ys[None, None, :, None],
-            zs[None, None, None, :],
-        )
-
-        def arg(lowered):
-            return sum(lowered[i] * coords[i] for i in range(4))
-
-        ang = arg(self.theta.lowered()) + self.theta0
-        base0 = np.cos(ang) * np.exp(1j * arg(self.k0.lowered()))
-        base1 = np.sin(ang) * np.exp(1j * arg(self.k1.lowered()))
-        shape = grid.counts
-        psi0 = np.broadcast_to(base0, shape)[..., None] * self.u0
-        psi1 = np.broadcast_to(base1, shape)[..., None] * self.u1
-        return SampledField(grid, psi0, psi1)
-
-    def density(self, x: FourVector) -> float:
-        s = self.evaluate(x)
-        return float(np.sum(np.abs(s.psi0) ** 2 + np.abs(s.psi1) ** 2))
+        return self._sample_grid(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +449,10 @@ def build_massless_theta_solution(spec: MasslessThetaSpec) -> PlaneWaveSolution:
     """Certified massless solution with running phase direction theta."""
     k0 = spec.theta.scale(spec.kappa0)
     k1 = spec.theta.scale(spec.kappa1)
-    u0 = _fix_phase(_massless_kernel_spinor(spec.theta, spec.chirality0))
-    u1 = _fix_phase(_massless_kernel_spinor(spec.theta, spec.chirality1))
-    # normalization forced to u^dag u = |k.t| (mass is zero)
-    u0 = u0 * math.sqrt(abs(k0.t) / float(np.real(np.vdot(u0, u0))))
-    u1 = u1 * math.sqrt(abs(k1.t) / float(np.real(np.vdot(u1, u1))))
+    # kernel of slashed(theta), not of slashed(k): for kappa < 0 the two
+    # differ in helicity; normalization forced to u^dag u = |k.t|
+    u0 = _massless_kernel_spinor(spec.theta, spec.chirality0, abs(k0.t))
+    u1 = _massless_kernel_spinor(spec.theta, spec.chirality1, abs(k1.t))
     sol = PlaneWaveSolution(
         theta0=spec.theta0, k0=k0, k1=k1, u0=u0, u1=u1,
         mass=0.0, theta=spec.theta, label=spec.label,
@@ -451,10 +473,8 @@ def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWave
     k1 = FourVector(mass_shell_energy(kvec1, 0.0), *kvec1)
     out = []
     for c0, c1 in _CHIRALITY_PAIRS:
-        u0 = _fix_phase(_massless_kernel_spinor(k0, c0))
-        u1 = _fix_phase(_massless_kernel_spinor(k1, c1))
-        u0 = u0 * math.sqrt(abs(k0.t) / float(np.real(np.vdot(u0, u0))))
-        u1 = u1 * math.sqrt(abs(k1.t) / float(np.real(np.vdot(u1, u1))))
+        u0 = _massless_kernel_spinor(k0, c0, abs(k0.t))
+        u1 = _massless_kernel_spinor(k1, c1, abs(k1.t))
         sol = PlaneWaveSolution(
             theta0=float(theta0), k0=k0, k1=k1, u0=u0, u1=u1,
             mass=0.0, theta=ZERO_FOUR, label=f"{c0}{c1}",
@@ -582,6 +602,8 @@ class PacketSample:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kvec", _as_triple(self.kvec, "kvec"))
         object.__setattr__(self, "amplitude", float(self.amplitude))
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
         if self.spin not in SPINS:
             raise ValueError(f"spin must be one of {SPINS}")
         if self.esign not in (1, -1):
@@ -621,7 +643,7 @@ class PacketTerm:
 
 
 @dataclass(frozen=True, slots=True)
-class WavePacket:
+class WavePacket(_PlaneWaveSum):
     """Grid-evaluable field cos(theta0)*sum_n A_n e^{ik_n.x}u_n
     + sin(theta0)*sum_m B_m e^{iq_m.x}v_m j."""
 
@@ -630,46 +652,15 @@ class WavePacket:
     terms0: tuple[PacketTerm, ...]
     terms1: tuple[PacketTerm, ...]
 
-    def eval_with_derivatives(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 4)
-        n = pts.shape[0]
-        psi = [np.zeros((n, 4), dtype=complex), np.zeros((n, 4), dtype=complex)]
-        dpsi = [np.zeros((n, 4, 4), dtype=complex), np.zeros((n, 4, 4), dtype=complex)]
-        mix = (math.cos(self.theta0), math.sin(self.theta0))
-        for comp, terms in enumerate((self.terms0, self.terms1)):
-            for term in terms:
-                kl = term.k.lowered()
-                phase = np.exp(1j * (pts @ kl)) * (mix[comp] * term.amplitude)
-                psi[comp] += phase[:, None] * term.u
-                dpsi[comp] += (1j * phase[:, None] * kl)[:, :, None] * term.u[None, None, :]
-        return psi[0], psi[1], dpsi[0], dpsi[1]
-
-    def evaluate(self, x: FourVector) -> QSpinor4:
-        psi0, psi1, _, _ = self.eval_with_derivatives(x.as_array())
-        return QSpinor4(psi0[0], psi1[0])
+    def _terms(self):
+        return tuple(
+            tuple((mix * t.amplitude, t.k, t.u) for t in terms)
+            for mix, terms in ((math.cos(self.theta0), self.terms0),
+                               (math.sin(self.theta0), self.terms1))
+        )
 
     def evaluate_grid(self, grid: SpacetimeGrid) -> SampledField:
-        ts, xs, ys, zs = grid.axes()
-        coords = (
-            ts[:, None, None, None],
-            xs[None, :, None, None],
-            ys[None, None, :, None],
-            zs[None, None, None, :],
-        )
-        shape = grid.counts + (4,)
-        psi = [np.zeros(shape, dtype=complex), np.zeros(shape, dtype=complex)]
-        mix = (math.cos(self.theta0), math.sin(self.theta0))
-        for comp, terms in enumerate((self.terms0, self.terms1)):
-            for term in terms:
-                kl = term.k.lowered()
-                arg = sum(kl[i] * coords[i] for i in range(4))
-                phase = np.exp(1j * arg) * (mix[comp] * term.amplitude)
-                psi[comp] += np.broadcast_to(phase, grid.counts)[..., None] * term.u
-        return SampledField(grid, psi[0], psi[1])
-
-    def density(self, x: FourVector) -> float:
-        s = self.evaluate(x)
-        return float(np.sum(np.abs(s.psi0) ** 2 + np.abs(s.psi1) ** 2))
+        return self._sample_grid(grid)
 
 
 def _packet_term(sample: PacketSample, mass: float, component: int) -> PacketTerm:
@@ -688,8 +679,7 @@ def _packet_term(sample: PacketSample, mass: float, component: int) -> PacketTer
         # helicity * frequency sign
         h = 1 if sample.spin == "up" else -1
         chirality = "R" if h * sample.esign > 0 else "L"
-        u = _fix_phase(_massless_kernel_spinor(k, chirality))
-        u = u * math.sqrt(abs(k.t) / float(np.real(np.vdot(u, u))))
+        u = _massless_kernel_spinor(k, chirality, abs(k.t))
     return PacketTerm(sample.amplitude, k, u)
 
 
@@ -719,22 +709,15 @@ def rescaled_packet(packet: WavePacket, factor: float) -> WavePacket:
 # certification
 
 
-def _certification_points(extent: float = 3.0, count: int = _CERT_POINTS) -> np.ndarray:
-    rng = np.random.default_rng(_CERT_SEED)
-    return rng.uniform(-extent, extent, size=(count, 4))
-
-
 def certify_solution(sol: PlaneWaveSolution, tol: float = 1e-12) -> float:
     """Verify the analytic field-equation residual and dispersion of a
     constructed solution; raise CertificationError on failure."""
-    from .verify import dirac_residual
-
     for k in (sol.k0, sol.k1):
         if dispersion_residual(k, sol.mass) > tol:
             raise CertificationError(
                 f"stored momentum {k} violates the dispersion relation for m={sol.mass}"
             )
-    res = dirac_residual(sol, points=_certification_points())
+    res = verify.dirac_residual(sol, points=verify.default_points(seed=_CERT_SEED))
     k_scale = max(
         1.0,
         float(np.abs(sol.k0.as_array()).max()),
@@ -807,7 +790,7 @@ def massless_theta_spec_to_dict(spec: MasslessThetaSpec) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "massless_theta",
-        "theta": list(spec.theta.as_array()),
+        "theta": spec.theta.as_array().tolist(),
         "kappa0": spec.kappa0,
         "kappa1": spec.kappa1,
         "theta0": spec.theta0,

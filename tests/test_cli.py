@@ -86,6 +86,17 @@ def test_catalog_bad_schema_version(tmp_path):
     assert "schema_version" in proc.stderr
 
 
+def test_catalog_csv_cells_are_plain_numbers(massive_config):
+    proc = run_cli("catalog", "--config", massive_config, "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines() if ln and not ln.startswith("#")]
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        for name, cell in zip(header, line.split(",")):
+            if name != "label":
+                float(cell)
+
+
 # --- verify ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -328,3 +339,30 @@ def test_config_error_maps_to_exit_2(massive_config):
     with pytest.raises(SystemExit) as exc:
         _run_command(bad_runner, massive_config, None, "json", None, 0)
     assert exc.value.code == 2
+
+
+def _packet_config(sample=None, **grid):
+    return {"component": 0, "mass": 1.0,
+            "samples": [{"kvec": [0, 0, 1.0], "amplitude": 1.0, **(sample or {})}],
+            "grid": {**PACKET_GRID, **grid}}
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("verify", {"box_cells": "abc"}, "box_cells"),
+    ("verify", {"box_cells": 2.7}, "box_cells"),
+    ("verify", {"mass": 0}, "mass"),
+    ("verify", {"mass": -1}, "mass"),
+    ("verify", {"box_length": 0}, "box_length"),
+    ("continuity", {"levels": "x"}, "levels"),
+    ("packet", _packet_config({"amplitude": float("nan")}), "amplitude"),
+    ("packet", _packet_config({"amplitude": float("inf")}), "amplitude"),
+    ("packet", _packet_config(spacing=[float("nan"), 1.0, 1.0, 0.1]), "spacing"),
+    ("packet", _packet_config(origin=[0, float("inf"), 0, 0]), "origin"),
+])
+def test_malformed_input_exit_2(tmp_path, command, payload, field):
+    cfg = write_json(tmp_path / "bad.json", {"schema_version": 1, **payload})
+    proc = run_cli(command, "--config", cfg)
+    assert proc.returncode == 2
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -44,6 +44,20 @@ def test_grid_validation():
         small_grid(counts=(0, 4, 4, 4))
     with pytest.raises(ValueError):
         small_grid(counts=(2, 4, 4))
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="spacing"):
+        small_grid(spacing=(nan, 0.25, 0.25, 0.25))
+    with pytest.raises(ValueError, match="spacing"):
+        small_grid(spacing=(0.5, inf, 0.25, 0.25))
+    with pytest.raises(ValueError, match="origin"):
+        small_grid(origin=FourVector(0, inf, 0, 0))
+    with pytest.raises(ValueError, match="origin"):
+        small_grid(origin=FourVector(nan, 0, 0, 0))
+
+
+def test_grid_dict_has_plain_floats():
+    d = small_grid(origin=FourVector(0.5, 0, 0, 0)).to_dict()
+    assert all(type(v) is float for v in d["origin"] + d["spacing"])
 
 
 def test_grid_dict_round_trip():

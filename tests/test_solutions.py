@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -22,6 +23,7 @@ from qdirac import (
     enumerate_massive_set,
     enumerate_massless_theta0_set,
     inner_product_grid,
+    make_wave_packet,
     mass_shell_energy,
     slashed,
     SpacetimeGrid,
@@ -388,6 +390,70 @@ def test_packet_spec_validation():
         WavePacketSpec(2, 1.0, (PacketSample((0, 0, 1), 1.0),))
     with pytest.raises(ValueError):
         WavePacketSpec(0, 1.0, ())
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="amplitude"):
+            PacketSample((0, 0, 1), bad)
+
+
+# --- plane-wave-sum evaluation ---------------------------------------------------------
+
+EVAL_GRID = SpacetimeGrid(FourVector(-0.3, 0.2, -0.4, 0.1), (0.3, 0.45, 0.5, 0.55), (3, 4, 5, 6))
+THETA_SPEC = MasslessThetaSpec(FourVector(1, 0, 0.6, 0.8), kappa0=-1.5, kappa1=2.0,
+                               theta0=0.4, chirality0="L", chirality1="R")
+
+
+def _eval_field(name):
+    if name == "massive":
+        return build_massive_solution(MassiveSpec(
+            1.3, 0.7, (0.4, -0.2, 1.0), (0.1, 0.5, -0.3), "down", "up", -1, 1))
+    if name == "theta_negative_kappa":
+        return build_massless_theta_solution(THETA_SPEC)
+    return make_wave_packet(1.0, math.pi / 6, (
+        PacketSample((1.0, 0.0, 0.0), 1.0),
+        PacketSample((0.0, 1.0, 1.0), 0.8, "down", -1),
+    ), (PacketSample((0.0, 0.0, 1.0), 0.7, "down"),))
+
+
+EVAL_FIELDS = ("massive", "theta_negative_kappa", "two_component_packet")
+
+
+@pytest.mark.parametrize("name", EVAL_FIELDS)
+def test_evaluate_grid_matches_pointwise(name):
+    field = _eval_field(name)
+    sampled = field.evaluate_grid(EVAL_GRID)
+    lattice = np.stack(np.meshgrid(*EVAL_GRID.axes(), indexing="ij"), axis=-1)
+    psi0, psi1, _, _ = field.eval_with_derivatives(lattice.reshape(-1, 4))
+    assert np.abs(sampled.psi0 - psi0.reshape(sampled.psi0.shape)).max() <= 1e-14
+    assert np.abs(sampled.psi1 - psi1.reshape(sampled.psi1.shape)).max() <= 1e-14
+
+
+def test_theta_solution_matches_closed_form():
+    # cos(Theta) e^{i k0.x} u0 and sin(Theta) e^{i k1.x} u1, Theta = theta.x + theta0
+    sol = build_massless_theta_solution(THETA_SPEC)
+    psi0, psi1, _, _ = sol.eval_with_derivatives(RNG_POINTS)
+    for pt, v0, v1 in zip(RNG_POINTS, psi0, psi1):
+        x = FourVector(*pt)
+        ang = THETA_SPEC.theta.dot(x) + THETA_SPEC.theta0
+        want0 = math.cos(ang) * cmath.exp(1j * sol.k0.dot(x)) * sol.u0
+        want1 = math.sin(ang) * cmath.exp(1j * sol.k1.dot(x)) * sol.u1
+        assert np.abs(v0 - want0).max() <= 1e-14
+        assert np.abs(v1 - want1).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", EVAL_FIELDS)
+def test_analytic_derivatives_match_central_difference(name):
+    field = _eval_field(name)
+    pts = RNG_POINTS[:8]
+    _, _, d0, d1 = field.eval_with_derivatives(pts)
+    h = 1e-5
+    for mu in range(4):
+        step = np.zeros(4)
+        step[mu] = h
+        fwd = field.eval_with_derivatives(pts + step)
+        bwd = field.eval_with_derivatives(pts - step)
+        for half, d in ((0, d0), (1, d1)):
+            fd = (fwd[half] - bwd[half]) / (2 * h)
+            assert np.abs(d[:, mu, :] - fd).max() <= 1e-8
 
 
 # --- JSON schemas ---------------------------------------------------------------------
