@@ -24,6 +24,7 @@ import numpy as np
 
 from . import solutions as sol
 from . import verify as ver
+from ._fields import number, require, sequence, vector
 from .grid import SpacetimeGrid
 from .qalg import Quaternion, mul, mul_symplectic
 from .spinor import GAMMA, FourVector, METRIC_DIAG, slashed
@@ -56,54 +57,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _cfg_get(cfg: dict, key: str, default=None, required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing field {key!r}")
-        return default
-    return cfg[key]
-
-
-def _cfg_float(cfg: dict, key: str, default=None, required: bool = False) -> float:
-    v = _cfg_get(cfg, key, default, required)
-    try:
-        v = float(v)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key!r} must be a number, got {cfg.get(key)!r}") from exc
-    if not math.isfinite(v):
-        raise ConfigError(f"field {key!r} must be finite")
-    return v
-
-
-def _cfg_int(cfg: dict, key: str, default=None, required: bool = False) -> int:
-    v = _cfg_get(cfg, key, default, required)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
-        raise ConfigError(f"field {key!r} must be an integer, got {v!r}")
-    return int(v)
-
-
-def _cfg_vec3(cfg: dict, key: str, default=None, required: bool = False):
-    v = _cfg_get(cfg, key, default, required)
-    if v is default and not required:
-        return v
-    try:
-        out = tuple(float(c) for c in v)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key!r} must be a 3-array of numbers") from exc
-    if len(out) != 3:
-        raise ConfigError(f"field {key!r} must have 3 entries, got {len(out)}")
-    return out
-
-
-def _grid_from_cfg(d, key: str = "grid") -> SpacetimeGrid:
-    if not isinstance(d, dict):
-        raise ConfigError(f"field {key!r} must be an object")
-    try:
-        return SpacetimeGrid.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"field {key!r}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # report formatting
 
@@ -113,7 +66,7 @@ def _complex_pairs(u) -> list:
 
 
 def _format_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_cell(v) -> str:
@@ -146,15 +99,18 @@ def _write_output(text: str, out_path: str | None) -> None:
         click.echo(text, nl=False)
         return
     directory = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qdirac-", text=True)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qdirac-", text=True)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +135,13 @@ def _solution_record(index: int, s, seed: int) -> dict:
 
 
 def run_catalog(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
-    kind = _cfg_get(cfg, "kind", "massive")
-    theta0 = _cfg_float(cfg, "theta0", required=True)
-    kvec0 = _cfg_vec3(cfg, "kvec0", required=True)
-    kvec1 = _cfg_vec3(cfg, "kvec1", required=True)
+    kind = cfg.get("kind", "massive")
+    kvec0, kvec1, theta0 = require(cfg, "kvec0"), require(cfg, "kvec1"), require(cfg, "theta0")
     if kind == "massive":
-        mass = _cfg_float(cfg, "mass", required=True)
-        norm_choice = _cfg_get(cfg, "norm_choice", "E_over_m")
-        if norm_choice not in sol.NORM_CHOICES:
-            raise ConfigError(f"field 'norm_choice' must be one of {sol.NORM_CHOICES}")
-        try:
-            sols = sol.enumerate_massive_set(mass, kvec0, kvec1, theta0, norm_choice)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        sols = sol.enumerate_massive_set(require(cfg, "mass"), kvec0, kvec1, theta0,
+                                         cfg.get("norm_choice", "E_over_m"))
     elif kind == "massless":
-        try:
-            sols = sol.enumerate_massless_theta0_set(kvec0, kvec1, theta0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        sols = sol.enumerate_massless_theta0_set(kvec0, kvec1, theta0)
     else:
         raise ConfigError(f"field 'kind' must be 'massive' or 'massless', got {kind!r}")
     residual_tol = tol if tol is not None else 1e-12
@@ -291,21 +236,22 @@ def _slashed_square_residual(rng, n: int = 200) -> float:
 
 def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
     rng = np.random.default_rng(seed)
-    tolerances = _cfg_get(cfg, "tolerances", {})
+    tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("field 'tolerances' must be an object")
-    residual_tol = tol if tol is not None else _cfg_float(tolerances, "residual", 1e-12)
-    gram_tol = _cfg_float(tolerances, "gram", 1e-10)
-    mass = _cfg_float(cfg, "mass", 1.0)
+    residual_tol = tol if tol is not None else number(tolerances.get("residual", 1e-12), "residual")
+    gram_tol = number(tolerances.get("gram", 1e-10), "gram")
+    mass = number(cfg.get("mass", 1.0), "mass")
     if mass <= 0:
         raise ConfigError(f"field 'mass' must be > 0, got {mass!r}")
-    box_length = _cfg_float(cfg, "box_length", 2.0 * math.pi)
-    if box_length <= 0:
-        raise ConfigError(f"field 'box_length' must be > 0, got {box_length!r}")
-    box_cells = _cfg_int(cfg, "box_cells", 12)
+    box_length = number(cfg.get("box_length", 2.0 * math.pi), "box_length")
+    # keeps the box volume box_length**3 a finite, normal float
+    if not 1e-100 <= box_length <= 1e100:
+        raise ConfigError(f"field 'box_length' must be in [1e-100, 1e100], got {box_length!r}")
+    box_cells = number(cfg.get("box_cells", 12), "box_cells", integral=True)
     if box_cells < 2:
         raise ConfigError("field 'box_cells' must be >= 2")
-    theta0 = _cfg_float(cfg, "theta0", math.pi / 8.0)
+    theta0 = number(cfg.get("theta0", math.pi / 8.0), "theta0")
 
     checks: list[dict] = []
 
@@ -466,52 +412,32 @@ def _default_continuity_setup(dimension: str):
 
 
 def _parse_b(cfg: dict):
+    """The potential b as 4 complex entries from [re, im] pairs; None when absent or zero."""
     raw = cfg.get("b")
     if raw is None:
         return None
-    try:
-        b = [complex(float(p[0]), float(p[1])) for p in raw]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError("field 'b' must be a 4-array of [re, im] pairs") from exc
-    if len(b) != 4:
-        raise ConfigError("field 'b' must have 4 entries")
-    if all(v == 0 for v in b):
-        return None
-    return np.array(b)
+    b = np.array([complex(*vector(p, "b", 2)) for p in sequence(raw, "b", 4)])
+    return b if b.any() else None
 
 
 def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
-    levels = _cfg_int(cfg, "levels", 3)
+    levels = number(cfg.get("levels", 3), "levels", integral=True)
     if levels < 3:
         raise ConfigError("field 'levels' must be >= 3")
     b = _parse_b(cfg)
     if "solution" in cfg and "packet" in cfg:
         raise ConfigError("give either field 'solution' or field 'packet', not both")
     if "solution" in cfg:
-        try:
-            field = sol.build_massive_solution(sol.massive_spec_from_dict(cfg["solution"]))
-        except ValueError as exc:
-            raise ConfigError(f"field 'solution': {exc}") from exc
-        if "grid" not in cfg:
-            raise ConfigError("missing field 'grid' (required with an explicit solution)")
-        grid = _grid_from_cfg(cfg["grid"])
+        field = sol.build_massive_solution(sol.massive_spec_from_dict(cfg["solution"]))
+        grid = SpacetimeGrid.from_dict(require(cfg, "grid"))
     elif "packet" in cfg:
-        try:
-            spec = sol.packet_spec_from_dict(cfg["packet"])
-            field = sol.build_wave_packet(spec)
-        except ValueError as exc:
-            raise ConfigError(f"field 'packet': {exc}") from exc
-        if "grid" not in cfg:
-            raise ConfigError("missing field 'grid' (required with an explicit packet)")
-        grid = _grid_from_cfg(cfg["grid"])
+        field = sol.build_wave_packet(sol.packet_spec_from_dict(cfg["packet"]))
+        grid = SpacetimeGrid.from_dict(require(cfg, "grid"))
     else:
-        field, grid = _default_continuity_setup(_cfg_get(cfg, "dimension", "1+1"))
+        field, grid = _default_continuity_setup(cfg.get("dimension", "1+1"))
         if "grid" in cfg:
-            grid = _grid_from_cfg(cfg["grid"])
-    try:
-        conv = ver.continuity_convergence(field, grid, levels=levels, b=b)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            grid = SpacetimeGrid.from_dict(cfg["grid"])
+    conv = ver.continuity_convergence(field, grid, levels=levels, b=b)
     order_lo, order_hi = 1.8, 2.2
     # a plane wave has constant currents, so its defects sit at rounding
     # level and the order fit is meaningless
@@ -562,15 +488,18 @@ def _continuity_text(report: dict) -> str:
 
 
 def run_packet(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
-    try:
-        spec = sol.packet_spec_from_dict(cfg)
-        packet = sol.build_wave_packet(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    grid = _grid_from_cfg(_cfg_get(cfg, "grid", required=True))
+    spec = sol.packet_spec_from_dict(cfg)
+    packet = sol.build_wave_packet(spec)
+    grid = SpacetimeGrid.from_dict(require(cfg, "grid"))
     sampled = packet.evaluate_grid(grid)
     density = ver.current_grid(sampled)[..., 0]
     ts, xs, ys, zs = grid.axes()
+    norms = [
+        {"t": float(ts[it]), "norm": float(density[it].sum() * grid.cell_volume)}
+        for it in range(grid.counts[0])
+    ]
+    if not (np.isfinite(density).all() and all(math.isfinite(n["norm"]) for n in norms)):
+        raise ConfigError("packet density overflows: amplitudes or momenta are too large")
     rows = []
     for it in range(grid.counts[0]):
         for ix in range(grid.counts[1]):
@@ -582,10 +511,6 @@ def run_packet(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
                         "y": float(ys[iy]), "z": float(zs[iz]),
                         "density": float(density[it, ix, iy, iz]),
                     })
-    norms = [
-        {"t": float(ts[it]), "norm": float(density[it].sum() * grid.cell_volume)}
-        for it in range(grid.counts[0])
-    ]
     report = {
         "command": "packet",
         "schema_version": SCHEMA_VERSION,
@@ -643,16 +568,18 @@ def _render(report: dict, fmt: str) -> str:
 
 
 def _run_command(runner, config_path: str, out_path, fmt: str, tol, seed: int) -> None:
+    """Run one command; every ValueError (bad input) exits 2."""
     try:
-        cfg = _load_config(config_path)
-        code, report = runner(cfg, tol, seed)
-    except ConfigError as exc:
+        if tol is not None and number(tol, "--tol") <= 0:
+            raise ConfigError(f"field '--tol' must be > 0, got {tol!r}")
+        code, report = runner(_load_config(config_path), tol, seed)
+        _write_output(_render(report, fmt), out_path)
+    except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     except CertificationError as exc:
         click.echo(f"certification failure: {exc}", err=True)
         sys.exit(3)
-    _write_output(_render(report, fmt), out_path)
     sys.exit(code)
 
 

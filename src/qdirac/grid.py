@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import flag, require, sequence, vector
 from .spinor import FourVector, QSpinor4
 
 @dataclass(frozen=True, slots=True)
@@ -25,17 +26,19 @@ class SpacetimeGrid:
     periodic: tuple[bool, bool, bool, bool] = (False, False, False, False)
 
     def __post_init__(self) -> None:
-        spacing = tuple(float(s) for s in self.spacing)
-        counts = tuple(int(c) for c in self.counts)
-        periodic = tuple(bool(p) for p in self.periodic)
-        if len(spacing) != 4 or len(counts) != 4 or len(periodic) != 4:
-            raise ValueError("spacing, counts and periodic must have 4 entries")
-        if not all(s > 0 and math.isfinite(s) for s in spacing):
+        spacing = vector(self.spacing, "spacing", 4)
+        counts = vector(self.counts, "counts", 4, integral=True)
+        periodic = tuple(flag(p, "periodic") for p in sequence(self.periodic, "periodic", 4))
+        if not all(s > 0 for s in spacing):
             raise ValueError(f"grid spacings must be finite and positive, got {spacing}")
         if not np.isfinite(self.origin.as_array()).all():
             raise ValueError(f"grid origin must be finite, got {self.origin}")
         if any(c < 1 for c in counts):
             raise ValueError("grid counts must be >= 1")
+        o = self.origin
+        if not all(math.isfinite(a + s * (n - 1))
+                   for a, s, n in zip((o.t, o.x, o.y, o.z), spacing, counts)):
+            raise ValueError("grid extent overflows: origin + spacing * (counts - 1) must be finite")
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "periodic", periodic)
@@ -87,10 +90,10 @@ class SpacetimeGrid:
     @classmethod
     def from_dict(cls, d: dict) -> "SpacetimeGrid":
         return cls(
-            origin=FourVector.from_array(d.get("origin", (0.0, 0.0, 0.0, 0.0))),
-            spacing=tuple(d["spacing"]),
-            counts=tuple(d["counts"]),
-            periodic=tuple(d.get("periodic", (False, False, False, False))),
+            spacing=require(d, "spacing"),
+            counts=require(d, "counts"),
+            origin=FourVector(*vector(d.get("origin", (0.0, 0.0, 0.0, 0.0)), "origin", 4)),
+            periodic=d.get("periodic", (False, False, False, False)),
         )
 
 

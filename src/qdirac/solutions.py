@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verify
+from ._fields import number, require, vector
 from .grid import SampledField, SpacetimeGrid
 from .spinor import (
     FourVector,
@@ -65,15 +66,6 @@ class CertificationError(RuntimeError):
     """
 
 
-def _as_triple(v, name: str) -> tuple[float, float, float]:
-    vals = tuple(float(c) for c in v)
-    if len(vals) != 3:
-        raise ValueError(f"{name} must be a 3-vector, got length {len(vals)}")
-    if not all(math.isfinite(c) for c in vals):
-        raise ValueError(f"{name} must have finite components, got {vals}")
-    return vals
-
-
 def mass_shell_energy(kvec, mass: float, sign: int = 1) -> float:
     """Frequency sign * sqrt(|kvec|^2 + mass^2) on the mass shell."""
     kvec = np.asarray(kvec, dtype=float)
@@ -81,10 +73,15 @@ def mass_shell_energy(kvec, mass: float, sign: int = 1) -> float:
         raise ValueError("mass must be >= 0")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    k2 = float(kvec @ kvec)
+    with np.errstate(over="ignore"):
+        k2 = float(kvec @ kvec)
     if mass == 0.0 and k2 == 0.0:
         raise ValueError("massless momentum must have nonzero spatial part")
-    return sign * math.sqrt(k2 + mass * mass)
+    energy = math.sqrt(k2 + mass * mass)
+    if not math.isfinite(energy):
+        raise ValueError(
+            f"mass {mass!r} or momentum {kvec.tolist()} is too large: its energy overflows")
+    return sign * energy
 
 
 def dispersion_residual(kfour: FourVector, mass: float) -> float:
@@ -155,6 +152,8 @@ def build_u_spinor(
     u = _fix_phase(u)
 
     resid = float(np.linalg.norm((slashed(kfour) - mass_sign * mass * np.eye(4)) @ u))
+    if not math.isfinite(resid):
+        raise ValueError(f"mass {mass!r} or momentum {kfour} is too large: the spinor overflows")
     if resid > tol * (energy + mass) * float(np.linalg.norm(u)):
         raise CertificationError(
             f"u-spinor failed the kernel condition: residual {resid:.3e} "
@@ -319,14 +318,12 @@ class MassiveSpec:
     norm_choice: str = "E_over_m"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mass", float(self.mass))
-        object.__setattr__(self, "theta0", float(self.theta0))
-        if not (self.mass > 0 and math.isfinite(self.mass)):
+        object.__setattr__(self, "mass", number(self.mass, "mass"))
+        object.__setattr__(self, "theta0", number(self.theta0, "theta0"))
+        if not self.mass > 0:
             raise ValueError("mass must be finite and > 0")
-        if not math.isfinite(self.theta0):
-            raise ValueError("theta0 must be finite")
-        object.__setattr__(self, "kvec0", _as_triple(self.kvec0, "kvec0"))
-        object.__setattr__(self, "kvec1", _as_triple(self.kvec1, "kvec1"))
+        object.__setattr__(self, "kvec0", vector(self.kvec0, "kvec0", 3))
+        object.__setattr__(self, "kvec1", vector(self.kvec1, "kvec1", 3))
         for name in ("spin0", "spin1"):
             if getattr(self, name) not in SPINS:
                 raise ValueError(f"{name} must be one of {SPINS}")
@@ -353,7 +350,7 @@ def _resolve_axis(spin_axis, kvec):
         if float(np.linalg.norm(kvec)) == 0.0:
             raise ValueError("spin_axis='momentum' needs nonzero spatial momentum")
         return kvec
-    return _as_triple(spin_axis, "spin_axis")
+    return vector(spin_axis, "spin_axis", 3)
 
 
 def build_massive_solution(spec: MassiveSpec, spin_axis=None) -> PlaneWaveSolution:
@@ -426,9 +423,8 @@ class MasslessThetaSpec:
     chirality1: str = "R"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa0", float(self.kappa0))
-        object.__setattr__(self, "kappa1", float(self.kappa1))
-        object.__setattr__(self, "theta0", float(self.theta0))
+        for name in ("kappa0", "kappa1", "theta0"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         if self.theta.is_zero():
             raise ValueError("theta must be nonzero (use the constant-phase family otherwise)")
         scale = max(self.theta.t**2, float(self.theta.spatial() @ self.theta.spatial()))
@@ -467,8 +463,9 @@ _CHIRALITY_PAIRS = (("L", "L"), ("L", "R"), ("R", "L"), ("R", "R"))
 def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWaveSolution]:
     """The four constant-phase massless solutions, ordered
     (L,L), (L,R), (R,L), (R,R); both components run at positive frequency."""
-    kvec0 = _as_triple(kvec0, "kvec0")
-    kvec1 = _as_triple(kvec1, "kvec1")
+    kvec0 = vector(kvec0, "kvec0", 3)
+    kvec1 = vector(kvec1, "kvec1", 3)
+    theta0 = number(theta0, "theta0")
     k0 = FourVector(mass_shell_energy(kvec0, 0.0), *kvec0)
     k1 = FourVector(mass_shell_energy(kvec1, 0.0), *kvec1)
     out = []
@@ -476,7 +473,7 @@ def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWave
         u0 = _massless_kernel_spinor(k0, c0, abs(k0.t))
         u1 = _massless_kernel_spinor(k1, c1, abs(k1.t))
         sol = PlaneWaveSolution(
-            theta0=float(theta0), k0=k0, k1=k1, u0=u0, u1=u1,
+            theta0=theta0, k0=k0, k1=k1, u0=u0, u1=u1,
             mass=0.0, theta=ZERO_FOUR, label=f"{c0}{c1}",
         )
         certify_solution(sol)
@@ -600,10 +597,8 @@ class PacketSample:
     esign: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kvec", _as_triple(self.kvec, "kvec"))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        if not math.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
+        object.__setattr__(self, "kvec", vector(self.kvec, "kvec", 3))
+        object.__setattr__(self, "amplitude", number(self.amplitude, "amplitude"))
         if self.spin not in SPINS:
             raise ValueError(f"spin must be one of {SPINS}")
         if self.esign not in (1, -1):
@@ -619,10 +614,11 @@ class WavePacketSpec:
     samples: tuple[PacketSample, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "component", number(self.component, "component", integral=True))
         if self.component not in (0, 1):
             raise ValueError("component must be 0 or 1")
-        object.__setattr__(self, "mass", float(self.mass))
-        if self.mass < 0 or not math.isfinite(self.mass):
+        object.__setattr__(self, "mass", number(self.mass, "mass"))
+        if self.mass < 0:
             raise ValueError("mass must be finite and >= 0")
         object.__setattr__(self, "samples", tuple(self.samples))
         if not self.samples:
@@ -711,13 +707,16 @@ def rescaled_packet(packet: WavePacket, factor: float) -> WavePacket:
 
 def certify_solution(sol: PlaneWaveSolution, tol: float = 1e-12) -> float:
     """Verify the analytic field-equation residual and dispersion of a
-    constructed solution; raise CertificationError on failure."""
+    constructed solution; raise CertificationError on failure.  A
+    non-finite residual is an overflow of the inputs (ValueError)."""
     for k in (sol.k0, sol.k1):
         if dispersion_residual(k, sol.mass) > tol:
             raise CertificationError(
                 f"stored momentum {k} violates the dispersion relation for m={sol.mass}"
             )
     res = verify.dirac_residual(sol, points=verify.default_points(seed=_CERT_SEED))
+    if not math.isfinite(res):
+        raise ValueError(f"solution {sol.label!r} overflows: mass or momenta too large")
     k_scale = max(
         1.0,
         float(np.abs(sol.k0.as_array()).max()),
@@ -753,37 +752,27 @@ def massive_spec_to_dict(spec: MassiveSpec) -> dict:
     }
 
 
-def _require(d: dict, key: str):
-    if key not in d:
-        raise ValueError(f"missing field {key!r}")
-    return d[key]
-
-
 def _parse_sign(value, key: str) -> int:
-    if value in (1, -1):
-        return int(value)
-    if value == "+":
-        return 1
-    if value == "-":
-        return -1
+    if not isinstance(value, bool):
+        if value in ("+", 1):
+            return 1
+        if value in ("-", -1):
+            return -1
     raise ValueError(f"field {key!r} must be '+', '-', +1 or -1, got {value!r}")
 
 
 def massive_spec_from_dict(d: dict) -> MassiveSpec:
-    try:
-        return MassiveSpec(
-            mass=float(_require(d, "mass")),
-            theta0=float(_require(d, "theta0")),
-            kvec0=_require(d, "kvec0"),
-            kvec1=_require(d, "kvec1"),
-            spin0=d.get("spin0", "up"),
-            spin1=d.get("spin1", "up"),
-            esign0=_parse_sign(d.get("esign0", "+"), "esign0"),
-            esign1=_parse_sign(d.get("esign1", "-"), "esign1"),
-            norm_choice=d.get("norm_choice", "E_over_m"),
-        )
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed massive spec: {exc}") from exc
+    return MassiveSpec(
+        mass=require(d, "mass"),
+        theta0=require(d, "theta0"),
+        kvec0=require(d, "kvec0"),
+        kvec1=require(d, "kvec1"),
+        spin0=d.get("spin0", "up"),
+        spin1=d.get("spin1", "up"),
+        esign0=_parse_sign(d.get("esign0", "+"), "esign0"),
+        esign1=_parse_sign(d.get("esign1", "-"), "esign1"),
+        norm_choice=d.get("norm_choice", "E_over_m"),
+    )
 
 
 def massless_theta_spec_to_dict(spec: MasslessThetaSpec) -> dict:
@@ -800,17 +789,14 @@ def massless_theta_spec_to_dict(spec: MasslessThetaSpec) -> dict:
 
 
 def massless_theta_spec_from_dict(d: dict) -> MasslessThetaSpec:
-    try:
-        return MasslessThetaSpec(
-            theta=FourVector.from_array(_require(d, "theta")),
-            kappa0=float(_require(d, "kappa0")),
-            kappa1=float(_require(d, "kappa1")),
-            theta0=float(d.get("theta0", 0.0)),
-            chirality0=d.get("chirality0", "R"),
-            chirality1=d.get("chirality1", "R"),
-        )
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed massless theta spec: {exc}") from exc
+    return MasslessThetaSpec(
+        theta=FourVector(*vector(require(d, "theta"), "theta", 4)),
+        kappa0=require(d, "kappa0"),
+        kappa1=require(d, "kappa1"),
+        theta0=d.get("theta0", 0.0),
+        chirality0=d.get("chirality0", "R"),
+        chirality1=d.get("chirality1", "R"),
+    )
 
 
 def packet_spec_to_dict(spec: WavePacketSpec) -> dict:
@@ -833,32 +819,29 @@ def packet_spec_to_dict(spec: WavePacketSpec) -> dict:
 
 
 def packet_spec_from_dict(d: dict) -> WavePacketSpec:
-    samples = []
-    raw = _require(d, "samples")
+    raw = require(d, "samples")
     if not isinstance(raw, (list, tuple)):
         raise ValueError("field 'samples' must be a list")
-    mass = float(_require(d, "mass"))
-    for idx, s in enumerate(raw):
-        try:
-            sample = PacketSample(
-                kvec=_require(s, "kvec"),
-                amplitude=float(_require(s, "amplitude")),
+    spec = WavePacketSpec(
+        component=require(d, "component"),
+        mass=require(d, "mass"),
+        samples=tuple(
+            PacketSample(
+                kvec=require(s, "kvec"),
+                amplitude=require(s, "amplitude"),
                 spin=s.get("spin", "up"),
                 esign=_parse_sign(s.get("esign", "+"), "esign"),
             )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed sample {idx}: {exc}") from exc
+            for s in raw
+        ),
+    )
+    for idx, (s, sample) in enumerate(zip(raw, spec.samples)):
         if "energy" in s:
-            expected = mass_shell_energy(sample.kvec, mass, sample.esign)
-            got = float(s["energy"])
+            expected = mass_shell_energy(sample.kvec, spec.mass, sample.esign)
+            got = number(s["energy"], "energy")
             if abs(got - expected) > 1e-9 * max(1.0, abs(expected)):
                 raise ValueError(
                     f"sample {idx} field 'energy' {got} is off shell "
-                    f"(expected {expected} for kvec={sample.kvec}, mass={mass})"
+                    f"(expected {expected} for kvec={sample.kvec}, mass={spec.mass})"
                 )
-        samples.append(sample)
-    return WavePacketSpec(
-        component=int(_require(d, "component")),
-        mass=mass,
-        samples=tuple(samples),
-    )
+    return spec

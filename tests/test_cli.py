@@ -5,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qdirac.cli import ConfigError, _run_command
+from qdirac.cli import ConfigError, _run_command, cli
 from qdirac.solutions import CertificationError
 
 
@@ -358,11 +360,166 @@ def _packet_config(sample=None, **grid):
     ("packet", _packet_config({"amplitude": float("inf")}), "amplitude"),
     ("packet", _packet_config(spacing=[float("nan"), 1.0, 1.0, 0.1]), "spacing"),
     ("packet", _packet_config(origin=[0, float("inf"), 0, 0]), "origin"),
+    ("packet", {**_packet_config(), "mass": [1]}, "mass"),
+    ("packet", {**_packet_config(), "component": []}, "component"),
+    ("packet", _packet_config(counts=[3, 1, 1, 2.7]), "counts"),
+    ("packet", _packet_config(counts=[3, 1, 1, "4"]), "counts"),
+    ("packet", _packet_config(counts=[3, 1, 1, True]), "counts"),
+    ("packet", _packet_config(periodic=["false"] * 4), "periodic"),
+    ("packet", {**_packet_config(), "mass": "1.5"}, "mass"),
+    ("packet", _packet_config({"kvec": ["0", "0", "1"]}), "kvec"),
+    ("packet", _packet_config({"amplitude": "2"}), "amplitude"),
+    ("packet", _packet_config({"esign": True}), "esign"),
+    ("catalog", {"kind": "massless", "kvec0": [0, 0, 1], "kvec1": [0, 0, 1], "theta0": "0.5"},
+     "theta0"),
+    ("continuity", {"b": [[0, 0], [0, 0], [float("nan"), 0], [0, 0]]}, "b"),
+    ("verify", {"mass": 10**400}, "mass"),
 ])
 def test_malformed_input_exit_2(tmp_path, command, payload, field):
     cfg = write_json(tmp_path / "bad.json", {"schema_version": 1, **payload})
-    proc = run_cli(command, "--config", cfg)
+    assert_rejected(run_cli(command, "--config", cfg), field)
+
+
+def assert_rejected(proc, field):
     assert proc.returncode == 2
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-12"])
+def test_bad_tol_exit_2(tmp_path, tol):
+    cfg = write_json(tmp_path / "verify.json", {"schema_version": 1})
+    assert_rejected(run_cli("verify", "--config", cfg, "--tol", tol), "--tol")
+
+
+@pytest.mark.parametrize("command, payload, cause", [
+    ("verify", {"mass": 1e200}, "too large"),
+    ("verify", {"box_length": 1e-300}, "box_length"),
+    ("verify", {"box_length": 1e103}, "box_length"),
+    ("catalog", {"kind": "massive", "mass": 1.0, "kvec0": [0, 0, 1e200],
+                 "kvec1": [0, 0, 1], "theta0": 0.5}, "too large"),
+    ("packet", {**_packet_config(), "mass": 1e200}, "too large"),
+    ("catalog", {"kind": "massive", "mass": 1.0, "kvec0": [0, 0, 1e150],
+                 "kvec1": [0, 0, 1], "theta0": 0.5}, "too large"),
+])
+def test_overflowing_input_names_cause(tmp_path, command, payload, cause):
+    cfg = write_json(tmp_path / "big.json", {"schema_version": 1, **payload})
+    assert_rejected(run_cli(command, "--config", cfg), cause)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command, payload", [
+    ("packet", _packet_config({"amplitude": 1e308})),
+    ("continuity", {"dimension": "3+1", "b": [[0, 0], [0, 0], [1e308, 0], [0, 0]]}),
+])
+def test_non_finite_result_exit_2(tmp_path, command, payload, fmt):
+    cfg = write_json(tmp_path / "big.json", {"schema_version": 1, **payload})
+    assert_rejected(run_cli(command, "--config", cfg, "--format", fmt), "too large")
+
+
+def test_unwritable_out_exit_2(massive_config, tmp_path):
+    out = tmp_path / "missing" / "catalog.json"
+    assert_rejected(run_cli("catalog", "--config", massive_config, "--out", str(out)), "--out")
+
+
+def test_failed_replace_removes_temp_file(massive_config, tmp_path):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert_rejected(run_cli("catalog", "--config", massive_config, "--out", str(out)), "--out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["massive.json", "taken"]
+
+
+# --- fuzz: one field of a valid config replaced by an arbitrary JSON value -----
+
+def _fuzz_grid(counts, periodic):
+    spacing = [0.2] + [2 * math.pi / n if per else 1.0 for n, per in zip(counts[1:], periodic[1:])]
+    return {"origin": [-0.2, 0.0, 0.0, 0.0], "spacing": spacing,
+            "counts": list(counts), "periodic": list(periodic)}
+
+
+FUZZ_BASES = {
+    "catalog": {"schema_version": 1, "kind": "massive", "mass": 1.0, "theta0": 0.5,
+                "kvec0": [0, 0, 1.0], "kvec1": [0, 0.5, 1.0], "norm_choice": "E"},
+    "verify": {"schema_version": 1, "mass": 1.0, "theta0": 0.4, "box_length": 6.0,
+               "box_cells": 4, "tolerances": {"residual": 1e-12, "gram": 1e-10}},
+    "continuity": {"schema_version": 1, "levels": 3,
+                   "solution": {"mass": 1.0, "theta0": 0.6, "kvec0": [0, 0, 1.0],
+                                "kvec1": [0, 0, 2.0], "spin0": "up", "spin1": "down",
+                                "esign0": "+", "esign1": "-", "norm_choice": "E_over_m"},
+                   "grid": _fuzz_grid((3, 1, 1, 8), (False, False, False, True)),
+                   "b": [[0, 0], [0, 0], [0.3, 0.1], [0, 0]]},
+    "packet": {"schema_version": 1, "component": 0, "mass": 1.0,
+               "samples": [{"kvec": [0, 0, 1.0], "amplitude": 1.0, "spin": "up",
+                            "esign": "+", "energy": math.sqrt(2.0)},
+                           {"kvec": [0, 0, 2.0], "amplitude": 0.5, "esign": -1}],
+               "grid": _fuzz_grid((2, 1, 1, 8), (False, False, False, True))},
+}
+
+# There is no point budget yet, so a fuzzed size must stay small: fields
+# named here draw numbers only up to their bound, which keeps every run
+# at or below levels 4, 4x8^3 grid points and box_cells 8.
+_SIZE_BOUNDS = {"levels": 4, "box_cells": 8, "counts": 8}
+
+
+def _paths(value, prefix=()):
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(cfg, path, new):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    return cfg
+
+
+def _json_values(bound):
+    if bound is None:
+        numbers = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                                             -1, -0.5, 0, 2.7]),
+                            st.floats(), st.integers(-3, 8))
+    else:
+        numbers = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 2.7]),
+                            st.floats(-3, bound), st.integers(-3, bound))
+    small = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 8),
+                      st.floats(-3, 8))
+    return st.one_of(numbers, st.none(), st.booleans(), st.text(max_size=4),
+                     st.lists(small, max_size=5),
+                     st.dictionaries(st.text(max_size=4), small, max_size=3))
+
+
+@st.composite
+def _fuzzed_config(draw, command):
+    base = FUZZ_BASES[command]
+    path = draw(st.sampled_from(list(_paths(base))))
+    bound = next((b for key, b in _SIZE_BOUNDS.items() if key in path), None)
+    return path, _replaced(base, path, draw(_json_values(bound)))
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_config_exit_contract(tmp_path, command, data):
+    path, cfg = data.draw(_fuzzed_config(command), label="path, config")
+    cfg_path = write_json(tmp_path / "fuzz.json", cfg)
+    result = CliRunner().invoke(cli, [command, "--config", cfg_path])
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        path, result.exc_info)
+    assert result.exit_code in (0, 1, 2), (path, result.stderr)
+    if result.exit_code in (0, 1):
+        json.loads(result.stdout, parse_constant=_reject_constant)

@@ -53,6 +53,13 @@ def test_grid_validation():
         small_grid(origin=FourVector(0, inf, 0, 0))
     with pytest.raises(ValueError, match="origin"):
         small_grid(origin=FourVector(nan, 0, 0, 0))
+    for bad in (2.7, "4", True):
+        with pytest.raises(ValueError, match="counts"):
+            small_grid(counts=(2, 4, 4, bad))
+    with pytest.raises(ValueError, match="periodic"):
+        small_grid(periodic=(False, "false", False, False))
+    with pytest.raises(ValueError, match="extent"):
+        small_grid(spacing=(0.5, 1e308, 0.25, 0.25))
 
 
 def test_grid_dict_has_plain_floats():

@@ -484,6 +484,29 @@ def test_spec_json_missing_fields_named():
         massless_theta_spec_from_dict({"theta": [1, 0, 0, 1], "kappa1": 1.0})
     with pytest.raises(ValueError, match="samples"):
         packet_spec_from_dict({"component": 0, "mass": 1.0})
+    # wrong types are ValueErrors naming the field, never TypeErrors
+    massive = {"mass": 1.0, "theta0": 0.0, "kvec0": [0, 0, 1], "kvec1": [0, 0, 1]}
+    packet = {"component": 0, "mass": 1.0, "samples": [{"kvec": [0, 0, 1], "amplitude": 1.0}]}
+    cases = [
+        (massive_spec_from_dict, {**massive, "mass": [1]}, "mass"),
+        (massive_spec_from_dict, {**massive, "theta0": "0.5"}, "theta0"),
+        (massive_spec_from_dict, {**massive, "kvec0": 3}, "kvec0"),
+        (massive_spec_from_dict, {**massive, "esign0": True}, "esign0"),
+        (massive_spec_from_dict, [], "mass"),
+        (massless_theta_spec_from_dict, {"theta": [1, 0, 0, "1"], "kappa0": 1.0,
+                                         "kappa1": 1.0}, "theta"),
+        (massless_theta_spec_from_dict, {"theta": [1, 0, 0, 1], "kappa0": None,
+                                         "kappa1": 1.0}, "kappa0"),
+        (packet_spec_from_dict, {**packet, "mass": [1]}, "mass"),
+        (packet_spec_from_dict, {**packet, "component": []}, "component"),
+        (packet_spec_from_dict, {**packet, "component": True}, "component"),
+        (packet_spec_from_dict, {**packet, "samples": [[0, 0, 1]]}, "kvec"),
+        (packet_spec_from_dict, {**packet, "samples": [{"kvec": [0, 0, 1], "amplitude": 1.0,
+                                                        "energy": "1.4"}]}, "energy"),
+    ]
+    for from_dict, d, field in cases:
+        with pytest.raises(ValueError, match=field):
+            from_dict(d)
 
 
 def test_packet_spec_off_shell_energy_rejected():
