@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -58,40 +59,61 @@ def _load_config(path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report formatting
+# report model
 
 
-def _complex_pairs(u) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(u)]
+@dataclass(frozen=True, slots=True)
+class Table:
+    """A named table: a header and rows that hold one plain value per column."""
+
+    name: str
+    header: list
+    rows: list
+
+    def pick(self, *columns: str) -> "Table":
+        """The same rows restricted to `columns`, in that order."""
+        idx = [self.header.index(c) for c in columns]
+        return Table(self.name, list(columns), [[row[i] for i in idx] for row in self.rows])
 
 
-def _format_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+class Report(dict):
+    """A command's report in all three formats.
+
+    The dict itself is the JSON body; a Table value in it renders as a
+    list of row objects.  CSV writes `sections` in order; text writes
+    `head` on one line, then `table`."""
+
+    def __init__(self, command: str, seed: int, body: dict, sections: list,
+                 head: str, table: Table):
+        super().__init__(command=command, schema_version=SCHEMA_VERSION, seed=seed, **body)
+        self.sections, self.head, self.table = sections, head, table
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _csv_section(name: str, header: list, rows: list) -> str:
-    lines = [f"# section: {name}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+def _csv_section(table: Table) -> str:
+    lines = [f"# section: {table.name}", ",".join(table.header)]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+              for row in table.rows]
     return "\n".join(lines) + "\n"
 
 
-def _text_table(header: list, rows: list) -> str:
-    cols = [[str(h)] for h in header]
-    for row in rows:
-        for i, v in enumerate(row):
-            cols[i].append(f"{v:.6e}" if isinstance(v, float) else str(v))
-    widths = [max(len(s) for s in col) for col in cols]
-    lines = []
-    for r in range(len(rows) + 1):
-        lines.append("  ".join(cols[i][r].ljust(widths[i]) for i in range(len(cols))))
-    return "\n".join(lines) + "\n"
+def _text_table(table: Table) -> str:
+    cells = [table.header] + [[f"{v:.6e}" if isinstance(v, float) else str(v) for v in row]
+                              for row in table.rows]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) + "\n" for row in cells)
+
+
+def _render(report: Report, fmt: str) -> str:
+    if fmt == "json":
+        # Tables become row objects here, not in a `default` hook: the hook
+        # nests each table one generator level deeper in json's pure-Python
+        # encoder (used because of `indent`), which is slower on large packets
+        body = {k: [dict(zip(v.header, row)) for row in v.rows] if isinstance(v, Table) else v
+                for k, v in report.items()}
+        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if fmt == "csv":
+        return "\n".join(_csv_section(t) for t in report.sections)
+    return report.head + "\n" + _text_table(report.table)
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -117,6 +139,10 @@ def _write_output(text: str, out_path: str | None) -> None:
 # catalog
 
 
+def _complex_pairs(u) -> list:
+    return [[float(c.real), float(c.imag)] for c in np.asarray(u)]
+
+
 def _solution_record(index: int, s, seed: int) -> dict:
     points = ver.default_points(seed=seed)
     return {
@@ -134,7 +160,13 @@ def _solution_record(index: int, s, seed: int) -> dict:
     }
 
 
-def run_catalog(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
+_SOLUTION_COLUMNS = (["index", "label", "mass", "theta0", "density", "residual"]
+                     + [f"{k}_{c}" for k in ("k0", "k1") for c in "txyz"]
+                     + [f"{u}_{i}_{part}" for u in ("u0", "u1") for i in range(4)
+                        for part in ("re", "im")])
+
+
+def run_catalog(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     kind = cfg.get("kind", "massive")
     kvec0, kvec1, theta0 = require(cfg, "kvec0"), require(cfg, "kvec1"), require(cfg, "theta0")
     if kind == "massive":
@@ -147,44 +179,19 @@ def run_catalog(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
     residual_tol = tol if tol is not None else 1e-12
     records = [_solution_record(i, s, seed) for i, s in enumerate(sols)]
     passed = all(r["residual"] <= residual_tol for r in records)
-    report = {
-        "command": "catalog",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
+    table = Table("solutions", _SOLUTION_COLUMNS, [
+        [r["index"], r["label"], r["mass"], r["theta0"], r["density"], r["residual"],
+         *r["k0"], *r["k1"], *(x for u in ("u0", "u1") for pair in r[u] for x in pair)]
+        for r in records])
+    report = Report("catalog", seed, {
         "kind": kind,
         "tolerance": residual_tol,
         "count": len(records),
         "solutions": records,
         "passed": passed,
-    }
+    }, [table], f"catalog kind={kind} count={len(records)} passed={passed}",
+        table.pick("index", "label", "k0_t", "k1_t", "density", "residual"))
     return (0 if passed else 1), report
-
-
-def _catalog_csv(report: dict) -> str:
-    header = ["index", "label", "mass", "theta0", "density", "residual"]
-    header += [f"k0_{c}" for c in "txyz"] + [f"k1_{c}" for c in "txyz"]
-    for u in ("u0", "u1"):
-        for i in range(4):
-            header += [f"{u}_{i}_re", f"{u}_{i}_im"]
-    rows = []
-    for r in report["solutions"]:
-        row = [r["index"], r["label"], r["mass"], r["theta0"], r["density"], r["residual"]]
-        row += r["k0"] + r["k1"]
-        for u in ("u0", "u1"):
-            for re_im in r[u]:
-                row += re_im
-        rows.append(row)
-    return _csv_section("solutions", header, rows)
-
-
-def _catalog_text(report: dict) -> str:
-    header = ["index", "label", "k0_t", "k1_t", "density", "residual"]
-    rows = [
-        [r["index"], r["label"], r["k0"][0], r["k1"][0], r["density"], r["residual"]]
-        for r in report["solutions"]
-    ]
-    head = f"catalog kind={report['kind']} count={report['count']} passed={report['passed']}\n"
-    return head + _text_table(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,7 @@ def _slashed_square_residual(rng, n: int = 200) -> float:
     return worst
 
 
-def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
+def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     rng = np.random.default_rng(seed)
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -253,15 +260,10 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
         raise ConfigError("field 'box_cells' must be >= 2")
     theta0 = number(cfg.get("theta0", math.pi / 8.0), "theta0")
 
-    checks: list[dict] = []
+    checks: list[list] = []
 
     def add(name: str, value: float, tolerance: float):
-        checks.append({
-            "name": name,
-            "value": float(value),
-            "tolerance": tolerance,
-            "passed": bool(value <= tolerance),
-        })
+        checks.append([name, float(value), tolerance, bool(value <= tolerance)])
 
     algebra_tol = tol if tol is not None else 1e-13
     sweep = _quaternion_sweep(rng)
@@ -352,37 +354,20 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
     pw_grid = SpacetimeGrid(FourVector(0, 0, 0, 0), (0.1, 0.3, 0.3, 0.3), (3, 4, 4, 4))
     add("continuity_plane_wave", ver.continuity_residual(massive[0], pw_grid).defect, 1e-10)
 
-    passed = all(c["passed"] for c in checks)
-    report = {
-        "command": "verify",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
+    passed = all(c[3] for c in checks)
+    check_table = Table("checks", ["name", "value", "tolerance", "passed"], checks)
+    gram_table = Table("gram", ["label", *gram.labels],
+                       [[lab, *vals] for lab, vals in zip(gram.labels, gram.matrix.tolist())])
+    report = Report("verify", seed, {
         "tolerance": residual_tol,
         "gram_tolerance": gram_tol,
-        "checks": checks,
+        "checks": check_table,
         "gram": gram.to_dict(),
         "passed": passed,
-    }
+    }, [check_table, gram_table], f"verify seed={seed} passed={passed}",
+        Table("checks", ["check", "value", "tolerance", "status"],
+              [[n, v, t, "PASS" if ok else "FAIL"] for n, v, t, ok in checks]))
     return (0 if passed else 1), report
-
-
-def _verify_csv(report: dict) -> str:
-    rows = [[c["name"], c["value"], c["tolerance"], c["passed"]] for c in report["checks"]]
-    out = _csv_section("checks", ["name", "value", "tolerance", "passed"], rows)
-    gram = report["gram"]
-    header = ["label"] + list(gram["labels"])
-    grows = [[lab] + list(vals) for lab, vals in zip(gram["labels"], gram["matrix"])]
-    out += "\n" + _csv_section("gram", header, grows)
-    return out
-
-
-def _verify_text(report: dict) -> str:
-    rows = [
-        [c["name"], c["value"], c["tolerance"], "PASS" if c["passed"] else "FAIL"]
-        for c in report["checks"]
-    ]
-    head = f"verify seed={report['seed']} passed={report['passed']}\n"
-    return head + _text_table(["check", "value", "tolerance", "status"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +405,7 @@ def _parse_b(cfg: dict):
     return b if b.any() else None
 
 
-def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
+def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     levels = number(cfg.get("levels", 3), "levels", integral=True)
     if levels < 3:
         raise ConfigError("field 'levels' must be >= 3")
@@ -442,130 +427,65 @@ def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
     # a plane wave has constant currents, so its defects sit at rounding
     # level and the order fit is meaningless
     rounding_level = all(r.defect <= 1e-10 for r in conv.levels)
-    order_ok = b is not None or rounding_level or (order_lo <= conv.fitted_order <= order_hi)
-    report = {
-        "command": "continuity",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "levels": [
-            {"h_scale": h, **rep.to_dict()}
-            for h, rep in zip(conv.h_scales, conv.levels)
-        ],
-        "fitted_order": conv.fitted_order if math.isfinite(conv.fitted_order) else None,
+    passed = b is not None or rounding_level or (order_lo <= conv.fitted_order <= order_hi)
+    order = conv.fitted_order if math.isfinite(conv.fitted_order) else None
+    levels = Table("levels", ["h_scale", "grid", "lhs_norm", "rhs_norm", "defect", "interior_points"],
+                   [[h, r.grid, r.lhs_norm, r.rhs_norm, r.defect, r.interior_points]
+                    for h, r in zip(conv.h_scales, conv.levels)])
+    order_str = f"{order:.4f}" if order is not None else "n/a (rounding level)"
+    report = Report("continuity", seed, {
+        "levels": levels,
+        "fitted_order": order,
         "order_window": [order_lo, order_hi],
         "defects_at_rounding_level": rounding_level,
         "source_active": b is not None,
-        "passed": bool(order_ok),
-    }
-    return (0 if order_ok else 1), report
-
-
-def _continuity_csv(report: dict) -> str:
-    header = ["h_scale", "lhs_norm", "rhs_norm", "defect", "interior_points"]
-    rows = [
-        [lv["h_scale"], lv["lhs_norm"], lv["rhs_norm"], lv["defect"], lv["interior_points"]]
-        for lv in report["levels"]
-    ]
-    out = _csv_section("levels", header, rows)
-    out += "\n" + _csv_section("summary", ["fitted_order", "passed"],
-                               [[report["fitted_order"], report["passed"]]])
-    return out
-
-
-def _continuity_text(report: dict) -> str:
-    rows = [
-        [lv["h_scale"], lv["lhs_norm"], lv["defect"]]
-        for lv in report["levels"]
-    ]
-    order = report["fitted_order"]
-    order_str = f"{order:.4f}" if order is not None else "n/a (rounding level)"
-    head = f"continuity fitted_order={order_str} passed={report['passed']}\n"
-    return head + _text_table(["h_scale", "lhs_norm", "defect"], rows)
+        "passed": passed,
+    }, [levels.pick("h_scale", "lhs_norm", "rhs_norm", "defect", "interior_points"),
+        Table("summary", ["fitted_order", "passed"], [[order, passed]])],
+        f"continuity fitted_order={order_str} passed={passed}",
+        levels.pick("h_scale", "lhs_norm", "defect"))
+    return (0 if passed else 1), report
 
 
 # ---------------------------------------------------------------------------
 # packet
 
 
-def run_packet(cfg: dict, tol: float | None, seed: int) -> tuple[int, dict]:
+def run_packet(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     spec = sol.packet_spec_from_dict(cfg)
     packet = sol.build_wave_packet(spec)
     grid = SpacetimeGrid.from_dict(require(cfg, "grid"))
     sampled = packet.evaluate_grid(grid)
     density = ver.current_grid(sampled)[..., 0]
-    ts, xs, ys, zs = grid.axes()
-    norms = [
-        {"t": float(ts[it]), "norm": float(density[it].sum() * grid.cell_volume)}
-        for it in range(grid.counts[0])
-    ]
-    if not (np.isfinite(density).all() and all(math.isfinite(n["norm"]) for n in norms)):
+    axes = grid.axes()
+    # an overflowing sum is rejected just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [[float(t), float(density[it].sum() * grid.cell_volume)]
+                 for it, t in enumerate(axes[0])]
+    if not (np.isfinite(density).all() and all(math.isfinite(n) for _, n in norms)):
         raise ConfigError("packet density overflows: amplitudes or momenta are too large")
-    rows = []
-    for it in range(grid.counts[0]):
-        for ix in range(grid.counts[1]):
-            for iy in range(grid.counts[2]):
-                for iz in range(grid.counts[3]):
-                    rows.append({
-                        "it": it, "ix": ix, "iy": iy, "iz": iz,
-                        "t": float(ts[it]), "x": float(xs[ix]),
-                        "y": float(ys[iy]), "z": float(zs[iz]),
-                        "density": float(density[it, ix, iy, iz]),
-                    })
-    report = {
-        "command": "packet",
-        "schema_version": SCHEMA_VERSION,
-        "seed": seed,
+    index = np.indices(grid.counts).reshape(4, -1)
+    columns = [*index.tolist(), *(axis[i].tolist() for axis, i in zip(axes, index)),
+               density.ravel().tolist()]
+    density_table = Table("density", ["it", "ix", "iy", "iz", "t", "x", "y", "z", "density"],
+                          list(zip(*columns)))
+    norm_table = Table("norms", ["t", "norm"], norms)
+    report = Report("packet", seed, {
         "component": spec.component,
         "mass": spec.mass,
         "samples": len(spec.samples),
         "grid": grid.to_dict(),
-        "density": rows,
-        "norms": norms,
+        "density": density_table,
+        "norms": norm_table,
         "passed": True,
-    }
+    }, [density_table, norm_table],
+        f"packet component={spec.component} mass={spec.mass} samples={len(spec.samples)}",
+        norm_table)
     return 0, report
-
-
-def _packet_csv(report: dict) -> str:
-    header = ["it", "ix", "iy", "iz", "t", "x", "y", "z", "density"]
-    rows = [[r[h] for h in header] for r in report["density"]]
-    out = _csv_section("density", header, rows)
-    out += "\n" + _csv_section("norms", ["t", "norm"],
-                               [[n["t"], n["norm"]] for n in report["norms"]])
-    return out
-
-
-def _packet_text(report: dict) -> str:
-    head = (f"packet component={report['component']} mass={report['mass']} "
-            f"samples={report['samples']}\n")
-    rows = [[n["t"], n["norm"]] for n in report["norms"]]
-    return head + _text_table(["t", "norm"], rows)
 
 
 # ---------------------------------------------------------------------------
 # click wiring
-
-_CSV_WRITERS = {
-    "catalog": _catalog_csv,
-    "verify": _verify_csv,
-    "continuity": _continuity_csv,
-    "packet": _packet_csv,
-}
-_TEXT_WRITERS = {
-    "catalog": _catalog_text,
-    "verify": _verify_text,
-    "continuity": _continuity_text,
-    "packet": _packet_text,
-}
-
-
-def _render(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _format_json(report)
-    if fmt == "csv":
-        return _CSV_WRITERS[report["command"]](report)
-    return _TEXT_WRITERS[report["command"]](report)
-
 
 def _run_command(runner, config_path: str, out_path, fmt: str, tol, seed: int) -> None:
     """Run one command; every ValueError (bad input) exits 2."""

@@ -120,24 +120,8 @@ class SampledField:
 
 
 def sample(field, grid: SpacetimeGrid) -> SampledField:
-    """Evaluate a field on every lattice point.
-
-    Uses the field's vectorized evaluate_grid when available, otherwise
-    falls back to pointwise evaluate(x)."""
-    if hasattr(field, "evaluate_grid"):
-        return field.evaluate_grid(grid)
-    shape = grid.counts + (4,)
-    psi0 = np.zeros(shape, dtype=complex)
-    psi1 = np.zeros(shape, dtype=complex)
-    ts, xs, ys, zs = grid.axes()
-    for it, t in enumerate(ts):
-        for ix, x in enumerate(xs):
-            for iy, y in enumerate(ys):
-                for iz, z in enumerate(zs):
-                    s = field.evaluate(FourVector(t, x, y, z))
-                    psi0[it, ix, iy, iz] = s.psi0
-                    psi1[it, ix, iy, iz] = s.psi1
-    return SampledField(grid, psi0, psi1)
+    """Evaluate a field on every lattice point through its `evaluate_grid`."""
+    return field.evaluate_grid(grid)
 
 
 def central_diff(values: np.ndarray, axis: int, spacing: float, periodic: bool = False) -> np.ndarray:

@@ -151,7 +151,8 @@ def build_u_spinor(
     u = u * math.sqrt(target / float(np.real(np.vdot(u, u))))
     u = _fix_phase(u)
 
-    resid = float(np.linalg.norm((slashed(kfour) - mass_sign * mass * np.eye(4)) @ u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.linalg.norm((slashed(kfour) - mass_sign * mass * np.eye(4)) @ u))
     if not math.isfinite(resid):
         raise ValueError(f"mass {mass!r} or momentum {kfour} is too large: the spinor overflows")
     if resid > tol * (energy + mass) * float(np.linalg.norm(u)):

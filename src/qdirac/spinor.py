@@ -18,9 +18,6 @@ import numpy as np
 
 from .qalg import Quaternion
 
-# Complex 4-spinors are plain numpy arrays of shape (4,), dtype complex128.
-CSpinor4 = np.ndarray
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex, order="C")
@@ -53,8 +50,6 @@ GAMMA = tuple(
 BETA = GAMMA[0]
 # beta is diagonal; its diagonal is all the adjoint machinery needs.
 BETA_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
-ALPHA = tuple(_readonly(BETA @ GAMMA[ell]) for ell in (1, 2, 3))
-IDENTITY4 = _readonly(np.eye(4, dtype=complex))
 
 METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 

@@ -98,17 +98,19 @@ def _source_term(sampled: SampledField, b) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if b.shape != (4,):
         raise ValueError("b must be a complex 4-vector")
-    m = np.zeros((4, 4), dtype=complex)
-    for ell in (1, 2, 3):
-        m = m + (-b[ell]) * (GAMMA[ell] - np.conj(GAMMA[ell]))
     psi0, psi1 = sampled.psi0, sampled.psi1
-    # j Psi = (-conj(psi1), conj(psi0)) symplectically
-    col0 = np.einsum("ab,...b->...a", m, -np.conj(psi1))
-    col1 = np.einsum("ab,...b->...a", m, np.conj(psi0))
-    row0 = BETA_DIAG * np.conj(psi0)
-    row1 = -BETA_DIAG * psi1
-    # real part of the quaternion contraction sum_a row_a col_a
-    val = np.sum(row0 * col0 - row1 * np.conj(col1), axis=-1)
+    # a large b overflows here; continuity_residual rejects the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.zeros((4, 4), dtype=complex)
+        for ell in (1, 2, 3):
+            m = m + (-b[ell]) * (GAMMA[ell] - np.conj(GAMMA[ell]))
+        # j Psi = (-conj(psi1), conj(psi0)) symplectically
+        col0 = np.einsum("ab,...b->...a", m, -np.conj(psi1))
+        col1 = np.einsum("ab,...b->...a", m, np.conj(psi0))
+        row0 = BETA_DIAG * np.conj(psi0)
+        row1 = -BETA_DIAG * psi1
+        # real part of the quaternion contraction sum_a row_a col_a
+        val = np.sum(row0 * col0 - row1 * np.conj(col1), axis=-1)
     return np.real(val)
 
 
@@ -283,10 +285,6 @@ class HelicityReport:
     h1: float
     residual0: float
     residual1: float
-
-    @property
-    def eigenvalues(self) -> tuple[float, float]:
-        return (self.h0, self.h1)
 
     def to_dict(self) -> dict:
         return {

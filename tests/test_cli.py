@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qdirac.cli import ConfigError, _run_command, cli
+from qdirac.cli import ConfigError, Report, Table, _render, _run_command, cli
 from qdirac.solutions import CertificationError
 
 
@@ -343,6 +343,15 @@ def test_config_error_maps_to_exit_2(massive_config):
     assert exc.value.code == 2
 
 
+def test_json_renders_tables_and_rejects_other_objects():
+    table = Table("rows", ["a", "b"], [[1, 0.5], [2, 1.5]])
+    report = Report("packet", 0, {"rows": table}, [table], "head", table)
+    assert json.loads(_render(report, "json"))["rows"] == [{"a": 1, "b": 0.5}, {"a": 2, "b": 1.5}]
+    report["rows"] = np.zeros(2)
+    with pytest.raises(TypeError):
+        _render(report, "json")
+
+
 def _packet_config(sample=None, **grid):
     return {"component": 0, "mass": 1.0,
             "samples": [{"kvec": [0, 0, 1.0], "amplitude": 1.0, **(sample or {})}],
@@ -381,9 +390,12 @@ def test_malformed_input_exit_2(tmp_path, command, payload, field):
 
 
 def assert_rejected(proc, field):
+    """Exit 2 with one stderr line, the diagnostic naming `field`, and no
+    report; so no traceback and no numpy warning either."""
     assert proc.returncode == 2
     assert field in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
     assert proc.stdout == ""
 
 
@@ -402,6 +414,7 @@ def test_bad_tol_exit_2(tmp_path, tol):
     ("packet", {**_packet_config(), "mass": 1e200}, "too large"),
     ("catalog", {"kind": "massive", "mass": 1.0, "kvec0": [0, 0, 1e150],
                  "kvec1": [0, 0, 1], "theta0": 0.5}, "too large"),
+    ("packet", _packet_config({"amplitude": 1e154}), "too large"),
 ])
 def test_overflowing_input_names_cause(tmp_path, command, payload, cause):
     cfg = write_json(tmp_path / "big.json", {"schema_version": 1, **payload})
