@@ -22,7 +22,6 @@ from .spinor import (
     dirac_pair,
     gamma,
     helicity_matrix,
-    minkowski_dot,
     right_mul_i_spinor,
     slashed,
     spin_basis,
@@ -72,7 +71,7 @@ __all__ = [
     "symplectic_split", "from_symplectic",
     "FourVector", "ZERO_FOUR", "QSpinor4", "gamma", "slashed",
     "apply_left", "right_mul_i_spinor", "adjoint", "dirac_pair",
-    "helicity_matrix", "spin_basis", "minkowski_dot",
+    "helicity_matrix", "spin_basis",
     "SpacetimeGrid", "SampledField", "sample", "central_diff", "integrate_spatial",
     "MassiveSpec", "MasslessThetaSpec", "PlaneWaveSolution",
     "WavePacket", "WavePacketSpec", "PacketSample",

@@ -354,21 +354,34 @@ def _resolve_axis(spin_axis, kvec):
     return vector(spin_axis, "spin_axis", 3)
 
 
+def _half(kvec, mass: float, half: int, esign: int, spin: str,
+          norm_choice: str = "E_over_m", spin_axis=None):
+    """Four-momentum and read-only kernel spinor of one plane-wave term.
+
+    The only place a branch label becomes a frequency sign.  Massive: the
+    complex half (0) carries the flipped mass sign, so it runs at
+    -esign*E with u in ker(slashed(k) + m); the j half (1) runs at
+    +esign*E with u in ker(slashed(k) - m).  Massless: the frequency is
+    esign*|k|, spin names the helicity, and the chirality is helicity *
+    frequency sign.
+    """
+    if mass > 0:
+        mass_sign = 1 if half else -1
+        k = FourVector(mass_sign * esign * mass_shell_energy(kvec, mass), *kvec)
+        u = build_u_spinor(k, mass, mass_sign=mass_sign, spin=spin, norm_choice=norm_choice,
+                           spin_axis=_resolve_axis(spin_axis, kvec))
+    else:
+        k = FourVector(esign * mass_shell_energy(kvec, 0.0), *kvec)
+        h = 1 if spin == "up" else -1
+        u = _massless_kernel_spinor(k, "R" if h * esign > 0 else "L", abs(k.t))
+    u.setflags(write=False)
+    return k, u
+
+
 def build_massive_solution(spec: MassiveSpec, spin_axis=None) -> PlaneWaveSolution:
     """Certified massive plane-wave solution for one label combination."""
-    e0 = mass_shell_energy(spec.kvec0, spec.mass)
-    e1 = mass_shell_energy(spec.kvec1, spec.mass)
-    # flipped mass sign on the complex half reverses its frequency
-    k0 = FourVector(-spec.esign0 * e0, *spec.kvec0)
-    k1 = FourVector(spec.esign1 * e1, *spec.kvec1)
-    u0 = build_u_spinor(
-        k0, spec.mass, mass_sign=-1, spin=spec.spin0,
-        norm_choice=spec.norm_choice, spin_axis=_resolve_axis(spin_axis, spec.kvec0),
-    )
-    u1 = build_u_spinor(
-        k1, spec.mass, mass_sign=+1, spin=spec.spin1,
-        norm_choice=spec.norm_choice, spin_axis=_resolve_axis(spin_axis, spec.kvec1),
-    )
+    k0, u0 = _half(spec.kvec0, spec.mass, 0, spec.esign0, spec.spin0, spec.norm_choice, spin_axis)
+    k1, u1 = _half(spec.kvec1, spec.mass, 1, spec.esign1, spec.spin1, spec.norm_choice, spin_axis)
     sol = PlaneWaveSolution(
         theta0=spec.theta0, k0=k0, k1=k1, u0=u0, u1=u1,
         mass=spec.mass, theta=ZERO_FOUR, label=spec.label,
@@ -486,20 +499,20 @@ def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWave
 # constraint reporting
 
 
+# the running-phase constraint chain, in report order
+_CONSTRAINT_CHECKS = (
+    "theta_null", "k0_dot_theta", "k1_dot_theta",
+    "k0_proportional", "k1_proportional",
+    "p0_shell", "p1_shell", "massless_required",
+)
+
+
 @dataclass(frozen=True, slots=True)
 class ConstraintCheck:
     name: str
     residual: float
     passed: bool
     vacuous: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -518,14 +531,6 @@ class ConstraintReport:
                 return c
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {
-            "checks": [c.to_dict() for c in self.checks],
-            "kappa0": self.kappa0,
-            "kappa1": self.kappa1,
-            "all_passed": self.all_passed,
-        }
-
 
 def check_constraints(
     theta: FourVector,
@@ -538,16 +543,11 @@ def check_constraints(
     orthogonal and proportional to theta, effective momenta on shell, and
     mass forced to zero.  Reports, never raises; theta = 0 marks every
     check vacuous."""
-    checks: list[ConstraintCheck] = []
     if theta.is_zero():
-        for name in (
-            "theta_null", "k0_dot_theta", "k1_dot_theta",
-            "k0_proportional", "k1_proportional",
-            "p0_shell", "p1_shell", "massless_required",
-        ):
-            checks.append(ConstraintCheck(name, 0.0, True, vacuous=True))
-        return ConstraintReport(tuple(checks), 0.0, 0.0)
+        vacuous = (ConstraintCheck(n, 0.0, True, vacuous=True) for n in _CONSTRAINT_CHECKS)
+        return ConstraintReport(tuple(vacuous), 0.0, 0.0)
 
+    checks: list[ConstraintCheck] = []
     th_arr = theta.as_array()
     th_scale = float(th_arr @ th_arr)
     checks.append(
@@ -575,13 +575,8 @@ def check_constraints(
 
     checks.append(ConstraintCheck("massless_required", abs(mass), mass == 0.0))
 
-    order = (
-        "theta_null", "k0_dot_theta", "k1_dot_theta",
-        "k0_proportional", "k1_proportional",
-        "p0_shell", "p1_shell", "massless_required",
-    )
     by_name = {c.name: c for c in checks}
-    return ConstraintReport(tuple(by_name[n] for n in order), kappas[0], kappas[1])
+    return ConstraintReport(tuple(by_name[n] for n in _CONSTRAINT_CHECKS), kappas[0], kappas[1])
 
 
 # ---------------------------------------------------------------------------
@@ -627,31 +622,20 @@ class WavePacketSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class PacketTerm:
-    amplitude: float
-    k: FourVector
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.array(self.u, dtype=complex, order="C")
-        a.setflags(write=False)
-        object.__setattr__(self, "u", a)
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-
-
-@dataclass(frozen=True, slots=True)
 class WavePacket(_PlaneWaveSum):
     """Grid-evaluable field cos(theta0)*sum_n A_n e^{ik_n.x}u_n
-    + sin(theta0)*sum_m B_m e^{iq_m.x}v_m j."""
+    + sin(theta0)*sum_m B_m e^{iq_m.x}v_m j.
+
+    terms0/terms1 hold the (amplitude, k, u) triples of each half."""
 
     mass: float
     theta0: float
-    terms0: tuple[PacketTerm, ...]
-    terms1: tuple[PacketTerm, ...]
+    terms0: tuple[tuple[float, FourVector, np.ndarray], ...]
+    terms1: tuple[tuple[float, FourVector, np.ndarray], ...]
 
     def _terms(self):
         return tuple(
-            tuple((mix * t.amplitude, t.k, t.u) for t in terms)
+            tuple((mix * a, k, u) for a, k, u in terms)
             for mix, terms in ((math.cos(self.theta0), self.terms0),
                                (math.sin(self.theta0), self.terms1))
         )
@@ -660,24 +644,8 @@ class WavePacket(_PlaneWaveSum):
         return self._sample_grid(grid)
 
 
-def _packet_term(sample: PacketSample, mass: float, component: int) -> PacketTerm:
-    if mass > 0:
-        energy = mass_shell_energy(sample.kvec, mass)
-        if component == 0:
-            k = FourVector(-sample.esign * energy, *sample.kvec)
-            u = build_u_spinor(k, mass, mass_sign=-1, spin=sample.spin)
-        else:
-            k = FourVector(sample.esign * energy, *sample.kvec)
-            u = build_u_spinor(k, mass, mass_sign=+1, spin=sample.spin)
-    else:
-        energy = mass_shell_energy(sample.kvec, 0.0)
-        k = FourVector(sample.esign * energy, *sample.kvec)
-        # spin maps to helicity for null momenta; chirality follows as
-        # helicity * frequency sign
-        h = 1 if sample.spin == "up" else -1
-        chirality = "R" if h * sample.esign > 0 else "L"
-        u = _massless_kernel_spinor(k, chirality, abs(k.t))
-    return PacketTerm(sample.amplitude, k, u)
+def _packet_term(sample: PacketSample, mass: float, component: int):
+    return (sample.amplitude, *_half(sample.kvec, mass, component, sample.esign, sample.spin))
 
 
 def build_wave_packet(spec: WavePacketSpec) -> WavePacket:
@@ -693,13 +661,6 @@ def make_wave_packet(mass: float, theta0: float, samples0, samples1) -> WavePack
     terms0 = tuple(_packet_term(s, mass, 0) for s in samples0)
     terms1 = tuple(_packet_term(s, mass, 1) for s in samples1)
     return WavePacket(float(mass), float(theta0), terms0, terms1)
-
-
-def rescaled_packet(packet: WavePacket, factor: float) -> WavePacket:
-    """Packet with every amplitude multiplied by `factor`."""
-    scale0 = tuple(PacketTerm(t.amplitude * factor, t.k, t.u) for t in packet.terms0)
-    scale1 = tuple(PacketTerm(t.amplitude * factor, t.k, t.u) for t in packet.terms1)
-    return WavePacket(packet.mass, packet.theta0, scale0, scale1)
 
 
 # ---------------------------------------------------------------------------
@@ -736,23 +697,6 @@ def certify_solution(sol: PlaneWaveSolution, tol: float = 1e-12) -> float:
 # JSON schemas for the solution specs
 
 
-def massive_spec_to_dict(spec: MassiveSpec) -> dict:
-    e = {1: "+", -1: "-"}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "massive",
-        "mass": spec.mass,
-        "theta0": spec.theta0,
-        "kvec0": list(spec.kvec0),
-        "kvec1": list(spec.kvec1),
-        "spin0": spec.spin0,
-        "spin1": spec.spin1,
-        "esign0": e[spec.esign0],
-        "esign1": e[spec.esign1],
-        "norm_choice": spec.norm_choice,
-    }
-
-
 def _parse_sign(value, key: str) -> int:
     if not isinstance(value, bool):
         if value in ("+", 1):
@@ -776,19 +720,6 @@ def massive_spec_from_dict(d: dict) -> MassiveSpec:
     )
 
 
-def massless_theta_spec_to_dict(spec: MasslessThetaSpec) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "massless_theta",
-        "theta": spec.theta.as_array().tolist(),
-        "kappa0": spec.kappa0,
-        "kappa1": spec.kappa1,
-        "theta0": spec.theta0,
-        "chirality0": spec.chirality0,
-        "chirality1": spec.chirality1,
-    }
-
-
 def massless_theta_spec_from_dict(d: dict) -> MasslessThetaSpec:
     return MasslessThetaSpec(
         theta=FourVector(*vector(require(d, "theta"), "theta", 4)),
@@ -798,25 +729,6 @@ def massless_theta_spec_from_dict(d: dict) -> MasslessThetaSpec:
         chirality0=d.get("chirality0", "R"),
         chirality1=d.get("chirality1", "R"),
     )
-
-
-def packet_spec_to_dict(spec: WavePacketSpec) -> dict:
-    e = {1: "+", -1: "-"}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "packet",
-        "component": spec.component,
-        "mass": spec.mass,
-        "samples": [
-            {
-                "kvec": list(s.kvec),
-                "amplitude": s.amplitude,
-                "spin": s.spin,
-                "esign": e[s.esign],
-            }
-            for s in spec.samples
-        ],
-    }
 
 
 def packet_spec_from_dict(d: dict) -> WavePacketSpec:

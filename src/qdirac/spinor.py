@@ -101,10 +101,6 @@ class FourVector:
 ZERO_FOUR = FourVector()
 
 
-def minkowski_dot(u: FourVector, v: FourVector) -> float:
-    return u.dot(v)
-
-
 def gamma(mu: int) -> np.ndarray:
     """Dirac matrix gamma^mu, mu in 0..3 (read-only view)."""
     if mu not in (0, 1, 2, 3):

@@ -52,21 +52,24 @@ def dirac_residual(field, a: FourVector | None = None, points=None) -> float:
     return float(norms.max())
 
 
+def _current(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
+    """Real four-current of symplectic halves with shape (..., 4)."""
+    j = np.einsum("...a,mab,...b->...m", np.conj(psi0), _BG_STACK, psi0)
+    j = j + np.einsum("...a,mab,...b->...m", np.conj(psi1), _BG_STACK, psi1)
+    return np.real(j)
+
+
 def current(field, x: FourVector) -> FourVector:
     """Probability four-current at x (real part of the adjoint pairing).
 
     The time component equals the density Psi^dag Psi."""
     s = field.evaluate(x)
-    j = np.einsum("a,mab,b->m", np.conj(s.psi0), _BG_STACK, s.psi0)
-    j = j + np.einsum("a,mab,b->m", np.conj(s.psi1), _BG_STACK, s.psi1)
-    return FourVector(*np.real(j))
+    return FourVector(*_current(s.psi0, s.psi1))
 
 
 def current_grid(sampled: SampledField) -> np.ndarray:
     """Four-current on every lattice point, shape (nt, nx, ny, nz, 4)."""
-    j = np.einsum("...a,mab,...b->...m", np.conj(sampled.psi0), _BG_STACK, sampled.psi0)
-    j = j + np.einsum("...a,mab,...b->...m", np.conj(sampled.psi1), _BG_STACK, sampled.psi1)
-    return np.real(j)
+    return _current(sampled.psi0, sampled.psi1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,15 +81,6 @@ class ContinuityReport:
     rhs_norm: float
     defect: float
     interior_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid,
-            "lhs_norm": self.lhs_norm,
-            "rhs_norm": self.rhs_norm,
-            "defect": self.defect,
-            "interior_points": self.interior_points,
-        }
 
 
 def _source_term(sampled: SampledField, b) -> np.ndarray:
@@ -164,13 +158,6 @@ class ConvergenceReport:
     h_scales: tuple[float, ...]
     levels: tuple[ContinuityReport, ...]
     fitted_order: float
-
-    def to_dict(self) -> dict:
-        return {
-            "h_scales": list(self.h_scales),
-            "levels": [r.to_dict() for r in self.levels],
-            "fitted_order": self.fitted_order,
-        }
 
 
 def continuity_convergence(field, grid: SpacetimeGrid, levels: int = 3, b=None) -> ConvergenceReport:
@@ -285,14 +272,6 @@ class HelicityReport:
     h1: float
     residual0: float
     residual1: float
-
-    def to_dict(self) -> dict:
-        return {
-            "h0": self.h0,
-            "h1": self.h1,
-            "residual0": self.residual0,
-            "residual1": self.residual1,
-        }
 
 
 def helicity_check(sol, tol: float = 1e-12) -> HelicityReport:

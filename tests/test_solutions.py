@@ -12,6 +12,7 @@ from qdirac import (
     MasslessThetaSpec,
     PacketSample,
     PlaneWaveSolution,
+    WavePacket,
     WavePacketSpec,
     build_massive_solution,
     build_massless_theta_solution,
@@ -30,12 +31,8 @@ from qdirac import (
 )
 from qdirac.solutions import (
     massive_spec_from_dict,
-    massive_spec_to_dict,
     massless_theta_spec_from_dict,
-    massless_theta_spec_to_dict,
     packet_spec_from_dict,
-    packet_spec_to_dict,
-    rescaled_packet,
 )
 from helpers import in_span, null_space, random_null_fourvector
 
@@ -348,8 +345,8 @@ def test_two_sample_interference_pattern():
         PacketSample((0, 0, -kz), 1.0, "up", 1),
     ))
     packet = build_wave_packet(spec)
-    u_plus = packet.terms0[0].u
-    u_minus = packet.terms0[1].u
+    u_plus = packet.terms0[0][2]
+    u_minus = packet.terms0[1][2]
     overlap = complex(np.vdot(u_plus, u_minus))
     e_over_m = mass_shell_energy((0, 0, kz), m) / m
     assert abs(overlap.imag) <= 1e-15
@@ -381,8 +378,35 @@ def test_gaussian_packet_normalizable():
                          (1, cells, cells, cells), (False, True, True, True))
     norm = inner_product_grid(packet, packet, grid)
     assert norm > 0
-    rescaled = rescaled_packet(packet, 1.0 / math.sqrt(norm))
+    factor = 1.0 / math.sqrt(norm)
+    rescaled = WavePacket(packet.mass, packet.theta0,
+                          tuple((a * factor, k, u) for a, k, u in packet.terms0), ())
     assert inner_product_grid(rescaled, rescaled, grid) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_packet_terms_match_solution_halves():
+    # a packet term and the matching half of a plane-wave solution share
+    # the sign convention: same four-momentum and same kernel spinor
+    m, kvec0, kvec1 = 1.4, (0.3, -0.5, 0.8), (-0.2, 0.6, 0.1)
+    for spin in ("up", "down"):
+        for esign0 in (1, -1):
+            sol = build_massive_solution(MassiveSpec(m, 0.3, kvec0, kvec1, spin, spin, esign0, -esign0))
+            halves = ((0, kvec0, esign0, sol.k0, sol.u0), (1, kvec1, -esign0, sol.k1, sol.u1))
+            for component, kvec, esign, k, u in halves:
+                packet = build_wave_packet(
+                    WavePacketSpec(component, m, (PacketSample(kvec, 2.0, spin, esign),)))
+                amplitude, pk, pu = (packet.terms0, packet.terms1)[component][0]
+                assert amplitude == 2.0 and pk == k
+                assert np.array_equal(pu, u)
+                assert not pu.flags.writeable
+    # massless: spin up at esign +1 is the right-handed positive-frequency term
+    rr = enumerate_massless_theta0_set(kvec0, kvec1, 0.3)[3]
+    assert rr.label == "RR"
+    for component, kvec, k, u in ((0, kvec0, rr.k0, rr.u0), (1, kvec1, rr.k1, rr.u1)):
+        packet = build_wave_packet(WavePacketSpec(component, 0.0, (PacketSample(kvec, 1.0, "up", 1),)))
+        _, pk, pu = (packet.terms0, packet.terms1)[component][0]
+        assert pk == k
+        assert np.array_equal(pu, u)
 
 
 def test_packet_spec_validation():
@@ -460,20 +484,23 @@ def test_analytic_derivatives_match_central_difference(name):
 
 def test_massive_spec_json_round_trip():
     spec = MassiveSpec(1.5, 0.7, (0.1, 0.2, 0.3), (0, 0, 1), "down", "up", -1, 1, "E")
-    d = massive_spec_to_dict(spec)
-    assert d["esign0"] == "-" and d["kind"] == "massive"
+    d = {"schema_version": 1, "kind": "massive", "mass": 1.5, "theta0": 0.7,
+         "kvec0": [0.1, 0.2, 0.3], "kvec1": [0, 0, 1], "spin0": "down", "spin1": "up",
+         "esign0": "-", "esign1": "+", "norm_choice": "E"}
     assert massive_spec_from_dict(d) == spec
 
 
 def test_massless_theta_spec_json_round_trip():
     spec = MasslessThetaSpec(FourVector(1, 0, 0, 1), 2.0, -1.0, 0.3, "L", "R")
-    d = massless_theta_spec_to_dict(spec)
+    d = {"schema_version": 1, "kind": "massless_theta", "theta": [1, 0, 0, 1],
+         "kappa0": 2.0, "kappa1": -1.0, "theta0": 0.3, "chirality0": "L", "chirality1": "R"}
     assert massless_theta_spec_from_dict(d) == spec
 
 
 def test_packet_spec_json_round_trip():
     spec = WavePacketSpec(1, 0.0, (PacketSample((0, 0, 2), 0.5, "down", -1),))
-    d = packet_spec_to_dict(spec)
+    d = {"schema_version": 1, "kind": "packet", "component": 1, "mass": 0.0,
+         "samples": [{"kvec": [0, 0, 2], "amplitude": 0.5, "spin": "down", "esign": "-"}]}
     assert packet_spec_from_dict(d) == spec
 
 
