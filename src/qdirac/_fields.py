@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Hashable
 
 import numpy as np
 
@@ -51,6 +52,19 @@ def flag(v, name: str) -> bool:
     if not isinstance(v, (bool, np.bool_)):
         raise ValueError(f"field {name!r} must be true or false, got {v!r}")
     return bool(v)
+
+
+def choice(v, name: str, options: tuple):
+    """The entry of `options` equal to v.  Booleans match nothing, since
+    True == 1 would otherwise pass for the option 1."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, Hashable) or v not in options:
+        raise ValueError(f"field {name!r} must be one of {options}, got {v!r}")
+    return options[options.index(v)]
+
+
+def sign(v, name: str) -> int:
+    """+1 or -1, written as '+', '-', 1 or -1."""
+    return 1 if choice(v, name, ("+", 1, "-", -1)) in ("+", 1) else -1
 
 
 def require(d, key: str):

@@ -3,7 +3,8 @@ run continuity convergence studies, and evaluate wave-packet densities.
 
 Usage:
     qdirac <catalog|verify|continuity|packet> --config <path>
-           [--out <path>] [--format json|csv|text] [--tol <float>] [--seed <u64>]
+           [--out <path>] [--format json|csv|text] [--seed <u64>]
+    catalog and verify also take [--tol <float>].
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 malformed
 config or degenerate input, 3 internal certification failure.  Reports
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import solutions as sol
 from . import verify as ver
-from ._fields import number, require, sequence, vector
+from ._fields import choice, number, require, sequence, vector
 from .grid import SpacetimeGrid
 from .qalg import Quaternion, mul, mul_symplectic
 from .spinor import GAMMA, FourVector, METRIC_DIAG, slashed
@@ -167,16 +168,14 @@ _SOLUTION_COLUMNS = (["index", "label", "mass", "theta0", "density", "residual"]
 
 
 def run_catalog(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
-    kind = cfg.get("kind", "massive")
+    kind = choice(cfg.get("kind", "massive"), "kind", ("massive", "massless"))
     kvec0, kvec1, theta0 = require(cfg, "kvec0"), require(cfg, "kvec1"), require(cfg, "theta0")
     if kind == "massive":
         sols = sol.enumerate_massive_set(require(cfg, "mass"), kvec0, kvec1, theta0,
                                          cfg.get("norm_choice", "E_over_m"))
-    elif kind == "massless":
-        sols = sol.enumerate_massless_theta0_set(kvec0, kvec1, theta0)
     else:
-        raise ConfigError(f"field 'kind' must be 'massive' or 'massless', got {kind!r}")
-    residual_tol = tol if tol is not None else 1e-12
+        sols = sol.enumerate_massless_theta0_set(kvec0, kvec1, theta0)
+    residual_tol = tol if tol is not None else ver.RESIDUAL_TOL
     records = [_solution_record(i, s, seed) for i, s in enumerate(sols)]
     passed = all(r["residual"] <= residual_tol for r in records)
     table = Table("solutions", _SOLUTION_COLUMNS, [
@@ -246,8 +245,8 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("field 'tolerances' must be an object")
-    residual_tol = tol if tol is not None else number(tolerances.get("residual", 1e-12), "residual")
-    gram_tol = number(tolerances.get("gram", 1e-10), "gram")
+    residual_tol = tol if tol is not None else number(tolerances.get("residual", ver.RESIDUAL_TOL), "residual")
+    gram_tol = number(tolerances.get("gram", ver.QUADRATURE_TOL), "gram")
     mass = number(cfg.get("mass", 1.0), "mass")
     if mass <= 0:
         raise ConfigError(f"field 'mass' must be > 0, got {mass!r}")
@@ -265,7 +264,7 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     def add(name: str, value: float, tolerance: float):
         checks.append([name, float(value), tolerance, bool(value <= tolerance)])
 
-    algebra_tol = tol if tol is not None else 1e-13
+    algebra_tol = tol if tol is not None else ver.ALGEBRA_TOL
     sweep = _quaternion_sweep(rng)
     add("quaternion_multiplicativity", sweep["multiplicativity"], algebra_tol)
     add("quaternion_associativity", sweep["associativity"], algebra_tol)
@@ -318,7 +317,7 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
             gram_sols.append(sol.build_massive_solution(sol.MassiveSpec(
                 mass=mass, theta0=theta0, kvec0=kv, kvec1=kv,
                 spin0=s0, spin1=s1, esign0=esign0, esign1=-esign0)))
-    gram = ver.gram_matrix(gram_sols, grid, tolerance=gram_tol)
+    gram = ver.gram_matrix(gram_sols, grid)
     diag_scale = float(gram.diagonal.max())
     add("gram_offdiag", gram.max_offdiag / diag_scale, gram_tol)
     energy_dir = sol.mass_shell_energy(directions[0], mass)
@@ -352,7 +351,7 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     add("theta_massive_rejected", 0.0 if not rejected.all_passed else 1.0, 0.5)
 
     pw_grid = SpacetimeGrid(FourVector(0, 0, 0, 0), (0.1, 0.3, 0.3, 0.3), (3, 4, 4, 4))
-    add("continuity_plane_wave", ver.continuity_residual(massive[0], pw_grid).defect, 1e-10)
+    add("continuity_plane_wave", ver.continuity_residual(massive[0], pw_grid).defect, ver.QUADRATURE_TOL)
 
     passed = all(c[3] for c in checks)
     check_table = Table("checks", ["name", "value", "tolerance", "passed"], checks)
@@ -362,7 +361,7 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
         "tolerance": residual_tol,
         "gram_tolerance": gram_tol,
         "checks": check_table,
-        "gram": gram.to_dict(),
+        "gram": {**gram.to_dict(), "tolerance": gram_tol},
         "passed": passed,
     }, [check_table, gram_table], f"verify seed={seed} passed={passed}",
         Table("checks", ["check", "value", "tolerance", "status"],
@@ -376,22 +375,20 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
 
 def _default_continuity_setup(dimension: str):
     length = 2.0 * math.pi
-    if dimension == "1+1":
+    if choice(dimension, "dimension", ("1+1", "3+1")) == "1+1":
         samples0 = (sol.PacketSample((0.0, 0.0, 1.0), 1.0),
                     sol.PacketSample((0.0, 0.0, 2.0), 0.8))
         samples1 = (sol.PacketSample((0.0, 0.0, 1.0), 0.7, "down"),)
         grid = SpacetimeGrid(
             FourVector(-0.2, 0.0, 0.0, 0.0), (0.2, 1.0, 1.0, length / 12),
             (3, 1, 1, 12), (False, False, False, True))
-    elif dimension == "3+1":
+    else:
         samples0 = (sol.PacketSample((1.0, 0.0, 0.0), 1.0),
                     sol.PacketSample((0.0, 1.0, 1.0), 0.8))
         samples1 = (sol.PacketSample((0.0, 0.0, 1.0), 0.7, "down"),)
         grid = SpacetimeGrid(
             FourVector(-0.2, 0.0, 0.0, 0.0), (0.2, length / 6, length / 6, length / 6),
             (3, 6, 6, 6), (False, True, True, True))
-    else:
-        raise ConfigError("field 'dimension' must be '1+1' or '3+1'")
     packet = sol.make_wave_packet(1.0, math.pi / 6.0, samples0, samples1)
     return packet, grid
 
@@ -426,7 +423,7 @@ def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report
     order_lo, order_hi = 1.8, 2.2
     # a plane wave has constant currents, so its defects sit at rounding
     # level and the order fit is meaningless
-    rounding_level = all(r.defect <= 1e-10 for r in conv.levels)
+    rounding_level = all(r.defect <= ver.QUADRATURE_TOL for r in conv.levels)
     passed = b is not None or rounding_level or (order_lo <= conv.fitted_order <= order_hi)
     order = conv.fitted_order if math.isfinite(conv.fitted_order) else None
     levels = Table("levels", ["h_scale", "grid", "lhs_norm", "rhs_norm", "defect", "interior_points"],
@@ -503,11 +500,14 @@ def _run_command(runner, config_path: str, out_path, fmt: str, tol, seed: int) -
     sys.exit(code)
 
 
+_tol_option = click.option(
+    "--tol", type=float, default=None,
+    help=f"Override the residual-class tolerance (default {ver.RESIDUAL_TOL:g}).")
+
+
 def _common_options(fn):
     fn = click.option("--seed", type=int, default=0, show_default=True,
                       help="Seed for randomized sweeps (reports are reproducible).")(fn)
-    fn = click.option("--tol", type=float, default=None,
-                      help="Override the residual-class tolerance (default 1e-12).")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                       default="json", show_default=True)(fn)
     fn = click.option("--out", "out_path", type=click.Path(), default=None,
@@ -524,6 +524,7 @@ def cli() -> None:
 
 @cli.command()
 @_common_options
+@_tol_option
 def catalog(config_path, out_path, fmt, tol, seed) -> None:
     """Build the labeled solution set (8 massive or 4 massless records)."""
     _run_command(run_catalog, config_path, out_path, fmt, tol, seed)
@@ -531,6 +532,7 @@ def catalog(config_path, out_path, fmt, tol, seed) -> None:
 
 @cli.command()
 @_common_options
+@_tol_option
 def verify(config_path, out_path, fmt, tol, seed) -> None:
     """Run the full verification suite; exit 0 iff every check passes."""
     _run_command(run_verify, config_path, out_path, fmt, tol, seed)
@@ -538,16 +540,16 @@ def verify(config_path, out_path, fmt, tol, seed) -> None:
 
 @cli.command()
 @_common_options
-def continuity(config_path, out_path, fmt, tol, seed) -> None:
+def continuity(config_path, out_path, fmt, seed) -> None:
     """Finite-difference continuity study over grid refinements."""
-    _run_command(run_continuity, config_path, out_path, fmt, tol, seed)
+    _run_command(run_continuity, config_path, out_path, fmt, None, seed)
 
 
 @cli.command()
 @_common_options
-def packet(config_path, out_path, fmt, tol, seed) -> None:
+def packet(config_path, out_path, fmt, seed) -> None:
     """Evaluate wave-packet density slices over a grid."""
-    _run_command(run_packet, config_path, out_path, fmt, tol, seed)
+    _run_command(run_packet, config_path, out_path, fmt, None, seed)
 
 
 def main() -> None:

@@ -59,20 +59,20 @@ class SpacetimeGrid:
         ts, xs, ys, zs = self.axes()
         return FourVector(ts[it], xs[ix], ys[iy], zs[iz])
 
-    def refined(self, factor: int = 2) -> "SpacetimeGrid":
-        """Grid with all spacings divided by `factor`.
+    def refined(self) -> "SpacetimeGrid":
+        """Grid with all spacings halved.
 
         Periodic axes keep their extent (counts multiply, origin fixed);
         non-periodic axes keep their counts, so their window shrinks
         about its own center.  Either way the difference stencils probe
         the same region of the field with a halved step.
         """
-        spacing = tuple(s / factor for s in self.spacing)
+        spacing = tuple(s / 2 for s in self.spacing)
         counts = []
         origin = list(self.origin.as_array())
         for i, (n, per) in enumerate(zip(self.counts, self.periodic)):
             if per:
-                counts.append(factor * n)
+                counts.append(2 * n)
             else:
                 counts.append(n)
                 center = origin[i] + 0.5 * (n - 1) * self.spacing[i]
@@ -151,14 +151,10 @@ def central_diff(values: np.ndarray, axis: int, spacing: float, periodic: bool =
 
 
 def integrate_spatial(values: np.ndarray, grid: SpacetimeGrid):
-    """Riemann sum times the cell volume over a fixed-time slice.
-
-    `values` must have the spatial lattice shape (nx, ny, nz) possibly
-    followed by extra component axes, which are preserved."""
+    """Riemann sum times the cell volume over a fixed-time slice of the
+    spatial lattice shape (nx, ny, nz): a float, or a complex for
+    complex values."""
     expected = grid.counts[1:]
-    if values.shape[:3] != expected:
-        raise ValueError(f"expected leading shape {expected}, got {values.shape[:3]}")
-    total = values.sum(axis=(0, 1, 2)) * grid.cell_volume
-    if np.isscalar(total) or total.shape == ():
-        return total.item() if hasattr(total, "item") else total
-    return total
+    if values.shape != expected:
+        raise ValueError(f"expected shape {expected}, got {values.shape}")
+    return (values.sum(axis=(0, 1, 2)) * grid.cell_volume).item()

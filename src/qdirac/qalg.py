@@ -46,9 +46,6 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def __abs__(self) -> float:
-        return self.norm()
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 

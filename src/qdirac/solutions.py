@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import verify
-from ._fields import number, require, vector
+from ._fields import choice, number, require, sign, vector
 from .grid import SampledField, SpacetimeGrid
 from .spinor import (
     FourVector,
@@ -111,7 +111,6 @@ def build_u_spinor(
     spin: str = "up",
     norm_choice: str = "E_over_m",
     spin_axis=None,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Closed-form element of ker(slashed(k) - mass_sign*m) for on-shell k.
 
@@ -125,12 +124,10 @@ def build_u_spinor(
         raise ValueError("build_u_spinor requires mass > 0")
     if mass_sign not in (1, -1):
         raise ValueError("mass_sign must be +1 or -1")
-    if spin not in SPINS:
-        raise ValueError(f"spin must be one of {SPINS}, got {spin!r}")
-    if norm_choice not in NORM_CHOICES:
-        raise ValueError(f"norm_choice must be one of {NORM_CHOICES}, got {norm_choice!r}")
+    choice(spin, "spin", SPINS)
+    choice(norm_choice, "norm_choice", NORM_CHOICES)
     shell = abs(kfour.dot(kfour) - mass * mass)
-    if shell > tol * (kfour.t * kfour.t + mass * mass):
+    if shell > verify.RESIDUAL_TOL * (kfour.t * kfour.t + mass * mass):
         raise ValueError(f"four-momentum {kfour} is off the mass shell for m={mass}")
 
     chi_up, chi_down = spin_basis(spin_axis)
@@ -155,7 +152,7 @@ def build_u_spinor(
         resid = float(np.linalg.norm((slashed(kfour) - mass_sign * mass * np.eye(4)) @ u))
     if not math.isfinite(resid):
         raise ValueError(f"mass {mass!r} or momentum {kfour} is too large: the spinor overflows")
-    if resid > tol * (energy + mass) * float(np.linalg.norm(u)):
+    if resid > verify.RESIDUAL_TOL * (energy + mass) * float(np.linalg.norm(u)):
         raise CertificationError(
             f"u-spinor failed the kernel condition: residual {resid:.3e} "
             f"for k={kfour}, mass_sign={mass_sign}"
@@ -171,8 +168,6 @@ def _massless_kernel_spinor(kfour: FourVector, chirality: str, energy: float) ->
     The helicity of the returned spinor is chirality * sign(k.t) / 2 * 2;
     concretely u = (chi_h, c*chi_h) with h = c * sign(k.t).
     """
-    if chirality not in CHIRALITIES:
-        raise ValueError(f"chirality must be one of {CHIRALITIES}, got {chirality!r}")
     kvec = kfour.spatial()
     if float(np.linalg.norm(kvec)) == 0.0 or kfour.t == 0.0:
         raise ValueError("massless kernel needs a nonzero null four-momentum")
@@ -326,14 +321,12 @@ class MassiveSpec:
         object.__setattr__(self, "kvec0", vector(self.kvec0, "kvec0", 3))
         object.__setattr__(self, "kvec1", vector(self.kvec1, "kvec1", 3))
         for name in ("spin0", "spin1"):
-            if getattr(self, name) not in SPINS:
-                raise ValueError(f"{name} must be one of {SPINS}")
-        if self.esign0 not in (1, -1) or self.esign1 not in (1, -1):
-            raise ValueError("esign0/esign1 must be +1 or -1")
+            choice(getattr(self, name), name, SPINS)
+        for name in ("esign0", "esign1"):
+            choice(getattr(self, name), name, (1, -1))
         if self.esign1 != -self.esign0:
             raise ValueError("esign1 must be opposite to esign0 (the (+-)/(-+) pairing)")
-        if self.norm_choice not in NORM_CHOICES:
-            raise ValueError(f"norm_choice must be one of {NORM_CHOICES}")
+        choice(self.norm_choice, "norm_choice", NORM_CHOICES)
 
     @property
     def label(self) -> str:
@@ -343,15 +336,13 @@ class MassiveSpec:
 
 
 def _resolve_axis(spin_axis, kvec):
-    if spin_axis is None:
+    """The spin quantization axis: None for the z axis, or kvec itself
+    when spin_axis is "momentum" (the helicity basis)."""
+    if choice(spin_axis, "spin_axis", (None, "momentum")) is None:
         return None
-    if isinstance(spin_axis, str):
-        if spin_axis != "momentum":
-            raise ValueError("spin_axis must be None, 'momentum', or a 3-vector")
-        if float(np.linalg.norm(kvec)) == 0.0:
-            raise ValueError("spin_axis='momentum' needs nonzero spatial momentum")
-        return kvec
-    return vector(spin_axis, "spin_axis", 3)
+    if float(np.linalg.norm(kvec)) == 0.0:
+        raise ValueError("spin_axis='momentum' needs nonzero spatial momentum")
+    return kvec
 
 
 def _half(kvec, mass: float, half: int, esign: int, spin: str,
@@ -442,13 +433,12 @@ class MasslessThetaSpec:
         if self.theta.is_zero():
             raise ValueError("theta must be nonzero (use the constant-phase family otherwise)")
         scale = max(self.theta.t**2, float(self.theta.spatial() @ self.theta.spatial()))
-        if abs(self.theta.dot(self.theta)) > 1e-12 * scale:
+        if abs(self.theta.dot(self.theta)) > verify.RESIDUAL_TOL * scale:
             raise ValueError(f"theta must be null, got theta.theta = {self.theta.dot(self.theta)!r}")
         if self.kappa0 == 0.0 or self.kappa1 == 0.0:
             raise ValueError("kappa0/kappa1 must be nonzero (zero four-momentum is not normalizable)")
         for name in ("chirality0", "chirality1"):
-            if getattr(self, name) not in CHIRALITIES:
-                raise ValueError(f"{name} must be one of {CHIRALITIES}")
+            choice(getattr(self, name), name, CHIRALITIES)
 
     @property
     def label(self) -> str:
@@ -480,12 +470,11 @@ def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWave
     kvec0 = vector(kvec0, "kvec0", 3)
     kvec1 = vector(kvec1, "kvec1", 3)
     theta0 = number(theta0, "theta0")
-    k0 = FourVector(mass_shell_energy(kvec0, 0.0), *kvec0)
-    k1 = FourVector(mass_shell_energy(kvec1, 0.0), *kvec1)
     out = []
     for c0, c1 in _CHIRALITY_PAIRS:
-        u0 = _massless_kernel_spinor(k0, c0, abs(k0.t))
-        u1 = _massless_kernel_spinor(k1, c1, abs(k1.t))
+        # at positive frequency the chirality equals the helicity
+        k0, u0 = _half(kvec0, 0.0, 0, 1, "up" if c0 == "R" else "down")
+        k1, u1 = _half(kvec1, 0.0, 1, 1, "up" if c1 == "R" else "down")
         sol = PlaneWaveSolution(
             theta0=theta0, k0=k0, k1=k1, u0=u0, u1=u1,
             mass=0.0, theta=ZERO_FOUR, label=f"{c0}{c1}",
@@ -537,7 +526,6 @@ def check_constraints(
     k0: FourVector,
     k1: FourVector,
     mass: float,
-    tol: float = 1e-12,
 ) -> ConstraintReport:
     """Report on the running-phase constraint chain: theta null, momenta
     orthogonal and proportional to theta, effective momenta on shell, and
@@ -547,6 +535,7 @@ def check_constraints(
         vacuous = (ConstraintCheck(n, 0.0, True, vacuous=True) for n in _CONSTRAINT_CHECKS)
         return ConstraintReport(tuple(vacuous), 0.0, 0.0)
 
+    tol = verify.RESIDUAL_TOL
     checks: list[ConstraintCheck] = []
     th_arr = theta.as_array()
     th_scale = float(th_arr @ th_arr)
@@ -595,10 +584,8 @@ class PacketSample:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kvec", vector(self.kvec, "kvec", 3))
         object.__setattr__(self, "amplitude", number(self.amplitude, "amplitude"))
-        if self.spin not in SPINS:
-            raise ValueError(f"spin must be one of {SPINS}")
-        if self.esign not in (1, -1):
-            raise ValueError("esign must be +1 or -1")
+        choice(self.spin, "spin", SPINS)
+        choice(self.esign, "esign", (1, -1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -610,9 +597,7 @@ class WavePacketSpec:
     samples: tuple[PacketSample, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "component", number(self.component, "component", integral=True))
-        if self.component not in (0, 1):
-            raise ValueError("component must be 0 or 1")
+        object.__setattr__(self, "component", choice(self.component, "component", (0, 1)))
         object.__setattr__(self, "mass", number(self.mass, "mass"))
         if self.mass < 0:
             raise ValueError("mass must be finite and >= 0")
@@ -667,12 +652,12 @@ def make_wave_packet(mass: float, theta0: float, samples0, samples1) -> WavePack
 # certification
 
 
-def certify_solution(sol: PlaneWaveSolution, tol: float = 1e-12) -> float:
+def certify_solution(sol: PlaneWaveSolution) -> float:
     """Verify the analytic field-equation residual and dispersion of a
     constructed solution; raise CertificationError on failure.  A
     non-finite residual is an overflow of the inputs (ValueError)."""
     for k in (sol.k0, sol.k1):
-        if dispersion_residual(k, sol.mass) > tol:
+        if dispersion_residual(k, sol.mass) > verify.RESIDUAL_TOL:
             raise CertificationError(
                 f"stored momentum {k} violates the dispersion relation for m={sol.mass}"
             )
@@ -686,7 +671,7 @@ def certify_solution(sol: PlaneWaveSolution, tol: float = 1e-12) -> float:
         sol.mass,
     )
     u_scale = max(1.0, float(np.linalg.norm(sol.u0)), float(np.linalg.norm(sol.u1)))
-    if res > tol * k_scale * u_scale:
+    if res > verify.RESIDUAL_TOL * k_scale * u_scale:
         raise CertificationError(
             f"solution {sol.label!r} failed residual certification: {res:.3e}"
         )
@@ -697,15 +682,6 @@ def certify_solution(sol: PlaneWaveSolution, tol: float = 1e-12) -> float:
 # JSON schemas for the solution specs
 
 
-def _parse_sign(value, key: str) -> int:
-    if not isinstance(value, bool):
-        if value in ("+", 1):
-            return 1
-        if value in ("-", -1):
-            return -1
-    raise ValueError(f"field {key!r} must be '+', '-', +1 or -1, got {value!r}")
-
-
 def massive_spec_from_dict(d: dict) -> MassiveSpec:
     return MassiveSpec(
         mass=require(d, "mass"),
@@ -714,8 +690,8 @@ def massive_spec_from_dict(d: dict) -> MassiveSpec:
         kvec1=require(d, "kvec1"),
         spin0=d.get("spin0", "up"),
         spin1=d.get("spin1", "up"),
-        esign0=_parse_sign(d.get("esign0", "+"), "esign0"),
-        esign1=_parse_sign(d.get("esign1", "-"), "esign1"),
+        esign0=sign(d.get("esign0", "+"), "esign0"),
+        esign1=sign(d.get("esign1", "-"), "esign1"),
         norm_choice=d.get("norm_choice", "E_over_m"),
     )
 
@@ -743,7 +719,7 @@ def packet_spec_from_dict(d: dict) -> WavePacketSpec:
                 kvec=require(s, "kvec"),
                 amplitude=require(s, "amplitude"),
                 spin=s.get("spin", "up"),
-                esign=_parse_sign(s.get("esign", "+"), "esign"),
+                esign=sign(s.get("esign", "+"), "esign"),
             )
             for s in raw
         ),

@@ -183,15 +183,6 @@ class QSpinor4:
             for z0, z1 in zip(self.psi0, self.psi1)
         )
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.psi0) ** 2 + np.abs(self.psi1) ** 2)))
-
-    def __add__(self, other: "QSpinor4") -> "QSpinor4":
-        return QSpinor4(self.psi0 + other.psi0, self.psi1 + other.psi1)
-
-    def __sub__(self, other: "QSpinor4") -> "QSpinor4":
-        return QSpinor4(self.psi0 - other.psi0, self.psi1 - other.psi1)
-
 
 def apply_left(matrix: np.ndarray, s: QSpinor4) -> QSpinor4:
     """Left action of a complex 4x4 matrix on a quaternionic spinor.

@@ -17,15 +17,24 @@ import numpy as np
 from .grid import SampledField, SpacetimeGrid, central_diff, integrate_spatial, sample
 from .spinor import BETA_DIAG, FourVector, GAMMA, helicity_matrix
 
+# The verification bounds, stated once.  RESIDUAL_TOL: field-equation,
+# dispersion, kernel, normalization, helicity and constraint residuals;
+# ALGEBRA_TOL: the quaternion and gamma-matrix identity sweeps;
+# QUADRATURE_TOL: grid inner products and rounding-level continuity
+# defects.
+RESIDUAL_TOL = 1e-12
+ALGEBRA_TOL = 1e-13
+QUADRATURE_TOL = 1e-10
+
 _GAMMA_STACK = np.stack(GAMMA)
 # beta @ gamma^mu, the Hermitian forms behind the four-current
 _BG_STACK = np.stack([np.diag(BETA_DIAG).astype(complex) @ g for g in GAMMA])
 
 
-def default_points(num_points: int = 32, extent: float = 3.0, seed: int = 7) -> np.ndarray:
-    """Deterministic pseudo-random spacetime sample points."""
+def default_points(seed: int = 7) -> np.ndarray:
+    """32 deterministic pseudo-random spacetime sample points in [-3, 3)^4."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-extent, extent, size=(num_points, 4))
+    return rng.uniform(-3.0, 3.0, size=(32, 4))
 
 
 def dirac_residual(field, a: FourVector | None = None, points=None) -> float:
@@ -172,7 +181,7 @@ def continuity_convergence(field, grid: SpacetimeGrid, levels: int = 3, b=None) 
         reports.append(continuity_residual(field, g, b=b))
         h_scales.append(2.0 ** (-lvl))
         if lvl + 1 < levels:
-            g = g.refined(2)
+            g = g.refined()
     defects = np.array([r.defect for r in reports])
     if np.all(defects > 0):
         slope = np.polyfit(np.log(np.array(h_scales)), np.log(defects), 1)[0]
@@ -182,22 +191,22 @@ def continuity_convergence(field, grid: SpacetimeGrid, levels: int = 3, b=None) 
     return ConvergenceReport(tuple(h_scales), tuple(reports), order)
 
 
-def inner_product_grid(psi, phi, grid: SpacetimeGrid, time_index: int = 0) -> float:
+def inner_product_grid(psi, phi, grid: SpacetimeGrid) -> float:
     """Discrete real inner product (Phi Psi* + Phi* Psi)/2 summed over
-    spinor components and spatial points at one time slice, times the
-    cell volume."""
+    spinor components and spatial points at the first time slice, times
+    the cell volume."""
     sa = sample(psi, grid)
     sb = sample(phi, grid)
-    return _inner_from_slices(sa, sb, grid, time_index)
+    return _inner_from_slices(sa, sb, grid)
 
 
-def _inner_from_slices(sa: SampledField, sb: SampledField, grid, time_index: int) -> float:
-    a0 = sa.psi0[time_index]
-    a1 = sa.psi1[time_index]
-    b0 = sb.psi0[time_index]
-    b1 = sb.psi1[time_index]
+def _inner_from_slices(sa: SampledField, sb: SampledField, grid) -> float:
+    a0 = sa.psi0[0]
+    a1 = sa.psi1[0]
+    b0 = sb.psi0[0]
+    b1 = sb.psi1[0]
     integrand = np.sum(np.real(a0 * np.conj(b0)) + np.real(a1 * np.conj(b1)), axis=-1)
-    return float(integrate_spatial(integrand, grid))
+    return integrate_spatial(integrand, grid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +215,6 @@ class GramReport:
 
     labels: tuple[str, ...]
     matrix: np.ndarray
-    tolerance: float
     max_offdiag: float
 
     def __post_init__(self) -> None:
@@ -222,25 +230,24 @@ class GramReport:
         return {
             "labels": list(self.labels),
             "matrix": self.matrix.tolist(),
-            "tolerance": self.tolerance,
             "max_offdiag": self.max_offdiag,
         }
 
 
-def gram_matrix(solutions, grid: SpacetimeGrid, time_index: int = 0, tolerance: float = 1e-10) -> GramReport:
+def gram_matrix(solutions, grid: SpacetimeGrid) -> GramReport:
     sols = list(solutions)
     sampled = [sample(s, grid) for s in sols]
     n = len(sols)
     g = np.zeros((n, n))
     for i in range(n):
         for j in range(i, n):
-            val = _inner_from_slices(sampled[i], sampled[j], grid, time_index)
+            val = _inner_from_slices(sampled[i], sampled[j], grid)
             g[i, j] = val
             g[j, i] = val
     off = g - np.diag(np.diag(g))
     max_off = float(np.abs(off).max()) if n > 1 else 0.0
     labels = tuple(getattr(s, "label", "") or f"sol{i}" for i, s in enumerate(sols))
-    return GramReport(labels, g, tolerance, max_off)
+    return GramReport(labels, g, max_off)
 
 
 def adjoint_norm(sol, x: FourVector | None = None) -> float:
@@ -274,7 +281,7 @@ class HelicityReport:
     residual1: float
 
 
-def helicity_check(sol, tol: float = 1e-12) -> HelicityReport:
+def helicity_check(sol) -> HelicityReport:
     values = []
     residuals = []
     for k, u in ((sol.k0, sol.u0), (sol.k1, sol.u1)):
@@ -286,5 +293,5 @@ def helicity_check(sol, tol: float = 1e-12) -> HelicityReport:
         lam = float(np.real(np.vdot(u, r) / np.vdot(u, u)))
         resid = float(np.linalg.norm(r - lam * u) / np.linalg.norm(u))
         residuals.append(resid)
-        values.append(lam if resid <= tol else float("nan"))
+        values.append(lam if resid <= RESIDUAL_TOL else float("nan"))
     return HelicityReport(values[0], values[1], residuals[0], residuals[1])

@@ -383,6 +383,12 @@ def _packet_config(sample=None, **grid):
      "theta0"),
     ("continuity", {"b": [[0, 0], [0, 0], [float("nan"), 0], [0, 0]]}, "b"),
     ("verify", {"mass": 10**400}, "mass"),
+    ("catalog", {"kind": "tachyon", "kvec0": [0, 0, 1], "kvec1": [0, 0, 1], "theta0": 0.5},
+     "kind"),
+    ("continuity", {"dimension": "2+1"}, "dimension"),
+    ("catalog", {"kind": "massive", "mass": 1.0, "kvec0": [0, 0, 1], "kvec1": [0, 1, 0],
+                 "theta0": 0.5, "norm_choice": "E2"}, "norm_choice"),
+    ("packet", _packet_config({"spin": "sideways"}), "spin"),
 ])
 def test_malformed_input_exit_2(tmp_path, command, payload, field):
     cfg = write_json(tmp_path / "bad.json", {"schema_version": 1, **payload})
@@ -403,6 +409,18 @@ def assert_rejected(proc, field):
 def test_bad_tol_exit_2(tmp_path, tol):
     cfg = write_json(tmp_path / "verify.json", {"schema_version": 1})
     assert_rejected(run_cli("verify", "--config", cfg, "--tol", tol), "--tol")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("continuity", {}),
+    ("packet", _packet_config()),
+])
+def test_tol_only_on_catalog_and_verify(tmp_path, command, payload):
+    cfg = write_json(tmp_path / "cfg.json", {"schema_version": 1, **payload})
+    proc = run_cli(command, "--config", cfg, "--tol", "1e-3")
+    assert proc.returncode == 2
+    assert "--tol" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("command, payload, cause", [

@@ -68,7 +68,7 @@ def test_grid_dict_round_trip():
 
 def test_refined_periodic_keeps_extent():
     g = small_grid(periodic=(False, True, True, True))
-    r = g.refined(2)
+    r = g.refined()
     assert r.counts == (2, 8, 8, 8)
     assert r.spacing == (0.25, 0.125, 0.125, 0.125)
     # non-periodic t window shrinks about its center

@@ -184,6 +184,22 @@ def test_massive_spec_pairing_enforced():
         MassiveSpec(1.0, 0.0, (0, 0, 1), (0, 0, 1), esign0=1, esign1=1)
 
 
+def test_bool_sign_rejected():
+    # True == 1, so a plain membership test would take True for +1
+    with pytest.raises(ValueError, match="esign0"):
+        MassiveSpec(mass=1.0, theta0=0.0, kvec0=(0, 0, 1), kvec1=(0, 0, 1), esign0=True, esign1=-1)
+    with pytest.raises(ValueError, match="esign"):
+        PacketSample((0, 0, 1), 1.0, "up", True)
+
+
+def test_spin_axis_vector_rejected():
+    spec = MassiveSpec(1.0, 0.4, (0, 0, 1), (0, 1, 0))
+    with pytest.raises(ValueError, match="spin_axis"):
+        build_massive_solution(spec, spin_axis=(0.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="spin_axis"):
+        enumerate_massive_set(1.0, (0, 0, 1), (0, 1, 0), 0.4, spin_axis=np.array([0.0, 0.0, 1.0]))
+
+
 def test_enumerate_massive_set_labels_and_residuals():
     sols = enumerate_massive_set(1.1, (0.2, 0.3, -0.4), (0.5, 0.0, 0.1), math.pi / 5)
     assert len(sols) == 8
