@@ -1,4 +1,9 @@
-"""Scalar quaternion arithmetic and the pointwise real inner product.
+"""Quaternion arithmetic and the pointwise real inner product.
+
+`mul` and `mul_symplectic` take two `Quaternion`s, returning a
+`Quaternion`, or (4, N) real arrays of (w, x, y, z) components,
+returning a (4, N) array; both forms run the same component formulas,
+so the array form is bit-identical to the scalar form column by column.
 
 Conventions: q = w + x*i + y*j + z*k with the anti-commuting units
 i*j = k, j*k = i, k*i = j and i**2 = j**2 = k**2 = -1.  In symplectic
@@ -16,6 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,28 +104,53 @@ J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
+def _components(q) -> tuple:
+    if isinstance(q, Quaternion):
+        return (q.w, q.x, q.y, q.z)
+    if np.ndim(q) == 0 or len(q) != 4:
+        raise ValueError("expected a Quaternion or a (4, N) component array")
+    return tuple(q)
+
+
+def _pack(p, q, comps: tuple):
+    if isinstance(p, Quaternion) and isinstance(q, Quaternion):
+        return Quaternion(*comps)
+    return np.stack(comps)
+
+
+def mul(p, q):
     """Hamilton product via the component table."""
-    return Quaternion(
-        p.w * q.w - p.x * q.x - p.y * q.y - p.z * q.z,
-        p.w * q.x + p.x * q.w + p.y * q.z - p.z * q.y,
-        p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
-        p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
-    )
+    pw, px, py, pz = _components(p)
+    qw, qx, qy, qz = _components(q)
+    return _pack(p, q, (
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    ))
 
 
-def mul_symplectic(p: Quaternion, q: Quaternion) -> Quaternion:
+def _cmul(ar, ai, br, bi) -> tuple:
+    """(ar + ai i)(br + bi i) as the real pair CPython's complex product forms."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def mul_symplectic(p, q):
     """Hamilton product through the symplectic pairs.
 
-    (z0 + z1 j)(w0 + w1 j) = (z0 w0 - z1 conj(w1)) + (z0 w1 + z1 conj(w0)) j.
-    Kept as an independent algorithm so the two product routes can be
-    cross-checked against each other.
+    (z0 + z1 j)(w0 + w1 j) = (z0 w0 - z1 conj(w1)) + (z0 w1 + z1 conj(w0)) j,
+    with z0 = w + x i and z1 = y + z i.  Each complex product is written
+    out in real parts, so arrays and scalars round alike.  Kept as an
+    independent algorithm, sharing no arithmetic with `mul`, so the two
+    product routes can be cross-checked against each other.
     """
-    a = symplectic_split(p)
-    b = symplectic_split(q)
-    r0 = a.z0 * b.z0 - a.z1 * b.z1.conjugate()
-    r1 = a.z0 * b.z1 + a.z1 * b.z0.conjugate()
-    return from_symplectic(ComplexPair(r0, r1))
+    pw, px, py, pz = _components(p)
+    qw, qx, qy, qz = _components(q)
+    a_re, a_im = _cmul(pw, px, qw, qx)
+    b_re, b_im = _cmul(py, pz, qy, -qz)
+    c_re, c_im = _cmul(pw, px, qy, qz)
+    d_re, d_im = _cmul(py, pz, qw, -qx)
+    return _pack(p, q, (a_re - b_re, a_im - b_im, c_re + d_re, c_im + d_im))
 
 
 def conjugate(q: Quaternion) -> Quaternion:

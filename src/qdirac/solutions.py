@@ -71,8 +71,7 @@ def mass_shell_energy(kvec, mass: float, sign: int = 1) -> float:
     kvec = np.asarray(kvec, dtype=float)
     if mass < 0:
         raise ValueError("mass must be >= 0")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    choice(sign, "sign", (1, -1))
     with np.errstate(over="ignore"):
         k2 = float(kvec @ kvec)
     if mass == 0.0 and k2 == 0.0:
@@ -122,8 +121,7 @@ def build_u_spinor(
     """
     if mass <= 0.0:
         raise ValueError("build_u_spinor requires mass > 0")
-    if mass_sign not in (1, -1):
-        raise ValueError("mass_sign must be +1 or -1")
+    choice(mass_sign, "mass_sign", (1, -1))
     choice(spin, "spin", SPINS)
     choice(norm_choice, "norm_choice", NORM_CHOICES)
     shell = abs(kfour.dot(kfour) - mass * mass)

@@ -108,9 +108,16 @@ def gamma(mu: int) -> np.ndarray:
     return GAMMA[mu]
 
 
-def slashed(v: FourVector) -> np.ndarray:
-    """gamma_mu v^mu = v.t*g0 - v.x*g1 - v.y*g2 - v.z*g3."""
-    return v.t * GAMMA[0] - v.x * GAMMA[1] - v.y * GAMMA[2] - v.z * GAMMA[3]
+def slashed(v) -> np.ndarray:
+    """gamma_mu v^mu = v.t*g0 - v.x*g1 - v.y*g2 - v.z*g3.
+
+    A (4, N) array of (t, x, y, z) components gives the N matrices
+    stacked, shape (N, 4, 4), each equal to that of the FourVector."""
+    if isinstance(v, FourVector):
+        t, x, y, z = v.t, v.x, v.y, v.z
+    else:
+        t, x, y, z = np.asarray(v, dtype=float)[:, :, None, None]
+    return t * GAMMA[0] - x * GAMMA[1] - y * GAMMA[2] - z * GAMMA[3]
 
 
 def helicity_matrix(kvec) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qdirac import FourVector, mass_shell_energy
+from qdirac import FourVector, Quaternion, mass_shell_energy, mul, mul_symplectic, slashed
 
 
 def null_space(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
@@ -57,3 +57,37 @@ def random_null_fourvector(rng: np.random.Generator) -> FourVector:
 
 def quaternion_components(rng: np.random.Generator, n: int, bound: float = 2.0) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(n, 4))
+
+
+def scalar_quaternion_sweep(rng: np.random.Generator, n: int = 2000) -> dict:
+    """The verify quaternion sweep, one `Quaternion` draw at a time."""
+    vals = rng.uniform(-2.0, 2.0, size=(n, 12))
+    worst_mult = 0.0
+    worst_assoc = 0.0
+    worst_algo = 0.0
+    for row in vals:
+        p = Quaternion(*row[0:4])
+        q = Quaternion(*row[4:8])
+        r = Quaternion(*row[8:12])
+        pq = mul(p, q)
+        worst_mult = max(worst_mult, abs(pq.norm() - p.norm() * q.norm()) / max(p.norm() * q.norm(), 1e-300))
+        lhs = mul(pq, r)
+        rhs = mul(p, mul(q, r))
+        scale = max(lhs.norm(), 1e-300)
+        worst_assoc = max(worst_assoc, (lhs - rhs).norm() / scale)
+        alt = mul_symplectic(p, q)
+        worst_algo = max(worst_algo, (pq - alt).norm() / max(pq.norm(), 1e-300))
+    return {"multiplicativity": worst_mult, "associativity": worst_assoc, "algorithms": worst_algo}
+
+
+def scalar_slashed_square(rng: np.random.Generator, n: int = 200) -> float:
+    """The verify slashed-square check, one `FourVector` at a time."""
+    worst = 0.0
+    for row in rng.uniform(-2.0, 2.0, size=(n, 4)):
+        v = FourVector(*row)
+        sq = slashed(v) @ slashed(v)
+        worst = max(
+            worst,
+            float(np.abs(sq - v.dot(v) * np.eye(4)).max()) / max(abs(v.dot(v)), 1.0),
+        )
+    return worst

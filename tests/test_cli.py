@@ -8,8 +8,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qdirac.cli import ConfigError, Report, Table, _render, _run_command, cli
+from qdirac.cli import (
+    ConfigError, Report, Table, _quaternion_sweep, _render, _run_command,
+    _slashed_square_residual, cli,
+)
 from qdirac.solutions import CertificationError
+from helpers import scalar_quaternion_sweep, scalar_slashed_square
 
 
 def run_cli(*args):
@@ -113,6 +117,17 @@ def test_verify_default_all_pass(verify_report):
     assert proc.returncode == 0, proc.stderr
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_verify_algebra_sweeps_equal_scalar_oracles():
+    # exact equality: the array sweeps must round as the per-draw loops do,
+    # and leave the generator where they leave it
+    for seed in range(25):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _quaternion_sweep(rng) == scalar_quaternion_sweep(oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert _slashed_square_residual(rng) == scalar_slashed_square(oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_verify_tightened_tolerance_fails(tmp_path):

@@ -71,6 +71,40 @@ def test_mul_routes_agree():
         assert (a - b).norm() <= 1e-15 * scale
 
 
+@given(quaternions, quaternions)
+def test_symplectic_route_rounds_as_complex_arithmetic(p, q):
+    a, b = symplectic_split(p), symplectic_split(q)
+    want = from_symplectic(ComplexPair(a.z0 * b.z0 - a.z1 * b.z1.conjugate(),
+                                       a.z0 * b.z1 + a.z1 * b.z0.conjugate()))
+    got = mul_symplectic(p, q)
+    for x, y in zip((got.w, got.x, got.y, got.z), (want.w, want.x, want.y, want.z)):
+        assert bit_equal(x, y)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("product", [mul, mul_symplectic])
+def test_array_products_match_quaternion_products_exactly(product, seed):
+    rng = np.random.default_rng(seed)
+    p, q = rng.uniform(-3.0, 3.0, size=(2, 4, 300))
+    # signed zeros, so the sign of every zero result is compared too
+    p[rng.uniform(size=p.shape) < 0.1] = 0.0
+    q[rng.uniform(size=q.shape) < 0.1] = -0.0
+    out = product(p, q)
+    assert out.shape == (4, 300)
+    for col in range(300):
+        want = product(Quaternion(*p[:, col]), Quaternion(*q[:, col]))
+        for x, y in zip(out[:, col], (want.w, want.x, want.y, want.z)):
+            assert bit_equal(float(x), y), (col, x, y)
+
+
+def test_array_products_reject_other_shapes():
+    for product in (mul, mul_symplectic):
+        with pytest.raises(ValueError, match="4, N"):
+            product(np.zeros((3, 5)), np.zeros((3, 5)))
+        with pytest.raises(ValueError, match="4, N"):
+            product(1.0, ONE)
+
+
 # --- conjugation ---------------------------------------------------------
 
 def test_conjugate_definition():

@@ -560,3 +560,13 @@ def test_packet_spec_off_shell_energy_rejected():
     }
     with pytest.raises(ValueError, match="off shell"):
         packet_spec_from_dict(cfg)
+
+
+def test_bool_signs_rejected():
+    # True == 1, so a plain membership test would take it for +1
+    with pytest.raises(ValueError, match="'sign'"):
+        mass_shell_energy((0.0, 0.0, 1.0), 1.0, True)
+    with pytest.raises(ValueError, match="mass_sign"):
+        build_u_spinor(FourVector(2**0.5, 0.0, 0.0, 1.0), 1.0, mass_sign=True)
+    with pytest.raises(ValueError, match="mass_sign"):
+        build_u_spinor(FourVector(2**0.5, 0.0, 0.0, 1.0), 1.0, mass_sign=np.True_)
