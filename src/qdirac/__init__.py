@@ -54,6 +54,7 @@ from .verify import (
     GramReport,
     HelicityReport,
     adjoint_norm,
+    analytic_divergence,
     continuity_convergence,
     continuity_residual,
     current,
@@ -83,6 +84,6 @@ __all__ = [
     "build_wave_packet", "make_wave_packet",
     "dirac_residual", "current", "continuity_residual",
     "continuity_convergence", "inner_product_grid", "gram_matrix",
-    "adjoint_norm", "helicity_check",
+    "adjoint_norm", "helicity_check", "analytic_divergence",
     "ContinuityReport", "ConvergenceReport", "GramReport", "HelicityReport",
 ]

@@ -124,6 +124,24 @@ def sample(field, grid: SpacetimeGrid) -> SampledField:
     return field.evaluate_grid(grid)
 
 
+def plane_wave_sum(grid: SpacetimeGrid, k: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_p coef_p exp(i k_p.x) on every lattice point, shape counts + (C,).
+
+    `k` holds P lowered four-momenta (P, 4) and `coef` their complex
+    coefficients (P, C).  exp(i k.x) factorizes by axis, so the
+    exponentials are taken on the axes only; the (t, x, y) phase block
+    is then contracted against the z phases times the coefficients in
+    one matrix product.
+    """
+    nt, nx, ny, nz = grid.counts
+    p, c = coef.shape
+    et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, k[:, i]))
+                      for i, a in enumerate(grid.axes()))
+    txy = et[:, None, None] * ex[:, None] * ey
+    zc = (ez.T[:, :, None] * coef[:, None, :]).reshape(p, nz * c)
+    return (txy.reshape(nt * nx * ny, p) @ zc).reshape(grid.counts + (c,))
+
+
 def central_diff(values: np.ndarray, axis: int, spacing: float, periodic: bool = False) -> np.ndarray:
     """Second-order central difference (f[+1] - f[-1]) / 2h along `axis`.
 
@@ -135,18 +153,21 @@ def central_diff(values: np.ndarray, axis: int, spacing: float, periodic: bool =
         raise ValueError(f"central difference needs >= 3 points on axis {axis}, got {n}")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
+
+    def along(start, stop):
+        index = [slice(None)] * values.ndim
+        index[axis] = slice(start, stop)
+        return tuple(index)
+
+    out = np.empty(values.shape, dtype=np.result_type(values, float))
+    np.subtract(values[along(2, None)], values[along(None, -2)], out=out[along(1, -1)])
     if periodic:
-        fwd = np.roll(values, -1, axis=axis)
-        bwd = np.roll(values, 1, axis=axis)
-        return (fwd - bwd) / (2.0 * spacing)
-    out = np.full_like(values, np.nan, dtype=np.result_type(values, float))
-    inner = [slice(None)] * values.ndim
-    lo = [slice(None)] * values.ndim
-    hi = [slice(None)] * values.ndim
-    inner[axis] = slice(1, -1)
-    hi[axis] = slice(2, None)
-    lo[axis] = slice(None, -2)
-    out[tuple(inner)] = (values[tuple(hi)] - values[tuple(lo)]) / (2.0 * spacing)
+        np.subtract(values[along(1, 2)], values[along(-1, None)], out=out[along(0, 1)])
+        np.subtract(values[along(0, 1)], values[along(-2, -1)], out=out[along(-1, None)])
+    else:
+        out[along(0, 1)] = np.nan
+        out[along(-1, None)] = np.nan
+    out /= 2.0 * spacing
     return out
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import verify
 from ._fields import choice, number, require, sign, vector
-from .grid import SampledField, SpacetimeGrid
+from .grid import SampledField, SpacetimeGrid, plane_wave_sum
 from .spinor import (
     FourVector,
     PAULI,
@@ -191,7 +191,7 @@ class _PlaneWaveSum:
 
     __slots__ = ()
 
-    def _stacked_terms(self):
+    def stacked_terms(self):
         """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4)."""
         return [(np.array([k.lowered() for _, k, _ in half], dtype=float).reshape(-1, 4),
                  np.array([c * u for c, _, u in half], dtype=complex).reshape(-1, 4))
@@ -206,7 +206,7 @@ class _PlaneWaveSum:
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 4)
         values, derivs = [], []
-        for kl, cu in self._stacked_terms():
+        for kl, cu in self.stacked_terms():
             phase = np.exp(1j * (pts @ kl.T))
             values.append(phase @ cu)
             # d_mu exp(i k.x) = i k_mu exp(i k.x), term by term
@@ -215,21 +215,8 @@ class _PlaneWaveSum:
         return values[0], values[1], derivs[0], derivs[1]
 
     def _sample_grid(self, grid: SpacetimeGrid) -> SampledField:
-        """Values on every lattice point.
-
-        exp(i k.x) factorizes by axis, so the exponentials are taken on
-        the axes only; the (t, x, y) phase block is then contracted
-        against the z phases times c*u in one matrix product.
-        """
-        nt, nx, ny, nz = grid.counts
-        halves = []
-        for kl, cu in self._stacked_terms():
-            et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, kl[:, i]))
-                              for i, a in enumerate(grid.axes()))
-            txy = et[:, None, None] * ex[:, None] * ey
-            zu = (ez.T[:, :, None] * cu[:, None, :]).reshape(len(cu), nz * 4)
-            halves.append((txy.reshape(nt * nx * ny, len(cu)) @ zu).reshape(grid.counts + (4,)))
-        return SampledField(grid, *halves)
+        """Values on every lattice point."""
+        return SampledField(grid, *(plane_wave_sum(grid, kl, cu) for kl, cu in self.stacked_terms()))
 
     def evaluate(self, x: FourVector) -> QSpinor4:
         psi0, psi1, _, _ = self.eval_with_derivatives(x.as_array())

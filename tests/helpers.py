@@ -10,6 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from qdirac import FourVector, Quaternion, mass_shell_energy, mul, mul_symplectic, slashed
+from qdirac.spinor import BETA_DIAG, GAMMA
+
+# beta @ gamma^mu, the Hermitian forms behind the four-current
+BG_STACK = np.stack([np.diag(BETA_DIAG).astype(complex) @ g for g in GAMMA])
 
 
 def null_space(matrix: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
@@ -91,3 +95,27 @@ def scalar_slashed_square(rng: np.random.Generator, n: int = 200) -> float:
             float(np.abs(sq - v.dot(v) * np.eye(4)).max()) / max(abs(v.dot(v)), 1.0),
         )
     return worst
+
+
+def einsum_current(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
+    """Real four-current adj(psi) gamma^mu psi of both symplectic halves,
+    one 4x4 Hermitian form per point, shape (..., 4)."""
+    j = np.einsum("...a,mab,...b->...m", np.conj(psi0), BG_STACK, psi0)
+    j = j + np.einsum("...a,mab,...b->...m", np.conj(psi1), BG_STACK, psi1)
+    return np.real(j)
+
+
+def sampled_source(psi0: np.ndarray, psi1: np.ndarray, b) -> np.ndarray:
+    """Pointwise real part of adj(Psi) b_l (gamma^l - conj(gamma^l)) j Psi
+    for the contravariant complex potential b, from sampled halves."""
+    b = np.asarray(b, dtype=complex)
+    m = np.zeros((4, 4), dtype=complex)
+    for ell in (1, 2, 3):
+        m = m + (-b[ell]) * (GAMMA[ell] - np.conj(GAMMA[ell]))
+    # j Psi = (-conj(psi1), conj(psi0)) symplectically
+    col0 = np.einsum("ab,...b->...a", m, -np.conj(psi1))
+    col1 = np.einsum("ab,...b->...a", m, np.conj(psi0))
+    row0 = BETA_DIAG * np.conj(psi0)
+    row1 = -BETA_DIAG * psi1
+    # real part of the quaternion contraction sum_a row_a col_a
+    return np.real(np.sum(row0 * col0 - row1 * np.conj(col1), axis=-1))

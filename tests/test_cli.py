@@ -454,6 +454,30 @@ def test_overflowing_input_names_cause(tmp_path, command, payload, cause):
     assert_rejected(run_cli(command, "--config", cfg), cause)
 
 
+def _overflowing_continuity_packet(samples: int) -> dict:
+    """A continuity config whose current overflows float64: each sample
+    has amplitude 1e154, so |psi|^2 and every pair term reach 1e308."""
+    return {"packet": {"component": 0, "mass": 1.0,
+                       "samples": [{"kvec": [0, 0, 1.0 + n % 3], "amplitude": 1e154,
+                                    "spin": ("up", "down")[n % 2]} for n in range(samples)]},
+            "grid": {"origin": [0, 0, 0, 0], "spacing": [0.2, 1.0, 1.0, 2 * math.pi / 12],
+                     "counts": [3, 1, 1, 12], "periodic": [False, False, False, True]}}
+
+
+@pytest.mark.parametrize("samples", [2, 25])
+def test_continuity_overflow_on_both_sides_of_pair_fallback(tmp_path, samples):
+    import qdirac.verify as ver
+    from qdirac.solutions import build_wave_packet, packet_spec_from_dict
+    payload = _overflowing_continuity_packet(samples)
+    packet = build_wave_packet(packet_spec_from_dict(payload["packet"]))
+    # 2 samples sum the pair terms; 25 samples (325 pairs) sample psi instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = len(ver._current_pairs(packet)[0])
+    assert (pairs > ver._MAX_PAIRS) == (samples == 25)
+    cfg = write_json(tmp_path / "big.json", {"schema_version": 1, **payload})
+    assert_rejected(run_cli("continuity", "--config", cfg), "too large")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("command, payload", [
     ("packet", _packet_config({"amplitude": 1e308})),

@@ -11,7 +11,9 @@ from qdirac import (
     PacketSample,
     PlaneWaveSolution,
     SpacetimeGrid,
+    WavePacket,
     adjoint_norm,
+    analytic_divergence,
     build_massive_solution,
     build_massless_theta_solution,
     continuity_convergence,
@@ -19,13 +21,18 @@ from qdirac import (
     current,
     dirac_residual,
     enumerate_massive_set,
+    enumerate_massless_theta0_set,
     gram_matrix,
     helicity_check,
     inner_product_grid,
     make_wave_packet,
     mass_shell_energy,
+    sample,
 )
-from qdirac.solutions import SPIN_PAIRS
+import qdirac.verify as ver
+from qdirac.grid import central_diff, plane_wave_sum
+from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_wave_packet
+from helpers import einsum_current, sampled_source
 
 POINTS = np.random.default_rng(99).uniform(-3, 3, size=(40, 4))
 
@@ -156,6 +163,130 @@ def test_continuity_source_diagnostic():
     b = np.array([0.0, 0.0, 0.4 + 0.1j, 0.0])
     rep = continuity_residual(packet, grid, b=b)
     assert rep.rhs_norm > 0.0
+
+
+# --- pair form of the current, its source and its divergence ----------------------
+
+def _theta_solution():
+    # running phase with kappa1 < 0
+    theta = FourVector(1.0, 0.6, 0.0, 0.8)
+    return build_massless_theta_solution(MasslessThetaSpec(
+        theta=theta, kappa0=1.3, kappa1=-0.7, theta0=0.4, chirality0="L"))
+
+
+def _random_samples(rng, n):
+    # both spins, and every third sample at negative frequency
+    return tuple(PacketSample(tuple(rng.uniform(-1.5, 1.5, 3)), rng.uniform(0.3, 1.2),
+                              ("up", "down")[i % 2], -1 if i % 3 == 2 else 1)
+                 for i in range(n))
+
+
+def _many_term_packet(n: int = 18):
+    # 2 * n(n+1)/2 current pairs: past the pair-count fallback for n >= 17
+    rng = np.random.default_rng(5)
+    return make_wave_packet(0.9, 0.6, _random_samples(rng, n), _random_samples(rng, n))
+
+
+def _families():
+    rng = np.random.default_rng(17)
+    fields = [(s.label, s) for s in enumerate_massive_set(1.1, (0.3, -0.4, 0.5), (0.2, 0.6, -0.1), 0.7)]
+    fields += [(s.label, s) for s in enumerate_massless_theta0_set((0.4, 0.1, -0.6), (-0.3, 0.5, 0.2), 0.9)]
+    fields.append(("theta", _theta_solution()))
+    for component in (0, 1):
+        spec = WavePacketSpec(component, 1.2, _random_samples(rng, 3))
+        fields.append((f"packet{component}", build_wave_packet(spec)))
+    fields.append(("packet01", make_wave_packet(0.8, 0.5, _random_samples(rng, 3), _random_samples(rng, 2))))
+    fields.append(("many_terms", _many_term_packet()))
+    return fields
+
+
+FAMILIES = _families()
+FAMILY_IDS = [label for label, _ in FAMILIES]
+PAIR_GRID = SpacetimeGrid(FourVector(-0.3, 0.2, -0.1, 0.4), (0.15, 0.35, 0.3, 0.25), (3, 5, 4, 6))
+B = np.array([0.2 - 0.1j, 0.3 + 0.2j, -0.4 + 0.1j, 0.25 - 0.3j])
+
+
+def _relative_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("label, field", FAMILIES, ids=FAMILY_IDS)
+def test_pair_current_matches_einsum_oracle(label, field):
+    sampled = sample(field, PAIR_GRID)
+    oracle = einsum_current(sampled.psi0, sampled.psi1)
+    assert _relative_gap(plane_wave_sum(PAIR_GRID, *ver._current_pairs(field)).real, oracle) <= 1e-14
+    # the Pauli form on sampled arrays, used by packet and by the fallback
+    assert _relative_gap(ver.current_grid(sampled), oracle) <= 1e-14
+    j = current(field, PAIR_GRID.point(1, 2, 3, 4)).as_array()
+    assert _relative_gap(j, oracle[1, 2, 3, 4]) <= 1e-14
+
+
+@pytest.mark.parametrize("label, field", FAMILIES, ids=FAMILY_IDS)
+def test_pair_source_matches_sampled_oracle(label, field):
+    sampled = sample(field, PAIR_GRID)
+    oracle = sampled_source(sampled.psi0, sampled.psi1, B)
+    s = ver._source_matrix(B)
+    pairs = plane_wave_sum(PAIR_GRID, *ver._source_pairs(field, s))[..., 0].real
+    # relative to the size of the bilinear form, which stays meaningful
+    # where the source cancels (one empty half, or opposite chiralities)
+    scale = np.abs(s).max() * np.abs(sampled.psi0).max() * np.abs(sampled.psi1).max()
+    assert np.abs(pairs - oracle).max() <= 1e-14 * scale
+    assert np.abs(oracle).max() <= 1e-14 * scale or _relative_gap(pairs, oracle) <= 1e-14
+
+
+def _oracle_continuity(field, grid, b):
+    """The continuity check from sampled values through the oracles."""
+    sampled = sample(field, grid)
+    j = einsum_current(sampled.psi0, sampled.psi1)
+    div = sum(central_diff(j[..., mu], mu, grid.spacing[mu], grid.periodic[mu])
+              for mu in range(4) if grid.counts[mu] > 1)
+    rhs = sampled_source(sampled.psi0, sampled.psi1, b)
+    inner = (slice(1, -1),) + (slice(None),) * 3
+    return np.abs(div[inner]).max(), np.abs(rhs[inner]).max(), np.abs((div - rhs)[inner]).max(), j
+
+
+@pytest.mark.parametrize("label", ["uu+-", "theta", "packet01", "many_terms"])
+@pytest.mark.parametrize("max_pairs", [0, 10**6])
+def test_continuity_both_sides_of_pair_fallback(monkeypatch, label, max_pairs):
+    field = dict(FAMILIES)[label]
+    grid = SpacetimeGrid(FourVector(-0.2, 0.3, 0.1, -0.2), (0.2, BOX / 5, BOX / 4, BOX / 6),
+                         (3, 5, 4, 6), (False, True, True, True))
+    lhs, rhs, defect, j = _oracle_continuity(field, grid, B)
+    calls = []
+    monkeypatch.setattr(ver, "_MAX_PAIRS", max_pairs)
+    monkeypatch.setattr(ver, "sample", lambda f, g: calls.append(g) or sample(f, g))
+    rep = continuity_residual(field, grid, b=B)
+    assert len(calls) == (max_pairs == 0)
+    scale = np.abs(j).max() / min(grid.spacing)
+    for got, want in ((rep.lhs_norm, lhs), (rep.rhs_norm, rhs), (rep.defect, defect)):
+        assert abs(got - want) <= 1e-14 * scale
+
+
+def test_many_term_packet_takes_the_fallback(monkeypatch):
+    packet = _many_term_packet()
+    assert len(ver._current_pairs(packet)[0]) > ver._MAX_PAIRS
+    calls = []
+    monkeypatch.setattr(ver, "sample", lambda f, g: calls.append(g) or sample(f, g))
+    continuity_residual(packet, PAIR_GRID)
+    continuity_residual(dict(FAMILIES)["packet01"], PAIR_GRID)
+    assert calls == [PAIR_GRID]
+
+
+@pytest.mark.parametrize("label, field", FAMILIES, ids=FAMILY_IDS)
+def test_analytic_divergence_vanishes_on_shell(label, field):
+    k, coef = ver._current_pairs(field)
+    scale = float(np.sum(np.abs(coef).sum(axis=1) * np.abs(k).sum(axis=1)))
+    assert analytic_divergence(field) <= 1e-14 * max(scale, 1.0)
+
+
+def test_analytic_divergence_flags_a_broken_descriptor():
+    # flipping one term's frequency, not its spinor, leaves that term off shell
+    packet = make_wave_packet(1.0, 0.0, (PacketSample((0, 0, 1.0), 1.0), PacketSample((0.8, 0, 0), 0.9)), ())
+    (a0, k0, u0), (a1, k1, u1) = packet.terms0
+    flipped = FourVector(-k1.t, k1.x, k1.y, k1.z)
+    broken = WavePacket(1.0, 0.0, ((a0, k0, u0), (a1, flipped, u1)), ())
+    assert analytic_divergence(packet) <= 1e-14
+    assert analytic_divergence(broken) > 0.1
 
 
 def test_continuity_degenerate_grid():
