@@ -144,8 +144,7 @@ def _complex_pairs(u) -> list:
     return [[float(c.real), float(c.imag)] for c in np.asarray(u)]
 
 
-def _solution_record(index: int, s, seed: int) -> dict:
-    points = ver.default_points(seed=seed)
+def _solution_record(index: int, s, points: np.ndarray) -> dict:
     return {
         "index": index,
         "label": s.label,
@@ -176,7 +175,8 @@ def run_catalog(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     else:
         sols = sol.enumerate_massless_theta0_set(kvec0, kvec1, theta0)
     residual_tol = tol if tol is not None else ver.RESIDUAL_TOL
-    records = [_solution_record(i, s, seed) for i, s in enumerate(sols)]
+    points = ver.default_points(seed=seed)
+    records = [_solution_record(i, s, points) for i, s in enumerate(sols)]
     passed = all(r["residual"] <= residual_tol for r in records)
     table = Table("solutions", _SOLUTION_COLUMNS, [
         [r["index"], r["label"], r["mass"], r["theta0"], r["density"], r["residual"],

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -53,9 +54,15 @@ SPINS = ("up", "down")
 CHIRALITIES = ("L", "R")
 NORM_CHOICES = ("E", "E_over_m")
 
-# Seed of the deterministic sample points used by build-time residual
-# certification.
-_CERT_SEED = 8643
+
+@cache
+def _cert_points() -> np.ndarray:
+    """The deterministic sample points of build-time residual
+    certification, read-only.  Drawn on first use, not at import:
+    numpy imports its random module lazily."""
+    points = verify.default_points(seed=8643)
+    points.setflags(write=False)
+    return points
 
 
 class CertificationError(RuntimeError):
@@ -646,7 +653,7 @@ def certify_solution(sol: PlaneWaveSolution) -> float:
             raise CertificationError(
                 f"stored momentum {k} violates the dispersion relation for m={sol.mass}"
             )
-    res = verify.dirac_residual(sol, points=verify.default_points(seed=_CERT_SEED))
+    res = verify.dirac_residual(sol, points=_cert_points())
     if not math.isfinite(res):
         raise ValueError(f"solution {sol.label!r} overflows: mass or momenta too large")
     k_scale = max(

@@ -11,7 +11,10 @@ current and its complex-potential source are finite sums of bilinear
 pair terms.  The continuity check sums those pairs on the lattice
 through `grid.plane_wave_sum`, the evaluator that also samples Psi, and
 never samples Psi unless the pair count passes a measured crossover;
-`analytic_divergence` differentiates the same pairs exactly.
+`analytic_divergence` differentiates the same pairs exactly.  Grid
+inner products and the Gram matrix are summed from the same pair terms
+with the lattice sum factorized by axis, so their memory is
+O(box_cells) per term rather than O(box_cells^3): no field is sampled.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    SampledField, SpacetimeGrid, central_diff, integrate_spatial, plane_wave_sum, sample,
-)
+from .grid import SampledField, SpacetimeGrid, central_diff, plane_wave_sum, sample
+# not called here; perfbench/spans.py wraps it under this module path
+from .grid import integrate_spatial  # noqa: F401
 from .spinor import BETA_DIAG, FourVector, GAMMA, helicity_matrix
 
 # The verification bounds, stated once.  RESIDUAL_TOL: field-equation,
@@ -267,22 +270,41 @@ def continuity_convergence(field, grid: SpacetimeGrid, levels: int = 3, b=None) 
     return ConvergenceReport(tuple(h_scales), tuple(reports), order)
 
 
+def _inner_products(fields, grid: SpacetimeGrid) -> np.ndarray:
+    """Real inner products of every pair of fields, (F, F), symmetric.
+
+    With each half sum_a w_a exp(i k_a.x), the lattice sum at the first
+    time slice of Re psi^dag phi is the real part of
+    sum_{a in psi, b in phi} (w_a . conj(w_b)) sum_x exp(i (k_a - k_b).x),
+    and the lattice sum of the phase factorizes into one sum per axis,
+    E^T conj(E) with E = exp(i outer(axis, k)).  The M terms of all
+    fields are stacked per half, and an (F, M) owner matrix, 1 where a
+    term belongs to a field, reduces the (M, M) pair sums to fields.
+    Cost and memory are O(axis points * M + M^2): nothing is sampled."""
+    g = np.zeros((len(fields), len(fields)))
+    if not fields:
+        return g
+    axes = (np.array([grid.origin.t]), *(grid.axis(i) for i in (1, 2, 3)))
+    terms = [f.stacked_terms() for f in fields]
+    for half in (0, 1):
+        k = np.concatenate([t[half][0] for t in terms])
+        w = np.concatenate([t[half][1] for t in terms])
+        owner = np.repeat(np.eye(len(fields)), [len(t[half][0]) for t in terms], axis=1)
+        pair = w @ w.conj().T
+        for i, x in enumerate(axes):
+            e = np.exp(1j * np.multiply.outer(x, k[:, i]))
+            pair *= e.T @ e.conj()
+        g += (owner @ pair @ owner.T).real
+    # each entry i <= j once, mirrored
+    g = np.triu(g) + np.triu(g, 1).T
+    return g * grid.cell_volume
+
+
 def inner_product_grid(psi, phi, grid: SpacetimeGrid) -> float:
     """Discrete real inner product (Phi Psi* + Phi* Psi)/2 summed over
     spinor components and spatial points at the first time slice, times
-    the cell volume."""
-    sa = sample(psi, grid)
-    sb = sample(phi, grid)
-    return _inner_from_slices(sa, sb, grid)
-
-
-def _inner_from_slices(sa: SampledField, sb: SampledField, grid) -> float:
-    a0 = sa.psi0[0]
-    a1 = sa.psi1[0]
-    b0 = sb.psi0[0]
-    b1 = sb.psi1[0]
-    integrand = np.sum(np.real(a0 * np.conj(b0)) + np.real(a1 * np.conj(b1)), axis=-1)
-    return integrate_spatial(integrand, grid)
+    the cell volume, summed from the plane-wave pair terms."""
+    return float(_inner_products((psi, phi), grid)[0, 1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,15 +333,11 @@ class GramReport:
 
 
 def gram_matrix(solutions, grid: SpacetimeGrid) -> GramReport:
+    """Pairwise `inner_product_grid` values of a solution set, summed
+    from plane-wave pair terms in one pass."""
     sols = list(solutions)
-    sampled = [sample(s, grid) for s in sols]
     n = len(sols)
-    g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = _inner_from_slices(sampled[i], sampled[j], grid)
-            g[i, j] = val
-            g[j, i] = val
+    g = _inner_products(sols, grid)
     off = g - np.diag(np.diag(g))
     max_off = float(np.abs(off).max()) if n > 1 else 0.0
     labels = tuple(getattr(s, "label", "") or f"sol{i}" for i, s in enumerate(sols))

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from qdirac import FourVector, Quaternion, mass_shell_energy, mul, mul_symplectic, slashed
+from qdirac import (
+    FourVector, Quaternion, integrate_spatial, mass_shell_energy, mul, mul_symplectic, sample,
+    slashed,
+)
 from qdirac.spinor import BETA_DIAG, GAMMA
 
 # beta @ gamma^mu, the Hermitian forms behind the four-current
@@ -119,3 +122,18 @@ def sampled_source(psi0: np.ndarray, psi1: np.ndarray, b) -> np.ndarray:
     row1 = -BETA_DIAG * psi1
     # real part of the quaternion contraction sum_a row_a col_a
     return np.real(np.sum(row0 * col0 - row1 * np.conj(col1), axis=-1))
+
+
+def sampled_inner_product(psi, phi, grid) -> float:
+    """The lattice inner product from sampled fields: Re psi^dag phi of
+    both halves at every spatial point of the first time slice, summed
+    and times the cell volume."""
+    a, b = sample(psi, grid), sample(phi, grid)
+    integrand = np.sum(np.real(a.psi0[0] * np.conj(b.psi0[0]))
+                       + np.real(a.psi1[0] * np.conj(b.psi1[0])), axis=-1)
+    return integrate_spatial(integrand, grid)
+
+
+def sampled_gram(fields, grid) -> np.ndarray:
+    """Every pairwise `sampled_inner_product` of a field list."""
+    return np.array([[sampled_inner_product(a, b, grid) for b in fields] for a in fields])

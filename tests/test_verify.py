@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from qdirac import (
 import qdirac.verify as ver
 from qdirac.grid import central_diff, plane_wave_sum
 from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_wave_packet
-from helpers import einsum_current, sampled_source
+from helpers import einsum_current, sampled_gram, sampled_source
 
 POINTS = np.random.default_rng(99).uniform(-3, 3, size=(40, 4))
 
@@ -389,6 +390,63 @@ def test_gram_opposite_branches_orthogonal_at_shared_momentum():
     b = build_massive_solution(MassiveSpec(1.0, 0.7, kvec, kvec, esign0=-1, esign1=1))
     scale = inner_product_grid(a, a, grid)
     assert abs(inner_product_grid(a, b, grid)) <= 1e-12 * scale
+
+
+def _gram_cases():
+    theta = FourVector(1.0, 0.0, 0.0, 1.0)
+    running = [_theta_solution(), build_massless_theta_solution(
+        MasslessThetaSpec(theta=theta, kappa0=2.0, kappa1=1.0, theta0=0.3))]
+    rng = np.random.default_rng(23)
+    packets = [build_wave_packet(WavePacketSpec(c, 1.2, _random_samples(rng, 3))) for c in (0, 1)]
+    packets.append(make_wave_packet(0.8, 0.5, _random_samples(rng, 3), _random_samples(rng, 2)))
+    families = [f for _, f in FAMILIES]
+    return {
+        "eight_state": (eight_state_set(math.pi / 8), periodic_box()),
+        "massless_theta0": (enumerate_massless_theta0_set(
+            commensurate((1, 0, 1)), commensurate((0, -1, 1)), 0.6), periodic_box()),
+        # two terms per half, kappa1 < 0 in the first
+        "running_phase": (running, periodic_box()),
+        # 1-component packets have an empty half
+        "packets": (packets, periodic_box(cells=8)),
+        "non_periodic": (families, SpacetimeGrid(
+            FourVector(0.0, 0.2, -0.1, 0.4), (0.1, 0.35, 0.3, 0.25), (1, 7, 6, 5))),
+        # nt > 1 and a nonzero t origin: only the first slice counts
+        "time_slices": (families, PAIR_GRID),
+    }
+
+
+GRAM_CASES = _gram_cases()
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_CASES))
+def test_pair_gram_matches_sampled_oracle(case):
+    fields, grid = GRAM_CASES[case]
+    want = sampled_gram(fields, grid)
+    scale = float(np.abs(np.diag(want)).max())
+    rep = gram_matrix(fields, grid)
+    assert np.array_equal(rep.matrix, rep.matrix.T)
+    assert np.abs(rep.matrix - want).max() <= 1e-14 * scale
+    for i in range(len(fields)):
+        for j in range(i, len(fields)):
+            got = inner_product_grid(fields[i], fields[j], grid)
+            assert abs(got - want[i, j]) <= 1e-14 * scale
+
+
+def test_gram_memory_does_not_grow_with_box_volume():
+    # sampling the eight fields on this box would take about 17 GB; the
+    # pair form holds a few (256, 8) phase blocks
+    sols = eight_state_set(math.pi / 8)
+    grid = periodic_box(cells=256)
+    tracemalloc.start()
+    try:
+        rep = gram_matrix(sols, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    e = mass_shell_energy(commensurate((1, 0, 0)), 1.0)
+    assert rep.max_offdiag <= 1e-10 * e * BOX**3
+    assert np.abs(rep.diagonal - e * BOX**3).max() <= 1e-10 * e * BOX**3
 
 
 # --- adjoint norms --------------------------------------------------------------------
