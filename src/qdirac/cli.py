@@ -43,6 +43,14 @@ class ConfigError(ValueError):
 # config plumbing
 
 
+def _tolerance(v, name: str) -> float:
+    """A finite tolerance > 0."""
+    x = number(v, name)
+    if x <= 0:
+        raise ConfigError(f"field {name!r} must be > 0, got {v!r}")
+    return x
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -245,8 +253,10 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("field 'tolerances' must be an object")
-    residual_tol = tol if tol is not None else number(tolerances.get("residual", ver.RESIDUAL_TOL), "residual")
-    gram_tol = number(tolerances.get("gram", ver.QUADRATURE_TOL), "gram")
+    residual_tol = _tolerance(tolerances.get("residual", ver.RESIDUAL_TOL), "tolerances.residual")
+    gram_tol = _tolerance(tolerances.get("gram", ver.QUADRATURE_TOL), "tolerances.gram")
+    if tol is not None:
+        residual_tol = tol
     mass = number(cfg.get("mass", 1.0), "mass")
     if mass <= 0:
         raise ConfigError(f"field 'mass' must be > 0, got {mass!r}")
@@ -487,8 +497,8 @@ def run_packet(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
 def _run_command(runner, config_path: str, out_path, fmt: str, tol, seed: int) -> None:
     """Run one command; every ValueError (bad input) exits 2."""
     try:
-        if tol is not None and number(tol, "--tol") <= 0:
-            raise ConfigError(f"field '--tol' must be > 0, got {tol!r}")
+        if tol is not None:
+            _tolerance(tol, "--tol")
         code, report = runner(_load_config(config_path), tol, seed)
         _write_output(_render(report, fmt), out_path)
     except ValueError as exc:
@@ -506,7 +516,7 @@ _tol_option = click.option(
 
 
 def _common_options(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True,
+    fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True,
                       help="Seed for randomized sweeps (reports are reproducible).")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                       default="json", show_default=True)(fn)

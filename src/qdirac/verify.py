@@ -2,7 +2,9 @@
 residuals, probability currents and their conservation, grid inner
 products, Gram/orthogonality structure, adjoint norms, and helicity.
 
-Analytic derivatives are the primary residual path; finite differences
+Each plane-wave term leaves a constant residual spinor in the field
+equation, so a field's residual is the phased sum of its term residuals
+and their norms bound it at every spacetime point.  Finite differences
 appear only in the continuity check, so convention bugs and
 discretization error stay separable.
 
@@ -49,26 +51,27 @@ def default_points(seed: int = 7) -> np.ndarray:
     return rng.uniform(-3.0, 3.0, size=(32, 4))
 
 
+def term_residuals(field, a: FourVector | None = None):
+    """Per half: lowered momenta (T, 4) and residual spinors (T, 4) of
+    the plane-wave terms w exp(i k.x) in gamma^mu ((d_mu - a_mu i .) Psi) i
+    - m Psi.  The derivative and the potential give i (k - a)_mu, and
+    right multiplication by i is +i on the complex half and -i on the j
+    half: -(slashed(k - a) + m) w and (slashed(k - a) - m) w."""
+    al = np.zeros(4) if a is None else a.lowered()
+    return [(kl, sign * np.einsum("mrc,tm,tc->tr", _GAMMA_STACK, kl - al, w) - field.mass * w)
+            for sign, (kl, w) in zip((-1.0, 1.0), field.stacked_terms())]
+
+
 def dirac_residual(field, a: FourVector | None = None, points=None) -> float:
     """Sup-norm of the field-equation residual over sample points.
 
-    Evaluates gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi with analytic
-    plane-wave derivatives; `a` is the real gauge four-vector entering
-    the potential as a^mu i (the complex part is zero for every field in
-    scope).
-    """
+    Sums the phased term residuals of `term_residuals` at each point;
+    `a` is the real gauge four-vector entering the potential as a^mu i
+    (the complex part is zero for every field in scope)."""
     if points is None:
         points = default_points()
     pts = np.asarray(points, dtype=float).reshape(-1, 4)
-    psi0, psi1, d0, d1 = field.eval_with_derivatives(pts)
-    if a is not None and not a.is_zero():
-        al = a.lowered()
-        # left multiplication by i reaches both symplectic halves unconjugated
-        d0 = d0 - al[None, :, None] * (1j * psi0)[:, None, :]
-        d1 = d1 - al[None, :, None] * (1j * psi1)[:, None, :]
-    # right multiplication by i: (+i, -i) on the symplectic pair
-    r0 = np.einsum("mrc,pmc->pr", _GAMMA_STACK, 1j * d0) - field.mass * psi0
-    r1 = np.einsum("mrc,pmc->pr", _GAMMA_STACK, -1j * d1) - field.mass * psi1
+    r0, r1 = (np.exp(1j * (pts @ kl.T)) @ r for kl, r in term_residuals(field, a))
     norms = np.sqrt(np.sum(np.abs(r0) ** 2 + np.abs(r1) ** 2, axis=1))
     return float(norms.max())
 

@@ -124,6 +124,30 @@ def sampled_source(psi0: np.ndarray, psi1: np.ndarray, b) -> np.ndarray:
     return np.real(np.sum(row0 * col0 - row1 * np.conj(col1), axis=-1))
 
 
+def difference_residual(field, points, a=None, h: float = 1e-5) -> float:
+    """Sup-norm over `points` of gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi,
+    with d_mu a central difference of `eval_points` values.
+
+    Left multiplication by i reaches both symplectic halves as i; right
+    multiplication by i is +i on the complex half and -i on the j half.
+    Nothing here reads the plane-wave terms."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 4)
+    al = np.zeros(4) if a is None else a.lowered()
+    values = field.eval_points(pts)
+    steps = h * np.eye(4)
+    fwd = [field.eval_points(pts + step) for step in steps]
+    bwd = [field.eval_points(pts - step) for step in steps]
+    total = np.zeros(len(pts))
+    for half, right_i in ((0, 1j), (1, -1j)):
+        psi = values[half]
+        r = -field.mass * psi
+        for mu in range(4):
+            d = (fwd[mu][half] - bwd[mu][half]) / (2 * h) - al[mu] * 1j * psi
+            r = r + (d @ GAMMA[mu].T) * right_i
+        total += np.sum(np.abs(r) ** 2, axis=1)
+    return float(np.sqrt(total).max())
+
+
 def sampled_inner_product(psi, phi, grid) -> float:
     """The lattice inner product from sampled fields: Re psi^dag phi of
     both halves at every spatial point of the first time slice, summed

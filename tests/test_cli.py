@@ -404,6 +404,11 @@ def _packet_config(sample=None, **grid):
     ("catalog", {"kind": "massive", "mass": 1.0, "kvec0": [0, 0, 1], "kvec1": [0, 1, 0],
                  "theta0": 0.5, "norm_choice": "E2"}, "norm_choice"),
     ("packet", _packet_config({"spin": "sideways"}), "spin"),
+    ("verify", {"tolerances": {"residual": -1}}, "tolerances.residual"),
+    ("verify", {"tolerances": {"gram": 0}}, "tolerances.gram"),
+    ("verify", {"tolerances": {"residual": "1e-12"}}, "tolerances.residual"),
+    ("verify", {"tolerances": {"gram": float("nan")}}, "tolerances.gram"),
+    ("verify", {"tolerances": {"residual": float("inf")}}, "tolerances.residual"),
 ])
 def test_malformed_input_exit_2(tmp_path, command, payload, field):
     cfg = write_json(tmp_path / "bad.json", {"schema_version": 1, **payload})
@@ -424,6 +429,23 @@ def assert_rejected(proc, field):
 def test_bad_tol_exit_2(tmp_path, tol):
     cfg = write_json(tmp_path / "verify.json", {"schema_version": 1})
     assert_rejected(run_cli("verify", "--config", cfg, "--tol", tol), "--tol")
+
+
+@pytest.mark.parametrize("command", ["catalog", "verify", "continuity", "packet"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_out_of_range_exit_2(tmp_path, command, seed):
+    # rejected by the option parser before the config is read
+    cfg = write_json(tmp_path / "cfg.json", {"schema_version": 1})
+    proc = run_cli(command, "--config", cfg, "--seed", seed)
+    assert proc.returncode == 2
+    assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_largest_u64_seed_accepted(massive_config):
+    proc = run_cli("catalog", "--config", massive_config, "--seed", str(2**64 - 1))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["seed"] == 2**64 - 1
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -229,6 +229,15 @@ def test_certification_rejects_off_shell_momentum():
         certify_solution(broken)
 
 
+def test_certification_rejects_wrong_kernel_spinor():
+    # on shell, but u0 taken from ker(slashed(k) - m) instead of ker(slashed(k) + m)
+    sol = build_massive_solution(MassiveSpec(1.0, 0.3, (0, 0, 1), (0, 0, 1)))
+    assert sol.k0 == sol.k1
+    broken = dataclasses.replace(sol, u0=sol.u1)
+    with pytest.raises(CertificationError):
+        certify_solution(broken)
+
+
 # --- constraint reports -----------------------------------------------------------
 
 def test_constraints_null_theta_proportional():
@@ -462,7 +471,7 @@ def test_evaluate_grid_matches_pointwise(name):
     field = _eval_field(name)
     sampled = field.evaluate_grid(EVAL_GRID)
     lattice = np.stack(np.meshgrid(*EVAL_GRID.axes(), indexing="ij"), axis=-1)
-    psi0, psi1, _, _ = field.eval_with_derivatives(lattice.reshape(-1, 4))
+    psi0, psi1 = field.eval_points(lattice.reshape(-1, 4))
     assert np.abs(sampled.psi0 - psi0.reshape(sampled.psi0.shape)).max() <= 1e-14
     assert np.abs(sampled.psi1 - psi1.reshape(sampled.psi1.shape)).max() <= 1e-14
 
@@ -470,7 +479,7 @@ def test_evaluate_grid_matches_pointwise(name):
 def test_theta_solution_matches_closed_form():
     # cos(Theta) e^{i k0.x} u0 and sin(Theta) e^{i k1.x} u1, Theta = theta.x + theta0
     sol = build_massless_theta_solution(THETA_SPEC)
-    psi0, psi1, _, _ = sol.eval_with_derivatives(RNG_POINTS)
+    psi0, psi1 = sol.eval_points(RNG_POINTS)
     for pt, v0, v1 in zip(RNG_POINTS, psi0, psi1):
         x = FourVector(*pt)
         ang = THETA_SPEC.theta.dot(x) + THETA_SPEC.theta0
@@ -478,22 +487,6 @@ def test_theta_solution_matches_closed_form():
         want1 = math.sin(ang) * cmath.exp(1j * sol.k1.dot(x)) * sol.u1
         assert np.abs(v0 - want0).max() <= 1e-14
         assert np.abs(v1 - want1).max() <= 1e-14
-
-
-@pytest.mark.parametrize("name", EVAL_FIELDS)
-def test_analytic_derivatives_match_central_difference(name):
-    field = _eval_field(name)
-    pts = RNG_POINTS[:8]
-    _, _, d0, d1 = field.eval_with_derivatives(pts)
-    h = 1e-5
-    for mu in range(4):
-        step = np.zeros(4)
-        step[mu] = h
-        fwd = field.eval_with_derivatives(pts + step)
-        bwd = field.eval_with_derivatives(pts - step)
-        for half, d in ((0, d0), (1, d1)):
-            fd = (fwd[half] - bwd[half]) / (2 * h)
-            assert np.abs(d[:, mu, :] - fd).max() <= 1e-8
 
 
 # --- JSON schemas ---------------------------------------------------------------------

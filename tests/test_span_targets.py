@@ -1,0 +1,44 @@
+"""The benchmark's traced runs patch qdirac functions by module path
+(`perfbench/spans.py`, `TARGETS`).  A rename under `src/` that drops
+one of those names breaks every traced run, so the table is checked
+here, where the library's own suite runs.  The file is only read."""
+
+import sys
+import types
+from pathlib import Path
+
+import qdirac.cli
+import qdirac.verify
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    """spans.py as a module, executed from its source text (no bytecode
+    is written next to it)."""
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(SPANS_PATH)
+    # dataclasses resolve annotations through sys.modules
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(SPANS_PATH.read_text(encoding="utf-8"), str(SPANS_PATH), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+def test_span_targets_install_and_trace_a_run():
+    spans = _load_spans()
+    before = qdirac.verify.dirac_residual
+    tracer = spans.Tracer()
+    cfg = {"kind": "massive", "mass": 1.0, "kvec0": [0, 0, 1.0], "kvec1": [0, 1.0, 0],
+           "theta0": 0.5}
+    with spans.install(tracer):
+        code, _ = tracer.run_op(lambda: qdirac.cli.run_catalog(cfg, None, 3))
+    assert code == 0
+    assert qdirac.verify.dirac_residual is before
+    (stats,) = tracer.op_stats
+    # 8 solutions, each certified once and checked at 32 sample points
+    assert stats["solutions.certify"].calls == 8
+    assert stats["verify.dirac_residual"].points == 8 * 32

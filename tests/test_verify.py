@@ -17,6 +17,7 @@ from qdirac import (
     analytic_divergence,
     build_massive_solution,
     build_massless_theta_solution,
+    certify_solution,
     continuity_convergence,
     continuity_residual,
     current,
@@ -33,7 +34,7 @@ from qdirac import (
 import qdirac.verify as ver
 from qdirac.grid import central_diff, plane_wave_sum
 from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_wave_packet
-from helpers import einsum_current, sampled_gram, sampled_source
+from helpers import difference_residual, einsum_current, sampled_gram, sampled_source
 
 POINTS = np.random.default_rng(99).uniform(-3, 3, size=(40, 4))
 
@@ -89,6 +90,60 @@ def test_residual_phase_map_invariance_massless():
             theta0=0.0, k0=sol.k0 + theta.scale(shift), k1=sol.k1 + theta.scale(shift),
             u0=sol.u0, u1=sol.u1, mass=0.0)
         assert dirac_residual(mapped, points=POINTS) <= 1e-12
+
+
+def _broken_residual_case(name):
+    """A descriptor that fails the field equation, and the potential it
+    is checked with."""
+    a = FourVector(0.3, -0.1, 0.2, 0.5)
+    sol = build_massive_solution(MassiveSpec(1.5, 0.4, (0.3, 0, 0.4), (0.2, -0.1, 0)))
+    shifted = dataclasses.replace(sol, k0=sol.k0 + a, k1=sol.k1 + a)
+    if name == "off_shell_k0":
+        return dataclasses.replace(sol, k0=FourVector(sol.k0.t + 0.45, *sol.k0.spatial())), None
+    if name == "gauge_shift_without_a":
+        return shifted, None
+    if name == "gauge_shift_with_a":
+        return shifted, a.scale(0.5)
+    if name == "packet_mass_mismatch":
+        packet = make_wave_packet(1.0, math.pi / 6, (
+            PacketSample((1.0, 0.0, 0.0), 1.0),
+            PacketSample((0.0, 1.0, 1.0), 0.8, "down", -1),
+        ), (PacketSample((0.0, 0.0, 1.0), 0.7, "down"),))
+        # terms on the m = 1 shell, checked against m = 1.4
+        return dataclasses.replace(packet, mass=1.4), None
+    theta = build_massless_theta_solution(MasslessThetaSpec(
+        FourVector(1, 0, 0.6, 0.8), kappa0=-1.5, kappa1=2.0, theta0=0.4))
+    # running phase with k0 pushed off the null line of theta
+    return dataclasses.replace(theta, k0=theta.k0 + FourVector(0.2, 0.1, 0, 0)), None
+
+
+@pytest.mark.parametrize("name", ["off_shell_k0", "gauge_shift_without_a",
+                                  "gauge_shift_with_a", "running_phase",
+                                  "packet_mass_mismatch"])
+def test_residual_matches_difference_oracle(name):
+    field, a = _broken_residual_case(name)
+    got = dirac_residual(field, a=a, points=POINTS)
+    want = difference_residual(field, POINTS, a=a)
+    assert got > 0.01
+    assert abs(got - want) <= 1e-6 * want
+
+
+def _certified_family(family):
+    if family == "massive":
+        return enumerate_massive_set(1.3, (0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77)
+    if family == "massless":
+        return enumerate_massless_theta0_set((0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77)
+    return [build_massless_theta_solution(MasslessThetaSpec(
+        FourVector(1.2, 0, 1.2, 0), kappa0=k0, kappa1=k1, theta0=0.4,
+        chirality0=c0, chirality1=c1))
+        for k0, k1, c0, c1 in ((2.0, 3.0, "R", "L"), (-1.5, 0.5, "L", "R"))]
+
+
+@pytest.mark.parametrize("family", ["massive", "massless", "running_phase"])
+def test_certified_bound_covers_sampled_residual(family):
+    points = np.random.default_rng(2024).uniform(-50, 50, size=(500, 4))
+    for s in _certified_family(family):
+        assert certify_solution(s) >= dirac_residual(s, points=points)
 
 
 # --- current ------------------------------------------------------------------
