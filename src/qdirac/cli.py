@@ -326,7 +326,7 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
         for esign0 in (1, -1):
             gram_sols.append(sol.build_massive_solution(sol.MassiveSpec(
                 mass=mass, theta0=theta0, kvec0=kv, kvec1=kv,
-                spin0=s0, spin1=s1, esign0=esign0, esign1=-esign0)))
+                spin0=s0, spin1=s1, esign0=esign0)))
     gram = ver.gram_matrix(gram_sols, grid)
     diag_scale = float(gram.diagonal.max())
     add("gram_offdiag", gram.max_offdiag / diag_scale, gram_tol)
@@ -338,7 +338,7 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     for t0 in (0.0, math.pi / 8.0, math.pi / 4.0, math.pi / 2.0):
         for esign0 in (1, -1):
             s = sol.build_massive_solution(sol.MassiveSpec(
-                mass=mass, theta0=t0, kvec0=kvec, kvec1=kvec, esign0=esign0, esign1=-esign0))
+                mass=mass, theta0=t0, kvec0=kvec, kvec1=kvec, esign0=esign0))
             want = esign0 * math.cos(2.0 * t0)
             adj_err = max(adj_err, abs(ver.adjoint_norm(s) - want))
     add("adjoint_norm", adj_err, residual_tol)

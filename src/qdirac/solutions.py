@@ -23,8 +23,13 @@ the field equation and reproduces the +-cos(2*theta0) adjoint-norm
 pattern simultaneously; every constructor re-checks its residual and
 aborts rather than fall back to a different sign convention.
 
-Spinor phases are fixed by making the first significant component real
-positive, so constructions are deterministic.
+Every plane-wave term, massless ones included, takes its spinor from the
+one closed form `build_u_spinor` for ker(slashed(k) -+ m): the massless
+kernel is its m = 0 case, with the spatial momentum as spin axis so that
+spin names the helicity.  So every term passes the same kernel check,
+normalization and phase fix.  Spinor phases are fixed by making the
+first significant component real positive, so constructions are
+deterministic.
 """
 
 from __future__ import annotations
@@ -107,21 +112,28 @@ def build_u_spinor(
     norm_choice: str = "E_over_m",
     spin_axis=None,
 ) -> np.ndarray:
-    """Closed-form element of ker(slashed(k) - mass_sign*m) for on-shell k.
+    """Closed-form element of ker(slashed(k) - mass_sign*m) for on-shell k
+    with k.t != 0, massless (m = 0) included.
 
     The 2-spinor chi is the spin-`spin` eigenvector of sigma.n for the
     quantization axis `spin_axis` (z axis when None).  Both branch shapes
     use the denominator |k.t| + m, so they are stable at every admissible
-    frequency sign.  The result is scaled to u^dag u = |k.t| ("E") or
-    |k.t|/m ("E_over_m") and its kernel membership is re-verified.
+    frequency sign.  At m = 0 the mass sign drops out; with the spatial
+    momentum as spin axis, spin names the helicity and the chirality
+    (gamma5 eigenvalue) is helicity * sign(k.t).  The result is scaled to
+    u^dag u = |k.t| ("E") or |k.t|/m ("E_over_m", m > 0 only) and its
+    kernel membership is re-verified.
     """
-    if mass <= 0.0:
-        raise ValueError("build_u_spinor requires mass > 0")
+    if not mass >= 0.0:
+        raise ValueError("build_u_spinor requires mass >= 0")
     choice(mass_sign, "mass_sign", (1, -1))
     choice(spin, "spin", SPINS)
     choice(norm_choice, "norm_choice", NORM_CHOICES)
-    shell = abs(kfour.dot(kfour) - mass * mass)
-    if shell > verify.RESIDUAL_TOL * (kfour.t * kfour.t + mass * mass):
+    if mass == 0.0 and norm_choice == "E_over_m":
+        raise ValueError("norm_choice 'E_over_m' needs mass > 0")
+    if kfour.t == 0.0:
+        raise ValueError(f"four-momentum {kfour} has zero frequency")
+    if dispersion_residual(kfour, mass) > verify.RESIDUAL_TOL:
         raise ValueError(f"four-momentum {kfour} is off the mass shell for m={mass}")
 
     chi_up, chi_down = spin_basis(spin_axis)
@@ -152,25 +164,6 @@ def build_u_spinor(
             f"for k={kfour}, mass_sign={mass_sign}"
         )
     return u
-
-
-def _massless_kernel_spinor(kfour: FourVector, chirality: str, energy: float) -> np.ndarray:
-    """Element of the 2-dimensional ker(slashed(k)) for null k != 0,
-    selected by chirality ("R" -> +1, "L" -> -1 eigenvalue of gamma5),
-    phase-fixed and scaled to u^dag u = energy.
-
-    The helicity of the returned spinor is chirality * sign(k.t) / 2 * 2;
-    concretely u = (chi_h, c*chi_h) with h = c * sign(k.t).
-    """
-    kvec = kfour.spatial()
-    if float(np.linalg.norm(kvec)) == 0.0 or kfour.t == 0.0:
-        raise ValueError("massless kernel needs a nonzero null four-momentum")
-    c = 1 if chirality == "R" else -1
-    h = c * (1 if kfour.t > 0 else -1)
-    chi_up, chi_down = spin_basis(kvec)
-    chi = chi_up if h > 0 else chi_down
-    u = _fix_phase(np.concatenate((chi, c * chi)).astype(complex))
-    return u * math.sqrt(energy / float(np.real(np.vdot(u, u))))
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +259,10 @@ class PlaneWaveSolution(_PlaneWaveSum):
 class MassiveSpec:
     """Parameters of one massive plane-wave solution.
 
-    esign0/esign1 are the branch labels of the (+-)/(-+) pairing; they
-    must be opposite.  esign1 equals the frequency sign of k1; the
-    complex half runs at the reversed frequency -esign0*E0 (see module
-    docstring).
+    esign0 is the branch label of the complex half; the j half carries
+    the opposite label -esign0 (the (+-)/(-+) pairing), which is also the
+    frequency sign of k1.  The complex half runs at the reversed
+    frequency -esign0*E0 (see module docstring).
     """
 
     mass: float
@@ -279,7 +272,6 @@ class MassiveSpec:
     spin0: str = "up"
     spin1: str = "up"
     esign0: int = 1
-    esign1: int = -1
     norm_choice: str = "E_over_m"
 
     def __post_init__(self) -> None:
@@ -291,17 +283,14 @@ class MassiveSpec:
         object.__setattr__(self, "kvec1", vector(self.kvec1, "kvec1", 3))
         for name in ("spin0", "spin1"):
             choice(getattr(self, name), name, SPINS)
-        for name in ("esign0", "esign1"):
-            choice(getattr(self, name), name, (1, -1))
-        if self.esign1 != -self.esign0:
-            raise ValueError("esign1 must be opposite to esign0 (the (+-)/(-+) pairing)")
+        choice(self.esign0, "esign0", (1, -1))
         choice(self.norm_choice, "norm_choice", NORM_CHOICES)
 
     @property
     def label(self) -> str:
         s = {"up": "u", "down": "d"}
         e = {1: "+", -1: "-"}
-        return f"{s[self.spin0]}{s[self.spin1]}{e[self.esign0]}{e[self.esign1]}"
+        return f"{s[self.spin0]}{s[self.spin1]}{e[self.esign0]}{e[-self.esign0]}"
 
 
 def _resolve_axis(spin_axis, kvec):
@@ -322,18 +311,17 @@ def _half(kvec, mass: float, half: int, esign: int, spin: str,
     complex half (0) carries the flipped mass sign, so it runs at
     -esign*E with u in ker(slashed(k) + m); the j half (1) runs at
     +esign*E with u in ker(slashed(k) - m).  Massless: the frequency is
-    esign*|k|, spin names the helicity, and the chirality is helicity *
-    frequency sign.
+    esign*|k| on both halves, the mass sign drops out, the spin axis is
+    the momentum, so spin names the helicity, and u^dag u = |k.t|.
     """
     if mass > 0:
         mass_sign = 1 if half else -1
         k = FourVector(mass_sign * esign * mass_shell_energy(kvec, mass), *kvec)
-        u = build_u_spinor(k, mass, mass_sign=mass_sign, spin=spin, norm_choice=norm_choice,
-                           spin_axis=_resolve_axis(spin_axis, kvec))
+        axis = _resolve_axis(spin_axis, kvec)
     else:
         k = FourVector(esign * mass_shell_energy(kvec, 0.0), *kvec)
-        h = 1 if spin == "up" else -1
-        u = _massless_kernel_spinor(k, "R" if h * esign > 0 else "L", abs(k.t))
+        mass_sign, norm_choice, axis = 1, "E", kvec
+    u = build_u_spinor(k, mass, mass_sign, spin, norm_choice, axis)
     u.setflags(write=False)
     return k, u
 
@@ -341,7 +329,7 @@ def _half(kvec, mass: float, half: int, esign: int, spin: str,
 def build_massive_solution(spec: MassiveSpec, spin_axis=None) -> PlaneWaveSolution:
     """Certified massive plane-wave solution for one label combination."""
     k0, u0 = _half(spec.kvec0, spec.mass, 0, spec.esign0, spec.spin0, spec.norm_choice, spin_axis)
-    k1, u1 = _half(spec.kvec1, spec.mass, 1, spec.esign1, spec.spin1, spec.norm_choice, spin_axis)
+    k1, u1 = _half(spec.kvec1, spec.mass, 1, -spec.esign0, spec.spin1, spec.norm_choice, spin_axis)
     sol = PlaneWaveSolution(
         theta0=spec.theta0, k0=k0, k1=k1, u0=u0, u1=u1,
         mass=spec.mass, theta=ZERO_FOUR, label=spec.label,
@@ -368,8 +356,7 @@ def enumerate_massive_set(
         for esign0 in (1, -1):
             spec = MassiveSpec(
                 mass=mass, theta0=theta0, kvec0=kvec0, kvec1=kvec1,
-                spin0=spin0, spin1=spin1, esign0=esign0, esign1=-esign0,
-                norm_choice=norm_choice,
+                spin0=spin0, spin1=spin1, esign0=esign0, norm_choice=norm_choice,
             )
             out.append(build_massive_solution(spec, spin_axis=spin_axis))
     return out
@@ -385,8 +372,8 @@ class MasslessThetaSpec:
 
     theta must be null and nonzero; the component momenta are
     k_alpha = kappa_alpha * theta with nonzero real kappas, and each
-    component spinor is the chirality-selected kernel element of
-    slashed(theta).
+    component spinor is the chirality-selected element of
+    ker slashed(k_alpha) = ker slashed(theta).
     """
 
     theta: FourVector
@@ -418,10 +405,11 @@ def build_massless_theta_solution(spec: MasslessThetaSpec) -> PlaneWaveSolution:
     """Certified massless solution with running phase direction theta."""
     k0 = spec.theta.scale(spec.kappa0)
     k1 = spec.theta.scale(spec.kappa1)
-    # kernel of slashed(theta), not of slashed(k): for kappa < 0 the two
-    # differ in helicity; normalization forced to u^dag u = |k.t|
-    u0 = _massless_kernel_spinor(spec.theta, spec.chirality0, abs(k0.t))
-    u1 = _massless_kernel_spinor(spec.theta, spec.chirality1, abs(k1.t))
+    # ker slashed(k) = ker slashed(theta); the helicity along k is
+    # chirality * sign(k.t), which flips with the sign of kappa
+    u0, u1 = (
+        build_u_spinor(k, 0.0, 1, "up" if (c == "R") == (k.t > 0) else "down", "E", k.spatial())
+        for k, c in ((k0, spec.chirality0), (k1, spec.chirality1)))
     sol = PlaneWaveSolution(
         theta0=spec.theta0, k0=k0, k1=k1, u0=u0, u1=u1,
         mass=0.0, theta=spec.theta, label=spec.label,
@@ -439,11 +427,13 @@ def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWave
     kvec0 = vector(kvec0, "kvec0", 3)
     kvec1 = vector(kvec1, "kvec1", 3)
     theta0 = number(theta0, "theta0")
+    # the four distinct terms, each built once; at positive frequency
+    # the chirality equals the helicity
+    terms = [{c: _half(kvec, 0.0, half, 1, "up" if c == "R" else "down") for c in CHIRALITIES}
+             for half, kvec in enumerate((kvec0, kvec1))]
     out = []
     for c0, c1 in _CHIRALITY_PAIRS:
-        # at positive frequency the chirality equals the helicity
-        k0, u0 = _half(kvec0, 0.0, 0, 1, "up" if c0 == "R" else "down")
-        k1, u1 = _half(kvec1, 0.0, 1, 1, "up" if c1 == "R" else "down")
+        (k0, u0), (k1, u1) = terms[0][c0], terms[1][c1]
         sol = PlaneWaveSolution(
             theta0=theta0, k0=k0, k1=k1, u0=u0, u1=u1,
             mass=0.0, theta=ZERO_FOUR, label=f"{c0}{c1}",
@@ -598,22 +588,17 @@ class WavePacket(_PlaneWaveSum):
         return self._sample_grid(grid)
 
 
-def _packet_term(sample: PacketSample, mass: float, component: int):
-    return (sample.amplitude, *_half(sample.kvec, mass, component, sample.esign, sample.spin))
-
-
 def build_wave_packet(spec: WavePacketSpec) -> WavePacket:
     """Single-component packet; the other symplectic half is zero."""
-    terms = tuple(_packet_term(s, spec.mass, spec.component) for s in spec.samples)
-    if spec.component == 0:
-        return WavePacket(spec.mass, 0.0, terms, ())
-    return WavePacket(spec.mass, math.pi / 2.0, (), terms)
+    samples = (spec.samples, ()) if spec.component == 0 else ((), spec.samples)
+    return make_wave_packet(spec.mass, spec.component * math.pi / 2.0, *samples)
 
 
 def make_wave_packet(mass: float, theta0: float, samples0, samples1) -> WavePacket:
     """Two-component packet with an explicit mixing angle."""
-    terms0 = tuple(_packet_term(s, mass, 0) for s in samples0)
-    terms1 = tuple(_packet_term(s, mass, 1) for s in samples1)
+    terms0, terms1 = (tuple((s.amplitude, *_half(s.kvec, mass, half, s.esign, s.spin))
+                            for s in samples)
+                      for half, samples in enumerate((samples0, samples1)))
     return WavePacket(float(mass), float(theta0), terms0, terms1)
 
 
@@ -633,15 +618,12 @@ def certify_solution(sol: PlaneWaveSolution) -> float:
             raise CertificationError(
                 f"stored momentum {k} violates the dispersion relation for m={sol.mass}"
             )
-    res = float(sum(np.linalg.norm(r, axis=1).sum() for _, r in verify.term_residuals(sol)))
+    terms = verify.term_residuals(sol)
+    res = float(sum(np.linalg.norm(r, axis=1).sum() for _, r in terms))
     if not math.isfinite(res):
         raise ValueError(f"solution {sol.label!r} overflows: mass or momenta too large")
-    k_scale = max(
-        1.0,
-        float(np.abs(sol.k0.as_array()).max()),
-        float(np.abs(sol.k1.as_array()).max()),
-        sol.mass,
-    )
+    # a running phase moves the term momenta to k +- theta
+    k_scale = max([1.0, sol.mass, *(float(np.abs(kl).max()) for kl, _ in terms if kl.size)])
     u_scale = max(1.0, float(np.linalg.norm(sol.u0)), float(np.linalg.norm(sol.u1)))
     if res > verify.RESIDUAL_TOL * k_scale * u_scale:
         raise CertificationError(
@@ -655,7 +637,7 @@ def certify_solution(sol: PlaneWaveSolution) -> float:
 
 
 def massive_spec_from_dict(d: dict) -> MassiveSpec:
-    return MassiveSpec(
+    spec = MassiveSpec(
         mass=require(d, "mass"),
         theta0=require(d, "theta0"),
         kvec0=require(d, "kvec0"),
@@ -663,9 +645,12 @@ def massive_spec_from_dict(d: dict) -> MassiveSpec:
         spin0=d.get("spin0", "up"),
         spin1=d.get("spin1", "up"),
         esign0=sign(d.get("esign0", "+"), "esign0"),
-        esign1=sign(d.get("esign1", "-"), "esign1"),
         norm_choice=d.get("norm_choice", "E_over_m"),
     )
+    # esign1 is optional and must be the opposite label
+    if "esign1" in d and sign(d["esign1"], "esign1") != -spec.esign0:
+        raise ValueError("field 'esign1' must be opposite to 'esign0' (the (+-)/(-+) pairing)")
+    return spec
 
 
 def massless_theta_spec_from_dict(d: dict) -> MasslessThetaSpec:

@@ -165,8 +165,7 @@ def test_criterion_5_gram_orthogonality():
     for (s0, s1), kv in zip(SPIN_PAIRS, directions):
         for esign0 in (1, -1):
             sols.append(build_massive_solution(MassiveSpec(
-                1.0, theta0, kv, kv, spin0=s0, spin1=s1,
-                esign0=esign0, esign1=-esign0)))
+                1.0, theta0, kv, kv, spin0=s0, spin1=s1, esign0=esign0)))
     rep = gram_matrix(sols, grid)
     assert rep.matrix.shape == (8, 8)
     diag_scale = float(rep.diagonal.max())
@@ -183,10 +182,8 @@ def test_criterion_6_adjoint_norms():
     worst = 0.0
     kvec = (0.4, -0.1, 0.8)
     for theta0 in (0.0, math.pi / 8, math.pi / 4, math.pi / 2):
-        plus = build_massive_solution(MassiveSpec(1.0, theta0, kvec, kvec,
-                                                  esign0=1, esign1=-1))
-        minus = build_massive_solution(MassiveSpec(1.0, theta0, kvec, kvec,
-                                                   esign0=-1, esign1=1))
+        plus = build_massive_solution(MassiveSpec(1.0, theta0, kvec, kvec, esign0=1))
+        minus = build_massive_solution(MassiveSpec(1.0, theta0, kvec, kvec, esign0=-1))
         want = math.cos(2.0 * theta0)
         worst = max(worst, abs(adjoint_norm(plus) - want),
                     abs(adjoint_norm(minus) + want))

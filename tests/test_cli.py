@@ -470,6 +470,11 @@ def test_tol_only_on_catalog_and_verify(tmp_path, command, payload):
     ("catalog", {"kind": "massive", "mass": 1.0, "kvec0": [0, 0, 1e150],
                  "kvec1": [0, 0, 1], "theta0": 0.5}, "too large"),
     ("packet", _packet_config({"amplitude": 1e154}), "too large"),
+    # massless spinors are kernel-checked like massive ones
+    ("catalog", {"kind": "massless", "kvec0": [3e150, -5e150, 8e150],
+                 "kvec1": [0, 0, 1], "theta0": 0.5}, "too large"),
+    ("packet", _packet_config({"kvec": [3e119, -5e119, 8e119]}), "too large"),
+    ("packet", {**_packet_config({"kvec": [3e119, -5e119, 8e119]}), "mass": 0.0}, "too large"),
 ])
 def test_overflowing_input_names_cause(tmp_path, command, payload, cause):
     cfg = write_json(tmp_path / "big.json", {"schema_version": 1, **payload})
@@ -615,3 +620,6 @@ def test_fuzzed_config_exit_contract(tmp_path, command, data):
     assert result.exit_code in (0, 1, 2), (path, result.stderr)
     if result.exit_code in (0, 1):
         json.loads(result.stdout, parse_constant=_reject_constant)
+    else:
+        assert result.stderr.startswith("config error: "), (path, result.stderr)
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), (path, result.stderr)

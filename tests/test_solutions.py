@@ -34,7 +34,11 @@ from qdirac.solutions import (
     massless_theta_spec_from_dict,
     packet_spec_from_dict,
 )
+from qdirac.spinor import GAMMA
 from helpers import in_span, null_space, random_null_fourvector
+
+# chirality operator; "R" is its +1 eigenvalue, "L" its -1 eigenvalue
+GAMMA5 = 1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]
 
 RNG_POINTS = np.random.default_rng(77).uniform(-3, 3, size=(40, 4))
 
@@ -147,6 +151,30 @@ def test_u_spinor_input_validation():
         build_u_spinor(FourVector(1.0, 0, 0, 0), 1.0, 2, "up")
 
 
+def test_u_spinor_massless_case():
+    # m = 0 is the massless kernel: only the "E" norm, and k.t must be nonzero
+    with pytest.raises(ValueError, match="E_over_m"):
+        build_u_spinor(FourVector(1, 0, 0, 1), 0.0, 1, "up", "E_over_m")
+    for k in (FourVector(), FourVector(0, 1, 0, 0)):
+        with pytest.raises(ValueError, match="frequency"):
+            build_u_spinor(k, 0.0, 1, "up", "E")
+    with pytest.raises(ValueError, match="mass shell"):
+        build_u_spinor(FourVector(1, 0, 0, 0.5), 0.0, 1, "up", "E")
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        k = random_null_fourvector(rng)
+        basis = null_space(slashed(k))
+        for mass_sign in (1, -1):
+            for axis in (None, k.spatial()):
+                up, down = (build_u_spinor(k, 0.0, mass_sign, spin, "E", axis) for spin in ("up", "down"))
+                for u in (up, down):
+                    assert np.linalg.norm(slashed(k) @ u) <= 1e-12 * abs(k.t) * np.linalg.norm(u)
+                    assert in_span(u, basis) <= 1e-10
+                    assert np.real(np.vdot(u, u)) == pytest.approx(abs(k.t), rel=1e-12)
+                sol = PlaneWaveSolution(0.3, k, k, up, down, 0.0)
+                assert certify_solution(sol) <= 1e-12 * max(1.0, abs(k.t))
+
+
 # --- massive solutions -----------------------------------------------------------
 
 def test_symplectic_limits():
@@ -180,14 +208,18 @@ def test_density_generic_mixture():
 
 
 def test_massive_spec_pairing_enforced():
-    with pytest.raises(ValueError):
-        MassiveSpec(1.0, 0.0, (0, 0, 1), (0, 0, 1), esign0=1, esign1=1)
+    # the j-half label is derived as -esign0; a JSON spec may still name it
+    assert MassiveSpec(1.0, 0.0, (0, 0, 1), (0, 0, 1), esign0=-1).label == "uu-+"
+    d = {"mass": 1.0, "theta0": 0.0, "kvec0": [0, 0, 1], "kvec1": [0, 0, 1]}
+    with pytest.raises(ValueError, match="esign1"):
+        massive_spec_from_dict({**d, "esign0": "+", "esign1": "+"})
+    assert massive_spec_from_dict({**d, "esign0": "-"}).esign0 == -1
 
 
 def test_bool_sign_rejected():
     # True == 1, so a plain membership test would take True for +1
     with pytest.raises(ValueError, match="esign0"):
-        MassiveSpec(mass=1.0, theta0=0.0, kvec0=(0, 0, 1), kvec1=(0, 0, 1), esign0=True, esign1=-1)
+        MassiveSpec(mass=1.0, theta0=0.0, kvec0=(0, 0, 1), kvec1=(0, 0, 1), esign0=True)
     with pytest.raises(ValueError, match="esign"):
         PacketSample((0, 0, 1), 1.0, "up", True)
 
@@ -236,6 +268,27 @@ def test_certification_rejects_wrong_kernel_spinor():
     broken = dataclasses.replace(sol, u0=sol.u1)
     with pytest.raises(CertificationError):
         certify_solution(broken)
+
+
+BIG_THETA = FourVector(1e4, 6e3, 0, 8e3)
+
+
+def test_running_phase_certified_at_term_momenta():
+    # |k0| = |k1| = 1, but the plane-wave terms run at (1e-4 +- 1) theta,
+    # and the residual bound scales with those momenta
+    sol = build_massless_theta_solution(MasslessThetaSpec(BIG_THETA, kappa0=1e-4, kappa1=1e-4))
+    u_scale = max(1.0, float(np.linalg.norm(sol.u0)), float(np.linalg.norm(sol.u1)))
+    assert certify_solution(sol) <= 1e-12 * 1e4 * u_scale
+
+
+def test_certification_rejects_running_phase_spinor_outside_kernel():
+    # a null theta rotated in space: its kernel spinor is not in ker slashed(BIG_THETA)
+    sol = build_massless_theta_solution(MasslessThetaSpec(BIG_THETA, kappa0=1e-4, kappa1=1e-4))
+    other = build_massless_theta_solution(
+        MasslessThetaSpec(FourVector(1e4, 0, 6e3, 8e3), kappa0=1e-4, kappa1=1e-4))
+    for broken in (dataclasses.replace(sol, u0=other.u0), dataclasses.replace(sol, u1=other.u1)):
+        with pytest.raises(CertificationError):
+            certify_solution(broken)
 
 
 # --- constraint reports -----------------------------------------------------------
@@ -339,6 +392,43 @@ def test_massless_chirality_is_helicity():
         assert rep.h1 == pytest.approx(want[s.label[1]], abs=1e-12)
 
 
+def _massless_terms():
+    """(k, u, chirality) of every kind of massless term: the constant-phase
+    set, running phases at both signs of kappa and of theta.t, and packet
+    samples at both esign values (chirality = helicity * esign)."""
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        for s in enumerate_massless_theta0_set(*rng.uniform(-2, 2, size=(2, 3)), 0.4):
+            yield s.k0, s.u0, s.label[0]
+            yield s.k1, s.u1, s.label[1]
+    for _ in range(5):
+        theta = random_null_fourvector(rng)
+        for th in (theta, theta.scale(-1.0)):
+            for kappa0, kappa1 in ((-1.3, 0.7), (0.4, -2.1)):
+                for c0, c1 in (("L", "R"), ("R", "L")):
+                    s = build_massless_theta_solution(MasslessThetaSpec(th, kappa0, kappa1, 0.2, c0, c1))
+                    yield s.k0, s.u0, c0
+                    yield s.k1, s.u1, c1
+    for component in (0, 1):
+        samples = [PacketSample(rng.uniform(-2, 2, size=3), 1.0, spin, esign)
+                   for spin in ("up", "down") for esign in (1, -1)]
+        packet = build_wave_packet(WavePacketSpec(component, 0.0, samples))
+        for sample, (_, k, u) in zip(samples, (packet.terms0, packet.terms1)[component]):
+            assert k.t * sample.esign > 0
+            yield k, u, "R" if (sample.spin == "up") == (sample.esign > 0) else "L"
+
+
+def test_massless_terms_are_chiral_kernel_elements():
+    count = 0
+    for k, u, chirality in _massless_terms():
+        c = 1 if chirality == "R" else -1
+        assert np.linalg.norm(GAMMA5 @ u - c * u) <= 1e-12 * np.linalg.norm(u)
+        assert in_span(u, null_space(slashed(k))) <= 1e-10
+        assert np.real(np.vdot(u, u)) == pytest.approx(abs(k.t), rel=1e-12)
+        count += 1
+    assert count == 40 + 80 + 8
+
+
 def test_massless_zero_momentum_rejected():
     with pytest.raises(ValueError):
         enumerate_massless_theta0_set((0, 0, 0), (0, 0, 1), 0.0)
@@ -415,7 +505,7 @@ def test_packet_terms_match_solution_halves():
     m, kvec0, kvec1 = 1.4, (0.3, -0.5, 0.8), (-0.2, 0.6, 0.1)
     for spin in ("up", "down"):
         for esign0 in (1, -1):
-            sol = build_massive_solution(MassiveSpec(m, 0.3, kvec0, kvec1, spin, spin, esign0, -esign0))
+            sol = build_massive_solution(MassiveSpec(m, 0.3, kvec0, kvec1, spin, spin, esign0))
             halves = ((0, kvec0, esign0, sol.k0, sol.u0), (1, kvec1, -esign0, sol.k1, sol.u1))
             for component, kvec, esign, k, u in halves:
                 packet = build_wave_packet(
@@ -454,7 +544,7 @@ THETA_SPEC = MasslessThetaSpec(FourVector(1, 0, 0.6, 0.8), kappa0=-1.5, kappa1=2
 def _eval_field(name):
     if name == "massive":
         return build_massive_solution(MassiveSpec(
-            1.3, 0.7, (0.4, -0.2, 1.0), (0.1, 0.5, -0.3), "down", "up", -1, 1))
+            1.3, 0.7, (0.4, -0.2, 1.0), (0.1, 0.5, -0.3), "down", "up", -1))
     if name == "theta_negative_kappa":
         return build_massless_theta_solution(THETA_SPEC)
     return make_wave_packet(1.0, math.pi / 6, (
@@ -492,7 +582,7 @@ def test_theta_solution_matches_closed_form():
 # --- JSON schemas ---------------------------------------------------------------------
 
 def test_massive_spec_json_round_trip():
-    spec = MassiveSpec(1.5, 0.7, (0.1, 0.2, 0.3), (0, 0, 1), "down", "up", -1, 1, "E")
+    spec = MassiveSpec(1.5, 0.7, (0.1, 0.2, 0.3), (0, 0, 1), "down", "up", -1, "E")
     d = {"schema_version": 1, "kind": "massive", "mass": 1.5, "theta0": 0.7,
          "kvec0": [0.1, 0.2, 0.3], "kvec1": [0, 0, 1], "spin0": "down", "spin1": "up",
          "esign0": "-", "esign1": "+", "norm_choice": "E"}

@@ -392,7 +392,7 @@ def eight_state_set(theta0: float, mass: float = 1.0):
     for (s0, s1), kv in zip(SPIN_PAIRS, directions):
         for esign0 in (1, -1):
             sols.append(build_massive_solution(MassiveSpec(
-                mass, theta0, kv, kv, spin0=s0, spin1=s1, esign0=esign0, esign1=-esign0)))
+                mass, theta0, kv, kv, spin0=s0, spin1=s1, esign0=esign0)))
     return sols
 
 
@@ -427,7 +427,7 @@ def test_gram_shared_momentum_overlap_formula():
     kvec = commensurate((1, 0, 0))
     m = 1.0
     mk = lambda s0, s1: build_massive_solution(
-        MassiveSpec(m, t0, kvec, kvec, spin0=s0, spin1=s1, esign0=1, esign1=-1))
+        MassiveSpec(m, t0, kvec, kvec, spin0=s0, spin1=s1, esign0=1))
     e = mass_shell_energy(kvec, m) / m
     vol = BOX**3
     uu, ud, du = mk("up", "up"), mk("up", "down"), mk("down", "up")
@@ -441,8 +441,8 @@ def test_gram_shared_momentum_overlap_formula():
 def test_gram_opposite_branches_orthogonal_at_shared_momentum():
     grid = periodic_box(cells=8)
     kvec = commensurate((1, 0, 0))
-    a = build_massive_solution(MassiveSpec(1.0, 0.7, kvec, kvec, esign0=1, esign1=-1))
-    b = build_massive_solution(MassiveSpec(1.0, 0.7, kvec, kvec, esign0=-1, esign1=1))
+    a = build_massive_solution(MassiveSpec(1.0, 0.7, kvec, kvec, esign0=1))
+    b = build_massive_solution(MassiveSpec(1.0, 0.7, kvec, kvec, esign0=-1))
     scale = inner_product_grid(a, a, grid)
     assert abs(inner_product_grid(a, b, grid)) <= 1e-12 * scale
 
@@ -509,8 +509,8 @@ def test_gram_memory_does_not_grow_with_box_volume():
 @pytest.mark.parametrize("theta0", [0.0, math.pi / 8, math.pi / 4, math.pi / 2])
 def test_adjoint_norm_branch_pattern(theta0):
     kvec = (0.4, -0.1, 0.8)
-    plus = build_massive_solution(MassiveSpec(1.0, theta0, kvec, kvec, esign0=1, esign1=-1))
-    minus = build_massive_solution(MassiveSpec(1.0, theta0, kvec, kvec, esign0=-1, esign1=1))
+    plus = build_massive_solution(MassiveSpec(1.0, theta0, kvec, kvec, esign0=1))
+    minus = build_massive_solution(MassiveSpec(1.0, theta0, kvec, kvec, esign0=-1))
     want = math.cos(2 * theta0)
     assert adjoint_norm(plus) == pytest.approx(want, abs=1e-12)
     assert adjoint_norm(minus) == pytest.approx(-want, abs=1e-12)
