@@ -27,9 +27,10 @@ Every plane-wave term, massless ones included, takes its spinor from the
 one closed form `build_u_spinor` for ker(slashed(k) -+ m): the massless
 kernel is its m = 0 case, with the spatial momentum as spin axis so that
 spin names the helicity.  So every term passes the same kernel check,
-normalization and phase fix.  Spinor phases are fixed by making the
-first significant component real positive, so constructions are
-deterministic.
+normalization and phase fix (the first significant component is made
+real positive, so builds are deterministic).  A set builds each distinct
+term once (4 per half for the 8 massive solutions, 2 for the 4 massless
+ones), and every solution is assembled and certified by `_solution`.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ def build_u_spinor(
     u = np.concatenate(blocks).astype(complex)
 
     target = energy if norm_choice == "E" else energy / mass
+    if not math.isfinite(target):
+        raise ValueError(f"mass {mass!r} is too small: u^dag u = |k.t|/m overflows")
     u = u * math.sqrt(target / float(np.real(np.vdot(u, u))))
     u = _fix_phase(u)
 
@@ -288,9 +291,12 @@ class MassiveSpec:
 
     @property
     def label(self) -> str:
-        s = {"up": "u", "down": "d"}
-        e = {1: "+", -1: "-"}
-        return f"{s[self.spin0]}{s[self.spin1]}{e[self.esign0]}{e[-self.esign0]}"
+        return _massive_label(self.spin0, self.spin1, self.esign0)
+
+
+def _massive_label(spin0: str, spin1: str, esign0: int) -> str:
+    """Label such as "ud+-": the two spins, then the branch labels esign0, -esign0."""
+    return f"{spin0[0]}{spin1[0]}{'+-' if esign0 > 0 else '-+'}"
 
 
 def _resolve_axis(spin_axis, kvec):
@@ -326,16 +332,21 @@ def _half(kvec, mass: float, half: int, esign: int, spin: str,
     return k, u
 
 
-def build_massive_solution(spec: MassiveSpec, spin_axis=None) -> PlaneWaveSolution:
-    """Certified massive plane-wave solution for one label combination."""
-    k0, u0 = _half(spec.kvec0, spec.mass, 0, spec.esign0, spec.spin0, spec.norm_choice, spin_axis)
-    k1, u1 = _half(spec.kvec1, spec.mass, 1, -spec.esign0, spec.spin1, spec.norm_choice, spin_axis)
-    sol = PlaneWaveSolution(
-        theta0=spec.theta0, k0=k0, k1=k1, u0=u0, u1=u1,
-        mass=spec.mass, theta=ZERO_FOUR, label=spec.label,
-    )
+def _solution(theta0: float, mass: float, term0, term1, label: str,
+              theta: FourVector = ZERO_FOUR) -> PlaneWaveSolution:
+    """Certified solution from the (k, u) term of each half."""
+    (k0, u0), (k1, u1) = term0, term1
+    sol = PlaneWaveSolution(theta0, k0, k1, u0, u1, mass, theta, label)
     certify_solution(sol)
     return sol
+
+
+def build_massive_solution(spec: MassiveSpec) -> PlaneWaveSolution:
+    """Certified massive plane-wave solution for one label combination."""
+    return _solution(spec.theta0, spec.mass,
+                     _half(spec.kvec0, spec.mass, 0, spec.esign0, spec.spin0, spec.norm_choice),
+                     _half(spec.kvec1, spec.mass, 1, -spec.esign0, spec.spin1, spec.norm_choice),
+                     spec.label)
 
 
 SPIN_PAIRS = (("up", "up"), ("down", "down"), ("up", "down"), ("down", "up"))
@@ -351,15 +362,16 @@ def enumerate_massive_set(
 ) -> list[PlaneWaveSolution]:
     """The eight labeled massive solutions, in the fixed order
     (uu,+-), (uu,-+), (dd,+-), (dd,-+), (ud,+-), (ud,-+), (du,+-), (du,-+)."""
-    out = []
-    for spin0, spin1 in SPIN_PAIRS:
-        for esign0 in (1, -1):
-            spec = MassiveSpec(
-                mass=mass, theta0=theta0, kvec0=kvec0, kvec1=kvec1,
-                spin0=spin0, spin1=spin1, esign0=esign0, norm_choice=norm_choice,
-            )
-            out.append(build_massive_solution(spec, spin_axis=spin_axis))
-    return out
+    spec = MassiveSpec(mass=mass, theta0=theta0, kvec0=kvec0, kvec1=kvec1, norm_choice=norm_choice)
+    # the eight distinct terms, each built once and keyed by (spin, esign0);
+    # the j half carries the opposite label -esign0
+    terms = [{(spin, e): _half(kvec, spec.mass, half, -e if half else e, spin,
+                               spec.norm_choice, spin_axis)
+              for spin in SPINS for e in (1, -1)}
+             for half, kvec in enumerate((spec.kvec0, spec.kvec1))]
+    return [_solution(spec.theta0, spec.mass, terms[0][spin0, e], terms[1][spin1, e],
+                      _massive_label(spin0, spin1, e))
+            for spin0, spin1 in SPIN_PAIRS for e in (1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +419,10 @@ def build_massless_theta_solution(spec: MasslessThetaSpec) -> PlaneWaveSolution:
     k1 = spec.theta.scale(spec.kappa1)
     # ker slashed(k) = ker slashed(theta); the helicity along k is
     # chirality * sign(k.t), which flips with the sign of kappa
-    u0, u1 = (
-        build_u_spinor(k, 0.0, 1, "up" if (c == "R") == (k.t > 0) else "down", "E", k.spatial())
+    term0, term1 = (
+        (k, build_u_spinor(k, 0.0, 1, "up" if (c == "R") == (k.t > 0) else "down", "E", k.spatial()))
         for k, c in ((k0, spec.chirality0), (k1, spec.chirality1)))
-    sol = PlaneWaveSolution(
-        theta0=spec.theta0, k0=k0, k1=k1, u0=u0, u1=u1,
-        mass=0.0, theta=spec.theta, label=spec.label,
-    )
-    certify_solution(sol)
-    return sol
+    return _solution(spec.theta0, 0.0, term0, term1, spec.label, spec.theta)
 
 
 _CHIRALITY_PAIRS = (("L", "L"), ("L", "R"), ("R", "L"), ("R", "R"))
@@ -431,16 +438,8 @@ def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWave
     # the chirality equals the helicity
     terms = [{c: _half(kvec, 0.0, half, 1, "up" if c == "R" else "down") for c in CHIRALITIES}
              for half, kvec in enumerate((kvec0, kvec1))]
-    out = []
-    for c0, c1 in _CHIRALITY_PAIRS:
-        (k0, u0), (k1, u1) = terms[0][c0], terms[1][c1]
-        sol = PlaneWaveSolution(
-            theta0=theta0, k0=k0, k1=k1, u0=u0, u1=u1,
-            mass=0.0, theta=ZERO_FOUR, label=f"{c0}{c1}",
-        )
-        certify_solution(sol)
-        out.append(sol)
-    return out
+    return [_solution(theta0, 0.0, terms[0][c0], terms[1][c1], f"{c0}{c1}")
+            for c0, c1 in _CHIRALITY_PAIRS]
 
 
 # ---------------------------------------------------------------------------

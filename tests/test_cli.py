@@ -475,6 +475,11 @@ def test_tol_only_on_catalog_and_verify(tmp_path, command, payload):
                  "kvec1": [0, 0, 1], "theta0": 0.5}, "too large"),
     ("packet", _packet_config({"kvec": [3e119, -5e119, 8e119]}), "too large"),
     ("packet", {**_packet_config({"kvec": [3e119, -5e119, 8e119]}), "mass": 0.0}, "too large"),
+    # a subnormal mass overflows the E_over_m normalization |k.t|/m
+    ("catalog", {"kind": "massive", "mass": 1e-310, "kvec0": [0, 0, 1],
+                 "kvec1": [0, 1, 0], "theta0": 0.5}, "too small"),
+    ("verify", {"mass": 1e-310}, "too small"),
+    ("packet", {**_packet_config(), "mass": 1e-310}, "too small"),
 ])
 def test_overflowing_input_names_cause(tmp_path, command, payload, cause):
     cfg = write_json(tmp_path / "big.json", {"schema_version": 1, **payload})

@@ -14,6 +14,7 @@ from qdirac import (
     PlaneWaveSolution,
     WavePacket,
     WavePacketSpec,
+    adjoint_norm,
     build_massive_solution,
     build_massless_theta_solution,
     build_u_spinor,
@@ -29,7 +30,9 @@ from qdirac import (
     slashed,
     SpacetimeGrid,
 )
+from qdirac import solutions
 from qdirac.solutions import (
+    _half,
     massive_spec_from_dict,
     massless_theta_spec_from_dict,
     packet_spec_from_dict,
@@ -225,9 +228,6 @@ def test_bool_sign_rejected():
 
 
 def test_spin_axis_vector_rejected():
-    spec = MassiveSpec(1.0, 0.4, (0, 0, 1), (0, 1, 0))
-    with pytest.raises(ValueError, match="spin_axis"):
-        build_massive_solution(spec, spin_axis=(0.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="spin_axis"):
         enumerate_massive_set(1.0, (0, 0, 1), (0, 1, 0), 0.4, spin_axis=np.array([0.0, 0.0, 1.0]))
 
@@ -240,6 +240,82 @@ def test_enumerate_massive_set_labels_and_residuals():
                       "ud+-", "ud-+", "du+-", "du-+"]
     for s in sols:
         assert dirac_residual(s, points=RNG_POINTS) <= 1e-12
+
+
+def _member_alone(mass, kvec0, kvec1, theta0, norm_choice, spin_axis,
+                  spin0="up", spin1="up", esign0=1):
+    """One member of the massive set, built on its own: by
+    build_massive_solution for the z spin axis, else from its two halves."""
+    spec = MassiveSpec(mass, theta0, kvec0, kvec1, spin0, spin1, esign0, norm_choice)
+    if spin_axis is None:
+        return build_massive_solution(spec)
+    (k0, u0), (k1, u1) = (_half(kvec, spec.mass, half, e, spin, norm_choice, spin_axis)
+                          for half, kvec, e, spin in ((0, spec.kvec0, esign0, spin0),
+                                                      (1, spec.kvec1, -esign0, spin1)))
+    sol = PlaneWaveSolution(spec.theta0, k0, k1, u0, u1, spec.mass, label=spec.label)
+    certify_solution(sol)
+    return sol
+
+
+@pytest.mark.parametrize("norm_choice", ["E", "E_over_m"])
+@pytest.mark.parametrize("spin_axis", [None, "momentum"])
+def test_massive_set_members_equal_their_single_builds(norm_choice, spin_axis):
+    # distinct kvec0 and kvec1, so a term taken from the wrong half shows
+    kvec0, kvec1 = (0.2, 0.3, -0.4), (-0.5, 0.7, 0.1)
+    members = [(s0, s1, e) for s0, s1 in solutions.SPIN_PAIRS for e in (1, -1)]
+    for mass in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
+        sols = enumerate_massive_set(mass, kvec0, kvec1, 0.7, norm_choice, spin_axis)
+        for s, (spin0, spin1, esign0) in zip(sols, members, strict=True):
+            want = _member_alone(mass, kvec0, kvec1, 0.7, norm_choice, spin_axis,
+                                 spin0, spin1, esign0)
+            assert (s.k0, s.k1, s.label, s.theta0, s.mass) == (
+                want.k0, want.k1, want.label, want.theta0, want.mass)
+            assert np.array_equal(s.u0, want.u0) and np.array_equal(s.u1, want.u1)
+
+
+def test_set_builders_make_one_half_call_per_distinct_term(monkeypatch):
+    calls = []
+
+    def counting_half(*args, **kwargs):
+        calls.append(args)
+        return _half(*args, **kwargs)
+
+    monkeypatch.setattr(solutions, "_half", counting_half)
+    enumerate_massive_set(1.1, (0.2, 0.3, -0.4), (0.5, 0.0, 0.1), 0.3)
+    assert len(calls) == 8
+    calls.clear()
+    enumerate_massless_theta0_set((0.2, 0.3, -0.4), (0.5, 0.0, 0.1), 0.3)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("change", [
+    {"mass": 0.0},
+    {"mass": -1.0},
+    {"kvec0": (0.0, float("nan"), 1.0)},
+    {"norm_choice": "bogus"},
+    {"spin_axis": (0.0, 0.0, 1.0)},
+    {"kvec1": (0.0, 0.0, 1e200)},
+])
+def test_massive_set_rejects_like_its_first_member(change):
+    args = {"mass": 1.0, "kvec0": (0.2, 0.3, -0.4), "kvec1": (0.5, 0.0, 0.1),
+            "theta0": 0.3, "norm_choice": "E_over_m", "spin_axis": None, **change}
+    with pytest.raises(ValueError) as alone:
+        _member_alone(**args)
+    with pytest.raises(ValueError) as in_set:
+        enumerate_massive_set(**args)
+    assert type(in_set.value) is type(alone.value)
+    assert str(in_set.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("mass", [1.0, 0.3, 7.0])
+def test_rephased_solution_adjoint_norm_equals_fresh_build(mass):
+    # the verify adjoint check re-phases uu+- and uu-+ of its massive set
+    kvec = (1.0, 0.0, 1.0)
+    sols = enumerate_massive_set(mass, kvec, kvec, math.pi / 8.0)
+    for t0 in (0.0, math.pi / 8.0, math.pi / 4.0, math.pi / 2.0):
+        for s, esign0 in zip(sols[:2], (1, -1)):
+            fresh = build_massive_solution(MassiveSpec(mass, t0, kvec, kvec, esign0=esign0))
+            assert adjoint_norm(dataclasses.replace(s, theta0=t0)) == adjoint_norm(fresh)
 
 
 def test_complex_limit_degeneracy():

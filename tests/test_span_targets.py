@@ -42,3 +42,17 @@ def test_span_targets_install_and_trace_a_run():
     # 8 solutions, each certified once and checked at 32 sample points
     assert stats["solutions.certify"].calls == 8
     assert stats["verify.dirac_residual"].points == 8 * 32
+
+
+def test_span_targets_trace_a_verify_run_without_changing_it():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.install(tracer):
+        code, traced = tracer.run_op(lambda: qdirac.cli.run_verify({}, None, 5))
+    untraced_code, untraced = qdirac.cli.run_verify({}, None, 5)
+    assert code == untraced_code == 0
+    assert qdirac.cli._render(traced, "json") == qdirac.cli._render(untraced, "json")
+    (stats,) = tracer.op_stats
+    # sets of 8 massive, 4 massless and 8 helicity solutions, 1 running
+    # phase and 8 Gram solutions; the adjoint check re-phases 2 of them
+    assert stats["solutions.certify"].calls == 29
