@@ -128,18 +128,25 @@ def plane_wave_sum(grid: SpacetimeGrid, k: np.ndarray, coef: np.ndarray) -> np.n
     """sum_p coef_p exp(i k_p.x) on every lattice point, shape counts + (C,).
 
     `k` holds P lowered four-momenta (P, 4) and `coef` their complex
-    coefficients (P, C).  exp(i k.x) factorizes by axis, so the
-    exponentials are taken on the axes only; the (t, x, y) phase block
-    is then contracted against the z phases times the coefficients in
-    one matrix product.
+    coefficients (P, C).
     """
-    nt, nx, ny, nz = grid.counts
+    return _plane_wave_sum(grid.axes(), k, coef)
+
+
+def _plane_wave_sum(axes, k: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """`plane_wave_sum` on the product of four coordinate arrays.
+
+    exp(i k.x) factorizes by axis, so the exponentials are taken on the
+    axes only; the (t, x, y) phase block is then contracted against the
+    z phases times the coefficients in one matrix product.
+    """
+    counts = tuple(len(a) for a in axes)
+    nt, nx, ny, nz = counts
     p, c = coef.shape
-    et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, k[:, i]))
-                      for i, a in enumerate(grid.axes()))
+    et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, k[:, i])) for i, a in enumerate(axes))
     txy = et[:, None, None] * ex[:, None] * ey
     zc = (ez.T[:, :, None] * coef[:, None, :]).reshape(p, nz * c)
-    return (txy.reshape(nt * nx * ny, p) @ zc).reshape(grid.counts + (c,))
+    return (txy.reshape(nt * nx * ny, p) @ zc).reshape(counts + (c,))
 
 
 def central_diff(values: np.ndarray, axis: int, spacing: float, periodic: bool = False) -> np.ndarray:

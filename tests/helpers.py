@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from qdirac import (
-    FourVector, Quaternion, integrate_spatial, mass_shell_energy, mul, mul_symplectic, sample,
-    slashed,
+    FourVector, Quaternion, central_diff, integrate_spatial, mass_shell_energy, mul,
+    mul_symplectic, sample, slashed,
 )
 from qdirac.spinor import BETA_DIAG, GAMMA
 
@@ -161,3 +161,19 @@ def sampled_inner_product(psi, phi, grid) -> float:
 def sampled_gram(fields, grid) -> np.ndarray:
     """Every pairwise `sampled_inner_product` of a field list."""
     return np.array([[sampled_inner_product(a, b, grid) for b in fields] for a in fields])
+
+
+def oracle_continuity(field, grid, b=None):
+    """The continuity check from sampled values: central-difference
+    stencils over the `einsum_current` of the whole lattice, against the
+    `sampled_source` of b (zero without one), on the points where every
+    stencil is defined.  Returns the sup norms of the divergence, the
+    source and their difference, and the current."""
+    sampled = sample(field, grid)
+    j = einsum_current(sampled.psi0, sampled.psi1)
+    div = sum(central_diff(j[..., mu], mu, grid.spacing[mu], grid.periodic[mu])
+              for mu in range(4) if grid.counts[mu] > 1)
+    rhs = np.zeros(grid.counts) if b is None else sampled_source(sampled.psi0, sampled.psi1, b)
+    inner = tuple(slice(1, -1) if n > 1 and not per else slice(None)
+                  for n, per in zip(grid.counts, grid.periodic))
+    return np.abs(div[inner]).max(), np.abs(rhs[inner]).max(), np.abs((div - rhs)[inner]).max(), j

@@ -34,7 +34,10 @@ from qdirac import (
 import qdirac.verify as ver
 from qdirac.grid import central_diff, plane_wave_sum
 from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_wave_packet
-from helpers import difference_residual, einsum_current, sampled_gram, sampled_source
+from qdirac.cli import _default_continuity_setup
+from helpers import (
+    difference_residual, einsum_current, oracle_continuity, sampled_gram, sampled_source,
+)
 
 POINTS = np.random.default_rng(99).uniform(-3, 3, size=(40, 4))
 
@@ -238,7 +241,8 @@ def _random_samples(rng, n):
 
 
 def _many_term_packet(n: int = 18):
-    # 2 * n(n+1)/2 current pairs: past the pair-count fallback for n >= 17
+    # 2 * n(n+1)/2 current pairs: past the stencil's pair-count fallback
+    # for n >= 17, past the symbol path's for n >= 32
     rng = np.random.default_rng(5)
     return make_wave_packet(0.9, 0.6, _random_samples(rng, n), _random_samples(rng, n))
 
@@ -290,26 +294,16 @@ def test_pair_source_matches_sampled_oracle(label, field):
     assert np.abs(oracle).max() <= 1e-14 * scale or _relative_gap(pairs, oracle) <= 1e-14
 
 
-def _oracle_continuity(field, grid, b):
-    """The continuity check from sampled values through the oracles."""
-    sampled = sample(field, grid)
-    j = einsum_current(sampled.psi0, sampled.psi1)
-    div = sum(central_diff(j[..., mu], mu, grid.spacing[mu], grid.periodic[mu])
-              for mu in range(4) if grid.counts[mu] > 1)
-    rhs = sampled_source(sampled.psi0, sampled.psi1, b)
-    inner = (slice(1, -1),) + (slice(None),) * 3
-    return np.abs(div[inner]).max(), np.abs(rhs[inner]).max(), np.abs((div - rhs)[inner]).max(), j
-
-
 @pytest.mark.parametrize("label", ["uu+-", "theta", "packet01", "many_terms"])
 @pytest.mark.parametrize("max_pairs", [0, 10**6])
 def test_continuity_both_sides_of_pair_fallback(monkeypatch, label, max_pairs):
     field = dict(FAMILIES)[label]
     grid = SpacetimeGrid(FourVector(-0.2, 0.3, 0.1, -0.2), (0.2, BOX / 5, BOX / 4, BOX / 6),
                          (3, 5, 4, 6), (False, True, True, True))
-    lhs, rhs, defect, j = _oracle_continuity(field, grid, B)
+    lhs, rhs, defect, j = oracle_continuity(field, grid, B)
     calls = []
     monkeypatch.setattr(ver, "_MAX_PAIRS", max_pairs)
+    monkeypatch.setattr(ver, "_MAX_STENCIL_PAIRS", max_pairs)
     monkeypatch.setattr(ver, "sample", lambda f, g: calls.append(g) or sample(f, g))
     rep = continuity_residual(field, grid, b=B)
     assert len(calls) == (max_pairs == 0)
@@ -319,13 +313,103 @@ def test_continuity_both_sides_of_pair_fallback(monkeypatch, label, max_pairs):
 
 
 def test_many_term_packet_takes_the_fallback(monkeypatch):
-    packet = _many_term_packet()
+    packet = _many_term_packet(32)
     assert len(ver._current_pairs(packet)[0]) > ver._MAX_PAIRS
     calls = []
     monkeypatch.setattr(ver, "sample", lambda f, g: calls.append(g) or sample(f, g))
     continuity_residual(packet, PAIR_GRID)
     continuity_residual(dict(FAMILIES)["packet01"], PAIR_GRID)
     assert calls == [PAIR_GRID]
+
+
+def _ladder(grid, levels=4):
+    for _ in range(levels):
+        yield grid
+        grid = grid.refined()
+
+
+def _symbol_cases():
+    """(id, field, grid, b) on grids where every pair wraps whole periods."""
+    cases = []
+    for dim in ("1+1", "3+1"):
+        packet, grid = _default_continuity_setup(dim)
+        cases += [(f"default{dim}-l{i}", packet, g, None) for i, g in enumerate(_ladder(grid))]
+    packet, box = _default_continuity_setup("3+1")
+    cases += [(f"default3+1-b-l{i}", packet, g, B) for i, g in enumerate(_ladder(box, 3))]
+    # non-periodic spatial axes: any momentum fits
+    cases += [(f"open-{label}", dict(FAMILIES)[label], PAIR_GRID, B)
+              for label in ("theta", "packet01", "many_terms")]
+    # reduced time and y axes, open x, periodic z
+    reduced = SpacetimeGrid(FourVector(0.3, -0.4, 0.2, 0.1), (0.1, 0.25, 1.0, BOX / 10),
+                            (1, 6, 1, 10), (False, False, False, True))
+    cases.append(("reduced", _default_continuity_setup("1+1")[0], reduced, B))
+    rng = np.random.default_rng(2024)
+    for i in range(3):
+        origin = FourVector(*rng.uniform(-3.0, 3.0, 4))
+        cases.append((f"origin{i}", packet, dataclasses.replace(box, origin=origin),
+                      B if i % 2 else None))
+    return cases
+
+
+SYMBOL_CASES = _symbol_cases()
+
+
+@pytest.mark.parametrize("label, field, grid, b", SYMBOL_CASES, ids=[c[0] for c in SYMBOL_CASES])
+def test_symbol_path_matches_sampled_stencil_oracle(monkeypatch, label, field, grid, b):
+    k, _ = ver._current_pairs(field)
+    assert np.abs(k).max() > 0
+    calls = []
+    monkeypatch.setattr(ver, "central_diff", lambda *a, **kw: calls.append(a) or central_diff(*a, **kw))
+    rep = continuity_residual(field, grid, b=b)
+    assert calls == []
+    lhs, rhs, defect, j = oracle_continuity(field, grid, b)
+    scale = np.abs(j).max() / min(h for h, n in zip(grid.spacing, grid.counts) if n > 1)
+    for got, want in ((rep.lhs_norm, lhs), (rep.rhs_norm, rhs), (rep.defect, defect)):
+        assert abs(got - want) <= 1e-14 * scale
+    assert rep.lhs_norm > 1e-6 * scale
+    assert (rep.rhs_norm > 0.0) == (b is not None)
+
+
+def _stencil_report(field, grid):
+    """The continuity report of the stencil over the pair current, in the
+    arithmetic order of `continuity_residual` before the symbol path."""
+    currents = plane_wave_sum(grid, *ver._current_pairs(field)).real
+    div = np.zeros(grid.counts)
+    for mu in range(4):
+        if grid.counts[mu] > 1:
+            div = div + central_diff(currents[..., mu], axis=mu, spacing=grid.spacing[mu],
+                                     periodic=grid.periodic[mu])
+    inner = tuple(slice(1, -1) if n > 1 and not per else slice(None)
+                  for n, per in zip(grid.counts, grid.periodic))
+    norm = float(np.abs(div[inner]).max())
+    return ver.ContinuityReport(grid.to_dict(), norm, 0.0, norm, div[inner].size)
+
+
+@pytest.mark.parametrize("stretch, symbol", [(0.0, True), (1e-15, True), (1e-12, False), (1e-9, False)])
+def test_periodic_axis_takes_the_symbol_only_on_whole_periods(monkeypatch, stretch, symbol):
+    # the 1+1 packet has integer momenta on a 12-point ring of length
+    # 2 pi (1 + stretch): each pair misses a whole period by 2 pi q stretch,
+    # against a bound of ALGEBRA_TOL = 1e-13 relative
+    packet, grid = _default_continuity_setup("1+1")
+    h = grid.spacing
+    grid = dataclasses.replace(grid, spacing=(h[0], h[1], h[2], h[3] * (1.0 + stretch)))
+    stencils, columns = [], []
+
+    def counted(name, record):
+        original = getattr(ver, name)
+        monkeypatch.setattr(ver, name, lambda *a, **kw: record(a) or original(*a, **kw))
+
+    counted("central_diff", stencils.append)
+    counted("plane_wave_sum", lambda a: columns.append(a[2].shape[1]))
+    counted("_plane_wave_sum", lambda a: columns.append(a[2].shape[1]))
+    rep = continuity_residual(packet, grid)
+    assert ver._wraps_whole_periods(ver._current_pairs(packet)[0], grid) == symbol
+    if symbol:
+        # no stencil, and no 4-column current
+        assert stencils == [] and columns == [1]
+    else:
+        assert len(stencils) == 2 and columns == [4]
+        assert rep == _stencil_report(packet, grid)
 
 
 @pytest.mark.parametrize("label, field", FAMILIES, ids=FAMILY_IDS)
