@@ -133,20 +133,33 @@ def plane_wave_sum(grid: SpacetimeGrid, k: np.ndarray, coef: np.ndarray) -> np.n
     return _plane_wave_sum(grid.axes(), k, coef)
 
 
+# Pairs per block of `_plane_wave_sum`: the (t, x, y) phase block holds
+# t*x*y points times at most this many pairs, whatever the pair count.
+_MAX_PAIRS = 1000
+
+
 def _plane_wave_sum(axes, k: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """`plane_wave_sum` on the product of four coordinate arrays.
 
     exp(i k.x) factorizes by axis, so the exponentials are taken on the
     axes only; the (t, x, y) phase block is then contracted against the
-    z phases times the coefficients in one matrix product.
+    z phases times the coefficients in one matrix product per block of
+    _MAX_PAIRS pairs, the blocks summed in order.
     """
     counts = tuple(len(a) for a in axes)
     nt, nx, ny, nz = counts
-    p, c = coef.shape
-    et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, k[:, i])) for i, a in enumerate(axes))
-    txy = et[:, None, None] * ex[:, None] * ey
-    zc = (ez.T[:, :, None] * coef[:, None, :]).reshape(p, nz * c)
-    return (txy.reshape(nt * nx * ny, p) @ zc).reshape(counts + (c,))
+    c = coef.shape[1]
+    out = None
+    # one (empty) block when there are no pairs, so the sum reads zero
+    for start in range(0, max(len(k), 1), _MAX_PAIRS):
+        kb, cb = k[start:start + _MAX_PAIRS], coef[start:start + _MAX_PAIRS]
+        et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, kb[:, i])) for i, a in enumerate(axes))
+        zc = (ez.T[:, :, None] * cb[:, None, :]).reshape(len(kb), nz * c)
+        # a temporary, so one phase block is alive at a time
+        block = (et[:, None, None] * ex[:, None] * ey).reshape(nt * nx * ny, len(kb)) @ zc
+        # the first block is taken as it is: one block gives the bytes of one product
+        out = block if out is None else out + block
+    return out.reshape(counts + (c,))
 
 
 def central_diff(values: np.ndarray, axis: int, spacing: float, periodic: bool = False) -> np.ndarray:

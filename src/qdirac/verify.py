@@ -13,9 +13,9 @@ current and its complex-potential source are finite sums of bilinear
 pair terms.  The central difference of a plane wave is the plane wave
 times its difference symbol i sin(q h)/h, so the continuity check takes
 the lattice divergence as one sum of pair terms on the interior points,
-through the evaluator that also samples Psi; the stencils run only where
-a pair does not fit a periodic axis or the pair count passes a measured
-crossover.  `analytic_divergence` differentiates the same pairs
+through the evaluator that also samples Psi, plus two end-slab sums on
+each periodic axis that some pair does not wrap; every field runs this
+one kernel.  `analytic_divergence` differentiates the same pairs
 exactly.  Grid inner products and the Gram matrix are summed from the
 same pair terms with the lattice sum factorized by axis, so their
 memory is O(box_cells) per term rather than O(box_cells^3): no field is
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField, SpacetimeGrid, _plane_wave_sum, central_diff, plane_wave_sum, sample
-# not called here; perfbench/spans.py wraps it under this module path
-from .grid import integrate_spatial  # noqa: F401
+from .grid import SampledField, SpacetimeGrid, _plane_wave_sum
+# not called here; perfbench/spans.py wraps them under this module path
+from .grid import central_diff, integrate_spatial, sample  # noqa: F401
 from .spinor import BETA_DIAG, FourVector, GAMMA, helicity_matrix
 
 # The verification bounds, stated once.  RESIDUAL_TOL: field-equation,
@@ -113,21 +113,6 @@ def current_grid(sampled: SampledField) -> np.ndarray:
     return _current(sampled.psi0, sampled.psi1)
 
 
-# Past these many current pair terms, continuity_residual samples Psi
-# and forms the current and the source pointwise instead: the pair count
-# grows as T^2 in the number of plane-wave terms T, and the source has no
-# more pairs than the current.  _MAX_PAIRS bounds the symbol path, which
-# sums 1-2 columns on the interior points only.  Against the sampled
-# fallback (2 cores, numpy 2.4.6, 3 x N^3 grids with one interior time
-# slice, best of 7) it broke even at about 600-700 pairs on 3x12^3 and
-# about 1500 on 3x24^3, and was still 0.9x at 4160 on 3x48^3; 1000 pairs
-# cost at most 1.5 ms more on 3x12^3.  _MAX_STENCIL_PAIRS bounds the
-# stencil over the 4-column pair current on every point: break-even at
-# about 150-270 pairs on 3x12^3 and 3x24^3, about 650 on 3x48^3.
-_MAX_PAIRS = 1000
-_MAX_STENCIL_PAIRS = 300
-
-
 def _current_pairs(field):
     """The four-current as a finite sum of plane waves.
 
@@ -190,21 +175,7 @@ def _interior(grid: SpacetimeGrid) -> tuple:
                  for n, per in zip(grid.counts, grid.periodic))
 
 
-def _wraps_whole_periods(k: np.ndarray, grid: SpacetimeGrid) -> bool:
-    """Whether every pair momentum q turns through a whole number of
-    periods, phi = q N h = 0 mod 2 pi to ALGEBRA_TOL * max(1, |phi|),
-    across each periodic axis with N > 1.  Only then does the wrapped
-    stencil see the plane wave exp(i q.x) it differentiates."""
-    for mu, (n, h, per) in enumerate(zip(grid.counts, grid.spacing, grid.periodic)):
-        if per and n > 1:
-            phi = k[:, mu] * (n * h)
-            miss = np.abs(phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi)))
-            if not np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
-                return False
-    return True
-
-
-def _symbol_divergence(field, grid: SpacetimeGrid, k, coef, s):
+def _divergence(field, grid: SpacetimeGrid, s):
     """Central-difference divergence of the pair current, and the source
     of `s` (None without one), on the interior lattice points.
 
@@ -212,49 +183,41 @@ def _symbol_divergence(field, grid: SpacetimeGrid, k, coef, s):
     i sin(q_mu h_mu) / h_mu exp(i q.x), so the divergence is the real
     part of one plane-wave sum whose coefficients are the pair
     coefficients contracted with that symbol over the non-reduced axes.
-    The source pairs ride along as a second coefficient column."""
+    The source pairs ride along as a second coefficient column.
+
+    A wrapped stencil on a periodic axis reads exp(i q.x) at its end
+    slots only when phi = q N h is a multiple of 2 pi.  Where some pair
+    misses one by more than ALGEBRA_TOL * max(1, |phi|), the exact
+    correction of the two end slabs is one more sum each:
+    -c e^{-iqh} (e^{i phi} - 1) / 2h at slot 0 and
+    c e^{iqh} (e^{-i phi} - 1) / 2h at slot N - 1."""
+    k, coef = _current_pairs(field)
     symbol = np.zeros(len(k), dtype=complex)
     for mu, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
         if n > 1:
             symbol += coef[:, mu] * (1j * np.sin(k[:, mu] * h) / h)
     axes = [a[inner] for a, inner in zip(grid.axes(), _interior(grid))]
     if s is None:
-        return _plane_wave_sum(axes, k, symbol[:, None])[..., 0].real, None
-    ks, cs = _source_pairs(field, s)
-    stacked = np.zeros((len(k) + len(ks), 2), dtype=complex)
-    stacked[:len(k), 0] = symbol
-    stacked[len(k):, 1] = cs[:, 0]
-    both = _plane_wave_sum(axes, np.concatenate([k, ks]), stacked).real
-    return both[..., 0], both[..., 1]
-
-
-def _stencil_divergence(field, grid: SpacetimeGrid, pairs, s):
-    """`_symbol_divergence` by central-difference stencils over the
-    current on the whole lattice: summed from the pairs up to
-    _MAX_STENCIL_PAIRS, formed from sampled Psi past it.  The stencil
-    wraps on periodic axes, so it also serves pairs that do not fit the
-    period."""
-    rhs = None
-    if len(pairs[0]) <= _MAX_STENCIL_PAIRS:
-        currents = plane_wave_sum(grid, *pairs).real
-        if s is not None:
-            rhs = plane_wave_sum(grid, *_source_pairs(field, s))[..., 0].real
+        div, rhs = _plane_wave_sum(axes, k, symbol[:, None])[..., 0].real, None
     else:
-        sampled = sample(field, grid)
-        currents = current_grid(sampled)
-        if s is not None:
-            rhs = np.real(np.sum((sampled.psi0 @ s.T) * sampled.psi1, axis=-1))
-    div = np.zeros(grid.counts, dtype=float)
-    for axis in range(4):
-        if grid.counts[axis] == 1:
+        ks, cs = _source_pairs(field, s)
+        stacked = np.zeros((len(k) + len(ks), 2), dtype=complex)
+        stacked[:len(k), 0] = symbol
+        stacked[len(k):, 1] = cs[:, 0]
+        both = _plane_wave_sum(axes, np.concatenate([k, ks]), stacked).real
+        div, rhs = both[..., 0], both[..., 1]
+    for mu, (n, h, per) in enumerate(zip(grid.counts, grid.spacing, grid.periodic)):
+        phi = k[:, mu] * (n * h)
+        miss = np.abs(phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi)))
+        if not per or n == 1 or np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
             continue
-        div = div + central_diff(
-            currents[..., axis], axis=axis, spacing=grid.spacing[axis],
-            periodic=grid.periodic[axis],
-        )
-    # the stencil leaves NaN on the boundary slots of non-periodic axes
-    inner = _interior(grid)
-    return div[inner], (None if rhs is None else rhs[inner])
+        step, turn = np.exp(1j * k[:, mu] * h), np.exp(1j * phi)
+        for slot, seam in ((0, -(turn - 1.0) / step), (n - 1, step * (1.0 / turn - 1.0))):
+            cut = list(axes)
+            cut[mu] = axes[mu][slot:slot + 1]
+            index = (slice(None),) * mu + (slice(slot, slot + 1),)
+            div[index] += _plane_wave_sum(cut, k, (coef[:, mu] * seam / (2.0 * h))[:, None])[..., 0].real
+    return div, rhs
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,15 +239,13 @@ def continuity_residual(field, grid: SpacetimeGrid, b=None) -> ContinuityReport:
     on the points where the stencil is defined (all but the end slots of
     each non-periodic axis).
 
-    Up to _MAX_PAIRS current pairs, when every pair turns through whole
-    periods across each periodic axis (`_wraps_whole_periods`), the
-    divergence and the source come from one plane-wave sum of the pair
-    terms times their difference symbols, with no stencil and no current
-    array.  Otherwise central-difference stencils run over the current on
-    the whole lattice, summed from the pairs up to _MAX_STENCIL_PAIRS and
-    formed from sampled Psi past it.  Axes with a single point are
-    treated as reduced (the field must be uniform along them, so their
-    derivative vanishes); every other axis needs at least three points."""
+    The divergence and the source come from one plane-wave sum of the
+    pair terms times their difference symbols, plus the end-slab terms
+    of a periodic axis that some pair does not wrap (`_divergence`); no
+    stencil runs and no current array is formed.  Axes with a single
+    point are treated as reduced (the field must be uniform along them,
+    so their derivative vanishes); every other axis needs at least three
+    points."""
     for i, n in enumerate(grid.counts):
         if n == 2:
             raise ValueError(
@@ -292,12 +253,7 @@ def continuity_residual(field, grid: SpacetimeGrid, b=None) -> ContinuityReport:
             )
     if all(n == 1 for n in grid.counts):
         raise ValueError("degenerate grid: no differentiable axis")
-    s = None if b is None else _source_matrix(b)
-    k, coef = _current_pairs(field)
-    if len(k) <= _MAX_PAIRS and _wraps_whole_periods(k, grid):
-        div, rhs = _symbol_divergence(field, grid, k, coef, s)
-    else:
-        div, rhs = _stencil_divergence(field, grid, (k, coef), s)
+    div, rhs = _divergence(field, grid, None if b is None else _source_matrix(b))
     lhs_norm = float(np.abs(div).max())
     rhs_norm = 0.0 if rhs is None else float(np.abs(rhs).max())
     defect = lhs_norm if rhs is None else float(np.abs(div - rhs).max())

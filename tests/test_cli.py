@@ -497,15 +497,16 @@ def _overflowing_continuity_packet(samples: int) -> dict:
 
 
 @pytest.mark.parametrize("samples", [2, 45])
-def test_continuity_overflow_on_both_sides_of_pair_fallback(tmp_path, samples):
+def test_continuity_overflow_on_both_sides_of_pair_block(tmp_path, samples):
+    import qdirac.grid
     import qdirac.verify as ver
     from qdirac.solutions import build_wave_packet, packet_spec_from_dict
     payload = _overflowing_continuity_packet(samples)
     packet = build_wave_packet(packet_spec_from_dict(payload["packet"]))
-    # 2 samples sum the pair terms; 45 samples (1035 pairs) sample psi instead
+    # 2 samples fit in one pair block; 45 samples (1035 pairs) take two
     with np.errstate(over="ignore", invalid="ignore"):
         pairs = len(ver._current_pairs(packet)[0])
-    assert (pairs > ver._MAX_PAIRS) == (samples == 45)
+    assert (pairs > qdirac.grid._MAX_PAIRS) == (samples == 45)
     cfg = write_json(tmp_path / "big.json", {"schema_version": 1, **payload})
     assert_rejected(run_cli("continuity", "--config", cfg), "too large")
 

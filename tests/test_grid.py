@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qdirac import (FourVector, MassiveSpec, SampledField, SpacetimeGrid,
                     build_massive_solution, central_diff, integrate_spatial, sample)
+from qdirac.grid import _MAX_PAIRS, plane_wave_sum
 
 
 class ConstantField:
@@ -123,6 +126,54 @@ def test_sampled_field_qspinor_accessor():
     s = sample(ConstantField(3.0), g)
     q = s.qspinor(1, 2, 3, 0)
     assert np.all(q.psi0 == 3.0)
+
+
+# --- plane-wave sums -----------------------------------------------------------
+
+def _pair_terms(p, columns=2):
+    rng = np.random.default_rng(8)
+    return rng.uniform(-2.0, 2.0, (p, 4)), rng.normal(size=(p, columns)) + 1j * rng.normal(size=(p, columns))
+
+
+def _single_block_sum(grid, k, coef):
+    """The lattice sum with all P pairs in one (t x y points, P) block."""
+    nt, nx, ny, nz = grid.counts
+    p, c = coef.shape
+    et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, k[:, i])) for i, a in enumerate(grid.axes()))
+    txy = et[:, None, None] * ex[:, None] * ey
+    zc = (ez.T[:, :, None] * coef[:, None, :]).reshape(p, nz * c)
+    return (txy.reshape(nt * nx * ny, p) @ zc).reshape(grid.counts + (c,))
+
+
+@pytest.mark.parametrize("p", [0, 999, 1000, 1001, 2500])
+def test_plane_wave_sum_blocks_match_direct_sum(p):
+    grid = small_grid(origin=FourVector(-0.3, 0.2, 0.1, -0.4), counts=(2, 3, 4, 5))
+    k, coef = _pair_terms(p)
+    got = plane_wave_sum(grid, k, coef)
+    x = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 4)
+    want = (np.exp(1j * (x @ k.T)) @ coef).reshape(grid.counts + (2,))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    if p == 0:
+        assert not got.any()
+    if p <= _MAX_PAIRS:
+        # one block: the bytes of the single-block formula, signed zeros included
+        assert got.tobytes() == _single_block_sum(grid, k, coef).tobytes()
+
+
+def test_plane_wave_sum_memory_is_bounded_by_the_pair_block():
+    grid = small_grid(counts=(1, 24, 24, 8))
+    k, coef = _pair_terms(2500, columns=1)
+    tracemalloc.start()
+    try:
+        plane_wave_sum(grid, k, coef)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a (t x y points, pairs) complex phase block is 9.2 MB at 1000
+    # pairs and would be 23 MB with all 2500 in one block
+    block = 24 * 24 * _MAX_PAIRS * 16
+    assert peak < 1.5 * block
 
 
 # --- central differences ------------------------------------------------------

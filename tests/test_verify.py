@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -31,8 +32,9 @@ from qdirac import (
     mass_shell_energy,
     sample,
 )
+import qdirac.grid
 import qdirac.verify as ver
-from qdirac.grid import central_diff, plane_wave_sum
+from qdirac.grid import plane_wave_sum
 from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_wave_packet
 from qdirac.cli import _default_continuity_setup
 from helpers import (
@@ -241,8 +243,7 @@ def _random_samples(rng, n):
 
 
 def _many_term_packet(n: int = 18):
-    # 2 * n(n+1)/2 current pairs: past the stencil's pair-count fallback
-    # for n >= 17, past the symbol path's for n >= 32
+    # 2 * n(n+1)/2 current pairs: more than one pair block for n >= 32
     rng = np.random.default_rng(5)
     return make_wave_packet(0.9, 0.6, _random_samples(rng, n), _random_samples(rng, n))
 
@@ -275,7 +276,7 @@ def test_pair_current_matches_einsum_oracle(label, field):
     sampled = sample(field, PAIR_GRID)
     oracle = einsum_current(sampled.psi0, sampled.psi1)
     assert _relative_gap(plane_wave_sum(PAIR_GRID, *ver._current_pairs(field)).real, oracle) <= 1e-14
-    # the Pauli form on sampled arrays, used by packet and by the fallback
+    # the Pauli form on sampled arrays, used by packet
     assert _relative_gap(ver.current_grid(sampled), oracle) <= 1e-14
     j = current(field, PAIR_GRID.point(1, 2, 3, 4)).as_array()
     assert _relative_gap(j, oracle[1, 2, 3, 4]) <= 1e-14
@@ -294,32 +295,46 @@ def test_pair_source_matches_sampled_oracle(label, field):
     assert np.abs(oracle).max() <= 1e-14 * scale or _relative_gap(pairs, oracle) <= 1e-14
 
 
-@pytest.mark.parametrize("label", ["uu+-", "theta", "packet01", "many_terms"])
-@pytest.mark.parametrize("max_pairs", [0, 10**6])
-def test_continuity_both_sides_of_pair_fallback(monkeypatch, label, max_pairs):
-    field = dict(FAMILIES)[label]
-    grid = SpacetimeGrid(FourVector(-0.2, 0.3, 0.1, -0.2), (0.2, BOX / 5, BOX / 4, BOX / 6),
-                         (3, 5, 4, 6), (False, True, True, True))
-    lhs, rhs, defect, j = oracle_continuity(field, grid, B)
-    calls = []
-    monkeypatch.setattr(ver, "_MAX_PAIRS", max_pairs)
-    monkeypatch.setattr(ver, "_MAX_STENCIL_PAIRS", max_pairs)
-    monkeypatch.setattr(ver, "sample", lambda f, g: calls.append(g) or sample(f, g))
-    rep = continuity_residual(field, grid, b=B)
-    assert len(calls) == (max_pairs == 0)
-    scale = np.abs(j).max() / min(grid.spacing)
+def _one_kernel(monkeypatch, field, grid, b):
+    """`continuity_residual` with every sampling and stencil entry point
+    disabled, checked against the sampled stencil oracle to 1e-14 of the
+    current over the smallest spacing."""
+    lhs, rhs, defect, j = oracle_continuity(field, grid, b)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("continuity_residual sampled psi or ran a stencil")
+
+    for module in (ver, qdirac.grid):
+        monkeypatch.setattr(module, "sample", forbidden)
+        monkeypatch.setattr(module, "central_diff", forbidden)
+    monkeypatch.setattr(ver, "current_grid", forbidden)
+    monkeypatch.setattr(type(field), "evaluate_grid", forbidden)
+    rep = continuity_residual(field, grid, b=b)
+    scale = np.abs(j).max() / min(h for h, n in zip(grid.spacing, grid.counts) if n > 1)
     for got, want in ((rep.lhs_norm, lhs), (rep.rhs_norm, rhs), (rep.defect, defect)):
         assert abs(got - want) <= 1e-14 * scale
+    return rep, scale
 
 
-def test_many_term_packet_takes_the_fallback(monkeypatch):
+# periodic spatial rings of length 2 pi: only integer momenta wrap, so
+# every field here but the single-term uu+- needs the seam terms
+SEAM_GRID = SpacetimeGrid(FourVector(-0.2, 0.3, 0.1, -0.2), (0.2, BOX / 5, BOX / 4, BOX / 6),
+                          (3, 5, 4, 6), (False, True, True, True))
+
+
+@pytest.mark.parametrize("label", ["uu+-", "theta", "packet01", "many_terms"])
+@pytest.mark.parametrize("block", [7, 10**6])
+def test_continuity_one_kernel_on_both_sides_of_pair_block(monkeypatch, label, block):
+    monkeypatch.setattr(qdirac.grid, "_MAX_PAIRS", block)
+    _one_kernel(monkeypatch, dict(FAMILIES)[label], SEAM_GRID, B)
+
+
+def test_many_term_packet_takes_the_one_kernel(monkeypatch):
     packet = _many_term_packet(32)
-    assert len(ver._current_pairs(packet)[0]) > ver._MAX_PAIRS
-    calls = []
-    monkeypatch.setattr(ver, "sample", lambda f, g: calls.append(g) or sample(f, g))
-    continuity_residual(packet, PAIR_GRID)
-    continuity_residual(dict(FAMILIES)["packet01"], PAIR_GRID)
-    assert calls == [PAIR_GRID]
+    assert len(ver._current_pairs(packet)[0]) > qdirac.grid._MAX_PAIRS
+    for grid, b in ((PAIR_GRID, None), (SEAM_GRID, B)):
+        with monkeypatch.context() as patched:
+            _one_kernel(patched, packet, grid, b)
 
 
 def _ladder(grid, levels=4):
@@ -329,7 +344,9 @@ def _ladder(grid, levels=4):
 
 
 def _symbol_cases():
-    """(id, field, grid, b) on grids where every pair wraps whole periods."""
+    """(id, field, grid, b): grids where every pair wraps whole periods,
+    then random spacings, which no pair wraps, on every subset of
+    periodic axes."""
     cases = []
     for dim in ("1+1", "3+1"):
         packet, grid = _default_continuity_setup(dim)
@@ -348,6 +365,16 @@ def _symbol_cases():
         origin = FourVector(*rng.uniform(-3.0, 3.0, 4))
         cases.append((f"origin{i}", packet, dataclasses.replace(box, origin=origin),
                       B if i % 2 else None))
+    # several terms in both halves, so the divergence and the source of b are nonzero
+    fields = ("theta", "packet01", "many_terms")
+    subsets = itertools.product(itertools.product((False, True), repeat=4), (None, B))
+    for i, (periodic, b) in enumerate(subsets):
+        grid = SpacetimeGrid(FourVector(*rng.uniform(-1.0, 1.0, 4)), tuple(rng.uniform(0.1, 0.5, 4)),
+                             (3, 5, 4, 6), periodic)
+        label = fields[i % len(fields)]
+        axes = "".join("p" if p else "o" for p in periodic)
+        cases.append((f"random-{axes}-{'b' if b is not None else 'no_b'}-{label}",
+                      dict(FAMILIES)[label], grid, b))
     return cases
 
 
@@ -358,58 +385,26 @@ SYMBOL_CASES = _symbol_cases()
 def test_symbol_path_matches_sampled_stencil_oracle(monkeypatch, label, field, grid, b):
     k, _ = ver._current_pairs(field)
     assert np.abs(k).max() > 0
-    calls = []
-    monkeypatch.setattr(ver, "central_diff", lambda *a, **kw: calls.append(a) or central_diff(*a, **kw))
-    rep = continuity_residual(field, grid, b=b)
-    assert calls == []
-    lhs, rhs, defect, j = oracle_continuity(field, grid, b)
-    scale = np.abs(j).max() / min(h for h, n in zip(grid.spacing, grid.counts) if n > 1)
-    for got, want in ((rep.lhs_norm, lhs), (rep.rhs_norm, rhs), (rep.defect, defect)):
-        assert abs(got - want) <= 1e-14 * scale
+    rep, scale = _one_kernel(monkeypatch, field, grid, b)
     assert rep.lhs_norm > 1e-6 * scale
     assert (rep.rhs_norm > 0.0) == (b is not None)
 
 
-def _stencil_report(field, grid):
-    """The continuity report of the stencil over the pair current, in the
-    arithmetic order of `continuity_residual` before the symbol path."""
-    currents = plane_wave_sum(grid, *ver._current_pairs(field)).real
-    div = np.zeros(grid.counts)
-    for mu in range(4):
-        if grid.counts[mu] > 1:
-            div = div + central_diff(currents[..., mu], axis=mu, spacing=grid.spacing[mu],
-                                     periodic=grid.periodic[mu])
-    inner = tuple(slice(1, -1) if n > 1 and not per else slice(None)
-                  for n, per in zip(grid.counts, grid.periodic))
-    norm = float(np.abs(div[inner]).max())
-    return ver.ContinuityReport(grid.to_dict(), norm, 0.0, norm, div[inner].size)
-
-
-@pytest.mark.parametrize("stretch, symbol", [(0.0, True), (1e-15, True), (1e-12, False), (1e-9, False)])
-def test_periodic_axis_takes_the_symbol_only_on_whole_periods(monkeypatch, stretch, symbol):
+@pytest.mark.parametrize("stretch, seams", [(0.0, False), (1e-15, False), (1e-12, True), (1e-9, True)])
+def test_periodic_axis_adds_seam_terms_only_off_whole_periods(monkeypatch, stretch, seams):
     # the 1+1 packet has integer momenta on a 12-point ring of length
     # 2 pi (1 + stretch): each pair misses a whole period by 2 pi q stretch,
     # against a bound of ALGEBRA_TOL = 1e-13 relative
     packet, grid = _default_continuity_setup("1+1")
     h = grid.spacing
     grid = dataclasses.replace(grid, spacing=(h[0], h[1], h[2], h[3] * (1.0 + stretch)))
-    stencils, columns = [], []
-
-    def counted(name, record):
-        original = getattr(ver, name)
-        monkeypatch.setattr(ver, name, lambda *a, **kw: record(a) or original(*a, **kw))
-
-    counted("central_diff", stencils.append)
-    counted("plane_wave_sum", lambda a: columns.append(a[2].shape[1]))
-    counted("_plane_wave_sum", lambda a: columns.append(a[2].shape[1]))
-    rep = continuity_residual(packet, grid)
-    assert ver._wraps_whole_periods(ver._current_pairs(packet)[0], grid) == symbol
-    if symbol:
-        # no stencil, and no 4-column current
-        assert stencils == [] and columns == [1]
-    else:
-        assert len(stencils) == 2 and columns == [4]
-        assert rep == _stencil_report(packet, grid)
+    z_points = []
+    lattice_sum = ver._plane_wave_sum
+    monkeypatch.setattr(ver, "_plane_wave_sum",
+                        lambda axes, k, coef: z_points.append(len(axes[3])) or lattice_sum(axes, k, coef))
+    _one_kernel(monkeypatch, packet, grid, None)
+    # one sum on the whole ring, then one per end slab of the ring
+    assert z_points == ([12, 1, 1] if seams else [12])
 
 
 @pytest.mark.parametrize("label, field", FAMILIES, ids=FAMILY_IDS)
