@@ -28,36 +28,39 @@ one closed form `build_u_spinor` for ker(slashed(k) -+ m): the massless
 kernel is its m = 0 case, with the spatial momentum as spin axis so that
 spin names the helicity.  So every term passes the same kernel check,
 normalization and phase fix (the first significant component is made
-real positive, so builds are deterministic).  A set builds each distinct
-term once (4 per half for the 8 massive solutions, 2 for the 4 massless
-ones), and every solution is assembled and certified by `_solution`.
+real positive, so builds are deterministic).  A set's distinct terms (4
+per half for the 8 massive solutions, 2 for the 4 massless ones) are the
+rows of one array pass, and `_solutions` certifies the set in one stacked
+residual product, as `make_wave_packet` certifies a packet's terms.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import verify
 from ._fields import choice, number, require, sign, vector
 from .grid import SampledField, SpacetimeGrid, plane_wave_sum
-from .spinor import (
-    FourVector,
-    PAULI,
-    QSpinor4,
-    ZERO_FOUR,
-    slashed,
-    spin_basis,
-)
+from .spinor import GAMMA, PAULI, ZERO_FOUR, FourVector, QSpinor4, spin_basis
 
 SCHEMA_VERSION = 1
 
 SPINS = ("up", "down")
 CHIRALITIES = ("L", "R")
 NORM_CHOICES = ("E", "E_over_m")
+
+_PAULI_STACK = np.stack(PAULI).reshape(3, 4)
+_Z_BASIS = dict(zip(SPINS, spin_basis(None)))
+_QUIET = contextlib.nullcontext()
+# slashed(k) - mass_sign*m over coefficients (k.t, k.x, k.y, k.z, -mass_sign*m)
+_KERNEL_STACK = np.stack([GAMMA[0], -GAMMA[1], -GAMMA[2], -GAMMA[3], np.eye(4)]).reshape(5, 16)
 
 
 class CertificationError(RuntimeError):
@@ -74,8 +77,8 @@ def mass_shell_energy(kvec, mass: float, sign: int = 1) -> float:
     if mass < 0:
         raise ValueError("mass must be >= 0")
     choice(sign, "sign", (1, -1))
-    with np.errstate(over="ignore"):
-        k2 = float(kvec @ kvec)
+    # the BLAS dot that @ runs, without its overflow warning (reported below)
+    k2 = float(np.vdot(kvec, kvec))
     if mass == 0.0 and k2 == 0.0:
         raise ValueError("massless momentum must have nonzero spatial part")
     energy = math.sqrt(k2 + mass * mass)
@@ -93,26 +96,8 @@ def dispersion_residual(kfour: FourVector, mass: float) -> float:
     return abs(kfour.dot(kfour) - mass * mass) / scale
 
 
-def _fix_phase(u: np.ndarray) -> np.ndarray:
-    """Rotate a spinor's global phase so the first significant component
-    is real positive."""
-    nrm = float(np.linalg.norm(u))
-    if nrm == 0.0:
-        raise ValueError("cannot fix the phase of a zero spinor")
-    for comp in u:
-        if abs(comp) > 1e-12 * nrm:
-            return u * (comp.conjugate() / abs(comp))
-    raise ValueError("spinor has no significant component")
-
-
-def build_u_spinor(
-    kfour: FourVector,
-    mass: float,
-    mass_sign: int,
-    spin: str = "up",
-    norm_choice: str = "E_over_m",
-    spin_axis=None,
-) -> np.ndarray:
+def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
+                   spin_axis=None) -> np.ndarray:
     """Closed-form element of ker(slashed(k) - mass_sign*m) for on-shell k
     with k.t != 0, massless (m = 0) included.
 
@@ -124,49 +109,74 @@ def build_u_spinor(
     (gamma5 eigenvalue) is helicity * sign(k.t).  The result is scaled to
     u^dag u = |k.t| ("E") or |k.t|/m ("E_over_m", m > 0 only) and its
     kernel membership is re-verified.
+
+    A sequence of T four-momenta builds T rows in one array pass: every
+    other argument is then one value or T values (spin_axis T axes), and
+    the result is the (T, 4) stack of the one-row builds.
     """
-    if not mass >= 0.0:
-        raise ValueError("build_u_spinor requires mass >= 0")
-    choice(mass_sign, "mass_sign", (1, -1))
-    choice(spin, "spin", SPINS)
-    choice(norm_choice, "norm_choice", NORM_CHOICES)
-    if mass == 0.0 and norm_choice == "E_over_m":
-        raise ValueError("norm_choice 'E_over_m' needs mass > 0")
-    if kfour.t == 0.0:
-        raise ValueError(f"four-momentum {kfour} has zero frequency")
-    if dispersion_residual(kfour, mass) > verify.RESIDUAL_TOL:
-        raise ValueError(f"four-momentum {kfour} is off the mass shell for m={mass}")
+    single = isinstance(kfour, FourVector)
+    ks = [kfour] if single else list(kfour)
+    masses, signs, spins, norms, axes = [
+        v if not single and isinstance(v, (list, tuple, np.ndarray)) else [v] * len(ks)
+        for v in (mass, mass_sign, spin, norm_choice, spin_axis)]
+    chis, scalars, flat, wide = [], [], [], False
+    for i, (k, m, ms, sp, nc, axis) in enumerate(zip(ks, masses, signs, spins, norms, axes)):
+        if not m >= 0.0:
+            raise ValueError("build_u_spinor requires mass >= 0")
+        choice(ms, "mass_sign", (1, -1))
+        choice(sp, "spin", SPINS)
+        choice(nc, "norm_choice", NORM_CHOICES)
+        if m == 0.0 and nc == "E_over_m":
+            raise ValueError("norm_choice 'E_over_m' needs mass > 0")
+        if k.t == 0.0:
+            raise ValueError(f"four-momentum {k} has zero frequency")
+        if dispersion_residual(k, m) > verify.RESIDUAL_TOL:
+            raise ValueError(f"four-momentum {k} is off the mass shell for m={m}")
+        chis.append(_Z_BASIS[sp] if axis is None else spin_basis(axis)[SPINS.index(sp)])
+        energy = abs(k.t)
+        target = energy if nc == "E" else energy / m
+        if not math.isfinite(target):
+            raise ValueError(f"mass {m!r} is too small: u^dag u = |k.t|/m overflows")
+        # the kernel check can overflow only past (|k.t| + m)|u| = 1e300
+        wide = wide or not (energy + m) * math.sqrt(target) <= 1e300
+        # |k.t| + m, u^dag u, the phase threshold, the squared kernel bound
+        # (|u| = sqrt(target); finite, so an overflow fails it), _KERNEL_STACK weights
+        bound = verify.RESIDUAL_TOL * (energy + m) * math.sqrt(target)
+        scalars.append((energy + m, target, 1e-12 * math.sqrt(target),
+                        min(bound * bound, sys.float_info.max), k.t, k.x, k.y, k.z, -ms * m))
+        # u from the columns of (chi, lower, -lower): the lower block takes
+        # the frequency sign; chi is on top when the mass sign agrees with it
+        low = (2, 3) if k.t > 0 else (4, 5)
+        flat += [6 * i + c for c in ((0, 1, *low) if (ms > 0) == (k.t > 0) else (*low, 0, 1))]
 
-    chi_up, chi_down = spin_basis(spin_axis)
-    chi = chi_up if spin == "up" else chi_down
-    energy = abs(kfour.t)
-    kvec = kfour.spatial()
-    sk = sum(kvec[ell] * PAULI[ell] for ell in range(3))
-    lower = (sk @ chi) / (energy + mass)
+    nums = np.array(scalars, dtype=complex).reshape(-1, 9)  # every product below is complex
+    chi = np.array(chis, dtype=complex).reshape(-1, 2)
+    # sigma.k: one term per real and imaginary part, so exact, signed zeros included
+    sk = (nums[:, 5:8] @ _PAULI_STACK).reshape(-1, 2, 2)
+    lower = (sk @ chi[:, :, None])[:, :, 0] / nums[:, :1]
+    u = np.concatenate([chi, lower, -lower], axis=1).take(flat).reshape(-1, 4)
+    # np.vdot per row: no row-wise sum of |u|^2 rounds as it does
+    u = u * np.array([math.sqrt(row[1] / np.vdot(v, v).real) for row, v in zip(scalars, u)])[:, None]
+    # make the first significant component real positive, dividing by np.hypot,
+    # which abs() of one complex computes (np.abs of an array rounds differently)
+    lead = u[np.arange(len(ks)), (np.abs(u) > nums.real[:, 2:3]).argmax(axis=1)]
+    u = u * (np.conj(lead) / np.hypot(lead.real, lead.imag))[:, None]
 
-    positive = kfour.t > 0
-    if mass_sign > 0:
-        blocks = (chi, lower) if positive else (-lower, chi)
-    else:
-        blocks = (lower, chi) if positive else (chi, -lower)
-    u = np.concatenate(blocks).astype(complex)
-
-    target = energy if norm_choice == "E" else energy / mass
-    if not math.isfinite(target):
-        raise ValueError(f"mass {mass!r} is too small: u^dag u = |k.t|/m overflows")
-    u = u * math.sqrt(target / float(np.real(np.vdot(u, u))))
-    u = _fix_phase(u)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = float(np.linalg.norm((slashed(kfour) - mass_sign * mass * np.eye(4)) @ u))
-    if not math.isfinite(resid):
-        raise ValueError(f"mass {mass!r} or momentum {kfour} is too large: the spinor overflows")
-    if resid > verify.RESIDUAL_TOL * (energy + mass) * float(np.linalg.norm(u)):
+    # a kernel entry has one term per real and imaginary part (two on the
+    # diagonal), so it is exact; the matmul residual is that of a one-row build
+    with np.errstate(over="ignore", invalid="ignore") if wide else _QUIET:
+        r = ((nums[:, 4:] @ _KERNEL_STACK).reshape(-1, 4, 4) @ u[:, :, None]).view(float)
+    squares = np.einsum("tij,tij->t", r, r)  # no overflow warning: an inf fails the finite bound
+    ok = squares <= nums.real[:, 3]
+    if np.count_nonzero(ok) < len(ks):
+        i = int(np.argmin(ok))
+        if not math.isfinite(squares[i]):
+            raise ValueError(f"mass {masses[i]!r} or momentum {ks[i]} is too large: the spinor overflows")
         raise CertificationError(
-            f"u-spinor failed the kernel condition: residual {resid:.3e} "
-            f"for k={kfour}, mass_sign={mass_sign}"
+            f"u-spinor failed the kernel condition: residual {math.sqrt(squares[i]):.3e} "
+            f"for k={ks[i]}, mass_sign={signs[i]}"
         )
-    return u
+    return u[0] if single else u
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +193,18 @@ class _PlaneWaveSum:
 
     __slots__ = ()
 
+    def __post_init__(self) -> None:
+        """Stack the terms once, at construction (see stacked_terms)."""
+        stacked = [(np.array([k.lowered() for _, k, _ in half], dtype=float).reshape(-1, 4),
+                    np.array([c * u for c, _, u in half], dtype=complex).reshape(-1, 4))
+                   for half in self._terms()]
+        for a in (a for pair in stacked for a in pair):
+            a.setflags(write=False)
+        object.__setattr__(self, "_stacked", stacked)
+
     def stacked_terms(self):
         """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4)."""
-        return [(np.array([k.lowered() for _, k, _ in half], dtype=float).reshape(-1, 4),
-                 np.array([c * u for c, _, u in half], dtype=complex).reshape(-1, 4))
-                for half in self._terms()]
+        return self._stacked
 
     def eval_points(self, points):
         """Values (psi0, psi1), each of shape (P, 4), at a batch of points."""
@@ -203,8 +220,8 @@ class _PlaneWaveSum:
         return QSpinor4(psi0[0], psi1[0])
 
     def density(self, x: FourVector) -> float:
-        s = self.evaluate(x)
-        return float(np.sum(np.abs(s.psi0) ** 2 + np.abs(s.psi1) ** 2))
+        psi0, psi1 = self.eval_points(x.as_array())
+        return float(np.sum(np.abs(psi0) ** 2 + np.abs(psi1) ** 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,6 +242,7 @@ class PlaneWaveSolution(_PlaneWaveSum):
     mass: float
     theta: FourVector = ZERO_FOUR
     label: str = ""
+    _stacked: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("u0", "u1"):
@@ -237,6 +255,7 @@ class PlaneWaveSolution(_PlaneWaveSum):
         object.__setattr__(self, "mass", float(self.mass))
         if self.mass < 0 or not math.isfinite(self.mass):
             raise ValueError("mass must be finite and >= 0")
+        _PlaneWaveSum.__post_init__(self)
 
     def _terms(self):
         """One term per half at constant phase; with a running phase,
@@ -309,9 +328,8 @@ def _resolve_axis(spin_axis, kvec):
     return kvec
 
 
-def _half(kvec, mass: float, half: int, esign: int, spin: str,
-          norm_choice: str = "E_over_m", spin_axis=None):
-    """Four-momentum and read-only kernel spinor of one plane-wave term.
+def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", spin_axis=None):
+    """Four-momenta and read-only kernel spinors (T, 4) of T plane-wave terms.
 
     The only place a branch label becomes a frequency sign.  Massive: the
     complex half (0) carries the flipped mass sign, so it runs at
@@ -320,33 +338,41 @@ def _half(kvec, mass: float, half: int, esign: int, spin: str,
     esign*|k| on both halves, the mass sign drops out, the spin axis is
     the momentum, so spin names the helicity, and u^dag u = |k.t|.
     """
-    if mass > 0:
-        mass_sign = 1 if half else -1
-        k = FourVector(mass_sign * esign * mass_shell_energy(kvec, mass), *kvec)
-        axis = _resolve_axis(spin_axis, kvec)
-    else:
-        k = FourVector(esign * mass_shell_energy(kvec, 0.0), *kvec)
-        mass_sign, norm_choice, axis = 1, "E", kvec
-    u = build_u_spinor(k, mass, mass_sign, spin, norm_choice, axis)
+    massive = mass > 0
+    signs = [(1 if h else -1) if massive else 1 for h in half]
+    ks, axes = [], []
+    for kv, mass_sign, e in zip(kvec, signs, esign):
+        ks.append(FourVector(mass_sign * e * mass_shell_energy(kv, mass if massive else 0.0), *kv))
+        axes.append(_resolve_axis(spin_axis, kv) if massive else kv)
+    u = build_u_spinor(ks, mass, signs, spin, norm_choice if massive else "E", axes)
     u.setflags(write=False)
-    return k, u
+    return ks, u
 
 
-def _solution(theta0: float, mass: float, term0, term1, label: str,
-              theta: FourVector = ZERO_FOUR) -> PlaneWaveSolution:
-    """Certified solution from the (k, u) term of each half."""
-    (k0, u0), (k1, u1) = term0, term1
-    sol = PlaneWaveSolution(theta0, k0, k1, u0, u1, mass, theta, label)
-    certify_solution(sol)
-    return sol
+def _solutions(mass: float, k, u, members, theta: FourVector = ZERO_FOUR) -> list[PlaneWaveSolution]:
+    """Certified set from term rows (k, u); members are (theta0, row0, row1, label)."""
+    sols = [PlaneWaveSolution(theta0, k[i], k[j], u[i], u[j], mass, theta, label)
+            for theta0, i, j, label in members]
+    certify_solution(sols)
+    return sols
 
 
 def build_massive_solution(spec: MassiveSpec) -> PlaneWaveSolution:
     """Certified massive plane-wave solution for one label combination."""
-    return _solution(spec.theta0, spec.mass,
-                     _half(spec.kvec0, spec.mass, 0, spec.esign0, spec.spin0, spec.norm_choice),
-                     _half(spec.kvec1, spec.mass, 1, -spec.esign0, spec.spin1, spec.norm_choice),
-                     spec.label)
+    return build_massive_solutions([spec])[0]
+
+
+def build_massive_solutions(specs) -> list[PlaneWaveSolution]:
+    """Certified massive solutions of one mass and norm_choice, one per
+    spec: two `_half` rows per spec, built and certified in one pass."""
+    specs = list(specs)
+    mass, norm_choice = specs[0].mass, specs[0].norm_choice
+    if any((s.mass, s.norm_choice) != (mass, norm_choice) for s in specs):
+        raise ValueError("the specs of one build must share mass and norm_choice")
+    k, u = _half([kv for s in specs for kv in (s.kvec0, s.kvec1)], mass, [0, 1] * len(specs),
+                 [e for s in specs for e in (s.esign0, -s.esign0)],
+                 [sp for s in specs for sp in (s.spin0, s.spin1)], norm_choice)
+    return _solutions(mass, k, u, [(s.theta0, 2 * i, 2 * i + 1, s.label) for i, s in enumerate(specs)])
 
 
 SPIN_PAIRS = (("up", "up"), ("down", "down"), ("up", "down"), ("down", "up"))
@@ -363,15 +389,14 @@ def enumerate_massive_set(
     """The eight labeled massive solutions, in the fixed order
     (uu,+-), (uu,-+), (dd,+-), (dd,-+), (ud,+-), (ud,-+), (du,+-), (du,-+)."""
     spec = MassiveSpec(mass=mass, theta0=theta0, kvec0=kvec0, kvec1=kvec1, norm_choice=norm_choice)
-    # the eight distinct terms, each built once and keyed by (spin, esign0);
-    # the j half carries the opposite label -esign0
-    terms = [{(spin, e): _half(kvec, spec.mass, half, -e if half else e, spin,
-                               spec.norm_choice, spin_axis)
-              for spin in SPINS for e in (1, -1)}
-             for half, kvec in enumerate((spec.kvec0, spec.kvec1))]
-    return [_solution(spec.theta0, spec.mass, terms[0][spin0, e], terms[1][spin1, e],
-                      _massive_label(spin0, spin1, e))
-            for spin0, spin1 in SPIN_PAIRS for e in (1, -1)]
+    # one row per distinct term (half, spin, esign0); the j half carries the label -esign0
+    rows = [(half, spin, e) for half in (0, 1) for spin in SPINS for e in (1, -1)]
+    k, u = _half([(spec.kvec0, spec.kvec1)[h] for h, _, _ in rows], spec.mass, [h for h, _, _ in rows],
+                 [-e if h else e for h, _, e in rows], [spin for _, spin, _ in rows],
+                 spec.norm_choice, spin_axis)
+    return _solutions(spec.mass, k, u, [
+        (spec.theta0, rows.index((0, spin0, e)), rows.index((1, spin1, e)), _massive_label(spin0, spin1, e))
+        for spin0, spin1 in SPIN_PAIRS for e in (1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +440,13 @@ class MasslessThetaSpec:
 
 def build_massless_theta_solution(spec: MasslessThetaSpec) -> PlaneWaveSolution:
     """Certified massless solution with running phase direction theta."""
-    k0 = spec.theta.scale(spec.kappa0)
-    k1 = spec.theta.scale(spec.kappa1)
+    k = [spec.theta.scale(spec.kappa0), spec.theta.scale(spec.kappa1)]
     # ker slashed(k) = ker slashed(theta); the helicity along k is
     # chirality * sign(k.t), which flips with the sign of kappa
-    term0, term1 = (
-        (k, build_u_spinor(k, 0.0, 1, "up" if (c == "R") == (k.t > 0) else "down", "E", k.spatial()))
-        for k, c in ((k0, spec.chirality0), (k1, spec.chirality1)))
-    return _solution(spec.theta0, 0.0, term0, term1, spec.label, spec.theta)
+    spins = ["up" if (c == "R") == (kk.t > 0) else "down"
+             for kk, c in zip(k, (spec.chirality0, spec.chirality1))]
+    u = build_u_spinor(k, 0.0, 1, spins, "E", [kk.spatial() for kk in k])
+    return _solutions(0.0, k, u, [(spec.theta0, 0, 1, spec.label)], spec.theta)[0]
 
 
 _CHIRALITY_PAIRS = (("L", "L"), ("L", "R"), ("R", "L"), ("R", "R"))
@@ -434,12 +458,10 @@ def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWave
     kvec0 = vector(kvec0, "kvec0", 3)
     kvec1 = vector(kvec1, "kvec1", 3)
     theta0 = number(theta0, "theta0")
-    # the four distinct terms, each built once; at positive frequency
-    # the chirality equals the helicity
-    terms = [{c: _half(kvec, 0.0, half, 1, "up" if c == "R" else "down") for c in CHIRALITIES}
-             for half, kvec in enumerate((kvec0, kvec1))]
-    return [_solution(theta0, 0.0, terms[0][c0], terms[1][c1], f"{c0}{c1}")
-            for c0, c1 in _CHIRALITY_PAIRS]
+    # one row per distinct term, L then R per half; at positive frequency chirality = helicity
+    k, u = _half((kvec0, kvec0, kvec1, kvec1), 0.0, (0, 0, 1, 1), (1,) * 4, ("down", "up") * 2)
+    return _solutions(0.0, k, u, [(theta0, CHIRALITIES.index(c0), 2 + CHIRALITIES.index(c1), f"{c0}{c1}")
+                                  for c0, c1 in _CHIRALITY_PAIRS])
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +597,8 @@ class WavePacket(_PlaneWaveSum):
     theta0: float
     terms0: tuple[tuple[float, FourVector, np.ndarray], ...]
     terms1: tuple[tuple[float, FourVector, np.ndarray], ...]
+    _stacked: list = field(init=False, repr=False, compare=False)
+    label = "wave packet"
 
     def _terms(self):
         return tuple(
@@ -594,41 +618,58 @@ def build_wave_packet(spec: WavePacketSpec) -> WavePacket:
 
 
 def make_wave_packet(mass: float, theta0: float, samples0, samples1) -> WavePacket:
-    """Two-component packet with an explicit mixing angle."""
-    terms0, terms1 = (tuple((s.amplitude, *_half(s.kvec, mass, half, s.esign, s.spin))
-                            for s in samples)
-                      for half, samples in enumerate((samples0, samples1)))
-    return WavePacket(float(mass), float(theta0), terms0, terms1)
+    """Two-component packet with an explicit mixing angle, certified as a field."""
+    samples, n0 = [*samples0, *samples1], len(samples0)
+    k, u = _half([s.kvec for s in samples], mass, [0] * n0 + [1] * (len(samples) - n0),
+                 [s.esign for s in samples], [s.spin for s in samples])
+    terms = [(s.amplitude, k[i], u[i]) for i, s in enumerate(samples)]
+    packet = WavePacket(float(mass), float(theta0), tuple(terms[:n0]), tuple(terms[n0:]))
+    certify_solution(packet)
+    return packet
 
 
 # ---------------------------------------------------------------------------
 # certification
 
 
-def certify_solution(sol: PlaneWaveSolution) -> float:
+def certify_solution(sol):
     """Verify the field-equation residual and dispersion of a constructed
-    solution; raise CertificationError on failure, else return the
-    residual bound.  The bound is the sum of the norms of the term
-    residuals, which no pointwise residual exceeds, so no point is
-    sampled.  A non-finite residual is an overflow of the inputs
-    (ValueError)."""
-    for k in (sol.k0, sol.k1):
-        if dispersion_residual(k, sol.mass) > verify.RESIDUAL_TOL:
-            raise CertificationError(
-                f"stored momentum {k} violates the dispersion relation for m={sol.mass}"
-            )
-    terms = verify.term_residuals(sol)
-    res = float(sum(np.linalg.norm(r, axis=1).sum() for _, r in terms))
-    if not math.isfinite(res):
-        raise ValueError(f"solution {sol.label!r} overflows: mass or momenta too large")
+    field, a solution or a wave packet; raise CertificationError on
+    failure, else return the residual bound.  The bound is the sum of the
+    norms of the term residuals, which no pointwise residual exceeds, so
+    no point is sampled.  A non-finite residual is an overflow of the
+    inputs (ValueError).
+
+    A list of fields of one mass is certified in one `verify.term_residuals`
+    product, each by its own checks and bound, and returns a list of bounds."""
+    fields = [sol] if isinstance(sol, _PlaneWaveSum) else list(sol)
+    mass = fields[0].mass
+    if any(f.mass != mass for f in fields):
+        raise ValueError("the fields of one certification must share a mass")
+    halves = [[f.stacked_terms()[h] for f in fields] for h in (0, 1)]
+    owner = np.concatenate([np.repeat(np.arange(len(fields)), [len(kl) for kl, _ in h]) for h in halves])
+    rows = SimpleNamespace(mass=mass, stacked_terms=lambda: [
+        tuple(map(np.concatenate, zip(*half))) for half in halves])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = verify.term_residuals(rows)
+        res = np.bincount(owner, np.concatenate([np.linalg.norm(r, axis=1) for _, r in terms]),
+                          minlength=len(fields))
     # a running phase moves the term momenta to k +- theta
-    k_scale = max([1.0, sol.mass, *(float(np.abs(kl).max()) for kl, _ in terms if kl.size)])
-    u_scale = max(1.0, float(np.linalg.norm(sol.u0)), float(np.linalg.norm(sol.u1)))
-    if res > verify.RESIDUAL_TOL * k_scale * u_scale:
-        raise CertificationError(
-            f"solution {sol.label!r} failed residual certification: {res:.3e}"
-        )
-    return res
+    k_scale = np.full(len(fields), max(1.0, mass))
+    np.maximum.at(k_scale, owner, np.abs(np.concatenate([kl for kl, _ in terms])).max(axis=1))
+    for f, r, ks in zip(fields, res, k_scale):
+        built = [term for half in f._terms() for term in half]
+        for _, k, _ in built:
+            if dispersion_residual(k, mass) > verify.RESIDUAL_TOL:
+                raise CertificationError(
+                    f"term momentum {k} violates the dispersion relation for m={mass}")
+        if not math.isfinite(r):
+            raise ValueError(f"solution {f.label!r} overflows: mass or momenta too large")
+        # the largest term spinor, scaled up by a coefficient above 1 (an amplitude)
+        u_scale = max([1.0, *(max(1.0, abs(c)) * math.hypot(*np.abs(u)) for c, _, u in built)])
+        if r > verify.RESIDUAL_TOL * ks * u_scale:
+            raise CertificationError(f"solution {f.label!r} failed residual certification: {r:.3e}")
+    return float(res[0]) if isinstance(sol, _PlaneWaveSum) else [float(r) for r in res]
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,20 @@ def test_certification_failure_maps_to_exit_3(massive_config):
     assert exc.value.code == 3
 
 
+def test_packet_with_wrong_kernel_spinors_exits_3(tmp_path, monkeypatch):
+    # every term gets the other half's kernel spinor at the same momentum:
+    # the j-half build with the opposite label runs at the same frequency
+    from qdirac import solutions
+    from qdirac.cli import run_packet
+    half = solutions._half
+    monkeypatch.setattr(solutions, "_half", lambda kvec, mass, halves, esign, *rest: half(
+        kvec, mass, [1 - h for h in halves], [-e for e in esign], *rest))
+    cfg = write_json(tmp_path / "packet.json", {"schema_version": 1, **_packet_config()})
+    with pytest.raises(SystemExit) as exc:
+        _run_command(run_packet, cfg, None, "json", None, 0)
+    assert exc.value.code == 3
+
+
 def test_config_error_maps_to_exit_2(massive_config):
     def bad_runner(cfg, tol, seed):
         raise ConfigError("field 'x' is wrong")
@@ -484,6 +498,17 @@ def test_tol_only_on_catalog_and_verify(tmp_path, command, payload):
 def test_overflowing_input_names_cause(tmp_path, command, payload, cause):
     cfg = write_json(tmp_path / "big.json", {"schema_version": 1, **payload})
     assert_rejected(run_cli(command, "--config", cfg), cause)
+
+
+@pytest.mark.parametrize("cells, code", [(2, 2), (3, 0)])
+def test_verify_needs_three_box_cells(tmp_path, cells, code):
+    # on 2 cells the Gram directions +-2pi/L alias: exp(i pi n) = exp(-i pi n)
+    cfg = write_json(tmp_path / "cells.json", {"schema_version": 1, "box_cells": cells})
+    proc = run_cli("verify", "--config", cfg)
+    if code == 2:
+        assert_rejected(proc, "alias")
+    else:
+        assert proc.returncode == 0, proc.stderr
 
 
 def _overflowing_continuity_packet(samples: int) -> dict:

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,8 @@ from qdirac import (
 )
 from qdirac import solutions
 from qdirac.solutions import (
+    NORM_CHOICES,
+    SPINS,
     _half,
     massive_spec_from_dict,
     massless_theta_spec_from_dict,
@@ -249,9 +252,10 @@ def _member_alone(mass, kvec0, kvec1, theta0, norm_choice, spin_axis,
     spec = MassiveSpec(mass, theta0, kvec0, kvec1, spin0, spin1, esign0, norm_choice)
     if spin_axis is None:
         return build_massive_solution(spec)
-    (k0, u0), (k1, u1) = (_half(kvec, spec.mass, half, e, spin, norm_choice, spin_axis)
-                          for half, kvec, e, spin in ((0, spec.kvec0, esign0, spin0),
-                                                      (1, spec.kvec1, -esign0, spin1)))
+    # one one-row _half call per half, the complex half first
+    ((k0,), (u0,)), ((k1,), (u1,)) = (
+        _half([kvec], spec.mass, [half], [e], spin, norm_choice, spin_axis)
+        for half, kvec, e, spin in ((0, spec.kvec0, esign0, spin0), (1, spec.kvec1, -esign0, spin1)))
     sol = PlaneWaveSolution(spec.theta0, k0, k1, u0, u1, spec.mass, label=spec.label)
     certify_solution(sol)
     return sol
@@ -281,11 +285,89 @@ def test_set_builders_make_one_half_call_per_distinct_term(monkeypatch):
         return _half(*args, **kwargs)
 
     monkeypatch.setattr(solutions, "_half", counting_half)
+    # one stacked call, one row per distinct term: 8 massive, 4 massless
     enumerate_massive_set(1.1, (0.2, 0.3, -0.4), (0.5, 0.0, 0.1), 0.3)
-    assert len(calls) == 8
+    assert [len(kvec) for kvec, *_ in calls] == [8]
     calls.clear()
     enumerate_massless_theta0_set((0.2, 0.3, -0.4), (0.5, 0.0, 0.1), 0.3)
-    assert len(calls) == 4
+    assert [len(kvec) for kvec, *_ in calls] == [4]
+
+
+def _oracle_rows(seed):
+    """Builder rows over both mass signs, massive and massless momenta,
+    both norms, the z and momentum axes, both frequency signs and both
+    spins, at scales from 1e-3 to 1e3, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for mass_sign, massless, norm, axis, freq, spin in itertools.product(
+            (1, -1), (False, True), NORM_CHOICES, (None, "momentum"), (1, -1), SPINS):
+        if massless and norm == "E_over_m":
+            continue
+        kvec = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+        mass = 0.0 if massless else 10.0 ** rng.uniform(-3, 3)
+        k = FourVector(mass_shell_energy(kvec, mass, freq), *kvec)
+        rows.append((k, mass, mass_sign, spin, norm, None if axis is None else kvec))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_stacked_builder_rows_equal_their_one_row_builds(seed):
+    rows = _oracle_rows(seed)
+    stacked = build_u_spinor(*(list(column) for column in zip(*rows)))
+    assert stacked.shape == (len(rows), 4)
+    for (k, mass, mass_sign, spin, norm, axis), u in zip(rows, stacked):
+        alone = build_u_spinor(k, mass, mass_sign, spin, norm, axis)
+        # bit for bit, signed zeros included
+        assert alone.tobytes() == u.tobytes()
+        kernel = null_space(slashed(k) - mass_sign * mass * np.eye(4))
+        assert kernel.shape[1] == 2
+        assert in_span(u, kernel) <= 1e-12
+        target = abs(k.t) if norm == "E" else abs(k.t) / mass
+        assert float(np.vdot(u, u).real) == pytest.approx(target, rel=1e-13)
+
+
+def test_stacked_builder_checks_each_row_against_its_own_bound(monkeypatch):
+    # a planted kernel error delta*u: the row at |k| ~ 1 fails its bound
+    # 1e-12 (|k.t| + m) |u| even next to a row whose bound is 1e6 times larger
+    small, big = (FourVector(mass_shell_energy((0.0, 0.0, kz), 1.0), 0.0, 0.0, kz) for kz in (1.0, 1e6))
+    stack = solutions._KERNEL_STACK.copy()
+    stack[4] *= 1.0 + 1e-9
+    monkeypatch.setattr(solutions, "_KERNEL_STACK", stack)
+    build_u_spinor(big, 1.0, 1)
+    with pytest.raises(CertificationError) as alone:
+        build_u_spinor(small, 1.0, 1)
+    with pytest.raises(CertificationError) as in_stack:
+        build_u_spinor([big, small], 1.0, 1)
+    assert str(in_stack.value) == str(alone.value)
+
+
+def test_set_certification_holds_each_solution_to_its_own_bound():
+    # a spinor 1e-10 outside the kernel fails the bound of a |k| ~ 1
+    # solution, though not that of a 1e3 times larger set member
+    big = build_massive_solution(MassiveSpec(1.0, 0.3, (0, 0, 1e3), (0, 1e3, 0)))
+    ok = build_massive_solution(MassiveSpec(1.0, 0.3, (0, 0, 1), (0, 1, 0)))
+    off = np.array([0.0, 1.0, 0.0, 0.0]) * 1e-10 * float(np.linalg.norm(ok.u0))
+    broken = dataclasses.replace(ok, u0=ok.u0 + off)
+    assert certify_solution([big, ok]) == [certify_solution(big), certify_solution(ok)]
+    with pytest.raises(CertificationError) as alone:
+        certify_solution(broken)
+    with pytest.raises(CertificationError) as in_set:
+        certify_solution([big, broken])
+    assert str(in_set.value) == str(alone.value)
+    with pytest.raises(ValueError, match="share a mass"):
+        certify_solution([big, build_massive_solution(MassiveSpec(2.0, 0.3, (0, 0, 1), (0, 1, 0)))])
+
+
+def test_packets_are_certified_as_fields():
+    samples = (PacketSample((0, 0, 1.0), 1.0), PacketSample((0.5, 0, 0), 1e6, "down", -1))
+    packet = make_wave_packet(1.0, 0.4, samples, samples[:1])
+    # the amplitude scales the bound with the residual
+    assert certify_solution(packet) <= 1e-12 * 1e6 * 2.0
+    (a0, k0, u0), (a1, k1, u1) = packet.terms0
+    # the second term's spinor taken from ker(slashed(k) - m), the j-half kernel
+    wrong = build_u_spinor(k1, 1.0, 1, "down")
+    with pytest.raises(CertificationError, match="wave packet"):
+        certify_solution(WavePacket(1.0, 0.4, ((a0, k0, u0), (a1, k1, wrong)), packet.terms1))
 
 
 @pytest.mark.parametrize("change", [

@@ -39,8 +39,8 @@ def test_span_targets_install_and_trace_a_run():
     assert code == 0
     assert qdirac.verify.dirac_residual is before
     (stats,) = tracer.op_stats
-    # 8 solutions, each certified once and checked at 32 sample points
-    assert stats["solutions.certify"].calls == 8
+    # 8 solutions, certified as one set and each checked at 32 sample points
+    assert stats["solutions.certify"].calls == 1
     assert stats["verify.dirac_residual"].points == 8 * 32
 
 
@@ -54,5 +54,9 @@ def test_span_targets_trace_a_verify_run_without_changing_it():
     assert qdirac.cli._render(traced, "json") == qdirac.cli._render(untraced, "json")
     (stats,) = tracer.op_stats
     # sets of 8 massive, 4 massless and 8 helicity solutions, 1 running
-    # phase and 8 Gram solutions; the adjoint check re-phases 2 of them
-    assert stats["solutions.certify"].calls == 29
+    # phase and 8 Gram solutions, each set certified once; the adjoint
+    # check re-phases 2 of them without a certification
+    assert stats["solutions.certify"].calls == 5
+    # the two massive sets, the massless set and the running phase; the
+    # Gram set is built by build_massive_solutions, which is not traced
+    assert stats["solutions.build"].calls == 4
