@@ -31,7 +31,9 @@ normalization and phase fix (the first significant component is made
 real positive, so builds are deterministic).  A set's distinct terms (4
 per half for the 8 massive solutions, 2 for the 4 massless ones) are the
 rows of one array pass, and `_solutions` certifies the set in one stacked
-residual product, as `make_wave_packet` certifies a packet's terms.
+residual product, as `make_wave_packet` certifies a packet's terms.  The
+checks of `verify` take a set the same way, and `density` is their
+one-field case.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -130,7 +131,7 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
             raise ValueError("norm_choice 'E_over_m' needs mass > 0")
         if k.t == 0.0:
             raise ValueError(f"four-momentum {k} has zero frequency")
-        if dispersion_residual(k, m) > verify.RESIDUAL_TOL:
+        if not dispersion_residual(k, m) <= verify.RESIDUAL_TOL:  # NaN when k.t**2 overflows
             raise ValueError(f"four-momentum {k} is off the mass shell for m={m}")
         chis.append(_Z_BASIS[sp] if axis is None else spin_basis(axis)[SPINS.index(sp)])
         energy = abs(k.t)
@@ -220,8 +221,7 @@ class _PlaneWaveSum:
         return QSpinor4(psi0[0], psi1[0])
 
     def density(self, x: FourVector) -> float:
-        psi0, psi1 = self.eval_points(x.as_array())
-        return float(np.sum(np.abs(psi0) ** 2 + np.abs(psi1) ** 2))
+        return float(verify.densities([self], x.as_array())[0, 0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -643,24 +643,22 @@ def certify_solution(sol):
     A list of fields of one mass is certified in one `verify.term_residuals`
     product, each by its own checks and bound, and returns a list of bounds."""
     fields = [sol] if isinstance(sol, _PlaneWaveSum) else list(sol)
-    mass = fields[0].mass
-    if any(f.mass != mass for f in fields):
-        raise ValueError("the fields of one certification must share a mass")
-    halves = [[f.stacked_terms()[h] for f in fields] for h in (0, 1)]
-    owner = np.concatenate([np.repeat(np.arange(len(fields)), [len(kl) for kl, _ in h]) for h in halves])
-    rows = SimpleNamespace(mass=mass, stacked_terms=lambda: [
-        tuple(map(np.concatenate, zip(*half))) for half in halves])
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = verify.term_residuals(rows)
-        res = np.bincount(owner, np.concatenate([np.linalg.norm(r, axis=1) for _, r in terms]),
+        terms = verify.term_residuals(fields)
+        owner = np.concatenate([o for _, _, o in terms])
+        res = np.bincount(owner, np.concatenate([np.linalg.norm(r, axis=1) for _, r, _ in terms]),
                           minlength=len(fields))
+    mass = fields[0].mass
     # a running phase moves the term momenta to k +- theta
     k_scale = np.full(len(fields), max(1.0, mass))
-    np.maximum.at(k_scale, owner, np.abs(np.concatenate([kl for kl, _ in terms])).max(axis=1))
+    np.maximum.at(k_scale, owner, np.abs(np.concatenate([kl for kl, _, _ in terms])).max(axis=1))
     for f, r, ks in zip(fields, res, k_scale):
         built = [term for half in f._terms() for term in half]
         for _, k, _ in built:
-            if dispersion_residual(k, mass) > verify.RESIDUAL_TOL:
+            d = dispersion_residual(k, mass)
+            if not d <= verify.RESIDUAL_TOL:
+                if not math.isfinite(d):  # k.k overflows
+                    raise ValueError(f"solution {f.label!r} overflows: term momentum {k} is too large")
                 raise CertificationError(
                     f"term momentum {k} violates the dispersion relation for m={mass}")
         if not math.isfinite(r):

@@ -8,6 +8,11 @@ and their norms bound it at every spacetime point.  The lattice
 difference operator appears only in the continuity check, so convention
 bugs and discretization error stay separable.
 
+The per-solution checks take a whole set in one array pass: the terms
+of every field are stacked per half (`_stack_rows`, as certification
+and the Gram products stack them), and each row is summed into the
+field that owns it.
+
 Every field is a finite sum of plane waves per symplectic half, so its
 current and its complex-potential source are finite sums of bilinear
 pair terms.  The central difference of a plane wave is the plane wave
@@ -32,7 +37,7 @@ import numpy as np
 from .grid import SampledField, SpacetimeGrid, _plane_wave_sum
 # not called here; perfbench/spans.py wraps them under this module path
 from .grid import central_diff, integrate_spatial, sample  # noqa: F401
-from .spinor import BETA_DIAG, FourVector, GAMMA, helicity_matrix
+from .spinor import BETA_DIAG, FourVector, GAMMA, PAULI
 
 # The verification bounds, stated once.  RESIDUAL_TOL: field-equation,
 # dispersion, kernel, normalization, helicity and constraint residuals;
@@ -44,6 +49,7 @@ ALGEBRA_TOL = 1e-13
 QUADRATURE_TOL = 1e-10
 
 _GAMMA_STACK = np.stack(GAMMA)
+_PAULI_STACK = np.stack(PAULI).reshape(3, 4)
 # beta @ gamma^mu, the Hermitian forms behind the four-current
 _BG_STACK = np.stack([np.diag(BETA_DIAG).astype(complex) @ g for g in GAMMA])
 
@@ -54,29 +60,63 @@ def default_points(seed: int = 7) -> np.ndarray:
     return rng.uniform(-3.0, 3.0, size=(32, 4))
 
 
+def _stack_rows(fields):
+    """Per half: the stacked terms of every field, concatenated in field
+    order, as lowered momenta (M, 4), weighted spinors (M, 4) and the
+    index (M,) of the field that owns each row."""
+    halves = [[f.stacked_terms()[h] for f in fields] for h in (0, 1)]
+    return [(*map(np.concatenate, zip(*half)),
+             np.arange(len(fields)).repeat([len(kl) for kl, _ in half])) for half in halves]
+
+
+def _owner_sums(points, kl, values, owner, count: int) -> np.ndarray:
+    """sum exp(i k.x) value over each field's rows, shape (P, F, 4): one
+    matmul against the rows spread into their owners' columns."""
+    spread = np.zeros((len(kl), count, 4), dtype=complex)
+    spread[np.arange(len(kl)), owner] = values
+    phases = np.exp(1j * (points @ kl.T))
+    return (phases @ spread.reshape(len(kl), 4 * count)).reshape(len(points), count, 4)
+
+
 def term_residuals(field, a: FourVector | None = None):
-    """Per half: lowered momenta (T, 4) and residual spinors (T, 4) of
-    the plane-wave terms w exp(i k.x) in gamma^mu ((d_mu - a_mu i .) Psi) i
+    """Per half: lowered momenta (M, 4), residual spinors (M, 4) and owner
+    indices (M,) of the plane-wave terms w exp(i k.x) of one field, or of
+    a sequence of fields of one mass, in gamma^mu ((d_mu - a_mu i .) Psi) i
     - m Psi.  The derivative and the potential give i (k - a)_mu, and
     right multiplication by i is +i on the complex half and -i on the j
     half: -(slashed(k - a) + m) w and (slashed(k - a) - m) w."""
+    fields = [field] if hasattr(field, "stacked_terms") else list(field)
+    mass = fields[0].mass
+    if any(f.mass != mass for f in fields):
+        raise ValueError("the fields of one set must share a mass")
     al = np.zeros(4) if a is None else a.lowered()
-    return [(kl, sign * np.einsum("mrc,tm,tc->tr", _GAMMA_STACK, kl - al, w) - field.mass * w)
-            for sign, (kl, w) in zip((-1.0, 1.0), field.stacked_terms())]
+    return [(kl, sign * np.einsum("mrc,tm,tc->tr", _GAMMA_STACK, kl - al, w) - mass * w, owner)
+            for sign, (kl, w, owner) in zip((-1.0, 1.0), _stack_rows(fields))]
 
 
-def dirac_residual(field, a: FourVector | None = None, points=None) -> float:
+def dirac_residual(field, a: FourVector | None = None, points=None):
     """Sup-norm of the field-equation residual over sample points.
 
     Sums the phased term residuals of `term_residuals` at each point;
     `a` is the real gauge four-vector entering the potential as a^mu i
-    (the complex part is zero for every field in scope)."""
+    (the complex part is zero for every field in scope).  A sequence of
+    fields of one mass gives one value per field, from one pass."""
+    single = hasattr(field, "stacked_terms")
+    fields = [field] if single else list(field)
     if points is None:
         points = default_points()
     pts = np.asarray(points, dtype=float).reshape(-1, 4)
-    r0, r1 = (np.exp(1j * (pts @ kl.T)) @ r for kl, r in term_residuals(field, a))
-    norms = np.sqrt(np.sum(np.abs(r0) ** 2 + np.abs(r1) ** 2, axis=1))
-    return float(norms.max())
+    r0, r1 = (_owner_sums(pts, kl, r, owner, len(fields)) for kl, r, owner in term_residuals(fields, a))
+    norms = np.sqrt(np.sum(np.abs(r0) ** 2 + np.abs(r1) ** 2, axis=2)).max(axis=0)
+    return float(norms[0]) if single else norms.tolist()
+
+
+def densities(fields, points) -> np.ndarray:
+    """Psi^dag Psi of every field at every point, shape (P, F)."""
+    fields = list(fields)
+    pts = np.asarray(points, dtype=float).reshape(-1, 4)
+    psi0, psi1 = (_owner_sums(pts, kl, w, owner, len(fields)) for kl, w, owner in _stack_rows(fields))
+    return np.sum(np.abs(psi0) ** 2 + np.abs(psi1) ** 2, axis=2)
 
 
 def _current(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
@@ -314,11 +354,8 @@ def _inner_products(fields, grid: SpacetimeGrid) -> np.ndarray:
     if not fields:
         return g
     axes = (np.array([grid.origin.t]), *(grid.axis(i) for i in (1, 2, 3)))
-    terms = [f.stacked_terms() for f in fields]
-    for half in (0, 1):
-        k = np.concatenate([t[half][0] for t in terms])
-        w = np.concatenate([t[half][1] for t in terms])
-        owner = np.repeat(np.eye(len(fields)), [len(t[half][0]) for t in terms], axis=1)
+    for k, w, rows in _stack_rows(fields):
+        owner = np.eye(len(fields))[:, rows]
         pair = w @ w.conj().T
         for i, x in enumerate(axes):
             e = np.exp(1j * np.multiply.outer(x, k[:, i]))
@@ -373,11 +410,12 @@ def gram_matrix(solutions, grid: SpacetimeGrid) -> GramReport:
     return GramReport(labels, g, max_off)
 
 
-def adjoint_norm(sol, x: FourVector | None = None) -> float:
+def adjoint_norm(sol, x: FourVector | None = None, theta0: float | None = None) -> float:
     """Real part of adj(Psi) Psi with both component spinors rescaled to
     the covariant normalization u^dag u = |k.t| / m, which makes the
     value read +-cos(2*theta0) by branch.  Constant in x for plane
-    waves; massless components pair to zero identically."""
+    waves; massless components pair to zero identically.  `theta0`,
+    when given, replaces the mixing angle of `sol`."""
     if x is None:
         x = FourVector()
     u0, u1 = sol.u0, sol.u1
@@ -387,7 +425,7 @@ def adjoint_norm(sol, x: FourVector | None = None) -> float:
     else:
         u0 = u0 / float(np.linalg.norm(u0))
         u1 = u1 / float(np.linalg.norm(u1))
-    ang = float(np.dot(x.as_array(), sol.theta.lowered())) + sol.theta0
+    ang = float(np.dot(x.as_array(), sol.theta.lowered())) + (sol.theta0 if theta0 is None else theta0)
     w0 = math.cos(ang) ** 2 * np.abs(u0) ** 2
     w1 = math.sin(ang) ** 2 * np.abs(u1) ** 2
     return float(np.sum(BETA_DIAG * (w0 + w1)))
@@ -404,17 +442,23 @@ class HelicityReport:
     residual1: float
 
 
-def helicity_check(sol) -> HelicityReport:
-    values = []
-    residuals = []
-    for k, u in ((sol.k0, sol.u0), (sol.k1, sol.u1)):
-        kvec = k.spatial()
-        if float(np.linalg.norm(kvec)) == 0.0:
-            raise ValueError("helicity_check needs nonzero spatial momenta")
-        h = helicity_matrix(kvec)
-        r = h @ u
-        lam = float(np.real(np.vdot(u, r) / np.vdot(u, u)))
-        resid = float(np.linalg.norm(r - lam * u) / np.linalg.norm(u))
-        residuals.append(resid)
-        values.append(lam if resid <= RESIDUAL_TOL else float("nan"))
-    return HelicityReport(values[0], values[1], residuals[0], residuals[1])
+def helicity_check(sol):
+    """Helicity of both component spinors of one solution, or one report
+    per solution of a sequence: every spinor's (1/2) sigma.k_hat
+    projection, Rayleigh quotient and eigen-residual in one pass."""
+    single = hasattr(sol, "stacked_terms")
+    sols = [sol] if single else list(sol)
+    k = np.array([kk.spatial() for s in sols for kk in (s.k0, s.k1)])
+    u = np.array([uu for s in sols for uu in (s.u0, s.u1)])
+    norm = np.linalg.norm(k, axis=1)
+    if not norm.all():
+        raise ValueError("helicity_check needs nonzero spatial momenta")
+    # (1/2) sigma.k_hat on both 2-spinor blocks of each row
+    r = (0.5 * (k / norm[:, None]) @ _PAULI_STACK).reshape(-1, 1, 2, 2) @ u.reshape(-1, 2, 2, 1)
+    r = r.reshape(-1, 4)
+    lam = (np.einsum("ti,ti->t", u.conj(), r) / np.einsum("ti,ti->t", u.conj(), u)).real
+    resid = np.linalg.norm(r - lam[:, None] * u, axis=1) / np.linalg.norm(u, axis=1)
+    values = np.where(resid <= RESIDUAL_TOL, lam, np.nan)
+    reports = [HelicityReport(*values[i:i + 2].tolist(), *resid[i:i + 2].tolist())
+               for i in range(0, len(u), 2)]
+    return reports[0] if single else reports

@@ -12,6 +12,9 @@ from qdirac.cli import (
     ConfigError, Report, Table, _quaternion_sweep, _render, _run_command,
     _slashed_square_residual, cli,
 )
+from qdirac import (
+    FourVector, PlaneWaveSolution, build_u_spinor, certify_solution, dispersion_residual,
+)
 from qdirac.solutions import CertificationError
 from helpers import scalar_quaternion_sweep, scalar_slashed_square
 
@@ -370,6 +373,27 @@ def test_config_error_maps_to_exit_2(massive_config):
     with pytest.raises(SystemExit) as exc:
         _run_command(bad_runner, massive_config, None, "json", None, 0)
     assert exc.value.code == 2
+
+
+# k.t**2 overflows, so the dispersion residual of this momentum is NaN
+_OVERFLOWING_K = FourVector(1e300, 0.0, 0.0, 3e299)
+_TINY_U = np.array([1e-300, 0, 0, 0], dtype=complex)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_u_spinor(_OVERFLOWING_K, 1.0, 1),
+     f"config error: four-momentum {_OVERFLOWING_K} is off the mass shell for m=1.0"),
+    # the term residuals of this field stay finite and far under its bound
+    (lambda: certify_solution(PlaneWaveSolution(
+        0.3, _OVERFLOWING_K, _OVERFLOWING_K, _TINY_U, _TINY_U, 1.0, label="far")),
+     f"config error: solution 'far' overflows: term momentum {_OVERFLOWING_K} is too large"),
+], ids=["build_u_spinor", "certify_solution"])
+def test_nan_dispersion_fails_the_shell_checks_with_exit_2(massive_config, capsys, build, message):
+    assert math.isnan(dispersion_residual(_OVERFLOWING_K, 1.0))
+    with pytest.raises(SystemExit) as exc:
+        _run_command(lambda cfg, tol, seed: build(), massive_config, None, "json", None, 0)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_json_renders_tables_and_rejects_other_objects():

@@ -39,9 +39,10 @@ def test_span_targets_install_and_trace_a_run():
     assert code == 0
     assert qdirac.verify.dirac_residual is before
     (stats,) = tracer.op_stats
-    # 8 solutions, certified as one set and each checked at 32 sample points
+    # 8 solutions, certified as one set and checked as one set at 32 sample points
     assert stats["solutions.certify"].calls == 1
-    assert stats["verify.dirac_residual"].points == 8 * 32
+    assert stats["verify.dirac_residual"].calls == 1
+    assert stats["verify.dirac_residual"].points == 32
 
 
 def test_span_targets_trace_a_verify_run_without_changing_it():
@@ -60,3 +61,7 @@ def test_span_targets_trace_a_verify_run_without_changing_it():
     # the two massive sets, the massless set and the running phase; the
     # Gram set is built by build_massive_solutions, which is not traced
     assert stats["solutions.build"].calls == 4
+    # one residual call per set (massive, massless, running phase) and one
+    # helicity call for the whole helicity set
+    assert stats["verify.dirac_residual"].calls <= 3
+    assert stats["verify.helicity_check"].calls == 1
