@@ -1,28 +1,13 @@
 """Free-particle solutions of the quaternionic Dirac equation in a real
 Hilbert space, plus the numerical checks that certify them."""
 
-from .qalg import (
-    ComplexPair,
-    Quaternion,
-    conjugate,
-    from_symplectic,
-    is_parallel,
-    mul,
-    mul_symplectic,
-    real_inner_pointwise,
-    right_mul_i,
-    symplectic_split,
-)
+from .qalg import Quaternion, mul, mul_symplectic
 from .spinor import (
     FourVector,
     QSpinor4,
     ZERO_FOUR,
-    adjoint,
-    apply_left,
-    dirac_pair,
     gamma,
     helicity_matrix,
-    right_mul_i_spinor,
     slashed,
     spin_basis,
 )
@@ -67,11 +52,8 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Quaternion", "ComplexPair", "mul", "mul_symplectic", "conjugate",
-    "right_mul_i", "real_inner_pointwise", "is_parallel",
-    "symplectic_split", "from_symplectic",
+    "Quaternion", "mul", "mul_symplectic",
     "FourVector", "ZERO_FOUR", "QSpinor4", "gamma", "slashed",
-    "apply_left", "right_mul_i_spinor", "adjoint", "dirac_pair",
     "helicity_matrix", "spin_basis",
     "SpacetimeGrid", "SampledField", "sample", "central_diff", "integrate_spatial",
     "MassiveSpec", "MasslessThetaSpec", "PlaneWaveSolution",

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic and the pointwise real inner product.
+"""Quaternion arithmetic: the `Quaternion` value and two product routes.
 
 `mul` and `mul_symplectic` take two `Quaternion`s, returning a
 `Quaternion`, or (4, N) real arrays of (w, x, y, z) components,
@@ -7,10 +7,11 @@ so the array form is bit-identical to the scalar form column by column.
 
 Conventions: q = w + x*i + y*j + z*k with the anti-commuting units
 i*j = k, j*k = i, k*i = j and i**2 = j**2 = k**2 = -1.  In symplectic
-form q = z0 + z1*j with complex z0 = w + x*i and z1 = y + z*i.  Moving a
-complex scalar through j conjugates it (j*c = conj(c)*j); that single
-rule is the source of every conjugation appearing elsewhere in this
-package.
+form q = z0 + z1*j with complex z0 = w + x*i and z1 = y + z*i; that is
+how `spinor.QSpinor4` stores its components, and `mul_symplectic` is
+the product in that form.  Moving a complex scalar through j conjugates
+it (j*c = conj(c)*j); that single rule is the source of every
+conjugation appearing elsewhere in this package.
 
 All values are immutable and every function is pure, so unrestricted
 concurrent use is safe.
@@ -18,7 +19,6 @@ concurrent use is safe.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -83,21 +83,6 @@ class Quaternion:
         return self.w == 0.0 and self.x == 0.0 and self.y == 0.0 and self.z == 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexPair:
-    """Symplectic components (z0, z1) of a quaternion q = z0 + z1*j."""
-
-    z0: complex
-    z1: complex
-
-    def __post_init__(self) -> None:
-        for name in ("z0", "z1"):
-            v = complex(getattr(self, name))
-            if not cmath.isfinite(v):
-                raise ValueError(f"symplectic component {name!r} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-
-
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -151,44 +136,3 @@ def mul_symplectic(p, q):
     c_re, c_im = _cmul(pw, px, qy, qz)
     d_re, d_im = _cmul(py, pz, qw, -qx)
     return _pack(p, q, (a_re - b_re, a_im - b_im, c_re + d_re, c_im + d_im))
-
-
-def conjugate(q: Quaternion) -> Quaternion:
-    return q.conjugate()
-
-
-def right_mul_i(q: Quaternion) -> Quaternion:
-    """Return q*i without forming a general product.
-
-    In symplectic terms (z0, z1) -> (i*z0, -i*z1); the sign flip on the
-    j-half is what distinguishes right from left multiplication by i.
-    """
-    return Quaternion(-q.x, q.w, q.z, -q.y)
-
-
-def real_inner_pointwise(p: Quaternion, q: Quaternion) -> float:
-    """Scalar part of (p q* + p* q)/2, i.e. the Euclidean dot of the
-    4-component real vectors.  Symmetric, bilinear and positive definite."""
-    return p.w * q.w + p.x * q.x + p.y * q.y + p.z * q.z
-
-
-def is_parallel(p: Quaternion, q: Quaternion, tol: float) -> bool:
-    """True when the imaginary part of p q* vanishes up to tol.
-
-    The tolerance is relative: the imaginary norm is compared against
-    tol * |p| * |q|, so the test behaves uniformly across magnitudes.
-    The zero quaternion counts as parallel to everything.
-    """
-    if tol < 0.0:
-        raise ValueError("tol must be >= 0")
-    v = mul(p, q.conjugate())
-    imag = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
-    return imag <= tol * p.norm() * q.norm()
-
-
-def symplectic_split(q: Quaternion) -> ComplexPair:
-    return ComplexPair(complex(q.w, q.x), complex(q.y, q.z))
-
-
-def from_symplectic(pair: ComplexPair) -> Quaternion:
-    return Quaternion(pair.z0.real, pair.z0.imag, pair.z1.real, pair.z1.imag)

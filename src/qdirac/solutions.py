@@ -49,7 +49,7 @@ import numpy as np
 from . import verify
 from ._fields import choice, number, require, sign, vector
 from .grid import SampledField, SpacetimeGrid, plane_wave_sum
-from .spinor import GAMMA, PAULI, ZERO_FOUR, FourVector, QSpinor4, spin_basis
+from .spinor import GAMMA, ZERO_FOUR, FourVector, QSpinor4, spin_basis
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +57,6 @@ SPINS = ("up", "down")
 CHIRALITIES = ("L", "R")
 NORM_CHOICES = ("E", "E_over_m")
 
-_PAULI_STACK = np.stack(PAULI).reshape(3, 4)
 _Z_BASIS = dict(zip(SPINS, spin_basis(None)))
 _QUIET = contextlib.nullcontext()
 # slashed(k) - mass_sign*m over coefficients (k.t, k.x, k.y, k.z, -mass_sign*m)
@@ -153,7 +152,7 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
     nums = np.array(scalars, dtype=complex).reshape(-1, 9)  # every product below is complex
     chi = np.array(chis, dtype=complex).reshape(-1, 2)
     # sigma.k: one term per real and imaginary part, so exact, signed zeros included
-    sk = (nums[:, 5:8] @ _PAULI_STACK).reshape(-1, 2, 2)
+    sk = (nums[:, 5:8] @ verify._PAULI_STACK).reshape(-1, 2, 2)
     lower = (sk @ chi[:, :, None])[:, :, 0] / nums[:, :1]
     u = np.concatenate([chi, lower, -lower], axis=1).take(flat).reshape(-1, 4)
     # np.vdot per row: no row-wise sum of |u|^2 rounds as it does

@@ -1,12 +1,13 @@
-"""Complex 4-spinors, Dirac matrices, and quaternion-valued 4-spinors.
+"""Dirac matrices, Lorentz four-vectors and quaternion-valued 4-spinors.
 
 The gamma matrices are fixed in the standard (Dirac) representation and
-the metric signature is (+,-,-,-).  Quaternionic spinors are stored
-symplectically as a pair of complex 4-spinors (psi0, psi1) meaning
-``psi0 + psi1*j`` componentwise.  A complex matrix acting from the left
-multiplies both halves without conjugation, because a left complex
-scalar never crosses the j: c*(z*j) == (c*z)*j.  The right-acting
-imaginary unit instead maps (psi0, psi1) -> (i*psi0, -i*psi1).
+the metric signature is (+,-,-,-).  A quaternionic spinor `QSpinor4` is
+stored symplectically as a pair of complex 4-spinors (psi0, psi1)
+meaning ``psi0 + psi1*j`` componentwise; `QSpinor4.quaternions` and
+`QSpinor4.from_quaternions` convert to and from four `Quaternion`s.
+Nothing here acts on a spinor: the half sign table of the field
+equation lives where it is used (`verify.term_residuals`,
+`solutions._half`).
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ GAMMA = tuple(
     )
 )
 
-BETA = GAMMA[0]
-# beta is diagonal; its diagonal is all the adjoint machinery needs.
+# beta = gamma^0 is diagonal; the adjoint pairings need only its diagonal.
 BETA_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
 
 METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
@@ -189,37 +189,3 @@ class QSpinor4:
             Quaternion(z0.real, z0.imag, z1.real, z1.imag)
             for z0, z1 in zip(self.psi0, self.psi1)
         )
-
-
-def apply_left(matrix: np.ndarray, s: QSpinor4) -> QSpinor4:
-    """Left action of a complex 4x4 matrix on a quaternionic spinor.
-
-    Complex entries stay on the left of each quaternion component, so
-    they never cross a j and both symplectic halves transform with the
-    same (unconjugated) matrix: (M psi0, M psi1).
-    """
-    m = np.asarray(matrix, dtype=complex)
-    return QSpinor4(m @ s.psi0, m @ s.psi1)
-
-
-def right_mul_i_spinor(s: QSpinor4) -> QSpinor4:
-    """Componentwise right multiplication by i: (i*psi0, -i*psi1)."""
-    return QSpinor4(1j * s.psi0, -1j * s.psi1)
-
-
-def adjoint(s: QSpinor4) -> QSpinor4:
-    """Adjoint row: quaternion-conjugate transpose followed by beta.
-
-    The quaternion conjugate of z0 + z1*j is conj(z0) - z1*j, and beta
-    flips the sign of the last two entries.  The result is returned as a
-    QSpinor4 whose entries are understood as a row.
-    """
-    return QSpinor4(BETA_DIAG * np.conj(s.psi0), -BETA_DIAG * s.psi1)
-
-
-def dirac_pair(row: QSpinor4, col: QSpinor4) -> Quaternion:
-    """Quaternion-valued contraction sum_a row_a * col_a (row from
-    adjoint())."""
-    z0 = np.sum(row.psi0 * col.psi0 - row.psi1 * np.conj(col.psi1))
-    z1 = np.sum(row.psi0 * col.psi1 + row.psi1 * np.conj(col.psi0))
-    return Quaternion(z0.real, z0.imag, z1.real, z1.imag)

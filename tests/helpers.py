@@ -3,6 +3,13 @@
 These deliberately avoid the library's construction paths: null spaces
 come from dense SVD, momenta from direct resampling, so agreement with
 the closed forms is a genuine cross-check.
+
+The SVD `null_space` oracles and the sampled-current oracles
+(`einsum_current`, `sampled_source`) work on the symplectic halves
+(psi0, psi1), as the library does.  `difference_residual` and
+`adjoint_pairing` never split: they read each spinor as four
+quaternions and compute with `mul`, so a slip in the half sign table
+that the builders and `verify` share shows up there.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from qdirac import (
     FourVector, Quaternion, central_diff, integrate_spatial, mass_shell_energy, mul,
     mul_symplectic, sample, slashed,
 )
+from qdirac.qalg import I
 from qdirac.spinor import BETA_DIAG, GAMMA
 
 # beta @ gamma^mu, the Hermitian forms behind the four-current
@@ -124,28 +132,53 @@ def sampled_source(psi0: np.ndarray, psi1: np.ndarray, b) -> np.ndarray:
     return np.real(np.sum(row0 * col0 - row1 * np.conj(col1), axis=-1))
 
 
-def difference_residual(field, points, a=None, h: float = 1e-5) -> float:
-    """Sup-norm over `points` of gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi,
-    with d_mu a central difference of `eval_points` values.
+def spinor_quaternions(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
+    """Quaternion components of sampled spinors with halves of shape
+    (P, 4), as an array of shape (4, 4, P): (w, x, y, z), then spinor
+    index, then point, read as `QSpinor4.quaternions` reads them."""
+    return np.stack([psi0.real, psi0.imag, psi1.real, psi1.imag]).transpose(0, 2, 1)
 
-    Left multiplication by i reaches both symplectic halves as i; right
-    multiplication by i is +i on the complex half and -i on the j half.
-    Nothing here reads the plane-wave terms."""
+
+def apply_left(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A complex 4x4 matrix acting from the left on quaternion spinors q
+    of shape (4, 4, ...): each entry c is the quaternion c.real + c.imag i
+    and multiplies its component from the left through `mul`."""
+    m = np.asarray(matrix, dtype=complex)
+    return np.stack([sum(mul(Quaternion(c.real, c.imag), q[:, b]) for b, c in enumerate(row))
+                     for row in m], axis=1)
+
+
+def adjoint_pairing(psi, phi) -> Quaternion:
+    """adj(Psi) Phi = sum_a conj(Psi_a) beta_aa Phi_a, for two spinors
+    given as four `Quaternion`s each, through `Quaternion.conjugate` and
+    `mul`."""
+    total = Quaternion()
+    for b, p, q in zip(BETA_DIAG, psi, phi):
+        total = total + mul(p.conjugate(), q) * float(b)
+    return total
+
+
+def difference_residual(field, points, a=None, h: float = 1e-5) -> float:
+    """Sup-norm over `points` of gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi
+    in quaternion arithmetic, with d_mu a central difference of
+    `eval_points` values.
+
+    Never uses the symplectic split: the potential's i multiplies from
+    the left and the trailing i from the right, both through `mul`, and
+    gamma^mu acts through `apply_left`.  Nothing here reads the
+    plane-wave terms."""
     pts = np.asarray(points, dtype=float).reshape(-1, 4)
     al = np.zeros(4) if a is None else a.lowered()
-    values = field.eval_points(pts)
-    steps = h * np.eye(4)
-    fwd = [field.eval_points(pts + step) for step in steps]
-    bwd = [field.eval_points(pts - step) for step in steps]
-    total = np.zeros(len(pts))
-    for half, right_i in ((0, 1j), (1, -1j)):
-        psi = values[half]
-        r = -field.mass * psi
-        for mu in range(4):
-            d = (fwd[mu][half] - bwd[mu][half]) / (2 * h) - al[mu] * 1j * psi
-            r = r + (d @ GAMMA[mu].T) * right_i
-        total += np.sum(np.abs(r) ** 2, axis=1)
-    return float(np.sqrt(total).max())
+
+    def psi(x):
+        return spinor_quaternions(*field.eval_points(x))
+
+    values = psi(pts)
+    r = -field.mass * values
+    for mu, step in enumerate(h * np.eye(4)):
+        d = (psi(pts + step) - psi(pts - step)) / (2 * h) - al[mu] * mul(I, values)
+        r = r + mul(apply_left(GAMMA[mu], d), I)
+    return float(np.sqrt(np.sum(r * r, axis=(0, 1))).max())
 
 
 def sampled_inner_product(psi, phi, grid) -> float:

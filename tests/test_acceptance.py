@@ -31,11 +31,9 @@ from qdirac import (
     mass_shell_energy,
     slashed,
 )
-from qdirac.qalg import (
-    I, J, K, ONE, Quaternion, from_symplectic, mul, symplectic_split,
-)
+from qdirac.qalg import I, J, K, ONE, Quaternion, mul
 from qdirac.solutions import PacketSample, SPIN_PAIRS
-from qdirac.spinor import METRIC_DIAG
+from qdirac.spinor import METRIC_DIAG, QSpinor4
 from helpers import null_space, rank_one_gram_defect
 
 BOX = 2.0 * math.pi
@@ -58,6 +56,7 @@ def test_criterion_1_quaternion_algebra_suite():
     rng = np.random.default_rng(2024)
     vals = rng.uniform(-2.0, 2.0, size=(10_000, 12))
     worst_mult = worst_assoc = 0.0
+    drawn = []
     for row in vals:
         p, q, r = Quaternion(*row[:4]), Quaternion(*row[4:8]), Quaternion(*row[8:])
         pq = mul(p, q)
@@ -65,8 +64,14 @@ def test_criterion_1_quaternion_algebra_suite():
                          / max(p.norm() * q.norm(), 1e-300))
         diff = (mul(pq, r) - mul(p, mul(q, r))).norm()
         worst_assoc = max(worst_assoc, diff / max(mul(pq, r).norm(), 1e-300))
-        back = from_symplectic(symplectic_split(p))
-        assert back == p and math.copysign(1.0, back.w) == math.copysign(1.0, p.w)
+        drawn.append(p)
+    # every drawn p through the symplectic storage and back, four per spinor
+    for i in range(0, len(drawn), 4):
+        s = QSpinor4.from_quaternions(drawn[i:i + 4])
+        back = QSpinor4.from_quaternions(s.quaternions)
+        assert np.array_equal(back.psi0, s.psi0) and np.array_equal(back.psi1, s.psi1)
+        assert all(b == p and math.copysign(1.0, b.w) == math.copysign(1.0, p.w)
+                   for b, p in zip(back.quaternions, drawn[i:i + 4]))
     assert worst_mult <= 1e-13
     assert worst_assoc <= 1e-13
     elapsed = time.perf_counter() - start

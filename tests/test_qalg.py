@@ -4,22 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qdirac.qalg import (
-    ComplexPair,
-    I,
-    J,
-    K,
-    ONE,
-    Quaternion,
-    conjugate,
-    from_symplectic,
-    is_parallel,
-    mul,
-    mul_symplectic,
-    real_inner_pointwise,
-    right_mul_i,
-    symplectic_split,
-)
+from qdirac.qalg import I, J, K, ONE, Quaternion, mul, mul_symplectic
+from qdirac.spinor import QSpinor4
 
 UNITS = {"1": ONE, "i": I, "j": J, "k": K}
 
@@ -73,11 +59,12 @@ def test_mul_routes_agree():
 
 @given(quaternions, quaternions)
 def test_symplectic_route_rounds_as_complex_arithmetic(p, q):
-    a, b = symplectic_split(p), symplectic_split(q)
-    want = from_symplectic(ComplexPair(a.z0 * b.z0 - a.z1 * b.z1.conjugate(),
-                                       a.z0 * b.z1 + a.z1 * b.z0.conjugate()))
+    a0, a1 = complex(p.w, p.x), complex(p.y, p.z)
+    b0, b1 = complex(q.w, q.x), complex(q.y, q.z)
+    z0 = a0 * b0 - a1 * b1.conjugate()
+    z1 = a0 * b1 + a1 * b0.conjugate()
     got = mul_symplectic(p, q)
-    for x, y in zip((got.w, got.x, got.y, got.z), (want.w, want.x, want.y, want.z)):
+    for x, y in zip((got.w, got.x, got.y, got.z), (z0.real, z0.imag, z1.real, z1.imag)):
         assert bit_equal(x, y)
 
 
@@ -108,19 +95,19 @@ def test_array_products_reject_other_shapes():
 # --- conjugation ---------------------------------------------------------
 
 def test_conjugate_definition():
-    assert conjugate(Quaternion(1, 1, 1, 1)) == Quaternion(1, -1, -1, -1)
+    assert Quaternion(1, 1, 1, 1).conjugate() == Quaternion(1, -1, -1, -1)
 
 
 @given(quaternions)
 def test_conjugate_involution(q):
-    assert conjugate(conjugate(q)) == q
+    assert q.conjugate().conjugate() == q
 
 
 @given(quaternions)
 def test_q_times_conjugate_is_norm_squared(q):
     # hand expansion: real slot w^2+x^2+y^2+z^2, imaginary slots cancel
     # pairwise (to rounding, since the sums absorb)
-    r = mul(q, conjugate(q))
+    r = mul(q, q.conjugate())
     tol = 1e-14 * max(q.norm_sq(), 1e-300)
     assert abs(r.x) <= tol and abs(r.y) <= tol and abs(r.z) <= tol
     assert abs(r.w - q.norm_sq()) <= tol
@@ -129,42 +116,52 @@ def test_q_times_conjugate_is_norm_squared(q):
 # --- right multiplication by i -------------------------------------------
 
 def test_right_mul_i_examples():
-    assert right_mul_i(J) == -K
-    assert right_mul_i(right_mul_i(Quaternion(0.3, -1.2, 0.7, 2.0))) == -Quaternion(0.3, -1.2, 0.7, 2.0)
+    assert mul(J, I) == -K
+    q = Quaternion(0.3, -1.2, 0.7, 2.0)
+    assert mul(mul(q, I), I) == -q
 
 
 @given(quaternions)
 def test_right_mul_i_matches_general_product(q):
-    assert right_mul_i(q) == mul(q, I)
+    # the closed form (w, x, y, z) i = (-x, w, z, -y), from both routes
+    want = Quaternion(-q.x, q.w, q.z, -q.y)
+    assert mul(q, I) == want
+    assert mul_symplectic(q, I) == want
 
 
 @given(quaternions)
 def test_right_mul_i_symplectic_pair(q):
-    # (z0, z1) -> (i z0, -i z1), expanded via the product table
-    pair = symplectic_split(q)
-    r = symplectic_split(right_mul_i(q))
-    assert r.z0 == 1j * pair.z0
-    assert r.z1 == -1j * pair.z1
+    # (z0, z1) -> (i z0, -i z1): the sign flip on the j half is what
+    # tells right from left multiplication by i
+    z0, z1 = complex(q.w, q.x), complex(q.y, q.z)
+    r = mul(q, I)
+    assert complex(r.w, r.x) == 1j * z0
+    assert complex(r.y, r.z) == -1j * z1
 
 
 # --- real inner product ---------------------------------------------------
+# the pointwise real inner product is the scalar part of p q*
+
+def inner(p: Quaternion, q: Quaternion) -> float:
+    return mul(p, q.conjugate()).w
+
 
 def test_inner_unit_table_orthonormal():
     names = list(UNITS)
     for a in names:
         for b in names:
             want = 1.0 if a == b else 0.0
-            assert real_inner_pointwise(UNITS[a], UNITS[b]) == want
+            assert inner(UNITS[a], UNITS[b]) == want
 
 
 @given(quaternions, quaternions)
 def test_inner_symmetry(p, q):
-    assert real_inner_pointwise(p, q) == real_inner_pointwise(q, p)
+    assert inner(p, q) == inner(q, p)
 
 
 @given(quaternions)
 def test_inner_positive_definite(q):
-    v = real_inner_pointwise(q, q)
+    v = inner(q, q)
     assert v == q.norm_sq()
     assert v >= 0.0
     if not q.is_zero():
@@ -172,51 +169,22 @@ def test_inner_positive_definite(q):
 
 
 def test_inner_of_one_and_i_is_zero():
-    assert real_inner_pointwise(ONE, I) == 0.0
+    assert inner(ONE, I) == 0.0
 
 
-# --- parallelism ----------------------------------------------------------
-
-def test_parallel_scalar_multiple():
-    q = Quaternion(0.2, -1.0, 0.5, 0.3)
-    assert is_parallel(q, 3.0 * q, 1e-12)
-
-
-def test_not_parallel_distinct_units():
-    assert not is_parallel(ONE, J, 1e-9)
-
-
-def test_zero_parallel_to_everything():
-    assert is_parallel(Quaternion(), Quaternion(1, 2, 3, 4), 0.0)
-
-
-def test_parallel_negative_tol_rejected():
-    with pytest.raises(ValueError):
-        is_parallel(ONE, ONE, -1.0)
-
-
-def test_parallel_common_unit_direction():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        raw = Quaternion(*rng.uniform(-1, 1, size=4))
-        lam = raw * (1.0 / raw.norm())
-        a, b = rng.uniform(-5, 5, size=2)
-        assert is_parallel(a * lam, b * lam, 1e-12)
-
-
-# --- symplectic split -----------------------------------------------------
+# --- symplectic storage ---------------------------------------------------
 
 @given(quaternions)
 def test_symplectic_round_trip_bit_exact(q):
-    r = from_symplectic(symplectic_split(q))
+    r = QSpinor4.from_quaternions((q, ONE, I, J)).quaternions[0]
     for a, b in zip((q.w, q.x, q.y, q.z), (r.w, r.x, r.y, r.z)):
         assert bit_equal(a, b)
 
 
 def test_symplectic_split_components():
-    q = Quaternion(1.0, 2.0, 3.0, 4.0)
-    pair = symplectic_split(q)
-    assert pair == ComplexPair(1.0 + 2.0j, 3.0 + 4.0j)
+    s = QSpinor4.from_quaternions((Quaternion(1.0, 2.0, 3.0, 4.0), ONE, J, K))
+    assert (s.psi0[0], s.psi1[0]) == (1.0 + 2.0j, 3.0 + 4.0j)
+    assert (s.psi0[1:].tolist(), s.psi1[1:].tolist()) == ([1, 0, 0], [0, 1, 1j])
 
 
 # --- invariants -----------------------------------------------------------
@@ -246,5 +214,3 @@ def test_noncommutativity_witness():
 def test_constructor_rejects_nonfinite(bad):
     with pytest.raises(ValueError):
         Quaternion(bad, 0, 0, 0)
-    with pytest.raises(ValueError):
-        ComplexPair(complex(bad, 0), 0j)

@@ -1,12 +1,15 @@
 """The benchmark's traced runs patch qdirac functions by module path
 (`perfbench/spans.py`, `TARGETS`).  A rename under `src/` that drops
 one of those names breaks every traced run, so the table is checked
-here, where the library's own suite runs.  The file is only read."""
+here, where the library's own suite runs.  The file is only read.
+So is the package's public name list, `qdirac.__all__`."""
 
+import ast
 import sys
 import types
 from pathlib import Path
 
+import qdirac
 import qdirac.cli
 import qdirac.verify
 
@@ -65,3 +68,14 @@ def test_span_targets_trace_a_verify_run_without_changing_it():
     # helicity call for the whole helicity set
     assert stats["verify.dirac_residual"].calls <= 3
     assert stats["verify.helicity_check"].calls == 1
+
+
+def test_public_names_are_imported_once():
+    # every public name is listed once, resolves, and is bound by an
+    # import in __init__.py rather than defined there
+    tree = ast.parse(Path(qdirac.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(qdirac.__all__) == len(set(qdirac.__all__))
+    for name in qdirac.__all__:
+        assert name in imported and hasattr(qdirac, name), name

@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
 
-from qdirac.qalg import Quaternion, mul
+from qdirac.qalg import I, ONE, Quaternion, mul
 from qdirac.spinor import (
     BETA_DIAG,
     FourVector,
     METRIC_DIAG,
     QSpinor4,
-    adjoint,
-    apply_left,
-    dirac_pair,
     gamma,
     helicity_matrix,
-    right_mul_i_spinor,
     slashed,
     spin_basis,
 )
-from helpers import matrix_rank, random_null_fourvector
+from helpers import (
+    adjoint_pairing, apply_left, matrix_rank, random_null_fourvector, spinor_quaternions,
+)
 
 EYE = np.eye(4)
 
@@ -130,28 +128,37 @@ def test_qspinor_quaternion_round_trip_bit_exact():
     assert np.array_equal(s.psi1, back.psi1)
 
 
+# The oracle's actions on quaternion spinors (`helpers.apply_left`,
+# `helpers.adjoint_pairing` and `mul` by i) against the product table and
+# against the symplectic formulas the library runs.
+
+def _quaternion_array(s: QSpinor4) -> np.ndarray:
+    return spinor_quaternions(s.psi0[None], s.psi1[None])
+
+
+def _halves(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return q[0, :, 0] + 1j * q[1, :, 0], q[2, :, 0] + 1j * q[3, :, 0]
+
+
 def test_apply_left_identity():
     rng = np.random.default_rng(7)
-    s = _random_qspinor(rng)
-    out = apply_left(np.eye(4, dtype=complex), s)
-    assert np.array_equal(out.psi0, s.psi0)
-    assert np.array_equal(out.psi1, s.psi1)
+    q = _quaternion_array(_random_qspinor(rng))
+    assert np.array_equal(apply_left(np.eye(4, dtype=complex), q), q)
 
 
 def test_apply_left_pure_complex_embedding():
     rng = np.random.default_rng(8)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-    s = QSpinor4(psi0, np.zeros(4, dtype=complex))
-    out = apply_left(m, s)
-    assert np.allclose(out.psi0, m @ psi0, rtol=0, atol=1e-15)
-    assert np.array_equal(out.psi1, np.zeros(4, dtype=complex))
+    out0, out1 = _halves(apply_left(m, _quaternion_array(QSpinor4(psi0, np.zeros(4)))))
+    assert np.allclose(out0, m @ psi0, rtol=0, atol=1e-13)
+    assert np.array_equal(out1, np.zeros(4, dtype=complex))
 
 
 def test_apply_left_against_quaternion_product_table():
-    # oracle: expand every entry as a quaternion product; a complex
-    # scalar on the left multiplies both symplectic halves unconjugated,
-    # so apply_left(M, s) == (M psi0, M psi1)
+    # expand every entry as a scalar quaternion product; a complex scalar
+    # on the left multiplies both symplectic halves unconjugated, so the
+    # action is (M psi0, M psi1)
     rng = np.random.default_rng(9)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     s = _random_qspinor(rng)
@@ -163,64 +170,59 @@ def test_apply_left_against_quaternion_product_table():
             acc = acc + mul(_complex_as_quaternion(m[a, b]), comps[b])
         rows.append(acc)
     oracle = QSpinor4.from_quaternions(rows)
-    out = apply_left(m, s)
-    assert np.abs(out.psi0 - oracle.psi0).max() <= 1e-13
-    assert np.abs(out.psi1 - oracle.psi1).max() <= 1e-13
-    assert np.abs(out.psi0 - m @ s.psi0).max() == 0.0
-    assert np.abs(out.psi1 - m @ s.psi1).max() == 0.0
+    out0, out1 = _halves(apply_left(m, _quaternion_array(s)))
+    assert np.array_equal(out0, oracle.psi0) and np.array_equal(out1, oracle.psi1)
+    assert np.abs(out0 - m @ s.psi0).max() <= 1e-13
+    assert np.abs(out1 - m @ s.psi1).max() <= 1e-13
 
 
 def test_apply_left_composition():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    s = _random_qspinor(rng)
-    lhs = apply_left(a @ b, s)
-    rhs = apply_left(a, apply_left(b, s))
-    assert np.abs(lhs.psi0 - rhs.psi0).max() <= 1e-13
-    assert np.abs(lhs.psi1 - rhs.psi1).max() <= 1e-13
+    q = _quaternion_array(_random_qspinor(rng))
+    assert np.abs(apply_left(a @ b, q) - apply_left(a, apply_left(b, q))).max() <= 1e-13
 
 
 def test_right_mul_i_spinor_componentwise():
-    from qdirac.qalg import right_mul_i
-
+    # right multiplication by i is (i psi0, -i psi1) on the halves
     rng = np.random.default_rng(11)
     s = _random_qspinor(rng)
-    out = right_mul_i_spinor(s)
-    for got, q in zip(out.quaternions, s.quaternions):
-        assert got == right_mul_i(q)
+    want = QSpinor4(1j * s.psi0, -1j * s.psi1)
+    for got, q in zip(want.quaternions, s.quaternions):
+        assert got == mul(q, I)
 
 
 def test_right_vs_left_i_on_symplectic_halves():
     rng = np.random.default_rng(12)
-    i_eye = 1j * np.eye(4, dtype=complex)
-    pure0 = QSpinor4(rng.normal(size=4) + 1j * rng.normal(size=4), np.zeros(4))
-    right0 = right_mul_i_spinor(pure0)
-    left0 = apply_left(i_eye, pure0)
-    assert np.array_equal(right0.psi0, left0.psi0)
-    pure1 = QSpinor4(np.zeros(4), rng.normal(size=4) + 1j * rng.normal(size=4))
-    right1 = right_mul_i_spinor(pure1)
-    left1 = apply_left(i_eye, pure1)
-    assert np.array_equal(right1.psi1, -left1.psi1)
+    pure0 = _quaternion_array(QSpinor4(rng.normal(size=4) + 1j * rng.normal(size=4), np.zeros(4)))
+    assert np.array_equal(mul(pure0, I), mul(I, pure0))
+    pure1 = _quaternion_array(QSpinor4(np.zeros(4), rng.normal(size=4) + 1j * rng.normal(size=4)))
+    assert np.array_equal(mul(pure1, I), -mul(I, pure1))
 
 
 # --- adjoint -----------------------------------------------------------------
 
 def test_adjoint_basis_vector():
-    s = QSpinor4(np.array([1, 0, 0, 0], dtype=complex), np.zeros(4))
-    row = adjoint(s)
-    assert np.array_equal(row.psi0, np.array([1, 0, 0, 0], dtype=complex))
-    assert np.array_equal(row.psi1, np.zeros(4, dtype=complex))
+    # adj(e_a) e_b = beta_aa delta_ab, for every unit in every slot
+    for unit in (ONE, I):
+        basis = [[unit if a == b else Quaternion() for b in range(4)] for a in range(4)]
+        for a in range(4):
+            for b in range(4):
+                want = ONE * float(BETA_DIAG[a]) if a == b else Quaternion()
+                assert adjoint_pairing(basis[a], basis[b]) == want
 
 
 def test_adjoint_against_componentwise_formula():
-    # oracle: conj-transpose each quaternion entry, then beta signs
+    # the symplectic form: the adjoint row is (beta conj(psi0), -beta psi1),
+    # since the quaternion conjugate of z0 + z1 j is conj(z0) - z1 j
     rng = np.random.default_rng(13)
-    s = _random_qspinor(rng)
-    row = adjoint(s)
-    for a, (got, q) in enumerate(zip(row.quaternions, s.quaternions)):
-        want = q.conjugate() * float(BETA_DIAG[a])
-        assert got == want
+    s, t = _random_qspinor(rng), _random_qspinor(rng)
+    row0, row1 = BETA_DIAG * np.conj(s.psi0), -BETA_DIAG * s.psi1
+    z0 = np.sum(row0 * t.psi0 - row1 * np.conj(t.psi1))
+    z1 = np.sum(row0 * t.psi1 + row1 * np.conj(t.psi0))
+    got = adjoint_pairing(s.quaternions, t.quaternions)
+    assert (got - Quaternion(z0.real, z0.imag, z1.real, z1.imag)).norm() <= 1e-13
 
 
 def test_adjoint_gamma0_density_identity():
@@ -228,7 +230,8 @@ def test_adjoint_gamma0_density_identity():
     # beta gamma^0 = identity
     rng = np.random.default_rng(14)
     s = _random_qspinor(rng)
-    paired = dirac_pair(adjoint(s), apply_left(gamma(0), s))
+    col = [Quaternion(*c) for c in apply_left(gamma(0), _quaternion_array(s))[:, :, 0].T]
+    paired = adjoint_pairing(s.quaternions, col)
     density = float(np.sum(np.abs(s.psi0) ** 2 + np.abs(s.psi1) ** 2))
     assert abs(paired.w - density) <= 1e-13 * density
 

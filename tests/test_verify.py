@@ -18,6 +18,7 @@ from qdirac import (
     analytic_divergence,
     build_massive_solution,
     build_massless_theta_solution,
+    build_u_spinor,
     certify_solution,
     continuity_convergence,
     continuity_residual,
@@ -31,14 +32,16 @@ from qdirac import (
     make_wave_packet,
     mass_shell_energy,
     sample,
+    slashed,
 )
 import qdirac.grid
 import qdirac.verify as ver
 from qdirac.grid import plane_wave_sum
-from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_wave_packet
+from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_massive_solutions, build_wave_packet
 from qdirac.cli import _default_continuity_setup
 from helpers import (
-    difference_residual, einsum_current, oracle_continuity, sampled_gram, sampled_source,
+    adjoint_pairing, difference_residual, einsum_current, oracle_continuity, sampled_gram,
+    sampled_source,
 )
 
 POINTS = np.random.default_rng(99).uniform(-3, 3, size=(40, 4))
@@ -131,6 +134,21 @@ def test_residual_matches_difference_oracle(name):
     want = difference_residual(field, POINTS, a=a)
     assert got > 0.01
     assert abs(got - want) <= 1e-6 * want
+
+
+def test_difference_oracle_rejects_flipped_half_signs():
+    # the set a slip in the half sign table would build and certify: each
+    # half takes the other half's mass sign and frequency, so u0 is in
+    # ker(slashed(k0) - m) and u1 in ker(slashed(k1) + m)
+    m = 1.5
+    sol = build_massive_solution(MassiveSpec(m, 0.4, (0.3, 0, 0.4), (0.2, -0.1, 0)))
+    k0 = FourVector(-sol.k0.t, *sol.k0.spatial())
+    k1 = FourVector(-sol.k1.t, *sol.k1.spatial())
+    flipped = dataclasses.replace(sol, k0=k0, k1=k1, u0=build_u_spinor(k0, m, 1),
+                                  u1=build_u_spinor(k1, m, -1))
+    assert np.abs((slashed(k0) - m * np.eye(4)) @ flipped.u0).max() <= 1e-12
+    assert np.abs((slashed(k1) + m * np.eye(4)) @ flipped.u1).max() <= 1e-12
+    assert difference_residual(flipped, POINTS) > 0.1
 
 
 def _certified_family(family):
@@ -432,6 +450,19 @@ def test_continuity_degenerate_grid():
         continuity_residual(sol, SpacetimeGrid(FourVector(), (0.1,) * 4, (1, 1, 1, 1)))
 
 
+# --- the field equation in quaternion arithmetic ---------------------------------
+
+@pytest.mark.parametrize("label, field", FAMILIES + [
+    (s.label, s) for s in build_massive_solutions([
+        MassiveSpec(1.5, 0.4, (0.3, 0, 0.4), (0.2, -0.1, 0), spin1="down"),
+        MassiveSpec(1.5, 1.2, (-0.5, 0.1, 0.2), (0.0, 0.7, -0.4), esign0=-1)])
+], ids=FAMILY_IDS + ["built_ud+-", "built_uu-+"])
+def test_difference_oracle_vanishes_on_built_fields(label, field):
+    # every set builder, the running phase and packets solve the field
+    # equation in plain quaternion arithmetic
+    assert difference_residual(field, POINTS) <= 1e-8
+
+
 # --- inner products -----------------------------------------------------------------
 
 def test_inner_product_positive():
@@ -606,6 +637,35 @@ def test_adjoint_norm_massless_zero():
 
     for s in enumerate_massless_theta0_set((0, 0, 1.0), (0, 0, 1.0), 0.3):
         assert adjoint_norm(s) == pytest.approx(0.0, abs=1e-13)
+
+
+def quaternion_adjoint_norm(sol, x: FourVector) -> float:
+    """Re sum_a conj(Psi_a) beta_aa Psi_a at x in quaternion arithmetic,
+    after the rescaling `adjoint_norm` states: u^dag u = |k.t| / m per
+    component, or unit norm when massless."""
+    def rescaled(u, k):
+        target = abs(k.t) / sol.mass if sol.mass > 0 else 1.0
+        return u * math.sqrt(target / np.vdot(u, u).real)
+
+    field = dataclasses.replace(sol, u0=rescaled(sol.u0, sol.k0), u1=rescaled(sol.u1, sol.k1))
+    qs = field.evaluate(x).quaternions
+    return adjoint_pairing(qs, qs).w
+
+
+@pytest.mark.parametrize("theta0", [0.0, math.pi / 8, math.pi / 4, math.pi / 2])
+def test_adjoint_norm_matches_quaternion_oracle(theta0):
+    x = FourVector(0.7, -0.4, 1.1, 0.3)
+    for s in eight_state_set(theta0):
+        assert adjoint_norm(s, x) == pytest.approx(quaternion_adjoint_norm(s, x), abs=1e-12)
+        assert abs(quaternion_adjoint_norm(s, x)) == pytest.approx(abs(math.cos(2 * theta0)), abs=1e-12)
+        # a running phase on massive spinors, where the angle at x matters
+        running = dataclasses.replace(s, theta=FourVector(0.3, 0.1, -0.2, 0.4))
+        assert adjoint_norm(running, x) == pytest.approx(quaternion_adjoint_norm(running, x), abs=1e-12)
+        assert adjoint_norm(s, x, theta0=theta0 + 0.3) == pytest.approx(
+            quaternion_adjoint_norm(dataclasses.replace(s, theta0=theta0 + 0.3), x), abs=1e-12)
+    for s in enumerate_massless_theta0_set((0.4, 0.1, -0.6), (-0.3, 0.5, 0.2), theta0) + [_theta_solution()]:
+        assert quaternion_adjoint_norm(s, x) == pytest.approx(0.0, abs=1e-13)
+        assert adjoint_norm(s, x) == pytest.approx(0.0, abs=1e-13)
 
 
 # --- helicity ----------------------------------------------------------------------
