@@ -65,13 +65,14 @@ class SpacetimeGrid:
         Periodic axes keep their extent (counts multiply, origin fixed);
         non-periodic axes keep their counts, so their window shrinks
         about its own center.  Either way the difference stencils probe
-        the same region of the field with a halved step.
+        the same region of the field with a halved step.  A 1-point axis
+        is reduced, periodic or not: it keeps its count and its origin.
         """
         spacing = tuple(s / 2 for s in self.spacing)
         counts = []
         origin = list(self.origin.as_array())
         for i, (n, per) in enumerate(zip(self.counts, self.periodic)):
-            if per:
+            if per and n > 1:
                 counts.append(2 * n)
             else:
                 counts.append(n)

@@ -20,8 +20,8 @@ times its difference symbol i sin(q h)/h, so the continuity check takes
 the lattice divergence as one sum of pair terms on the interior points,
 through the evaluator that also samples Psi, plus two end-slab sums on
 each periodic axis that some pair does not wrap; every field runs this
-one kernel.  `analytic_divergence` differentiates the same pairs
-exactly.  Grid inner products and the Gram matrix are summed from the
+one kernel, and a refinement ladder forms its pairs once for all levels.
+`analytic_divergence` differentiates the same pairs exactly.  Grid inner products and the Gram matrix are summed from the
 same pair terms with the lattice sum factorized by axis, so their
 memory is O(box_cells) per term rather than O(box_cells^3): no field is
 sampled.
@@ -215,51 +215,6 @@ def _interior(grid: SpacetimeGrid) -> tuple:
                  for n, per in zip(grid.counts, grid.periodic))
 
 
-def _divergence(field, grid: SpacetimeGrid, s):
-    """Central-difference divergence of the pair current, and the source
-    of `s` (None without one), on the interior lattice points.
-
-    The central difference of exp(i q.x) along axis mu is exactly
-    i sin(q_mu h_mu) / h_mu exp(i q.x), so the divergence is the real
-    part of one plane-wave sum whose coefficients are the pair
-    coefficients contracted with that symbol over the non-reduced axes.
-    The source pairs ride along as a second coefficient column.
-
-    A wrapped stencil on a periodic axis reads exp(i q.x) at its end
-    slots only when phi = q N h is a multiple of 2 pi.  Where some pair
-    misses one by more than ALGEBRA_TOL * max(1, |phi|), the exact
-    correction of the two end slabs is one more sum each:
-    -c e^{-iqh} (e^{i phi} - 1) / 2h at slot 0 and
-    c e^{iqh} (e^{-i phi} - 1) / 2h at slot N - 1."""
-    k, coef = _current_pairs(field)
-    symbol = np.zeros(len(k), dtype=complex)
-    for mu, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
-        if n > 1:
-            symbol += coef[:, mu] * (1j * np.sin(k[:, mu] * h) / h)
-    axes = [a[inner] for a, inner in zip(grid.axes(), _interior(grid))]
-    if s is None:
-        div, rhs = _plane_wave_sum(axes, k, symbol[:, None])[..., 0].real, None
-    else:
-        ks, cs = _source_pairs(field, s)
-        stacked = np.zeros((len(k) + len(ks), 2), dtype=complex)
-        stacked[:len(k), 0] = symbol
-        stacked[len(k):, 1] = cs[:, 0]
-        both = _plane_wave_sum(axes, np.concatenate([k, ks]), stacked).real
-        div, rhs = both[..., 0], both[..., 1]
-    for mu, (n, h, per) in enumerate(zip(grid.counts, grid.spacing, grid.periodic)):
-        phi = k[:, mu] * (n * h)
-        miss = np.abs(phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi)))
-        if not per or n == 1 or np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
-            continue
-        step, turn = np.exp(1j * k[:, mu] * h), np.exp(1j * phi)
-        for slot, seam in ((0, -(turn - 1.0) / step), (n - 1, step * (1.0 / turn - 1.0))):
-            cut = list(axes)
-            cut[mu] = axes[mu][slot:slot + 1]
-            index = (slice(None),) * mu + (slice(slot, slot + 1),)
-            div[index] += _plane_wave_sum(cut, k, (coef[:, mu] * seam / (2.0 * h))[:, None])[..., 0].real
-    return div, rhs
-
-
 @dataclass(frozen=True, slots=True)
 class ContinuityReport:
     """Finite-difference continuity check on one grid."""
@@ -271,9 +226,83 @@ class ContinuityReport:
     interior_points: int
 
 
-# a large field or potential overflows to inf or NaN on the way; the
-# finiteness check at the end rejects it
-@np.errstate(over="ignore", invalid="ignore")
+def _ladder(field, grids, b) -> list[ContinuityReport]:
+    """The continuity check on each grid of a refinement ladder, with the
+    pair terms of the current and of the source of `b` formed once.
+
+    The central difference of exp(i q.x) along axis mu is exactly
+    i sin(q_mu h_mu) / h_mu exp(i q.x), so on each grid the divergence
+    is the real part of one plane-wave sum on the interior points whose
+    coefficients are the pair coefficients contracted with that symbol
+    over the non-reduced axes.  The source pairs ride along as a second
+    coefficient column.
+
+    A wrapped stencil on a periodic axis reads exp(i q.x) at its end
+    slots only when phi = q N h is a multiple of 2 pi.  Where some pair
+    misses one by more than ALGEBRA_TOL * max(1, |phi|), the exact
+    correction of the two end slabs is one more sum each:
+    -c e^{-iqh} (e^{i phi} - 1) / 2h at slot 0 and
+    c e^{iqh} (e^{-i phi} - 1) / 2h at slot N - 1.  Refinement doubles N
+    and halves h, both exactly, so phi and the seam axes are decided on
+    the first grid for the whole ladder.  Every grid is validated before
+    any lattice work."""
+    for grid in grids:
+        for i, n in enumerate(grid.counts):
+            if n == 2:
+                raise ValueError(
+                    f"degenerate grid: axis {i} has 2 points; need >= 3 (or 1 for a reduced axis)"
+                )
+        if all(n == 1 for n in grid.counts):
+            raise ValueError("degenerate grid: no differentiable axis")
+    # a large field or potential overflows to inf or NaN on the way; the
+    # finiteness check of each grid rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = None if b is None else _source_matrix(b)
+        k, coef = _current_pairs(field)
+        if s is not None:
+            ks, cs = _source_pairs(field, s)
+            k_both = np.concatenate([k, ks])
+            stacked = np.zeros((len(k) + len(ks), 2), dtype=complex)
+            stacked[len(k):, 1] = cs[:, 0]
+        seams = []
+        for mu, (n, h, per) in enumerate(zip(grids[0].counts, grids[0].spacing, grids[0].periodic)):
+            if not per or n == 1:
+                continue
+            phi = k[:, mu] * (n * h)
+            miss = np.abs(phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi)))
+            if not np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
+                turn = np.exp(1j * phi)
+                seams.append((mu, -(turn - 1.0), 1.0 / turn - 1.0))
+        reports = []
+        for grid in grids:
+            symbol = np.zeros(len(k), dtype=complex)
+            for mu, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
+                if n > 1:
+                    symbol += coef[:, mu] * (1j * np.sin(k[:, mu] * h) / h)
+            axes = [a[inner] for a, inner in zip(grid.axes(), _interior(grid))]
+            if s is None:
+                div, rhs = _plane_wave_sum(axes, k, symbol[:, None])[..., 0].real, None
+            else:
+                stacked[:len(k), 0] = symbol
+                both = _plane_wave_sum(axes, k_both, stacked).real
+                div, rhs = both[..., 0], both[..., 1]
+            for mu, ahead, behind in seams:
+                n, h = grid.counts[mu], grid.spacing[mu]
+                step = np.exp(1j * k[:, mu] * h)
+                for slot, seam in ((0, ahead / step), (n - 1, step * behind)):
+                    cut = list(axes)
+                    cut[mu] = axes[mu][slot:slot + 1]
+                    index = (slice(None),) * mu + (slice(slot, slot + 1),)
+                    div[index] += _plane_wave_sum(cut, k, (coef[:, mu] * seam / (2.0 * h))[:, None])[..., 0].real
+            lhs_norm = float(np.abs(div).max())
+            rhs_norm = 0.0 if rhs is None else float(np.abs(rhs).max())
+            defect = lhs_norm if rhs is None else float(np.abs(div - rhs).max())
+            if not all(map(math.isfinite, (lhs_norm, rhs_norm, defect))):
+                raise ValueError("continuity terms overflow: the field or the potential b is too large")
+            reports.append(ContinuityReport(grid.to_dict(), lhs_norm, rhs_norm, defect, div.size))
+    return reports
+
+
 def continuity_residual(field, grid: SpacetimeGrid, b=None) -> ContinuityReport:
     """Central-difference d_mu J^mu against the complex-potential source,
     on the points where the stencil is defined (all but the end slots of
@@ -281,31 +310,12 @@ def continuity_residual(field, grid: SpacetimeGrid, b=None) -> ContinuityReport:
 
     The divergence and the source come from one plane-wave sum of the
     pair terms times their difference symbols, plus the end-slab terms
-    of a periodic axis that some pair does not wrap (`_divergence`); no
-    stencil runs and no current array is formed.  Axes with a single
-    point are treated as reduced (the field must be uniform along them,
-    so their derivative vanishes); every other axis needs at least three
-    points."""
-    for i, n in enumerate(grid.counts):
-        if n == 2:
-            raise ValueError(
-                f"degenerate grid: axis {i} has 2 points; need >= 3 (or 1 for a reduced axis)"
-            )
-    if all(n == 1 for n in grid.counts):
-        raise ValueError("degenerate grid: no differentiable axis")
-    div, rhs = _divergence(field, grid, None if b is None else _source_matrix(b))
-    lhs_norm = float(np.abs(div).max())
-    rhs_norm = 0.0 if rhs is None else float(np.abs(rhs).max())
-    defect = lhs_norm if rhs is None else float(np.abs(div - rhs).max())
-    if not all(map(math.isfinite, (lhs_norm, rhs_norm, defect))):
-        raise ValueError("continuity terms overflow: the field or the potential b is too large")
-    return ContinuityReport(
-        grid=grid.to_dict(),
-        lhs_norm=lhs_norm,
-        rhs_norm=rhs_norm,
-        defect=defect,
-        interior_points=div.size,
-    )
+    of a periodic axis that some pair does not wrap: the one-grid case
+    of `_ladder`; no stencil runs and no current array is formed.  Axes
+    with a single point are treated as reduced (the field must be
+    uniform along them, so their derivative vanishes); every other axis
+    needs at least three points."""
+    return _ladder(field, [grid], b)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,17 +329,15 @@ class ConvergenceReport:
 
 def continuity_convergence(field, grid: SpacetimeGrid, levels: int = 3, b=None) -> ConvergenceReport:
     """Run the continuity check on `levels` grids, halving every spacing
-    each level, and fit the convergence order of the defect."""
+    each level, in one `_ladder` pass, and fit the convergence order of
+    the defect."""
     if levels < 2:
         raise ValueError("need at least 2 refinement levels to fit an order")
-    reports = []
-    h_scales = []
-    g = grid
-    for lvl in range(levels):
-        reports.append(continuity_residual(field, g, b=b))
-        h_scales.append(2.0 ** (-lvl))
-        if lvl + 1 < levels:
-            g = g.refined()
+    grids = [grid]
+    while len(grids) < levels:
+        grids.append(grids[-1].refined())
+    reports = _ladder(field, grids, b)
+    h_scales = [2.0 ** (-lvl) for lvl in range(levels)]
     defects = np.array([r.defect for r in reports])
     if np.all(defects > 0):
         slope = np.polyfit(np.log(np.array(h_scales)), np.log(defects), 1)[0]

@@ -235,6 +235,23 @@ def test_continuity_source_column(tmp_path):
     assert any(v > 0 for v in rhs_col)
 
 
+@pytest.mark.parametrize("periodic", [[False, False, False, True], [False, True, True, True]])
+def test_continuity_one_point_axes_flagged_periodic(tmp_path, periodic):
+    # the README explicit-solution example: its 1-point x and y axes stay
+    # reduced on every level, whether or not they are flagged periodic
+    cfg = write_json(tmp_path / "cont.json", {
+        "schema_version": 1, "levels": 3,
+        "solution": {"mass": 1.0, "theta0": 0.6, "kvec0": [0, 0, 0.5],
+                     "kvec1": [0, 0, 0.8], "spin0": "up", "spin1": "down"},
+        "grid": {"origin": [-0.2, 0, 0, 0], "spacing": [0.2, 1, 1, 0.5236],
+                 "counts": [3, 1, 1, 12], "periodic": periodic},
+        "b": [[0, 0], [0, 0], [0.3, 0.1], [0, 0]],
+    })
+    proc = run_cli("continuity", "--config", cfg, "--format", "text")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "continuity fitted_order=-0.0003 passed=True"
+
+
 # --- packet ---------------------------------------------------------------------
 
 # z axis covers 8*pi (four interference periods for |Delta k| = 1) at

@@ -79,6 +79,16 @@ def test_refined_periodic_keeps_extent():
     assert r.origin.t + 0.5 * (r.counts[0] - 1) * r.spacing[0] == pytest.approx(center)
 
 
+def test_refined_keeps_a_one_point_axis_periodic_or_not():
+    g = SpacetimeGrid(FourVector(0.5, -0.25, 0.0, 1.0), (0.5, 0.25, 0.25, 0.125), (3, 1, 1, 8),
+                      (False, True, False, True))
+    r = g.refined().refined()
+    assert r.counts == (3, 1, 1, 32)
+    assert r.spacing == (0.125, 0.0625, 0.0625, 0.03125)
+    assert (r.origin.x, r.origin.y, r.origin.z) == (-0.25, 0.0, 1.0)
+    assert r.periodic == g.periodic
+
+
 # --- sampling ----------------------------------------------------------------
 
 def test_sample_constant_field():

@@ -425,6 +425,78 @@ def test_periodic_axis_adds_seam_terms_only_off_whole_periods(monkeypatch, stret
     assert z_points == ([12, 1, 1] if seams else [12])
 
 
+def _bits(rep):
+    return (rep.grid, *(float.hex(v) for v in (rep.lhs_norm, rep.rhs_norm, rep.defect)),
+            rep.interior_points)
+
+
+def _ladder_cases():
+    packet1, grid1 = _default_continuity_setup("1+1")
+    packet3, grid3 = _default_continuity_setup("3+1")
+    return [("1+1", packet1, grid1, None, 4), ("3+1", packet3, grid3, None, 4),
+            ("3+1-b", packet3, grid3, B, 3),
+            ("seam", dict(FAMILIES)["packet01"], SEAM_GRID, B, 3),
+            ("many_terms", _many_term_packet(32), PAIR_GRID, B, 3)]
+
+
+LADDER_CASES = _ladder_cases()
+
+
+@pytest.mark.parametrize("label, field, grid, b, levels", LADDER_CASES, ids=[c[0] for c in LADDER_CASES])
+def test_ladder_levels_equal_standalone_residuals(monkeypatch, label, field, grid, b, levels):
+    # each level of one ladder pass is the one-grid check on that grid, bit for bit
+    calls = []
+    lattice_sum = ver._plane_wave_sum
+    monkeypatch.setattr(ver, "_plane_wave_sum",
+                        lambda axes, k, coef: calls.append(len(k)) or lattice_sum(axes, k, coef))
+    conv = continuity_convergence(field, grid, levels=levels, b=b)
+    # the seam case adds two end-slab sums per level on every seam axis
+    assert (len(calls) > levels) == (label == "seam")
+    if label == "many_terms":
+        assert min(calls) > qdirac.grid._MAX_PAIRS
+    assert conv.h_scales == tuple(2.0 ** -i for i in range(levels))
+    assert [_bits(r) for r in conv.levels] == [
+        _bits(continuity_residual(field, g, b=b)) for g in _ladder(grid, levels)]
+
+
+def test_ladder_forms_pairs_once(monkeypatch):
+    packet, grid = _default_continuity_setup("3+1")
+    counts = dict.fromkeys(("_current_pairs", "_source_matrix", "_source_pairs"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(ver, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(ver, name, counted)
+    continuity_convergence(packet, grid, levels=4, b=B)
+    assert counts == dict.fromkeys(counts, 1)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((2, 4, 4, 4), "degenerate grid: axis 0 has 2 points; need >= 3 (or 1 for a reduced axis)"),
+    ((1, 1, 1, 1), "degenerate grid: no differentiable axis"),
+])
+def test_degenerate_ladder_rejected_before_lattice_work(monkeypatch, counts, message):
+    def forbidden(*args):
+        raise AssertionError("lattice work on a degenerate ladder")
+
+    monkeypatch.setattr(ver, "_plane_wave_sum", forbidden)
+    monkeypatch.setattr(ver, "_current_pairs", forbidden)
+    packet, _ = _default_continuity_setup("3+1")
+    grid = SpacetimeGrid(FourVector(), (0.1,) * 4, counts, (False, True, True, True))
+    with pytest.raises(ValueError) as err:
+        continuity_convergence(packet, grid, levels=3)
+    assert str(err.value) == message
+
+
+def test_ladder_keeps_a_one_point_periodic_axis_reduced():
+    # the same study whether or not the reduced x and y axes are flagged periodic
+    packet, grid = _default_continuity_setup("1+1")
+    flagged = dataclasses.replace(grid, periodic=(False, True, True, True))
+    plain, marked = (continuity_convergence(packet, g, levels=3, b=B) for g in (grid, flagged))
+    assert [r.grid["counts"] for r in marked.levels] == [[3, 1, 1, 12], [3, 1, 1, 24], [3, 1, 1, 48]]
+    assert [_bits(r)[1:] for r in marked.levels] == [_bits(r)[1:] for r in plain.levels]
+
+
 @pytest.mark.parametrize("label, field", FAMILIES, ids=FAMILY_IDS)
 def test_analytic_divergence_vanishes_on_shell(label, field):
     k, coef = ver._current_pairs(field)
