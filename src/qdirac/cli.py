@@ -29,14 +29,13 @@ from . import verify as ver
 from ._fields import choice, number, require, sequence, vector
 from .grid import SpacetimeGrid
 from .qalg import mul, mul_symplectic
-from .spinor import FourVector, METRIC_DIAG, slashed
+from .spinor import GAMMA, METRIC_DIAG, FourVector, slashed
 from .solutions import CertificationError
 
 SCHEMA_VERSION = sol.SCHEMA_VERSION
-
-
-class ConfigError(ValueError):
-    """Malformed configuration; the message names the offending field."""
+# draws of the quaternion identity sweep and of the slashed-square check
+_SWEEP_DRAWS = 2000
+_SLASHED_DRAWS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,7 @@ def _tolerance(v, name: str) -> float:
     """A finite tolerance > 0."""
     x = number(v, name)
     if x <= 0:
-        raise ConfigError(f"field {name!r} must be > 0, got {v!r}")
+        raise ValueError(f"field {name!r} must be > 0, got {v!r}")
     return x
 
 
@@ -56,14 +55,14 @@ def _load_config(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ValueError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     version = cfg.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise ConfigError(f"field 'schema_version' must be {SCHEMA_VERSION}, got {version!r}")
+        raise ValueError(f"field 'schema_version' must be {SCHEMA_VERSION}, got {version!r}")
     return cfg
 
 
@@ -141,7 +140,7 @@ def _write_output(text: str, out_path: str | None) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise ConfigError(f"cannot write --out {out_path}: {exc}") from exc
+        raise ValueError(f"cannot write --out {out_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +211,9 @@ def _norm(q: np.ndarray) -> np.ndarray:
     return np.sqrt(w * w + x * x + y * y + z * z)
 
 
-def _quaternion_sweep(rng, n: int = 2000) -> dict:
-    """Worst relative defects of n random draws (p, q, r), as (4, n) arrays."""
-    p, q, r = rng.uniform(-2.0, 2.0, size=(n, 12)).T.reshape(3, 4, n)
+def _quaternion_sweep(rng) -> dict:
+    """Worst relative defects of _SWEEP_DRAWS random draws (p, q, r), as (4, N) arrays."""
+    p, q, r = rng.uniform(-2.0, 2.0, size=(_SWEEP_DRAWS, 12)).T.reshape(3, 4, _SWEEP_DRAWS)
     pq = mul(p, q)
     pq_norm = _norm(pq)
     pnorm_qnorm = _norm(p) * _norm(q)
@@ -231,13 +230,13 @@ def _quaternion_sweep(rng, n: int = 2000) -> dict:
 
 def _clifford_residual() -> float:
     """max |{gamma^mu, gamma^nu} - 2 g^{mu nu}| over all 16 pairs at once."""
-    prod = ver._GAMMA_STACK[:, None] @ ver._GAMMA_STACK[None]
+    prod = GAMMA[:, None] @ GAMMA[None]
     target = 2.0 * np.diag(METRIC_DIAG)[:, :, None, None] * np.eye(4)
     return float(np.abs(prod + prod.transpose(1, 0, 2, 3) - target).max())
 
 
-def _slashed_square_residual(rng, n: int = 200) -> float:
-    v = rng.uniform(-2.0, 2.0, size=(n, 4)).T
+def _slashed_square_residual(rng) -> float:
+    v = rng.uniform(-2.0, 2.0, size=(_SLASHED_DRAWS, 4)).T
     t, x, y, z = v[:, :, None, None]
     vv = t * t - x * x - y * y - z * z
     sl = slashed(v)
@@ -249,22 +248,22 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     rng = np.random.default_rng(seed)
     tolerances = cfg.get("tolerances", {})
     if not isinstance(tolerances, dict):
-        raise ConfigError("field 'tolerances' must be an object")
+        raise ValueError("field 'tolerances' must be an object")
     residual_tol = _tolerance(tolerances.get("residual", ver.RESIDUAL_TOL), "tolerances.residual")
     gram_tol = _tolerance(tolerances.get("gram", ver.QUADRATURE_TOL), "tolerances.gram")
     if tol is not None:
         residual_tol = tol
     mass = number(cfg.get("mass", 1.0), "mass")
     if mass <= 0:
-        raise ConfigError(f"field 'mass' must be > 0, got {mass!r}")
+        raise ValueError(f"field 'mass' must be > 0, got {mass!r}")
     box_length = number(cfg.get("box_length", 2.0 * math.pi), "box_length")
     # keeps the box volume box_length**3 a finite, normal float
     if not 1e-100 <= box_length <= 1e100:
-        raise ConfigError(f"field 'box_length' must be in [1e-100, 1e100], got {box_length!r}")
+        raise ValueError(f"field 'box_length' must be in [1e-100, 1e100], got {box_length!r}")
     box_cells = number(cfg.get("box_cells", 12), "box_cells", integral=True)
     if box_cells < 3:
-        raise ConfigError("field 'box_cells' must be >= 3: on 2 cells the Gram directions "
-                          "+-2pi/box_length alias, exp(i pi n) = exp(-i pi n)")
+        raise ValueError("field 'box_cells' must be >= 3: on 2 cells the Gram directions "
+                         "+-2pi/box_length alias, exp(i pi n) = exp(-i pi n)")
     theta0 = number(cfg.get("theta0", math.pi / 8.0), "theta0")
 
     checks: list[list] = []
@@ -405,10 +404,10 @@ def _parse_b(cfg: dict):
 def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     levels = number(cfg.get("levels", 3), "levels", integral=True)
     if levels < 3:
-        raise ConfigError("field 'levels' must be >= 3")
+        raise ValueError("field 'levels' must be >= 3")
     b = _parse_b(cfg)
     if "solution" in cfg and "packet" in cfg:
-        raise ConfigError("give either field 'solution' or field 'packet', not both")
+        raise ValueError("give either field 'solution' or field 'packet', not both")
     if "solution" in cfg:
         field = sol.build_massive_solution(sol.massive_spec_from_dict(cfg["solution"]))
         grid = SpacetimeGrid.from_dict(require(cfg, "grid"))
@@ -455,12 +454,9 @@ def run_packet(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     sampled = packet.evaluate_grid(grid)
     density = ver.current_grid(sampled)[..., 0]
     axes = grid.axes()
-    # an overflowing sum is rejected just below
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = [[float(t), float(density[it].sum() * grid.cell_volume)]
-                 for it, t in enumerate(axes[0])]
+    norms = [[float(t), float(density[it].sum() * grid.cell_volume)] for it, t in enumerate(axes[0])]
     if not (np.isfinite(density).all() and all(math.isfinite(n) for _, n in norms)):
-        raise ConfigError("packet density overflows: amplitudes or momenta are too large")
+        raise ValueError("packet density overflows: amplitudes or momenta are too large")
     index = np.indices(grid.counts).reshape(4, -1)
     columns = [*index.tolist(), *(axis[i].tolist() for axis, i in zip(axes, index)),
                density.ravel().tolist()]
@@ -485,11 +481,14 @@ def run_packet(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
 # click wiring
 
 def _run_command(runner, config_path: str, out_path, fmt: str, tol, seed: int) -> None:
-    """Run one command; every ValueError (bad input) exits 2."""
+    """Run one command; every ValueError (bad input) exits 2.  The one
+    overflow policy: an overflow reads inf or NaN without a numpy warning,
+    and a finiteness check turns it into a ValueError (one stderr line)."""
     try:
         if tol is not None:
             _tolerance(tol, "--tol")
-        code, report = runner(_load_config(config_path), tol, seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report = runner(_load_config(config_path), tol, seed)
         _write_output(_render(report, fmt), out_path)
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)

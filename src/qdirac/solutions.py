@@ -39,8 +39,8 @@ one-field case.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -49,7 +49,7 @@ import numpy as np
 from . import verify
 from ._fields import choice, number, require, sign, vector
 from .grid import SampledField, SpacetimeGrid, plane_wave_sum
-from .spinor import GAMMA, ZERO_FOUR, FourVector, QSpinor4, spin_basis
+from .spinor import GAMMA, PAULI, ZERO_FOUR, FourVector, QSpinor4, spin_basis
 
 SCHEMA_VERSION = 1
 
@@ -58,7 +58,6 @@ CHIRALITIES = ("L", "R")
 NORM_CHOICES = ("E", "E_over_m")
 
 _Z_BASIS = dict(zip(SPINS, spin_basis(None)))
-_QUIET = contextlib.nullcontext()
 # slashed(k) - mass_sign*m over coefficients (k.t, k.x, k.y, k.z, -mass_sign*m)
 _KERNEL_STACK = np.stack([GAMMA[0], -GAMMA[1], -GAMMA[2], -GAMMA[3], np.eye(4)]).reshape(5, 16)
 
@@ -111,15 +110,17 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
     kernel membership is re-verified.
 
     A sequence of T four-momenta builds T rows in one array pass: every
-    other argument is then one value or T values (spin_axis T axes), and
-    the result is the (T, 4) stack of the one-row builds.
+    other argument is then one value or T values (a spin_axis of three
+    numbers is one axis), and the result is the (T, 4) stack of the
+    one-row builds.
     """
     single = isinstance(kfour, FourVector)
     ks = [kfour] if single else list(kfour)
     masses, signs, spins, norms, axes = [
-        v if not single and isinstance(v, (list, tuple, np.ndarray)) else [v] * len(ks)
-        for v in (mass, mass_sign, spin, norm_choice, spin_axis)]
-    chis, scalars, flat, wide = [], [], [], False
+        [v] if single else _per_row(v, name, len(ks)) for v, name in (
+            (mass, "mass"), (mass_sign, "mass_sign"), (spin, "spin"),
+            (norm_choice, "norm_choice"), (spin_axis, "spin_axis"))]
+    chis, scalars, flat = [], [], []
     for i, (k, m, ms, sp, nc, axis) in enumerate(zip(ks, masses, signs, spins, norms, axes)):
         if not m >= 0.0:
             raise ValueError("build_u_spinor requires mass >= 0")
@@ -137,8 +138,6 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
         target = energy if nc == "E" else energy / m
         if not math.isfinite(target):
             raise ValueError(f"mass {m!r} is too small: u^dag u = |k.t|/m overflows")
-        # the kernel check can overflow only past (|k.t| + m)|u| = 1e300
-        wide = wide or not (energy + m) * math.sqrt(target) <= 1e300
         # |k.t| + m, u^dag u, the phase threshold, the squared kernel bound
         # (|u| = sqrt(target); finite, so an overflow fails it), _KERNEL_STACK weights
         bound = verify.RESIDUAL_TOL * (energy + m) * math.sqrt(target)
@@ -152,7 +151,7 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
     nums = np.array(scalars, dtype=complex).reshape(-1, 9)  # every product below is complex
     chi = np.array(chis, dtype=complex).reshape(-1, 2)
     # sigma.k: one term per real and imaginary part, so exact, signed zeros included
-    sk = (nums[:, 5:8] @ verify._PAULI_STACK).reshape(-1, 2, 2)
+    sk = (nums[:, 5:8] @ PAULI.reshape(3, 4)).reshape(-1, 2, 2)
     lower = (sk @ chi[:, :, None])[:, :, 0] / nums[:, :1]
     u = np.concatenate([chi, lower, -lower], axis=1).take(flat).reshape(-1, 4)
     # np.vdot per row: no row-wise sum of |u|^2 rounds as it does
@@ -164,8 +163,7 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
 
     # a kernel entry has one term per real and imaginary part (two on the
     # diagonal), so it is exact; the matmul residual is that of a one-row build
-    with np.errstate(over="ignore", invalid="ignore") if wide else _QUIET:
-        r = ((nums[:, 4:] @ _KERNEL_STACK).reshape(-1, 4, 4) @ u[:, :, None]).view(float)
+    r = ((nums[:, 4:] @ _KERNEL_STACK).reshape(-1, 4, 4) @ u[:, :, None]).view(float)
     squares = np.einsum("tij,tij->t", r, r)  # no overflow warning: an inf fails the finite bound
     ok = squares <= nums.real[:, 3]
     if np.count_nonzero(ok) < len(ks):
@@ -177,6 +175,17 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
             f"for k={ks[i]}, mass_sign={signs[i]}"
         )
     return u[0] if single else u
+
+
+def _per_row(value, name: str, count: int) -> list:
+    """`value` for each of `count` rows: a list, tuple or array holds one
+    value per row, except a spin axis of three numbers, which is one axis."""
+    if not isinstance(value, (list, tuple, np.ndarray)) or (
+            name == "spin_axis" and len(value) == 3 and all(isinstance(x, numbers.Real) for x in value)):
+        return [value] * count
+    if len(value) != count:
+        raise ValueError(f"{name} must be one value or {count} values, got {len(value)}")
+    return list(value)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +347,7 @@ def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", s
     the momentum, so spin names the helicity, and u^dag u = |k.t|.
     """
     massive = mass > 0
-    signs = [(1 if h else -1) if massive else 1 for h in half]
+    signs = [verify.HALF_MASS_SIGN[h] if massive else 1 for h in half]
     ks, axes = [], []
     for kv, mass_sign, e in zip(kvec, signs, esign):
         ks.append(FourVector(mass_sign * e * mass_shell_energy(kv, mass if massive else 0.0), *kv))
@@ -642,11 +651,10 @@ def certify_solution(sol):
     A list of fields of one mass is certified in one `verify.term_residuals`
     product, each by its own checks and bound, and returns a list of bounds."""
     fields = [sol] if isinstance(sol, _PlaneWaveSum) else list(sol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = verify.term_residuals(fields)
-        owner = np.concatenate([o for _, _, o in terms])
-        res = np.bincount(owner, np.concatenate([np.linalg.norm(r, axis=1) for _, r, _ in terms]),
-                          minlength=len(fields))
+    terms = verify.term_residuals(fields)
+    owner = np.concatenate([o for _, _, o in terms])
+    res = np.bincount(owner, np.concatenate([np.linalg.norm(r, axis=1) for _, r, _ in terms]),
+                      minlength=len(fields))
     mass = fields[0].mass
     # a running phase moves the term momenta to k +- theta
     k_scale = np.full(len(fields), max(1.0, mass))

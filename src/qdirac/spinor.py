@@ -5,9 +5,9 @@ the metric signature is (+,-,-,-).  A quaternionic spinor `QSpinor4` is
 stored symplectically as a pair of complex 4-spinors (psi0, psi1)
 meaning ``psi0 + psi1*j`` componentwise; `QSpinor4.quaternions` and
 `QSpinor4.from_quaternions` convert to and from four `Quaternion`s.
-Nothing here acts on a spinor: the half sign table of the field
-equation lives where it is used (`verify.term_residuals`,
-`solutions._half`).
+`GAMMA` (4, 4, 4) and `PAULI` (3, 2, 2) are the one read-only copy of
+each constant.  Nothing here acts on a spinor: the half sign table of
+the field equation is `verify.HALF_MASS_SIGN`.
 """
 
 from __future__ import annotations
@@ -26,27 +26,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-PAULI = tuple(
-    _readonly(m)
-    for m in (
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    )
-)
+PAULI = _readonly([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
-_ID2 = np.eye(2, dtype=complex)
-_ZERO2 = np.zeros((2, 2), dtype=complex)
-
-GAMMA = tuple(
-    _readonly(m)
-    for m in (
-        np.block([[_ID2, _ZERO2], [_ZERO2, -_ID2]]),
-        np.block([[_ZERO2, PAULI[0]], [-PAULI[0], _ZERO2]]),
-        np.block([[_ZERO2, PAULI[1]], [-PAULI[1], _ZERO2]]),
-        np.block([[_ZERO2, PAULI[2]], [-PAULI[2], _ZERO2]]),
-    )
-)
+_ID2, _ZERO2 = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+GAMMA = _readonly([np.block([[_ID2, _ZERO2], [_ZERO2, -_ID2]]),
+                   *(np.block([[_ZERO2, p], [-p, _ZERO2]]) for p in PAULI)])
 
 # beta = gamma^0 is diagonal; the adjoint pairings need only its diagonal.
 BETA_DIAG = np.array([1.0, 1.0, -1.0, -1.0])
@@ -102,7 +86,7 @@ ZERO_FOUR = FourVector()
 
 
 def gamma(mu: int) -> np.ndarray:
-    """Dirac matrix gamma^mu, mu in 0..3 (read-only view)."""
+    """Dirac matrix gamma^mu, mu in 0..3 (a read-only view of GAMMA)."""
     if mu not in (0, 1, 2, 3):
         raise ValueError(f"gamma index must be in 0..3, got {mu}")
     return GAMMA[mu]

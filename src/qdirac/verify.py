@@ -48,8 +48,10 @@ RESIDUAL_TOL = 1e-12
 ALGEBRA_TOL = 1e-13
 QUADRATURE_TOL = 1e-10
 
-_GAMMA_STACK = np.stack(GAMMA)
-_PAULI_STACK = np.stack(PAULI).reshape(3, 4)
+# The mass sign of each symplectic half, stated once: the spinors of half
+# h lie in ker(slashed(k) - HALF_MASS_SIGN[h] m), because right
+# multiplication by i is +i on the complex half and -i on the j half.
+HALF_MASS_SIGN = (-1, 1)
 # beta @ gamma^mu, the Hermitian forms behind the four-current
 _BG_STACK = np.stack([np.diag(BETA_DIAG).astype(complex) @ g for g in GAMMA])
 
@@ -82,16 +84,15 @@ def term_residuals(field, a: FourVector | None = None):
     """Per half: lowered momenta (M, 4), residual spinors (M, 4) and owner
     indices (M,) of the plane-wave terms w exp(i k.x) of one field, or of
     a sequence of fields of one mass, in gamma^mu ((d_mu - a_mu i .) Psi) i
-    - m Psi.  The derivative and the potential give i (k - a)_mu, and
-    right multiplication by i is +i on the complex half and -i on the j
-    half: -(slashed(k - a) + m) w and (slashed(k - a) - m) w."""
+    - m Psi.  The derivative and the potential give i (k - a)_mu, so by
+    HALF_MASS_SIGN: -(slashed(k - a) + m) w and (slashed(k - a) - m) w."""
     fields = [field] if hasattr(field, "stacked_terms") else list(field)
     mass = fields[0].mass
     if any(f.mass != mass for f in fields):
         raise ValueError("the fields of one set must share a mass")
     al = np.zeros(4) if a is None else a.lowered()
-    return [(kl, sign * np.einsum("mrc,tm,tc->tr", _GAMMA_STACK, kl - al, w) - mass * w, owner)
-            for sign, (kl, w, owner) in zip((-1.0, 1.0), _stack_rows(fields))]
+    return [(kl, sign * np.einsum("mrc,tm,tc->tr", GAMMA, kl - al, w) - mass * w, owner)
+            for sign, (kl, w, owner) in zip(HALF_MASS_SIGN, _stack_rows(fields))]
 
 
 def dirac_residual(field, a: FourVector | None = None, points=None):
@@ -126,17 +127,15 @@ def _current(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
     beta gamma^k = [[0, sigma^k], [sigma^k, 0]], so each half adds
     |psi|^2 to J^0 and 2 Re psi_up^dag sigma^k psi_lo to J^k."""
     j = np.zeros(psi0.shape[:-1] + (4,))
-    # a field too large for float64 overflows to inf here; callers reject it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for psi in (psi0, psi1):
-            sq = psi.real * psi.real + psi.imag * psi.imag
-            j[..., 0] += sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3]
-            # conj(up_0) * lo and conj(up_1) * lo
-            a = np.conj(psi[..., 0, None]) * psi[..., 2:]
-            c = np.conj(psi[..., 1, None]) * psi[..., 2:]
-            j[..., 1] += 2.0 * (a[..., 1].real + c[..., 0].real)
-            j[..., 2] += 2.0 * (a[..., 1].imag - c[..., 0].imag)
-            j[..., 3] += 2.0 * (a[..., 0].real - c[..., 1].real)
+    for psi in (psi0, psi1):
+        sq = psi.real * psi.real + psi.imag * psi.imag
+        j[..., 0] += sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3]
+        # conj(up_0) * lo and conj(up_1) * lo
+        a = np.conj(psi[..., 0, None]) * psi[..., 2:]
+        c = np.conj(psi[..., 1, None]) * psi[..., 2:]
+        j[..., 1] += 2.0 * (a[..., 1].real + c[..., 0].real)
+        j[..., 2] += 2.0 * (a[..., 1].imag - c[..., 0].imag)
+        j[..., 3] += 2.0 * (a[..., 0].real - c[..., 1].real)
     return j
 
 
@@ -202,10 +201,8 @@ def analytic_divergence(field) -> float:
     For on-shell terms of one half this vanishes by the Gordon identity,
     adj(u_a)(slashed(k_b) - slashed(k_a)) u_b = 0, so a value far above
     rounding marks a convention bug rather than discretization error."""
-    # a field too large for float64 reads inf or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        k, coef = _current_pairs(field)
-        return float(np.abs(np.sum(coef * k, axis=1)).sum())
+    k, coef = _current_pairs(field)
+    return float(np.abs(np.sum(coef * k, axis=1)).sum())
 
 
 def _interior(grid: SpacetimeGrid) -> tuple:
@@ -254,52 +251,49 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
                 )
         if all(n == 1 for n in grid.counts):
             raise ValueError("degenerate grid: no differentiable axis")
-    # a large field or potential overflows to inf or NaN on the way; the
-    # finiteness check of each grid rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = None if b is None else _source_matrix(b)
-        k, coef = _current_pairs(field)
-        if s is not None:
-            ks, cs = _source_pairs(field, s)
-            k_both = np.concatenate([k, ks])
-            stacked = np.zeros((len(k) + len(ks), 2), dtype=complex)
-            stacked[len(k):, 1] = cs[:, 0]
-        seams = []
-        for mu, (n, h, per) in enumerate(zip(grids[0].counts, grids[0].spacing, grids[0].periodic)):
-            if not per or n == 1:
-                continue
-            phi = k[:, mu] * (n * h)
-            miss = np.abs(phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi)))
-            if not np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
-                turn = np.exp(1j * phi)
-                seams.append((mu, -(turn - 1.0), 1.0 / turn - 1.0))
-        reports = []
-        for grid in grids:
-            symbol = np.zeros(len(k), dtype=complex)
-            for mu, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
-                if n > 1:
-                    symbol += coef[:, mu] * (1j * np.sin(k[:, mu] * h) / h)
-            axes = [a[inner] for a, inner in zip(grid.axes(), _interior(grid))]
-            if s is None:
-                div, rhs = _plane_wave_sum(axes, k, symbol[:, None])[..., 0].real, None
-            else:
-                stacked[:len(k), 0] = symbol
-                both = _plane_wave_sum(axes, k_both, stacked).real
-                div, rhs = both[..., 0], both[..., 1]
-            for mu, ahead, behind in seams:
-                n, h = grid.counts[mu], grid.spacing[mu]
-                step = np.exp(1j * k[:, mu] * h)
-                for slot, seam in ((0, ahead / step), (n - 1, step * behind)):
-                    cut = list(axes)
-                    cut[mu] = axes[mu][slot:slot + 1]
-                    index = (slice(None),) * mu + (slice(slot, slot + 1),)
-                    div[index] += _plane_wave_sum(cut, k, (coef[:, mu] * seam / (2.0 * h))[:, None])[..., 0].real
-            lhs_norm = float(np.abs(div).max())
-            rhs_norm = 0.0 if rhs is None else float(np.abs(rhs).max())
-            defect = lhs_norm if rhs is None else float(np.abs(div - rhs).max())
-            if not all(map(math.isfinite, (lhs_norm, rhs_norm, defect))):
-                raise ValueError("continuity terms overflow: the field or the potential b is too large")
-            reports.append(ContinuityReport(grid.to_dict(), lhs_norm, rhs_norm, defect, div.size))
+    s = None if b is None else _source_matrix(b)
+    k, coef = _current_pairs(field)
+    if s is not None:
+        ks, cs = _source_pairs(field, s)
+        k_both = np.concatenate([k, ks])
+        stacked = np.zeros((len(k) + len(ks), 2), dtype=complex)
+        stacked[len(k):, 1] = cs[:, 0]
+    seams = []
+    for mu, (n, h, per) in enumerate(zip(grids[0].counts, grids[0].spacing, grids[0].periodic)):
+        if not per or n == 1:
+            continue
+        phi = k[:, mu] * (n * h)
+        miss = np.abs(phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi)))
+        if not np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
+            turn = np.exp(1j * phi)
+            seams.append((mu, -(turn - 1.0), 1.0 / turn - 1.0))
+    reports = []
+    for grid in grids:
+        symbol = np.zeros(len(k), dtype=complex)
+        for mu, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
+            if n > 1:
+                symbol += coef[:, mu] * (1j * np.sin(k[:, mu] * h) / h)
+        axes = [a[inner] for a, inner in zip(grid.axes(), _interior(grid))]
+        if s is None:
+            div, rhs = _plane_wave_sum(axes, k, symbol[:, None])[..., 0].real, None
+        else:
+            stacked[:len(k), 0] = symbol
+            both = _plane_wave_sum(axes, k_both, stacked).real
+            div, rhs = both[..., 0], both[..., 1]
+        for mu, ahead, behind in seams:
+            n, h = grid.counts[mu], grid.spacing[mu]
+            step = np.exp(1j * k[:, mu] * h)
+            for slot, seam in ((0, ahead / step), (n - 1, step * behind)):
+                cut = list(axes)
+                cut[mu] = axes[mu][slot:slot + 1]
+                index = (slice(None),) * mu + (slice(slot, slot + 1),)
+                div[index] += _plane_wave_sum(cut, k, (coef[:, mu] * seam / (2.0 * h))[:, None])[..., 0].real
+        lhs_norm = float(np.abs(div).max())
+        rhs_norm = 0.0 if rhs is None else float(np.abs(rhs).max())
+        defect = lhs_norm if rhs is None else float(np.abs(div - rhs).max())
+        if not all(map(math.isfinite, (lhs_norm, rhs_norm, defect))):
+            raise ValueError("continuity terms overflow: the field or the potential b is too large")
+        reports.append(ContinuityReport(grid.to_dict(), lhs_norm, rhs_norm, defect, div.size))
     return reports
 
 
@@ -462,7 +456,7 @@ def helicity_check(sol):
     if not norm.all():
         raise ValueError("helicity_check needs nonzero spatial momenta")
     # (1/2) sigma.k_hat on both 2-spinor blocks of each row
-    r = (0.5 * (k / norm[:, None]) @ _PAULI_STACK).reshape(-1, 1, 2, 2) @ u.reshape(-1, 2, 2, 1)
+    r = (0.5 * (k / norm[:, None]) @ PAULI.reshape(3, 4)).reshape(-1, 1, 2, 2) @ u.reshape(-1, 2, 2, 1)
     r = r.reshape(-1, 4)
     lam = (np.einsum("ti,ti->t", u.conj(), r) / np.einsum("ti,ti->t", u.conj(), u)).real
     resid = np.linalg.norm(r - lam[:, None] * u, axis=1) / np.linalg.norm(u, axis=1)

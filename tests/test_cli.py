@@ -9,8 +9,8 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qdirac.cli import (
-    ConfigError, Report, Table, _quaternion_sweep, _render, _run_command,
-    _slashed_square_residual, cli,
+    Report, Table, _quaternion_sweep, _render, _run_command, _slashed_square_residual, cli,
+    run_catalog, run_continuity, run_packet,
 )
 from qdirac import (
     FourVector, PlaneWaveSolution, build_u_spinor, certify_solution, dispersion_residual,
@@ -373,7 +373,6 @@ def test_packet_with_wrong_kernel_spinors_exits_3(tmp_path, monkeypatch):
     # every term gets the other half's kernel spinor at the same momentum:
     # the j-half build with the opposite label runs at the same frequency
     from qdirac import solutions
-    from qdirac.cli import run_packet
     half = solutions._half
     monkeypatch.setattr(solutions, "_half", lambda kvec, mass, halves, esign, *rest: half(
         kvec, mass, [1 - h for h in halves], [-e for e in esign], *rest))
@@ -385,7 +384,7 @@ def test_packet_with_wrong_kernel_spinors_exits_3(tmp_path, monkeypatch):
 
 def test_config_error_maps_to_exit_2(massive_config):
     def bad_runner(cfg, tol, seed):
-        raise ConfigError("field 'x' is wrong")
+        raise ValueError("field 'x' is wrong")
 
     with pytest.raises(SystemExit) as exc:
         _run_command(bad_runner, massive_config, None, "json", None, 0)
@@ -405,12 +404,55 @@ _TINY_U = np.array([1e-300, 0, 0, 0], dtype=complex)
         0.3, _OVERFLOWING_K, _OVERFLOWING_K, _TINY_U, _TINY_U, 1.0, label="far")),
      f"config error: solution 'far' overflows: term momentum {_OVERFLOWING_K} is too large"),
 ], ids=["build_u_spinor", "certify_solution"])
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_nan_dispersion_fails_the_shell_checks_with_exit_2(massive_config, capsys, build, message):
     assert math.isnan(dispersion_residual(_OVERFLOWING_K, 1.0))
+    # the same error as a library call, outside the errstate of the CLI
+    with pytest.raises(ValueError) as direct:
+        build()
+    assert f"config error: {direct.value}" == message
     with pytest.raises(SystemExit) as exc:
         _run_command(lambda cfg, tol, seed: build(), massive_config, None, "json", None, 0)
     assert exc.value.code == 2
     assert capsys.readouterr().err == message + "\n"
+
+
+def _overflowing_packet(cfg, tol, seed):
+    return run_packet(_packet_config({"amplitude": 1e308}), tol, seed)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("call", [
+    lambda: _overflowing_packet(None, None, 0),
+    lambda: run_continuity({"dimension": "3+1", "b": [[0, 0], [0, 0], [1e308, 0], [0, 0]]}, None, 0),
+], ids=["packet", "continuity"])
+def test_library_overflow_raises_the_error_the_cli_prints(massive_config, capsys, call):
+    # the errstate of the command boundary silences warnings only: the
+    # finiteness checks raise the same ValueError outside it
+    with pytest.raises(ValueError) as direct:
+        call()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _run_command(lambda cfg, tol, seed: call(), massive_config, None, "json", None, 0)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"config error: {direct.value}\n"
+
+
+def _raise_certification(cfg, tol, seed):
+    raise CertificationError("planted")
+
+
+@pytest.mark.parametrize("runner, code", [
+    (run_catalog, 0),
+    (_overflowing_packet, 2),
+    (_raise_certification, 3),
+], ids=["exit0", "exit2", "exit3"])
+def test_run_command_restores_the_numpy_error_state(massive_config, runner, code):
+    before = np.geterr()
+    with pytest.raises(SystemExit) as exc:
+        _run_command(runner, massive_config, None, "json", None, 0)
+    assert exc.value.code == code
+    assert np.geterr() == before
 
 
 def test_json_renders_tables_and_rejects_other_objects():

@@ -326,6 +326,30 @@ def test_stacked_builder_rows_equal_their_one_row_builds(seed):
         assert float(np.vdot(u, u).real) == pytest.approx(target, rel=1e-13)
 
 
+def _four_momenta(mass: float = 1.0) -> list:
+    return [FourVector(mass_shell_energy(kvec, mass), *kvec)
+            for kvec in ((0.3, 0, 0.4), (0, 1.0, 0), (-0.2, 0.5, 0.1), (0, 0, 2.0))]
+
+
+@pytest.mark.parametrize("name, value", [("mass", [1.0, 1.0]), ("mass_sign", [1] * 5),
+                                         ("spin", ["up"] * 3), ("norm_choice", ["E"] * 5)])
+def test_stacked_builder_needs_one_or_t_values_per_argument(name, value):
+    kwargs = {"mass": 1.0, "mass_sign": 1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be one value or 4 values, got {len(value)}"):
+        build_u_spinor(_four_momenta(), **kwargs)
+
+
+@pytest.mark.parametrize("rows", [3, 4])
+def test_stacked_builder_reads_one_spin_axis_for_every_row(rows):
+    axis = (0.0, 0.6, 0.8)
+    ks = _four_momenta()[:rows]
+    stacked = build_u_spinor(ks, 1.0, 1, "down", spin_axis=axis)
+    assert stacked.shape == (rows, 4)
+    for k, u in zip(ks, stacked):
+        assert build_u_spinor(k, 1.0, 1, "down", spin_axis=axis).tobytes() == u.tobytes()
+    assert build_u_spinor(ks, 1.0, 1, "down", spin_axis=np.array(axis)).tobytes() == stacked.tobytes()
+
+
 def test_stacked_builder_checks_each_row_against_its_own_bound(monkeypatch):
     # a planted kernel error delta*u: the row at |k| ~ 1 fails its bound
     # 1e-12 (|k.t| + m) |u| even next to a row whose bound is 1e6 times larger

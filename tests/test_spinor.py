@@ -4,6 +4,8 @@ import pytest
 from qdirac.qalg import I, ONE, Quaternion, mul
 from qdirac.spinor import (
     BETA_DIAG,
+    GAMMA,
+    PAULI,
     FourVector,
     METRIC_DIAG,
     QSpinor4,
@@ -73,6 +75,13 @@ def test_gamma_index_range():
 def test_gamma_is_readonly():
     with pytest.raises(ValueError):
         gamma(0)[0, 0] = 5.0
+
+
+def test_dirac_constants_are_one_readonly_array_each():
+    assert GAMMA.shape == (4, 4, 4) and PAULI.shape == (3, 2, 2)
+    assert not GAMMA.flags.writeable and not PAULI.flags.writeable
+    # gamma(mu) is a view of GAMMA, not a copy
+    assert np.shares_memory(gamma(2), GAMMA) and not gamma(2).flags.writeable
 
 
 # --- slashed ----------------------------------------------------------------

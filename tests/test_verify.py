@@ -151,6 +151,16 @@ def test_difference_oracle_rejects_flipped_half_signs():
     assert difference_residual(flipped, POINTS) > 0.1
 
 
+def test_builder_and_certifier_read_one_half_sign_table(monkeypatch):
+    # a slip in HALF_MASS_SIGN moves the builder and the certifier together,
+    # so the set still certifies; only the quaternion oracle, which never
+    # splits the field into halves, sees the wrong equation
+    monkeypatch.setattr(ver, "HALF_MASS_SIGN", (1, -1))
+    sols = enumerate_massive_set(1.3, (0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77)
+    assert max(certify_solution(sols)) <= 1e-15
+    assert min(difference_residual(s, POINTS) for s in sols) > 0.1
+
+
 def _certified_family(family):
     if family == "massive":
         return enumerate_massive_set(1.3, (0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77)
