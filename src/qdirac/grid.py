@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import flag, require, sequence, vector
-from .spinor import FourVector, QSpinor4
+from .spinor import FourVector
 
 @dataclass(frozen=True, slots=True)
 class SpacetimeGrid:
@@ -116,22 +116,10 @@ class SampledField:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    def qspinor(self, it: int, ix: int, iy: int, iz: int) -> QSpinor4:
-        return QSpinor4(self.psi0[it, ix, iy, iz], self.psi1[it, ix, iy, iz])
-
 
 def sample(field, grid: SpacetimeGrid) -> SampledField:
     """Evaluate a field on every lattice point through its `evaluate_grid`."""
     return field.evaluate_grid(grid)
-
-
-def plane_wave_sum(grid: SpacetimeGrid, k: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_p coef_p exp(i k_p.x) on every lattice point, shape counts + (C,).
-
-    `k` holds P lowered four-momenta (P, 4) and `coef` their complex
-    coefficients (P, C).
-    """
-    return _plane_wave_sum(grid.axes(), k, coef)
 
 
 # Pairs per block of `_plane_wave_sum`: the (t, x, y) phase block holds
@@ -140,7 +128,9 @@ _MAX_PAIRS = 1000
 
 
 def _plane_wave_sum(axes, k: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """`plane_wave_sum` on the product of four coordinate arrays.
+    """sum_p coef_p exp(i k_p.x) on the product of four coordinate arrays
+    (a grid's `axes()`), shape counts + (C,), for P lowered four-momenta
+    `k` (P, 4) and their complex coefficients `coef` (P, C).
 
     exp(i k.x) factorizes by axis, so the exponentials are taken on the
     axes only; the (t, x, y) phase block is then contracted against the

@@ -42,13 +42,13 @@ import cmath
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import verify
 from ._fields import choice, number, require, sign, vector
-from .grid import SampledField, SpacetimeGrid, plane_wave_sum
+from .grid import SampledField, SpacetimeGrid, _plane_wave_sum
 from .spinor import GAMMA, PAULI, ZERO_FOUR, FourVector, QSpinor4, spin_basis
 
 SCHEMA_VERSION = 1
@@ -222,7 +222,7 @@ class _PlaneWaveSum:
 
     def _sample_grid(self, grid: SpacetimeGrid) -> SampledField:
         """Values on every lattice point."""
-        return SampledField(grid, *(plane_wave_sum(grid, kl, cu) for kl, cu in self.stacked_terms()))
+        return SampledField(grid, *(_plane_wave_sum(grid.axes(), kl, cu) for kl, cu in self.stacked_terms()))
 
     def evaluate(self, x: FourVector) -> QSpinor4:
         psi0, psi1 = self.eval_points(x.as_array())
@@ -292,7 +292,8 @@ class MassiveSpec:
     esign0 is the branch label of the complex half; the j half carries
     the opposite label -esign0 (the (+-)/(-+) pairing), which is also the
     frequency sign of k1.  The complex half runs at the reversed
-    frequency -esign0*E0 (see module docstring).
+    frequency -esign0*E0 (see module docstring).  esign0 is read as
+    '+', '-', 1 or -1 and stored as +-1.
     """
 
     mass: float
@@ -313,7 +314,7 @@ class MassiveSpec:
         object.__setattr__(self, "kvec1", vector(self.kvec1, "kvec1", 3))
         for name in ("spin0", "spin1"):
             choice(getattr(self, name), name, SPINS)
-        choice(self.esign0, "esign0", (1, -1))
+        object.__setattr__(self, "esign0", sign(self.esign0, "esign0"))
         choice(self.norm_choice, "norm_choice", NORM_CHOICES)
 
     @property
@@ -562,7 +563,7 @@ def check_constraints(
 
 @dataclass(frozen=True, slots=True)
 class PacketSample:
-    """One on-shell plane-wave sample of a packet component."""
+    """One on-shell plane-wave sample of a packet component; esign reads as MassiveSpec.esign0."""
 
     kvec: tuple[float, float, float]
     amplitude: float
@@ -573,7 +574,7 @@ class PacketSample:
         object.__setattr__(self, "kvec", vector(self.kvec, "kvec", 3))
         object.__setattr__(self, "amplitude", number(self.amplitude, "amplitude"))
         choice(self.spin, "spin", SPINS)
-        choice(self.esign, "esign", (1, -1))
+        object.__setattr__(self, "esign", sign(self.esign, "esign"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -669,7 +670,7 @@ def certify_solution(sol):
                 raise CertificationError(
                     f"term momentum {k} violates the dispersion relation for m={mass}")
         if not math.isfinite(r):
-            raise ValueError(f"solution {f.label!r} overflows: mass or momenta too large")
+            raise ValueError(f"solution {f.label!r} overflows: mass, momenta or amplitudes too large")
         # the largest term spinor, scaled up by a coefficient above 1 (an amplitude)
         u_scale = max([1.0, *(max(1.0, abs(c)) * math.hypot(*np.abs(u)) for c, _, u in built)])
         if r > verify.RESIDUAL_TOL * ks * u_scale:
@@ -681,32 +682,19 @@ def certify_solution(sol):
 # JSON schemas for the solution specs
 
 
+def _from_dict(cls, d):
+    """The spec dataclass `cls` read from a JSON object: a field without a
+    default is required, any other is passed only when its key is present
+    (so the dataclass alone holds defaults and value rules); other keys are ignored."""
+    return cls(**{f.name: require(d, f.name) for f in fields(cls) if f.default is MISSING or f.name in d})
+
+
 def massive_spec_from_dict(d: dict) -> MassiveSpec:
-    spec = MassiveSpec(
-        mass=require(d, "mass"),
-        theta0=require(d, "theta0"),
-        kvec0=require(d, "kvec0"),
-        kvec1=require(d, "kvec1"),
-        spin0=d.get("spin0", "up"),
-        spin1=d.get("spin1", "up"),
-        esign0=sign(d.get("esign0", "+"), "esign0"),
-        norm_choice=d.get("norm_choice", "E_over_m"),
-    )
+    spec = _from_dict(MassiveSpec, d)
     # esign1 is optional and must be the opposite label
     if "esign1" in d and sign(d["esign1"], "esign1") != -spec.esign0:
         raise ValueError("field 'esign1' must be opposite to 'esign0' (the (+-)/(-+) pairing)")
     return spec
-
-
-def massless_theta_spec_from_dict(d: dict) -> MasslessThetaSpec:
-    return MasslessThetaSpec(
-        theta=FourVector(*vector(require(d, "theta"), "theta", 4)),
-        kappa0=require(d, "kappa0"),
-        kappa1=require(d, "kappa1"),
-        theta0=d.get("theta0", 0.0),
-        chirality0=d.get("chirality0", "R"),
-        chirality1=d.get("chirality1", "R"),
-    )
 
 
 def packet_spec_from_dict(d: dict) -> WavePacketSpec:
@@ -716,15 +704,7 @@ def packet_spec_from_dict(d: dict) -> WavePacketSpec:
     spec = WavePacketSpec(
         component=require(d, "component"),
         mass=require(d, "mass"),
-        samples=tuple(
-            PacketSample(
-                kvec=require(s, "kvec"),
-                amplitude=require(s, "amplitude"),
-                spin=s.get("spin", "up"),
-                esign=sign(s.get("esign", "+"), "esign"),
-            )
-            for s in raw
-        ),
+        samples=tuple(_from_dict(PacketSample, s) for s in raw),
     )
     for idx, (s, sample) in enumerate(zip(raw, spec.samples)):
         if "energy" in s:

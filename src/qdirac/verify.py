@@ -21,10 +21,11 @@ the lattice divergence as one sum of pair terms on the interior points,
 through the evaluator that also samples Psi, plus two end-slab sums on
 each periodic axis that some pair does not wrap; every field runs this
 one kernel, and a refinement ladder forms its pairs once for all levels.
-`analytic_divergence` differentiates the same pairs exactly.  Grid inner products and the Gram matrix are summed from the
-same pair terms with the lattice sum factorized by axis, so their
-memory is O(box_cells) per term rather than O(box_cells^3): no field is
-sampled.
+`analytic_divergence` differentiates the same pairs exactly.
+
+Grid inner products and the Gram matrix are summed from the same pair
+terms with the lattice sum factorized by axis, so their memory is
+O(box_cells) per term rather than O(box_cells^3): no field is sampled.
 """
 
 from __future__ import annotations
@@ -80,13 +81,12 @@ def _owner_sums(points, kl, values, owner, count: int) -> np.ndarray:
     return (phases @ spread.reshape(len(kl), 4 * count)).reshape(len(points), count, 4)
 
 
-def term_residuals(field, a: FourVector | None = None):
+def term_residuals(fields, a: FourVector | None = None):
     """Per half: lowered momenta (M, 4), residual spinors (M, 4) and owner
-    indices (M,) of the plane-wave terms w exp(i k.x) of one field, or of
-    a sequence of fields of one mass, in gamma^mu ((d_mu - a_mu i .) Psi) i
-    - m Psi.  The derivative and the potential give i (k - a)_mu, so by
+    indices (M,) of the plane-wave terms w exp(i k.x) of a sequence of
+    fields of one mass, in gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi.
+    The derivative and the potential give i (k - a)_mu, so by
     HALF_MASS_SIGN: -(slashed(k - a) + m) w and (slashed(k - a) - m) w."""
-    fields = [field] if hasattr(field, "stacked_terms") else list(field)
     mass = fields[0].mass
     if any(f.mass != mass for f in fields):
         raise ValueError("the fields of one set must share a mass")

@@ -583,6 +583,15 @@ def test_overflowing_input_names_cause(tmp_path, command, payload, cause):
     assert_rejected(run_cli(command, "--config", cfg), cause)
 
 
+def test_packet_amplitude_overflow_names_the_amplitudes(tmp_path):
+    # each amplitude is finite, but the residual sum of the two overflows
+    cfg = write_json(tmp_path / "amp.json", {
+        "schema_version": 1, "component": 0, "mass": 1.0,
+        "samples": [{"kvec": [0, 0, 1], "amplitude": 1e200}, {"kvec": [0, 0, 2], "amplitude": 1e200}],
+        "grid": {"spacing": [0.1, 1, 1, 0.1], "counts": [2, 1, 1, 2]}})
+    assert_rejected(run_cli("packet", "--config", cfg), "amplitude")
+
+
 @pytest.mark.parametrize("cells, code", [(2, 2), (3, 0)])
 def test_verify_needs_three_box_cells(tmp_path, cells, code):
     # on 2 cells the Gram directions +-2pi/L alias: exp(i pi n) = exp(-i pi n)

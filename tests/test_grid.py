@@ -5,7 +5,7 @@ import pytest
 
 from qdirac import (FourVector, MassiveSpec, SampledField, SpacetimeGrid,
                     build_massive_solution, central_diff, integrate_spatial, sample)
-from qdirac.grid import _MAX_PAIRS, plane_wave_sum
+from qdirac.grid import _MAX_PAIRS, _plane_wave_sum
 
 
 class ConstantField:
@@ -131,13 +131,6 @@ def test_sample_deterministic_layout():
     assert np.array_equal(a.psi1, b.psi1)
 
 
-def test_sampled_field_qspinor_accessor():
-    g = small_grid()
-    s = sample(ConstantField(3.0), g)
-    q = s.qspinor(1, 2, 3, 0)
-    assert np.all(q.psi0 == 3.0)
-
-
 # --- plane-wave sums -----------------------------------------------------------
 
 def _pair_terms(p, columns=2):
@@ -159,7 +152,7 @@ def _single_block_sum(grid, k, coef):
 def test_plane_wave_sum_blocks_match_direct_sum(p):
     grid = small_grid(origin=FourVector(-0.3, 0.2, 0.1, -0.4), counts=(2, 3, 4, 5))
     k, coef = _pair_terms(p)
-    got = plane_wave_sum(grid, k, coef)
+    got = _plane_wave_sum(grid.axes(), k, coef)
     x = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 4)
     want = (np.exp(1j * (x @ k.T)) @ coef).reshape(grid.counts + (2,))
     assert got.shape == want.shape
@@ -176,7 +169,7 @@ def test_plane_wave_sum_memory_is_bounded_by_the_pair_block():
     k, coef = _pair_terms(2500, columns=1)
     tracemalloc.start()
     try:
-        plane_wave_sum(grid, k, coef)
+        _plane_wave_sum(grid.axes(), k, coef)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

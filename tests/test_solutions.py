@@ -37,7 +37,6 @@ from qdirac.solutions import (
     SPINS,
     _half,
     massive_spec_from_dict,
-    massless_theta_spec_from_dict,
     packet_spec_from_dict,
 )
 from qdirac.spinor import GAMMA
@@ -224,10 +223,11 @@ def test_massive_spec_pairing_enforced():
 
 def test_bool_sign_rejected():
     # True == 1, so a plain membership test would take True for +1
-    with pytest.raises(ValueError, match="esign0"):
-        MassiveSpec(mass=1.0, theta0=0.0, kvec0=(0, 0, 1), kvec1=(0, 0, 1), esign0=True)
-    with pytest.raises(ValueError, match="esign"):
-        PacketSample((0, 0, 1), 1.0, "up", True)
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="esign0"):
+            MassiveSpec(mass=1.0, theta0=0.0, kvec0=(0, 0, 1), kvec1=(0, 0, 1), esign0=bad)
+        with pytest.raises(ValueError, match="esign"):
+            PacketSample((0, 0, 1), 1.0, "up", bad)
 
 
 def test_spin_axis_vector_rejected():
@@ -771,13 +771,6 @@ def test_massive_spec_json_round_trip():
     assert massive_spec_from_dict(d) == spec
 
 
-def test_massless_theta_spec_json_round_trip():
-    spec = MasslessThetaSpec(FourVector(1, 0, 0, 1), 2.0, -1.0, 0.3, "L", "R")
-    d = {"schema_version": 1, "kind": "massless_theta", "theta": [1, 0, 0, 1],
-         "kappa0": 2.0, "kappa1": -1.0, "theta0": 0.3, "chirality0": "L", "chirality1": "R"}
-    assert massless_theta_spec_from_dict(d) == spec
-
-
 def test_packet_spec_json_round_trip():
     spec = WavePacketSpec(1, 0.0, (PacketSample((0, 0, 2), 0.5, "down", -1),))
     d = {"schema_version": 1, "kind": "packet", "component": 1, "mass": 0.0,
@@ -785,11 +778,25 @@ def test_packet_spec_json_round_trip():
     assert packet_spec_from_dict(d) == spec
 
 
+def test_spec_json_defaults_are_the_dataclass_defaults():
+    # a JSON object with only the required fields reads the spec that
+    # the keyword construction leaving every default builds
+    massive = {"mass": 1.5, "theta0": 0.7, "kvec0": [0.1, 0.2, 0.3], "kvec1": [0, 0, 1]}
+    assert massive_spec_from_dict(massive) == MassiveSpec(**massive)
+    sample = {"kvec": [0, 0, 2], "amplitude": 0.5}
+    spec = packet_spec_from_dict({"component": 0, "mass": 1.0, "samples": [sample]})
+    assert spec.samples == (PacketSample(**sample),)
+
+
+def test_spec_signs_read_in_both_forms():
+    args = (1.0, 0.0, (0, 0, 1), (0, 0, 1))
+    assert MassiveSpec(*args, esign0="-") == MassiveSpec(*args, esign0=-1)
+    assert PacketSample((0, 0, 1), 1.0, esign="+").esign == 1
+
+
 def test_spec_json_missing_fields_named():
     with pytest.raises(ValueError, match="mass"):
         massive_spec_from_dict({"theta0": 0.0, "kvec0": [0, 0, 1], "kvec1": [0, 0, 1]})
-    with pytest.raises(ValueError, match="kappa0"):
-        massless_theta_spec_from_dict({"theta": [1, 0, 0, 1], "kappa1": 1.0})
     with pytest.raises(ValueError, match="samples"):
         packet_spec_from_dict({"component": 0, "mass": 1.0})
     # wrong types are ValueErrors naming the field, never TypeErrors
@@ -801,10 +808,6 @@ def test_spec_json_missing_fields_named():
         (massive_spec_from_dict, {**massive, "kvec0": 3}, "kvec0"),
         (massive_spec_from_dict, {**massive, "esign0": True}, "esign0"),
         (massive_spec_from_dict, [], "mass"),
-        (massless_theta_spec_from_dict, {"theta": [1, 0, 0, "1"], "kappa0": 1.0,
-                                         "kappa1": 1.0}, "theta"),
-        (massless_theta_spec_from_dict, {"theta": [1, 0, 0, 1], "kappa0": None,
-                                         "kappa1": 1.0}, "kappa0"),
         (packet_spec_from_dict, {**packet, "mass": [1]}, "mass"),
         (packet_spec_from_dict, {**packet, "component": []}, "component"),
         (packet_spec_from_dict, {**packet, "component": True}, "component"),

@@ -36,7 +36,7 @@ from qdirac import (
 )
 import qdirac.grid
 import qdirac.verify as ver
-from qdirac.grid import plane_wave_sum
+from qdirac.grid import _plane_wave_sum
 from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_massive_solutions, build_wave_packet
 from qdirac.cli import _default_continuity_setup
 from helpers import (
@@ -303,7 +303,7 @@ def _relative_gap(a, b):
 def test_pair_current_matches_einsum_oracle(label, field):
     sampled = sample(field, PAIR_GRID)
     oracle = einsum_current(sampled.psi0, sampled.psi1)
-    assert _relative_gap(plane_wave_sum(PAIR_GRID, *ver._current_pairs(field)).real, oracle) <= 1e-14
+    assert _relative_gap(_plane_wave_sum(PAIR_GRID.axes(), *ver._current_pairs(field)).real, oracle) <= 1e-14
     # the Pauli form on sampled arrays, used by packet
     assert _relative_gap(ver.current_grid(sampled), oracle) <= 1e-14
     j = current(field, PAIR_GRID.point(1, 2, 3, 4)).as_array()
@@ -315,7 +315,7 @@ def test_pair_source_matches_sampled_oracle(label, field):
     sampled = sample(field, PAIR_GRID)
     oracle = sampled_source(sampled.psi0, sampled.psi1, B)
     s = ver._source_matrix(B)
-    pairs = plane_wave_sum(PAIR_GRID, *ver._source_pairs(field, s))[..., 0].real
+    pairs = _plane_wave_sum(PAIR_GRID.axes(), *ver._source_pairs(field, s))[..., 0].real
     # relative to the size of the bilinear form, which stays meaningful
     # where the source cancels (one empty half, or opposite chiralities)
     scale = np.abs(s).max() * np.abs(sampled.psi0).max() * np.abs(sampled.psi1).max()
