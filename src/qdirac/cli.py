@@ -213,17 +213,22 @@ def _norm(q: np.ndarray) -> np.ndarray:
 
 def _quaternion_sweep(rng) -> dict:
     """Worst relative defects of _SWEEP_DRAWS random draws (p, q, r), as (4, N) arrays."""
-    p, q, r = rng.uniform(-2.0, 2.0, size=(_SWEEP_DRAWS, 12)).T.reshape(3, 4, _SWEEP_DRAWS)
-    pq = mul(p, q)
-    pq_norm = _norm(pq)
-    pnorm_qnorm = _norm(p) * _norm(q)
-    lhs = mul(pq, r)
-    rhs = mul(p, mul(q, r))
+    n = _SWEEP_DRAWS
+    # the draws as column blocks [p | q | r]; independent products and norms
+    # run side by side on adjoining blocks, and since every column runs the
+    # same formulas, each block equals a call of its own
+    x = rng.uniform(-2.0, 2.0, size=(n, 12)).reshape(n, 3, 4).transpose(2, 1, 0).reshape(4, 3 * n)
+    p, q, r = np.hsplit(x, 3)
+    pq, qr = np.hsplit(mul(x[:, :2 * n], x[:, n:]), 2)
+    lhs, rhs = np.hsplit(mul(np.concatenate([pq, p], axis=1), np.concatenate([r, qr], axis=1)), 2)
     alt = mul_symplectic(p, q)
+    pq_norm, p_norm, q_norm, defect_norm, lhs_norm, route_norm = np.hsplit(
+        _norm(np.concatenate([pq, p, q, lhs - rhs, lhs, pq - alt], axis=1)), 6)
+    pnorm_qnorm = p_norm * q_norm
     worst = {
         "multiplicativity": np.abs(pq_norm - pnorm_qnorm) / np.maximum(pnorm_qnorm, 1e-300),
-        "associativity": _norm(lhs - rhs) / np.maximum(_norm(lhs), 1e-300),
-        "algorithms": _norm(pq - alt) / np.maximum(pq_norm, 1e-300),
+        "associativity": defect_norm / np.maximum(lhs_norm, 1e-300),
+        "algorithms": route_norm / np.maximum(pq_norm, 1e-300),
     }
     return {name: max(0.0, float(v.max())) for name, v in worst.items()}
 
@@ -283,14 +288,19 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     kvec = (base, 0.0, base)
     points = ver.default_points(seed=seed)
 
-    massive = sol.enumerate_massive_set(mass, kvec, kvec, theta0)
+    directions = ((base, 0.0, 0.0), (0.0, base, 0.0), (0.0, 0.0, base), (-base, 0.0, 0.0))
+    # the massive set, the helicity set and the Gram set in one certified
+    # pass, then the massless set and the running phase in another
+    gram_pairs = [(theta0, kv, kv, s0, s1, esign0)
+                  for (s0, s1), kv in zip(sol.SPIN_PAIRS, directions) for esign0 in (1, -1)]
+    built = sol._build(mass, sol._massive_set(kvec, kvec, theta0)
+                       + sol._massive_set(kvec, kvec, theta0, "momentum") + sol._massive_pairs(gram_pairs))
+    massive, hel_sols, gram_sols = built[:8], built[8:16], built[16:]
     add("residual_massive_set", max(ver.dirac_residual(massive, points=points)), residual_tol)
-    massless = sol.enumerate_massless_theta0_set(kvec, kvec, theta0)
-    add("residual_massless_set", max(ver.dirac_residual(massless, points=points)), residual_tol)
-
     theta_dir = FourVector(1.0, 0.0, 0.0, 1.0)
-    mtheta = sol.build_massless_theta_solution(
-        sol.MasslessThetaSpec(theta=theta_dir, kappa0=2.0, kappa1=1.0, theta0=theta0))
+    *massless, mtheta = sol._build(0.0, sol._massless_set(kvec, kvec, theta0) + sol._running_phase(
+        sol.MasslessThetaSpec(theta=theta_dir, kappa0=2.0, kappa1=1.0, theta0=theta0)))
+    add("residual_massless_set", max(ver.dirac_residual(massless, points=points)), residual_tol)
     add("residual_massless_theta", ver.dirac_residual(mtheta, points=points), residual_tol)
 
     all_momenta = [(s.k0, s.mass) for s in massive + massless] + [(s.k1, s.mass) for s in massive + massless]
@@ -314,10 +324,6 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
         counts=(1, box_cells, box_cells, box_cells),
         periodic=(False, True, True, True),
     )
-    directions = ((base, 0.0, 0.0), (0.0, base, 0.0), (0.0, 0.0, base), (-base, 0.0, 0.0))
-    gram_sols = sol.build_massive_solutions(
-        sol.MassiveSpec(mass=mass, theta0=theta0, kvec0=kv, kvec1=kv, spin0=s0, spin1=s1, esign0=esign0)
-        for (s0, s1), kv in zip(sol.SPIN_PAIRS, directions) for esign0 in (1, -1))
     gram = ver.gram_matrix(gram_sols, grid)
     diag_scale = float(gram.diagonal.max())
     add("gram_offdiag", gram.max_offdiag / diag_scale, gram_tol)
@@ -334,7 +340,6 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     add("adjoint_norm", adj_err, residual_tol)
 
     hel_err = 0.0
-    hel_sols = sol.enumerate_massive_set(mass, kvec, kvec, theta0, spin_axis="momentum")
     spin_eig = {"u": 0.5, "d": -0.5}
     for s, rep in zip(hel_sols, ver.helicity_check(hel_sols)):
         hel_err = max(hel_err, rep.residual0, rep.residual1)

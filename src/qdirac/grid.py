@@ -90,11 +90,12 @@ class SpacetimeGrid:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpacetimeGrid":
+        # periodic is passed only when given, so the dataclass holds its default
         return cls(
             spacing=require(d, "spacing"),
             counts=require(d, "counts"),
             origin=FourVector(*vector(d.get("origin", (0.0, 0.0, 0.0, 0.0)), "origin", 4)),
-            periodic=d.get("periodic", (False, False, False, False)),
+            **({"periodic": d["periodic"]} if "periodic" in d else {}),
         )
 
 

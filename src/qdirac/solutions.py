@@ -28,17 +28,19 @@ one closed form `build_u_spinor` for ker(slashed(k) -+ m): the massless
 kernel is its m = 0 case, with the spatial momentum as spin axis so that
 spin names the helicity.  So every term passes the same kernel check,
 normalization and phase fix (the first significant component is made
-real positive, so builds are deterministic).  A set's distinct terms (4
-per half for the 8 massive solutions, 2 for the 4 massless ones) are the
-rows of one array pass, and `_solutions` certifies the set in one stacked
-residual product, as `make_wave_packet` certifies a packet's terms.  The
-checks of `verify` take a set the same way, and `density` is their
-one-field case.
+real positive, so builds are deterministic).  Every solution builder
+runs through one row table (`_build`): the distinct terms of its fields
+(4 per half for the 8 massive solutions, 2 for the 4 massless ones) are
+the rows of one array pass, each field's stacked terms are slices of one
+table, and one stacked residual product certifies them all, as
+`make_wave_packet` certifies a packet's terms.  The checks of `verify`
+take a set the same way, and `density` is their one-field case.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 import sys
@@ -204,12 +206,7 @@ class _PlaneWaveSum:
 
     def __post_init__(self) -> None:
         """Stack the terms once, at construction (see stacked_terms)."""
-        stacked = [(np.array([k.lowered() for _, k, _ in half], dtype=float).reshape(-1, 4),
-                    np.array([c * u for c, _, u in half], dtype=complex).reshape(-1, 4))
-                   for half in self._terms()]
-        for a in (a for pair in stacked for a in pair):
-            a.setflags(write=False)
-        object.__setattr__(self, "_stacked", stacked)
+        _stack_terms([self])
 
     def stacked_terms(self):
         """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4)."""
@@ -230,6 +227,22 @@ class _PlaneWaveSum:
 
     def density(self, x: FourVector) -> float:
         return float(verify.densities([self], x.as_array())[0, 0])
+
+
+def _stack_terms(fields) -> None:
+    """Stack the terms of every field once, as slices of one read-only
+    table of lowered momenta and weighted spinors c*u."""
+    halves = [half for f in fields for half in f._terms()]
+    terms = [term for half in halves for term in half]
+    kl = np.array([(k.t, -k.x, -k.y, -k.z) for _, k, _ in terms], dtype=float).reshape(-1, 4)
+    cu = (np.array([c for c, _, _ in terms], dtype=complex)[:, None]
+          * np.array([u for _, _, u in terms], dtype=complex).reshape(-1, 4))
+    kl.setflags(write=False)
+    cu.setflags(write=False)
+    ends = list(itertools.accumulate(map(len, halves), initial=0))
+    for n, f in enumerate(fields):
+        a, b, c = ends[2 * n:2 * n + 3]
+        object.__setattr__(f, "_stacked", [(kl[a:b], cu[a:b]), (kl[b:c], cu[b:c])])
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,11 +340,12 @@ def _massive_label(spin0: str, spin1: str, esign0: int) -> str:
     return f"{spin0[0]}{spin1[0]}{'+-' if esign0 > 0 else '-+'}"
 
 
-def _resolve_axis(spin_axis, kvec):
-    """The spin quantization axis: None for the z axis, or kvec itself
-    when spin_axis is "momentum" (the helicity basis)."""
+def _resolve_axis(spin_axis, k: FourVector):
+    """The spin quantization axis: None for the z axis, or the spatial
+    momentum of k when spin_axis is "momentum" (the helicity basis)."""
     if choice(spin_axis, "spin_axis", (None, "momentum")) is None:
         return None
+    kvec = k.spatial()
     if float(np.linalg.norm(kvec)) == 0.0:
         raise ValueError("spin_axis='momentum' needs nonzero spatial momentum")
     return kvec
@@ -346,24 +360,52 @@ def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", s
     +esign*E with u in ker(slashed(k) - m).  Massless: the frequency is
     esign*|k| on both halves, the mass sign drops out, the spin axis is
     the momentum, so spin names the helicity, and u^dag u = |k.t|.
+    `spin_axis` is one value or T values.  A FourVector in `kvec` is a
+    four-momentum taken as given (a running phase's kappa*theta); its
+    esign is not read.
     """
     massive = mass > 0
     signs = [verify.HALF_MASS_SIGN[h] if massive else 1 for h in half]
     ks, axes = [], []
-    for kv, mass_sign, e in zip(kvec, signs, esign):
-        ks.append(FourVector(mass_sign * e * mass_shell_energy(kv, mass if massive else 0.0), *kv))
-        axes.append(_resolve_axis(spin_axis, kv) if massive else kv)
+    for kv, mass_sign, e, axis in zip(kvec, signs, esign, _per_row(spin_axis, "spin_axis", len(signs))):
+        k = kv if isinstance(kv, FourVector) else FourVector(
+            mass_sign * e * mass_shell_energy(kv, mass if massive else 0.0), *kv)
+        ks.append(k)
+        axes.append(_resolve_axis(axis, k) if massive else k.spatial())
     u = build_u_spinor(ks, mass, signs, spin, norm_choice if massive else "E", axes)
     u.setflags(write=False)
     return ks, u
 
 
-def _solutions(mass: float, k, u, members, theta: FourVector = ZERO_FOUR) -> list[PlaneWaveSolution]:
-    """Certified set from term rows (k, u); members are (theta0, row0, row1, label)."""
-    sols = [PlaneWaveSolution(theta0, k[i], k[j], u[i], u[j], mass, theta, label)
-            for theta0, i, j, label in members]
-    certify_solution(sols)
-    return sols
+def _build(mass: float, members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
+    """Certified fields of one mass from one row table, in one pass.
+
+    Each member (theta0, row0, row1, label, theta) is one field, whose
+    halves are the plane-wave terms of rows (kvec, half, esign, spin,
+    spin_axis), as `_half` reads them; rows equal in value are built
+    once.  One `_half` call builds every row, the fields take their
+    stacked terms from one table and skip the dataclass checks of these
+    values, and one `certify_solution` call certifies them all."""
+    rows = list(dict.fromkeys(row for m in members for row in m[1:3]))
+    index = {row: n for n, row in enumerate(rows)}
+    kvec, half, esign, spin, axis = zip(*rows)
+    k, u = _half(kvec, mass, half, esign, spin, norm_choice, axis)
+    fields = [object.__new__(PlaneWaveSolution) for _ in members]
+    for f, (t0, row0, row1, label, theta) in zip(fields, members):
+        i, j = index[row0], index[row1]
+        for name, value in (("theta0", float(t0)), ("k0", k[i]), ("k1", k[j]), ("u0", u[i]), ("u1", u[j]),
+                            ("mass", float(mass)), ("theta", theta), ("label", label)):
+            object.__setattr__(f, name, value)
+    _stack_terms(fields)
+    certify_solution(fields)
+    return fields
+
+
+def _massive_pairs(pairs, spin_axis=None) -> list:
+    """Members of the massive solutions (theta0, kvec0, kvec1, spin0, spin1,
+    esign0); the j half carries the label -esign0."""
+    return [(t0, (kv0, 0, e, s0, spin_axis), (kv1, 1, -e, s1, spin_axis),
+             _massive_label(s0, s1, e), ZERO_FOUR) for t0, kv0, kv1, s0, s1, e in pairs]
 
 
 def build_massive_solution(spec: MassiveSpec) -> PlaneWaveSolution:
@@ -373,18 +415,23 @@ def build_massive_solution(spec: MassiveSpec) -> PlaneWaveSolution:
 
 def build_massive_solutions(specs) -> list[PlaneWaveSolution]:
     """Certified massive solutions of one mass and norm_choice, one per
-    spec: two `_half` rows per spec, built and certified in one pass."""
+    spec, built and certified in one pass."""
     specs = list(specs)
     mass, norm_choice = specs[0].mass, specs[0].norm_choice
     if any((s.mass, s.norm_choice) != (mass, norm_choice) for s in specs):
         raise ValueError("the specs of one build must share mass and norm_choice")
-    k, u = _half([kv for s in specs for kv in (s.kvec0, s.kvec1)], mass, [0, 1] * len(specs),
-                 [e for s in specs for e in (s.esign0, -s.esign0)],
-                 [sp for s in specs for sp in (s.spin0, s.spin1)], norm_choice)
-    return _solutions(mass, k, u, [(s.theta0, 2 * i, 2 * i + 1, s.label) for i, s in enumerate(specs)])
+    return _build(mass, _massive_pairs([(s.theta0, s.kvec0, s.kvec1, s.spin0, s.spin1, s.esign0)
+                                        for s in specs]), norm_choice)
 
 
 SPIN_PAIRS = (("up", "up"), ("down", "down"), ("up", "down"), ("down", "up"))
+
+
+def _massive_set(kvec0, kvec1, theta0: float, spin_axis=None) -> list:
+    """Members of the eight labeled massive solutions, in set order; they
+    share their 8 distinct rows (half, spin, esign0)."""
+    pairs = [(theta0, kvec0, kvec1, s0, s1, e) for s0, s1 in SPIN_PAIRS for e in (1, -1)]
+    return _massive_pairs(pairs, spin_axis)
 
 
 def enumerate_massive_set(
@@ -398,14 +445,9 @@ def enumerate_massive_set(
     """The eight labeled massive solutions, in the fixed order
     (uu,+-), (uu,-+), (dd,+-), (dd,-+), (ud,+-), (ud,-+), (du,+-), (du,-+)."""
     spec = MassiveSpec(mass=mass, theta0=theta0, kvec0=kvec0, kvec1=kvec1, norm_choice=norm_choice)
-    # one row per distinct term (half, spin, esign0); the j half carries the label -esign0
-    rows = [(half, spin, e) for half in (0, 1) for spin in SPINS for e in (1, -1)]
-    k, u = _half([(spec.kvec0, spec.kvec1)[h] for h, _, _ in rows], spec.mass, [h for h, _, _ in rows],
-                 [-e if h else e for h, _, e in rows], [spin for _, spin, _ in rows],
-                 spec.norm_choice, spin_axis)
-    return _solutions(spec.mass, k, u, [
-        (spec.theta0, rows.index((0, spin0, e)), rows.index((1, spin1, e)), _massive_label(spin0, spin1, e))
-        for spin0, spin1 in SPIN_PAIRS for e in (1, -1)])
+    # read before the rows that hold it are hashed
+    spin_axis = choice(spin_axis, "spin_axis", (None, "momentum"))
+    return _build(spec.mass, _massive_set(spec.kvec0, spec.kvec1, spec.theta0, spin_axis), spec.norm_choice)
 
 
 # ---------------------------------------------------------------------------
@@ -447,30 +489,37 @@ class MasslessThetaSpec:
         return f"{self.chirality0}{self.chirality1}.theta"
 
 
-def build_massless_theta_solution(spec: MasslessThetaSpec) -> PlaneWaveSolution:
-    """Certified massless solution with running phase direction theta."""
-    k = [spec.theta.scale(spec.kappa0), spec.theta.scale(spec.kappa1)]
+def _running_phase(spec: MasslessThetaSpec) -> list:
+    """The member of one running-phase solution; its four-momenta
+    kappa*theta are taken as given."""
     # ker slashed(k) = ker slashed(theta); the helicity along k is
     # chirality * sign(k.t), which flips with the sign of kappa
-    spins = ["up" if (c == "R") == (kk.t > 0) else "down"
-             for kk, c in zip(k, (spec.chirality0, spec.chirality1))]
-    u = build_u_spinor(k, 0.0, 1, spins, "E", [kk.spatial() for kk in k])
-    return _solutions(0.0, k, u, [(spec.theta0, 0, 1, spec.label)], spec.theta)[0]
+    row0, row1 = ((k, h, 1, "up" if (c == "R") == (k.t > 0) else "down", None) for h, (k, c) in enumerate(
+        ((spec.theta.scale(spec.kappa0), spec.chirality0), (spec.theta.scale(spec.kappa1), spec.chirality1))))
+    return [(spec.theta0, row0, row1, spec.label, spec.theta)]
+
+
+def build_massless_theta_solution(spec: MasslessThetaSpec) -> PlaneWaveSolution:
+    """Certified massless solution with running phase direction theta."""
+    return _build(0.0, _running_phase(spec))[0]
 
 
 _CHIRALITY_PAIRS = (("L", "L"), ("L", "R"), ("R", "L"), ("R", "R"))
 
 
+def _massless_set(kvec0, kvec1, theta0: float) -> list:
+    """Members of the four constant-phase massless solutions, sharing 4
+    rows; at positive frequency chirality = helicity."""
+    spin = {"L": "down", "R": "up"}
+    return [(theta0, (kvec0, 0, 1, spin[c0], None), (kvec1, 1, 1, spin[c1], None), f"{c0}{c1}", ZERO_FOUR)
+            for c0, c1 in _CHIRALITY_PAIRS]
+
+
 def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWaveSolution]:
     """The four constant-phase massless solutions, ordered
     (L,L), (L,R), (R,L), (R,R); both components run at positive frequency."""
-    kvec0 = vector(kvec0, "kvec0", 3)
-    kvec1 = vector(kvec1, "kvec1", 3)
-    theta0 = number(theta0, "theta0")
-    # one row per distinct term, L then R per half; at positive frequency chirality = helicity
-    k, u = _half((kvec0, kvec0, kvec1, kvec1), 0.0, (0, 0, 1, 1), (1,) * 4, ("down", "up") * 2)
-    return _solutions(0.0, k, u, [(theta0, CHIRALITIES.index(c0), 2 + CHIRALITIES.index(c1), f"{c0}{c1}")
-                                  for c0, c1 in _CHIRALITY_PAIRS])
+    return _build(0.0, _massless_set(vector(kvec0, "kvec0", 3), vector(kvec1, "kvec1", 3),
+                                     number(theta0, "theta0")))
 
 
 # ---------------------------------------------------------------------------

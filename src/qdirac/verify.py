@@ -66,7 +66,10 @@ def default_points(seed: int = 7) -> np.ndarray:
 def _stack_rows(fields):
     """Per half: the stacked terms of every field, concatenated in field
     order, as lowered momenta (M, 4), weighted spinors (M, 4) and the
-    index (M,) of the field that owns each row."""
+    index (M,) of the field that owns each row.  One field gives its own
+    arrays, uncopied."""
+    if len(fields) == 1:
+        return [(kl, w, np.zeros(len(kl), dtype=int)) for kl, w in fields[0].stacked_terms()]
     halves = [[f.stacked_terms()[h] for f in fields] for h in (0, 1)]
     return [(*map(np.concatenate, zip(*half)),
              np.arange(len(fields)).repeat([len(kl) for kl, _ in half])) for half in halves]
@@ -74,10 +77,13 @@ def _stack_rows(fields):
 
 def _owner_sums(points, kl, values, owner, count: int) -> np.ndarray:
     """sum exp(i k.x) value over each field's rows, shape (P, F, 4): one
-    matmul against the rows spread into their owners' columns."""
+    matmul against the rows spread into their owners' columns (one field
+    owns every row, so its rows need no spreading)."""
+    phases = np.exp(1j * (points @ kl.T))
+    if count == 1:
+        return (phases @ values)[:, None, :]
     spread = np.zeros((len(kl), count, 4), dtype=complex)
     spread[np.arange(len(kl)), owner] = values
-    phases = np.exp(1j * (points @ kl.T))
     return (phases @ spread.reshape(len(kl), 4 * count)).reshape(len(points), count, 4)
 
 

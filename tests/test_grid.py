@@ -69,6 +69,11 @@ def test_grid_dict_round_trip():
     assert SpacetimeGrid.from_dict(g.to_dict()) == g
 
 
+def test_grid_dict_without_periodic_reads_all_false():
+    g = SpacetimeGrid.from_dict({"spacing": [0.5, 0.25, 0.25, 0.25], "counts": [2, 4, 4, 4]})
+    assert g.periodic == (False, False, False, False)
+
+
 def test_refined_periodic_keeps_extent():
     g = small_grid(periodic=(False, True, True, True))
     r = g.refined()

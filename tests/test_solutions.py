@@ -32,10 +32,12 @@ from qdirac import (
     SpacetimeGrid,
 )
 from qdirac import solutions
+from qdirac.cli import run_verify
 from qdirac.solutions import (
     NORM_CHOICES,
     SPINS,
     _half,
+    build_massive_solutions,
     massive_spec_from_dict,
     packet_spec_from_dict,
 )
@@ -291,6 +293,96 @@ def test_set_builders_make_one_half_call_per_distinct_term(monkeypatch):
     calls.clear()
     enumerate_massless_theta0_set((0.2, 0.3, -0.4), (0.5, 0.0, 0.1), 0.3)
     assert [len(kvec) for kvec, *_ in calls] == [4]
+
+
+# --- one row table per build ------------------------------------------------------
+
+def _bits(*arrays) -> list:
+    """dtype, shape and bytes of each array: equal means bit for bit, signed zeros included."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _field_bits(f) -> list:
+    return [f.label, *_bits(f.k0.as_array(), f.k1.as_array(), f.theta.as_array(), f.u0, f.u1,
+                            *(a for half in f.stacked_terms() for a in half))]
+
+
+def _verify_fields(mass, box_length, theta0):
+    """The fields of run_verify's two passes, each built by its standalone
+    builder: the massive, helicity and Gram sets, then the massless set and
+    the running phase."""
+    base = 2.0 * math.pi / box_length
+    kvec = (base, 0.0, base)
+    directions = ((base, 0.0, 0.0), (0.0, base, 0.0), (0.0, 0.0, base), (-base, 0.0, 0.0))
+    massive = [*enumerate_massive_set(mass, kvec, kvec, theta0),
+               *enumerate_massive_set(mass, kvec, kvec, theta0, spin_axis="momentum"),
+               *build_massive_solutions(MassiveSpec(mass, theta0, kv, kv, s0, s1, e)
+                                        for (s0, s1), kv in zip(solutions.SPIN_PAIRS, directions)
+                                        for e in (1, -1))]
+    massless = [*enumerate_massless_theta0_set(kvec, kvec, theta0), build_massless_theta_solution(
+        MasslessThetaSpec(FourVector(1.0, 0.0, 0.0, 1.0), kappa0=2.0, kappa1=1.0, theta0=theta0))]
+    return massive, massless
+
+
+@pytest.mark.parametrize("mass, box_length, theta0", [(1.0, 2.0 * math.pi, math.pi / 8), (1.7, 5.0, -0.3)])
+def test_verify_passes_equal_the_standalone_builds(monkeypatch, mass, box_length, theta0):
+    want = _verify_fields(mass, box_length, theta0)
+    passes, rows = [], []
+    build, half = solutions._build, solutions._half
+
+    def recording_build(*args, **kwargs):
+        passes.append(build(*args, **kwargs))
+        return passes[-1]
+
+    def counting_half(kvec, *args):
+        rows.append(len(kvec))
+        return half(kvec, *args)
+
+    monkeypatch.setattr(solutions, "_build", recording_build)
+    monkeypatch.setattr(solutions, "_half", counting_half)
+    code, _ = run_verify({"mass": mass, "box_length": box_length, "theta0": theta0}, None, 3)
+    assert code == 0
+    # 8 + 8 + 16 massive rows in one spinor build, then 4 + 2 massless rows
+    assert rows == [32, 6]
+    assert [[_field_bits(f) for f in p] for p in passes] == [[_field_bits(f) for f in p] for p in want]
+
+
+def test_table_built_stacks_equal_the_constructor_stacks():
+    theta = FourVector(1.2, 0, 1.2, 0)
+    fields = [*enumerate_massive_set(1.3, (0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77, "E", "momentum"),
+              *build_massive_solutions([MassiveSpec(0.2, -2.5, (0, 0, 0), (1e3, -2.0, 0.5), "down", "up", -1),
+                                        MassiveSpec(0.2, 1.1, (0.3, 0, 0), (0.3, 0, 0), esign0="-")]),
+              *enumerate_massless_theta0_set((0.4, 0.0, -0.6), (-0.3, 0.5, 0.2), 2.9),
+              build_massless_theta_solution(MasslessThetaSpec(theta, -1.5, 0.5, 2.1, "L", "R"))]
+    packet = make_wave_packet(0.8, 0.3, [PacketSample((0.2, 0, 1), 1.5),
+                                         PacketSample((0, -1, 0), 0.5, "down")],
+                              [PacketSample((1, 1, 0), 0.7, esign=-1)])
+    for f in fields:
+        made = PlaneWaveSolution(f.theta0, f.k0, f.k1, f.u0, f.u1, f.mass, f.theta, f.label)
+        assert _field_bits(f) == _field_bits(made)
+        assert (f.theta0, f.mass) == (made.theta0, made.mass)
+        assert not any(a.flags.writeable for a in (f.u0, f.u1, *(a for h in f.stacked_terms() for a in h)))
+    for f in [*fields, packet]:
+        # each half stacked term by term: lowered momenta and c*u
+        want = [(np.array([k.lowered() for _, k, _ in half], dtype=float).reshape(-1, 4),
+                 np.array([c * u for c, _, u in half], dtype=complex).reshape(-1, 4)) for half in f._terms()]
+        assert _bits(*(a for h in f.stacked_terms() for a in h)) == _bits(*(a for h in want for a in h))
+
+
+@pytest.mark.parametrize("kvec, spin_axis", [((1e200, 0.0, 0.0), None), ((0.0, 0.0, 0.0), "momentum")])
+def test_a_broken_row_raises_its_standalone_message(kvec, spin_axis):
+    with pytest.raises(ValueError) as alone:
+        enumerate_massive_set(1.3, kvec, kvec, 0.4, spin_axis=spin_axis)
+    good = solutions._massive_set((0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77)
+    with pytest.raises(ValueError) as merged:
+        solutions._build(1.3, good + solutions._massive_set(kvec, kvec, 0.4, spin_axis))
+    assert str(merged.value) == str(alone.value)
+    # verify's first pass: its massive set overflows first, as it does alone
+    with pytest.raises(ValueError) as alone:
+        enumerate_massive_set(1e300, (1.0, 0.0, 1.0), (1.0, 0.0, 1.0), math.pi / 8)
+    with pytest.raises(ValueError) as merged:
+        run_verify({"mass": 1e300}, None, 0)
+    assert str(merged.value) == str(alone.value)
 
 
 def _oracle_rows(seed):

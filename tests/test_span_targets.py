@@ -57,13 +57,15 @@ def test_span_targets_trace_a_verify_run_without_changing_it():
     assert code == untraced_code == 0
     assert qdirac.cli._render(traced, "json") == qdirac.cli._render(untraced, "json")
     (stats,) = tracer.op_stats
-    # sets of 8 massive, 4 massless and 8 helicity solutions, 1 running
-    # phase and 8 Gram solutions, each set certified once; the adjoint
-    # check re-phases 2 of them without a certification
-    assert stats["solutions.certify"].calls == 5
-    # the two massive sets, the massless set and the running phase; the
-    # Gram set is built by build_massive_solutions, which is not traced
-    assert stats["solutions.build"].calls == 4
+    # two certified passes: the 8 massive, 8 helicity and 8 Gram solutions,
+    # then the 4 massless ones and the running phase; the adjoint check
+    # re-phases 2 of them without a certification
+    assert stats["solutions.certify"].calls == 2
+    # both passes run through solutions._build, which no target wraps, so
+    # no build span is recorded
+    assert "solutions.build" not in stats
+    # the quaternion sweep runs its independent products side by side
+    assert stats["qalg.mul"].calls == 2
     # one residual call per set (massive, massless, running phase) and one
     # helicity call for the whole helicity set
     assert stats["verify.dirac_residual"].calls <= 3

@@ -181,6 +181,21 @@ def test_certified_bound_covers_sampled_residual(family):
 
 # --- current ------------------------------------------------------------------
 
+def test_one_field_uses_its_own_rows_without_spreading():
+    # a running phase has two terms per half
+    field = build_massless_theta_solution(MasslessThetaSpec(
+        FourVector(1.2, 0, 1.2, 0), kappa0=2.0, kappa1=-0.5, theta0=0.4))
+    rows = ver._stack_rows([field])
+    for (kl, w, owner), (own_kl, own_w) in zip(rows, field.stacked_terms()):
+        assert kl is own_kl and w is own_w and owner.tolist() == [0] * len(kl)
+    # the owner sum equals the spread matmul of a set, bit for bit
+    for kl, w, owner in rows:
+        spread = np.zeros((len(kl), 1, 4), dtype=complex)
+        spread[np.arange(len(kl)), owner] = w
+        want = (np.exp(1j * (POINTS @ kl.T)) @ spread.reshape(len(kl), 4)).reshape(len(POINTS), 1, 4)
+        assert ver._owner_sums(POINTS, kl, w, owner, 1).tobytes() == want.tobytes()
+
+
 def test_current_rest_frame():
     sol = build_massive_solution(MassiveSpec(2.0, 0.0, (0, 0, 0), (0, 0, 0)))
     j = current(sol, FourVector(0.3, 1.0, -0.5, 0.2))
