@@ -35,6 +35,12 @@ the rows of one array pass, each field's stacked terms are slices of one
 table, and one stacked residual product certifies them all, as
 `make_wave_packet` certifies a packet's terms.  The checks of `verify`
 take a set the same way, and `density` is their one-field case.
+
+The rows are checked in order, so the first bad row raises its own
+error, and each value-level step runs once per distinct value: the
+`choice` checks of a row's values, the energy of each spatial momentum,
+the spin basis of each axis.  Certification checks each distinct term
+momentum, and takes the norm of each distinct spinor, once.
 """
 
 from __future__ import annotations
@@ -59,9 +65,13 @@ SPINS = ("up", "down")
 CHIRALITIES = ("L", "R")
 NORM_CHOICES = ("E", "E_over_m")
 
-_Z_BASIS = dict(zip(SPINS, spin_basis(None)))
+_Z_BASIS = spin_basis(None)
 # slashed(k) - mass_sign*m over coefficients (k.t, k.x, k.y, k.z, -mass_sign*m)
 _KERNEL_STACK = np.stack([GAMMA[0], -GAMMA[1], -GAMMA[2], -GAMMA[3], np.eye(4)]).reshape(5, 16)
+_PAULI_STACK = PAULI.reshape(3, 4)
+# u from the columns of (chi, lower, -lower), by shape 2*(k.t > 0) + (chi on top):
+# the lower block takes the frequency sign; chi is on top when the mass sign agrees with it
+_U_COLUMNS = np.array([(4, 5, 0, 1), (0, 1, 4, 5), (2, 3, 0, 1), (0, 1, 2, 3)])
 
 
 class CertificationError(RuntimeError):
@@ -91,10 +101,15 @@ def mass_shell_energy(kvec, mass: float, sign: int = 1) -> float:
 
 def dispersion_residual(kfour: FourVector, mass: float) -> float:
     """|k.k - m^2| relative to |k.t|^2 + m^2."""
-    scale = kfour.t * kfour.t + mass * mass
+    return _dispersion(kfour.t, kfour.dot(kfour), mass)
+
+
+def _dispersion(t: float, kk: float, mass: float) -> float:
+    """dispersion_residual of a four-momentum with time part t and k.k = kk."""
+    scale = t * t + mass * mass
     if scale == 0.0:
-        return abs(kfour.dot(kfour))
-    return abs(kfour.dot(kfour) - mass * mass) / scale
+        return abs(kk)
+    return abs(kk - mass * mass) / scale
 
 
 def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
@@ -114,7 +129,9 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
     A sequence of T four-momenta builds T rows in one array pass: every
     other argument is then one value or T values (a spin_axis of three
     numbers is one axis), and the result is the (T, 4) stack of the
-    one-row builds.
+    one-row builds.  The rows are checked in order, and the first bad row
+    raises; the values (mass, mass_sign, spin, norm_choice) of a row are
+    checked once per distinct value, the spin basis once per axis object.
     """
     single = isinstance(kfour, FourVector)
     ks = [kfour] if single else list(kfour)
@@ -122,20 +139,23 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
         [v] if single else _per_row(v, name, len(ks)) for v, name in (
             (mass, "mass"), (mass_sign, "mass_sign"), (spin, "spin"),
             (norm_choice, "norm_choice"), (spin_axis, "spin_axis"))]
-    chis, scalars, flat = [], [], []
-    for i, (k, m, ms, sp, nc, axis) in enumerate(zip(ks, masses, signs, spins, norms, axes)):
-        if not m >= 0.0:
-            raise ValueError("build_u_spinor requires mass >= 0")
-        choice(ms, "mass_sign", (1, -1))
-        choice(sp, "spin", SPINS)
-        choice(nc, "norm_choice", NORM_CHOICES)
-        if m == 0.0 and nc == "E_over_m":
-            raise ValueError("norm_choice 'E_over_m' needs mass > 0")
+    checked, bases = {}, {}  # bases: id(axis) -> the row of its up spinor in the chi table
+    chis, chi_rows, scalars, shapes = list(_Z_BASIS), [], [], []
+    for k, m, ms, sp, nc, axis in zip(ks, masses, signs, spins, norms, axes):
+        # equal values of one type pass or fail these checks alike
+        _once(checked, (type(m), m, type(ms), ms, type(sp), sp, type(nc), nc),
+              lambda: _check_row_values(m, ms, sp, nc))
         if k.t == 0.0:
             raise ValueError(f"four-momentum {k} has zero frequency")
         if not dispersion_residual(k, m) <= verify.RESIDUAL_TOL:  # NaN when k.t**2 overflows
             raise ValueError(f"four-momentum {k} is off the mass shell for m={m}")
-        chis.append(_Z_BASIS[sp] if axis is None else spin_basis(axis)[SPINS.index(sp)])
+        if axis is None:
+            chi_rows.append(SPINS.index(sp))
+        else:
+            if id(axis) not in bases:
+                bases[id(axis)] = len(chis)
+                chis += spin_basis(axis)
+            chi_rows.append(bases[id(axis)] + SPINS.index(sp))
         energy = abs(k.t)
         target = energy if nc == "E" else energy / m
         if not math.isfinite(target):
@@ -143,24 +163,23 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
         # |k.t| + m, u^dag u, the phase threshold, the squared kernel bound
         # (|u| = sqrt(target); finite, so an overflow fails it), _KERNEL_STACK weights
         bound = verify.RESIDUAL_TOL * (energy + m) * math.sqrt(target)
-        scalars.append((energy + m, target, 1e-12 * math.sqrt(target),
-                        min(bound * bound, sys.float_info.max), k.t, k.x, k.y, k.z, -ms * m))
-        # u from the columns of (chi, lower, -lower): the lower block takes
-        # the frequency sign; chi is on top when the mass sign agrees with it
-        low = (2, 3) if k.t > 0 else (4, 5)
-        flat += [6 * i + c for c in ((0, 1, *low) if (ms > 0) == (k.t > 0) else (*low, 0, 1))]
+        scalars += (energy + m, target, 1e-12 * math.sqrt(target),
+                    min(bound * bound, sys.float_info.max), k.t, k.x, k.y, k.z, -ms * m)
+        shapes.append(2 * (k.t > 0) + ((ms > 0) == (k.t > 0)))
 
-    nums = np.array(scalars, dtype=complex).reshape(-1, 9)  # every product below is complex
-    chi = np.array(chis, dtype=complex).reshape(-1, 2)
+    # every product below is complex
+    nums = np.array(scalars, dtype=float).astype(complex).reshape(-1, 9)
+    chi = np.array(chis, dtype=complex).take(chi_rows, axis=0)
+    rows = np.arange(len(ks))
     # sigma.k: one term per real and imaginary part, so exact, signed zeros included
-    sk = (nums[:, 5:8] @ PAULI.reshape(3, 4)).reshape(-1, 2, 2)
+    sk = (nums[:, 5:8] @ _PAULI_STACK).reshape(-1, 2, 2)
     lower = (sk @ chi[:, :, None])[:, :, 0] / nums[:, :1]
-    u = np.concatenate([chi, lower, -lower], axis=1).take(flat).reshape(-1, 4)
-    # np.vdot per row: no row-wise sum of |u|^2 rounds as it does
-    u = u * np.array([math.sqrt(row[1] / np.vdot(v, v).real) for row, v in zip(scalars, u)])[:, None]
+    u = np.concatenate([chi, lower, -lower], axis=1)[rows[:, None], _U_COLUMNS[shapes]]
+    # np.vecdot rounds as np.vdot of each row does; a row-wise sum of |u|^2 does not
+    u = u * np.sqrt(nums.real[:, 1] / np.vecdot(u, u).real)[:, None]
     # make the first significant component real positive, dividing by np.hypot,
     # which abs() of one complex computes (np.abs of an array rounds differently)
-    lead = u[np.arange(len(ks)), (np.abs(u) > nums.real[:, 2:3]).argmax(axis=1)]
+    lead = u[rows, (np.abs(u) > nums.real[:, 2:3]).argmax(axis=1)]
     u = u * (np.conj(lead) / np.hypot(lead.real, lead.imag))[:, None]
 
     # a kernel entry has one term per real and imaginary part (two on the
@@ -177,6 +196,30 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
             f"for k={ks[i]}, mass_sign={signs[i]}"
         )
     return u[0] if single else u
+
+
+def _check_row_values(m, mass_sign, spin, norm_choice) -> None:
+    """The checks of `build_u_spinor` on the values of one row."""
+    if not m >= 0.0:
+        raise ValueError("build_u_spinor requires mass >= 0")
+    choice(mass_sign, "mass_sign", (1, -1))
+    choice(spin, "spin", SPINS)
+    choice(norm_choice, "norm_choice", NORM_CHOICES)
+    if m == 0.0 and norm_choice == "E_over_m":
+        raise ValueError("norm_choice 'E_over_m' needs mass > 0")
+
+
+def _once(memo: dict, key, compute):
+    """compute() for the first row holding `key`, memo[key] for the rows
+    after it.  The memo lives for one call; an unhashable key is computed
+    every time."""
+    try:
+        value = memo.get(key, memo)
+    except TypeError:
+        return compute()
+    if value is memo:  # not computed yet
+        value = memo[key] = compute()
+    return value
 
 
 def _per_row(value, name: str, count: int) -> list:
@@ -206,7 +249,11 @@ class _PlaneWaveSum:
 
     def __post_init__(self) -> None:
         """Stack the terms once, at construction (see stacked_terms)."""
-        _stack_terms([self])
+        halves = self._terms()
+        terms = [term for half in halves for term in half]
+        _stack_terms([self], [c for c, _, _ in terms],
+                     np.array([(k.t, -k.x, -k.y, -k.z) for _, k, _ in terms], dtype=float).reshape(-1, 4),
+                     np.array([u for _, _, u in terms], dtype=complex).reshape(-1, 4), map(len, halves))
 
     def stacked_terms(self):
         """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4)."""
@@ -229,20 +276,29 @@ class _PlaneWaveSum:
         return float(verify.densities([self], x.as_array())[0, 0])
 
 
-def _stack_terms(fields) -> None:
-    """Stack the terms of every field once, as slices of one read-only
-    table of lowered momenta and weighted spinors c*u."""
-    halves = [half for f in fields for half in f._terms()]
-    terms = [term for half in halves for term in half]
-    kl = np.array([(k.t, -k.x, -k.y, -k.z) for _, k, _ in terms], dtype=float).reshape(-1, 4)
-    cu = (np.array([c for c, _, _ in terms], dtype=complex)[:, None]
-          * np.array([u for _, _, u in terms], dtype=complex).reshape(-1, 4))
+def _stack_terms(fields, coefs, kl, u, counts, u_rows=None) -> None:
+    """Give every field its stacked terms, as slices of one read-only table
+    of lowered momenta and weighted spinors c*u, and the spinor scale of
+    its certification bound: its largest term spinor norm, scaled up by a
+    coefficient above 1 (an amplitude).
+
+    Term n has coefficient coefs[n], lowered momentum kl[n] and spinor
+    u[u_rows[n]] (u[n] when u_rows is None); counts are the term counts of
+    each half, field by field.  The norm of each row of u is taken once."""
+    norms = [math.hypot(*a) for a in np.abs(u).tolist()]
+    if u_rows is None:
+        u_rows = range(len(coefs))
+    else:
+        u = u.take(u_rows, axis=0)
+    cu = np.array(coefs, dtype=complex)[:, None] * u.reshape(-1, 4)
     kl.setflags(write=False)
     cu.setflags(write=False)
-    ends = list(itertools.accumulate(map(len, halves), initial=0))
+    scales = [max(1.0, abs(c)) * norms[r] for c, r in zip(coefs, u_rows)]
+    ends = list(itertools.accumulate(counts, initial=0))
     for n, f in enumerate(fields):
         a, b, c = ends[2 * n:2 * n + 3]
         object.__setattr__(f, "_stacked", [(kl[a:b], cu[a:b]), (kl[b:c], cu[b:c])])
+        object.__setattr__(f, "_u_scale", max([1.0, *scales[a:c]]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,6 +320,7 @@ class PlaneWaveSolution(_PlaneWaveSum):
     theta: FourVector = ZERO_FOUR
     label: str = ""
     _stacked: list = field(init=False, repr=False, compare=False)
+    _u_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("u0", "u1"):
@@ -340,17 +397,6 @@ def _massive_label(spin0: str, spin1: str, esign0: int) -> str:
     return f"{spin0[0]}{spin1[0]}{'+-' if esign0 > 0 else '-+'}"
 
 
-def _resolve_axis(spin_axis, k: FourVector):
-    """The spin quantization axis: None for the z axis, or the spatial
-    momentum of k when spin_axis is "momentum" (the helicity basis)."""
-    if choice(spin_axis, "spin_axis", (None, "momentum")) is None:
-        return None
-    kvec = k.spatial()
-    if float(np.linalg.norm(kvec)) == 0.0:
-        raise ValueError("spin_axis='momentum' needs nonzero spatial momentum")
-    return kvec
-
-
 def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", spin_axis=None):
     """Four-momenta and read-only kernel spinors (T, 4) of T plane-wave terms.
 
@@ -360,21 +406,44 @@ def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", s
     +esign*E with u in ker(slashed(k) - m).  Massless: the frequency is
     esign*|k| on both halves, the mass sign drops out, the spin axis is
     the momentum, so spin names the helicity, and u^dag u = |k.t|.
-    `spin_axis` is one value or T values.  A FourVector in `kvec` is a
+    `spin_axis` is one value or T values: None for the z axis, or
+    "momentum" for the helicity basis.  A FourVector in `kvec` is a
     four-momentum taken as given (a running phase's kappa*theta); its
-    esign is not read.
+    esign is not read.  Rows sharing a kvec object share its energy, spin
+    axis and four-momentum of each frequency sign, each computed once.
     """
     massive = mass > 0
     signs = [verify.HALF_MASS_SIGN[h] if massive else 1 for h in half]
-    ks, axes = [], []
+    energies, momenta, axes, axis_names = {}, {}, {}, {}
+    ks, row_axes = [], []
     for kv, mass_sign, e, axis in zip(kvec, signs, esign, _per_row(spin_axis, "spin_axis", len(signs))):
-        k = kv if isinstance(kv, FourVector) else FourVector(
-            mass_sign * e * mass_shell_energy(kv, mass if massive else 0.0), *kv)
+        if isinstance(kv, FourVector):
+            k = kv
+        else:
+            k = momenta.get((id(kv), mass_sign * e))
+            if k is None:
+                if id(kv) not in energies:
+                    energies[id(kv)] = mass_shell_energy(kv, mass if massive else 0.0)
+                k = momenta[id(kv), mass_sign * e] = FourVector(mass_sign * e * energies[id(kv)], *kv)
         ks.append(k)
-        axes.append(_resolve_axis(axis, k) if massive else k.spatial())
-    u = build_u_spinor(ks, mass, signs, spin, norm_choice if massive else "E", axes)
+        if massive and (axis is None or _once(axis_names, (type(axis), axis),
+                                              lambda: choice(axis, "spin_axis", (None, "momentum"))) is None):
+            row_axes.append(None)
+        else:
+            if id(kv) not in axes:
+                axes[id(kv)] = _momentum_axis(k)
+            row_axes.append(axes[id(kv)])
+    u = build_u_spinor(ks, mass, signs, spin, norm_choice if massive else "E", row_axes)
     u.setflags(write=False)
     return ks, u
+
+
+def _momentum_axis(k: FourVector) -> tuple:
+    """The spatial momentum of k as a spin axis (the helicity basis)."""
+    kvec = (k.x, k.y, k.z)
+    if float(np.linalg.norm(kvec)) == 0.0:
+        raise ValueError("spin_axis='momentum' needs nonzero spatial momentum")
+    return kvec
 
 
 def _build(mass: float, members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
@@ -385,18 +454,33 @@ def _build(mass: float, members, norm_choice: str = "E_over_m") -> list[PlaneWav
     spin_axis), as `_half` reads them; rows equal in value are built
     once.  One `_half` call builds every row, the fields take their
     stacked terms from one table and skip the dataclass checks of these
-    values, and one `certify_solution` call certifies them all."""
-    rows = list(dict.fromkeys(row for m in members for row in m[1:3]))
-    index = {row: n for n, row in enumerate(rows)}
-    kvec, half, esign, spin, axis = zip(*rows)
+    values, and one `certify_solution` call certifies them all.  A term
+    at a row's own momentum gathers the row; a running phase's k +- theta
+    adds its own momenta to the table."""
+    index = {}  # row -> its index, in order of first use
+    pairs = [(index.setdefault(row0, len(index)), index.setdefault(row1, len(index)))
+             for _, row0, row1, _, _ in members]
+    kvec, half, esign, spin, axis = zip(*index)
     k, u = _half(kvec, mass, half, esign, spin, norm_choice, axis)
+    table = [(q.t, -q.x, -q.y, -q.z) for q in k]
+    spinors = list(u)  # one read-only view per row, shared by the fields holding it
     fields = [object.__new__(PlaneWaveSolution) for _ in members]
-    for f, (t0, row0, row1, label, theta) in zip(fields, members):
-        i, j = index[row0], index[row1]
-        for name, value in (("theta0", float(t0)), ("k0", k[i]), ("k1", k[j]), ("u0", u[i]), ("u1", u[j]),
-                            ("mass", float(mass)), ("theta", theta), ("label", label)):
+    coefs, kl_rows, u_rows, counts = [], [], [], []
+    for f, (i, j), (t0, _, _, label, theta) in zip(fields, pairs, members):
+        for name, value in (("theta0", float(t0)), ("k0", k[i]), ("k1", k[j]), ("u0", spinors[i]),
+                            ("u1", spinors[j]), ("mass", float(mass)), ("theta", theta), ("label", label)):
             object.__setattr__(f, name, value)
-    _stack_terms(fields)
+        for terms, r in zip(f._terms(), (i, j)):
+            counts.append(len(terms))
+            for c, q, _ in terms:
+                u_rows.append(r)
+                coefs.append(c)
+                if q is k[r]:
+                    kl_rows.append(r)
+                else:  # a running phase's k +- theta
+                    kl_rows.append(len(table))
+                    table.append((q.t, -q.x, -q.y, -q.z))
+    _stack_terms(fields, coefs, np.array(table, dtype=float).take(kl_rows, axis=0), u, counts, u_rows)
     certify_solution(fields)
     return fields
 
@@ -656,6 +740,7 @@ class WavePacket(_PlaneWaveSum):
     terms0: tuple[tuple[float, FourVector, np.ndarray], ...]
     terms1: tuple[tuple[float, FourVector, np.ndarray], ...]
     _stacked: list = field(init=False, repr=False, compare=False)
+    _u_scale: float = field(init=False, repr=False, compare=False)
     label = "wave packet"
 
     def _terms(self):
@@ -699,30 +784,38 @@ def certify_solution(sol):
     inputs (ValueError).
 
     A list of fields of one mass is certified in one `verify.term_residuals`
-    product, each by its own checks and bound, and returns a list of bounds."""
+    product, each by its own checks and bound, and returns a list of bounds.
+    The fields are checked in order: each term momentum by its dispersion,
+    then the residual, against the spinor scale recorded with the field's
+    stacked terms.  Each distinct term momentum is checked once."""
     fields = [sol] if isinstance(sol, _PlaneWaveSum) else list(sol)
     terms = verify.term_residuals(fields)
     owner = np.concatenate([o for _, _, o in terms])
-    res = np.bincount(owner, np.concatenate([np.linalg.norm(r, axis=1) for _, r, _ in terms]),
+    kl = np.concatenate([kl for kl, _, _ in terms])
+    res = np.bincount(owner, np.linalg.norm(np.concatenate([r for _, r, _ in terms]), axis=1),
                       minlength=len(fields))
     mass = fields[0].mass
     # a running phase moves the term momenta to k +- theta
     k_scale = np.full(len(fields), max(1.0, mass))
-    np.maximum.at(k_scale, owner, np.abs(np.concatenate([kl for kl, _, _ in terms])).max(axis=1))
-    for f, r, ks in zip(fields, res, k_scale):
-        built = [term for half in f._terms() for term in half]
-        for _, k, _ in built:
-            d = dispersion_residual(k, mass)
-            if not d <= verify.RESIDUAL_TOL:
-                if not math.isfinite(d):  # k.k overflows
-                    raise ValueError(f"solution {f.label!r} overflows: term momentum {k} is too large")
-                raise CertificationError(
-                    f"term momentum {k} violates the dispersion relation for m={mass}")
+    np.maximum.at(k_scale, owner, np.abs(kl).max(axis=1))
+    lowered = list(map(tuple, kl.tolist()))
+    # k.k of lowered components (t, -x, -y, -z), summed as FourVector.dot sums it
+    off = {(t, x, y, z) for t, x, y, z in set(lowered)
+           if not _dispersion(t, t * t - x * x - y * y - z * z, mass) <= verify.RESIDUAL_TOL}
+    # the first off-shell term of the first field holding one, in the field's term order
+    first_off = (-1, 0)
+    if off:
+        first_off = min((o, n) for n, (o, q) in enumerate(zip(owner.tolist(), lowered)) if q in off)
+    for n, (f, r, ks) in enumerate(zip(fields, res.tolist(), k_scale.tolist())):
+        if n == first_off[0]:
+            t, x, y, z = lowered[first_off[1]]
+            k = FourVector(t, -x, -y, -z)
+            if not math.isfinite(dispersion_residual(k, mass)):  # k.k overflows
+                raise ValueError(f"solution {f.label!r} overflows: term momentum {k} is too large")
+            raise CertificationError(f"term momentum {k} violates the dispersion relation for m={mass}")
         if not math.isfinite(r):
             raise ValueError(f"solution {f.label!r} overflows: mass, momenta or amplitudes too large")
-        # the largest term spinor, scaled up by a coefficient above 1 (an amplitude)
-        u_scale = max([1.0, *(max(1.0, abs(c)) * math.hypot(*np.abs(u)) for c, _, u in built)])
-        if r > verify.RESIDUAL_TOL * ks * u_scale:
+        if r > verify.RESIDUAL_TOL * ks * f._u_scale:
             raise CertificationError(f"solution {f.label!r} failed residual certification: {r:.3e}")
     return float(res[0]) if isinstance(sol, _PlaneWaveSum) else [float(r) for r in res]
 

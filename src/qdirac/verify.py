@@ -96,8 +96,8 @@ def term_residuals(fields, a: FourVector | None = None):
     mass = fields[0].mass
     if any(f.mass != mass for f in fields):
         raise ValueError("the fields of one set must share a mass")
-    al = np.zeros(4) if a is None else a.lowered()
-    return [(kl, sign * np.einsum("mrc,tm,tc->tr", GAMMA, kl - al, w) - mass * w, owner)
+    return [(kl, sign * np.einsum("mrc,tm,tc->tr", GAMMA, kl if a is None else kl - a.lowered(), w)
+             - mass * w, owner)
             for sign, (kl, w, owner) in zip(HALF_MASS_SIGN, _stack_rows(fields))]
 
 
@@ -412,6 +412,8 @@ def gram_matrix(solutions, grid: SpacetimeGrid) -> GramReport:
     sols = list(solutions)
     n = len(sols)
     g = _inner_products(sols, grid)
+    if not np.isfinite(g).all():
+        raise ValueError("the Gram products overflow: the solutions' norms or the box volume are too large")
     off = g - np.diag(np.diag(g))
     max_off = float(np.abs(off).max()) if n > 1 else 0.0
     labels = tuple(getattr(s, "label", "") or f"sol{i}" for i, s in enumerate(sols))

@@ -438,6 +438,17 @@ def test_library_overflow_raises_the_error_the_cli_prints(massive_config, capsys
     assert capsys.readouterr().err == f"config error: {direct.value}\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_gram_overflow_exits_2_in_every_format(tmp_path, fmt):
+    # u^dag u = E/m ~ 1e292 times the box volume 1e24 overflows the Gram products
+    cfg = write_json(tmp_path / "verify.json", {"mass": 1e-300, "box_length": 1e8})
+    proc = run_cli("verify", "--config", cfg, "--format", fmt)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("config error: the Gram products overflow: "
+                           "the solutions' norms or the box volume are too large\n")
+
+
 def _raise_certification(cfg, tol, seed):
     raise CertificationError("planted")
 

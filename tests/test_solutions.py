@@ -41,7 +41,7 @@ from qdirac.solutions import (
     massive_spec_from_dict,
     packet_spec_from_dict,
 )
-from qdirac.spinor import GAMMA
+from qdirac.spinor import GAMMA, spin_basis
 from helpers import in_span, null_space, random_null_fourvector
 
 # chirality operator; "R" is its +1 eigenvalue, "L" its -1 eigenvalue
@@ -455,6 +455,102 @@ def test_stacked_builder_checks_each_row_against_its_own_bound(monkeypatch):
     with pytest.raises(CertificationError) as in_stack:
         build_u_spinor([big, small], 1.0, 1)
     assert str(in_stack.value) == str(alone.value)
+
+
+def _reused_rows():
+    """Builder rows over a few momenta and spin axes, each reused by many
+    rows: axes along +z and -z (the exact branches of spin_basis), general
+    axes, the z axis (None), one axis repeated as an equal but separate
+    list, and two equal axes that differ in the sign of a zero, whose
+    bases differ."""
+    kvecs = [(0.3, -0.4, 1.2), (0.0, 0.0, -0.7), (-1.5, 0.0, 0.2)]
+    axes = [None, (0.0, 0.0, 2.0), (0.0, 0.0, -1.5), (0.3, -0.4, 1.2), [0.3, -0.4, 1.2],
+            (-1.0, 0.0, 0.5), (-1.0, -0.0, 0.5)]
+    rows = []
+    for n, (kvec, axis, mass_sign, freq, spin, mass) in enumerate(itertools.product(
+            kvecs, axes, (1, -1), (1, -1), SPINS, (0.0, 0.8))):
+        norm = "E" if mass == 0.0 or n % 3 == 0 else "E_over_m"
+        k = FourVector(mass_shell_energy(kvec, mass, freq), *kvec)
+        rows.append((k, mass, mass_sign, spin, norm, axis))
+    return rows
+
+
+def test_stacked_builder_rows_reusing_momenta_and_axes_equal_their_one_row_builds():
+    rows = _reused_rows()
+    assert spin_basis((-1.0, 0.0, 0.5))[0].tobytes() != spin_basis((-1.0, -0.0, 0.5))[0].tobytes()
+    for part in (rows, rows[::-1], rows[5:9]):
+        stacked = build_u_spinor(*(list(column) for column in zip(*part)))
+        for (k, mass, mass_sign, spin, norm, axis), u in zip(part, stacked, strict=True):
+            # bit for bit, signed zeros included
+            assert build_u_spinor(k, mass, mass_sign, spin, norm, axis).tobytes() == u.tobytes()
+
+
+def test_builds_keep_the_signed_zeros_of_each_momentum():
+    # equal spatial momenta at one frequency that differ in the sign of a zero
+    sol = build_massive_solution(MassiveSpec(1.0, 0.3, (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0)))
+    assert sol.k0.t == sol.k1.t
+    assert (math.copysign(1.0, sol.k0.x), math.copysign(1.0, sol.k1.x)) == (1.0, -1.0)
+
+
+def test_stacked_builder_raises_for_its_first_bad_row():
+    good = FourVector(mass_shell_energy((0.0, 0.3, 0.4), 1.0), 0.0, 0.3, 0.4)
+    off_shell = FourVector(1.5, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError) as off:
+        build_u_spinor(off_shell, 1.0, 1, "up")
+    with pytest.raises(ValueError) as bad_spin:
+        build_u_spinor(good, 1.0, 1, "sideways")
+    assert "off the mass shell" in str(off.value) and "'spin'" in str(bad_spin.value)
+    with pytest.raises(ValueError) as first:
+        build_u_spinor([off_shell, good, good], 1.0, 1, ["up", "sideways", "up"])
+    assert str(first.value) == str(off.value)
+    with pytest.raises(ValueError) as first:
+        build_u_spinor([good, off_shell, good], 1.0, 1, ["sideways", "up", "up"])
+    assert str(first.value) == str(bad_spin.value)
+    # a value equal to a valid one in an earlier row is still checked on its own
+    for name, value in (("mass_sign", [1, True]), ("mass_sign", [1, np.True_]), ("spin", ["up", ["up"]])):
+        kwargs = {"mass": 1.0, "mass_sign": 1, "spin": "up", name: value}
+        with pytest.raises(ValueError, match=f"'{name}' must be one of"):
+            build_u_spinor([good, good], **kwargs)
+
+
+def test_off_shell_term_momentum_fails_certification_alone_and_in_a_set():
+    # a non-null running phase moves the term momenta k +- theta off the shell
+    good = enumerate_massive_set(1.0, (0.3, 0.0, 0.4), (0.0, 0.5, 0.0), 0.4)
+    bad = dataclasses.replace(good[0], theta=FourVector(0.3, 0.1, 0.0, 0.0))
+    with pytest.raises(CertificationError, match="violates the dispersion relation") as alone:
+        certify_solution(bad)
+    # bad shares both of its rows with good[0]
+    for fields in ([good[0], bad], [bad, good[0]], [*good, bad]):
+        with pytest.raises(CertificationError) as in_set:
+            certify_solution(fields)
+        assert str(in_set.value) == str(alone.value)
+
+
+def test_set_certification_reports_the_first_off_shell_term_in_field_order():
+    # field 0 is off shell in its j half only, field 1 in its complex half only:
+    # field 0's term is reported, though field 1's is stacked before it
+    good = enumerate_massive_set(1.0, (0.3, 0.0, 0.4), (0.0, 0.5, 0.0), 0.4)
+    off_k = FourVector(1.5, 0.0, 0.0, 0.0)
+    bad1 = dataclasses.replace(good[0], k1=off_k)
+    bad0 = dataclasses.replace(good[1], k0=FourVector(2.5, 0.0, 0.0, 0.0))
+    with pytest.raises(CertificationError) as alone:
+        certify_solution(bad1)
+    assert str(alone.value) == f"term momentum {off_k} violates the dispersion relation for m=1.0"
+    with pytest.raises(CertificationError) as in_set:
+        certify_solution([good[2], bad1, bad0])
+    assert str(in_set.value) == str(alone.value)
+
+
+def test_spinor_scale_of_each_field_is_its_largest_scaled_term_spinor():
+    theta = FourVector(1.2, 0, 1.2, 0)
+    fields = [*enumerate_massive_set(1.3, (0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77, "E", "momentum"),
+              *enumerate_massless_theta0_set((0.4, 0.0, -0.6), (-0.3, 0.5, 0.2), 2.9),
+              build_massless_theta_solution(MasslessThetaSpec(theta, -1.5, 0.5, 2.1, "L", "R")),
+              make_wave_packet(0.8, 0.3, [PacketSample((0.2, 0, 1), 1.5), PacketSample((0, -1, 0), 0.5, "down")],
+                               [PacketSample((1, 1, 0), 40.0, esign=-1)])]
+    for f in fields:
+        terms = [term for half in f._terms() for term in half]
+        assert f._u_scale == max([1.0, *(max(1.0, abs(c)) * math.hypot(*np.abs(u)) for c, _, u in terms)])
 
 
 def test_set_certification_holds_each_solution_to_its_own_bound():

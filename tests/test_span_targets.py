@@ -9,6 +9,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import qdirac
 import qdirac.cli
 import qdirac.verify
@@ -70,6 +72,29 @@ def test_span_targets_trace_a_verify_run_without_changing_it():
     # helicity call for the whole helicity set
     assert stats["verify.dirac_residual"].calls <= 3
     assert stats["verify.helicity_check"].calls == 1
+
+
+_CONTINUITY = {"levels": 3, "solution": {"mass": 1.0, "theta0": 0.6, "kvec0": [0, 0, 0.5],
+                                         "kvec1": [0, 0, 0.8], "spin0": "up", "spin1": "down"},
+               "grid": {"origin": [-0.2, 0, 0, 0], "spacing": [0.2, 1, 1, 0.5236], "counts": [3, 1, 1, 12],
+                        "periodic": [False, False, False, True]}}
+_PACKET = {"component": 0, "mass": 1.0,
+           "samples": [{"kvec": [0, 0, 1.0], "amplitude": 1.0}, {"kvec": [0, 0.5, 0], "amplitude": 0.5}],
+           "grid": {"origin": [0, 0, 0, 0], "spacing": [0.4, 1.0, 1.0, 0.1], "counts": [3, 1, 1, 16]}}
+
+
+@pytest.mark.parametrize("runner, cfg", [(qdirac.cli.run_continuity, _CONTINUITY),
+                                         (qdirac.cli.run_packet, _PACKET)],
+                         ids=["continuity", "packet"])
+def test_continuity_and_packet_runs_certify_once(runner, cfg):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.install(tracer):
+        code, _ = tracer.run_op(lambda: runner(cfg, None, 0))
+    assert code == 0
+    (stats,) = tracer.op_stats
+    # the one field of the op, certified once
+    assert stats["solutions.certify"].calls == 1
 
 
 def test_public_names_are_imported_once():
