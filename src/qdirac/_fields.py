@@ -54,17 +54,12 @@ def flag(v, name: str) -> bool:
     return bool(v)
 
 
-# hashable, and never a boolean (the type of True is bool, not int)
-_PLAIN = (str, int, float, type(None))
-
-
 def choice(v, name: str, options: tuple):
     """The entry of `options` equal to v.  Booleans match nothing, since
     True == 1 would otherwise pass for the option 1."""
-    candidate = type(v) in _PLAIN or not isinstance(v, (bool, np.bool_)) and isinstance(v, Hashable)
-    if candidate and v in options:
-        return options[options.index(v)]
-    raise ValueError(f"field {name!r} must be one of {options}, got {v!r}")
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, Hashable) or v not in options:
+        raise ValueError(f"field {name!r} must be one of {options}, got {v!r}")
+    return options[options.index(v)]
 
 
 def sign(v, name: str) -> int:

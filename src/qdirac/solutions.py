@@ -68,10 +68,9 @@ NORM_CHOICES = ("E", "E_over_m")
 _Z_BASIS = spin_basis(None)
 # slashed(k) - mass_sign*m over coefficients (k.t, k.x, k.y, k.z, -mass_sign*m)
 _KERNEL_STACK = np.stack([GAMMA[0], -GAMMA[1], -GAMMA[2], -GAMMA[3], np.eye(4)]).reshape(5, 16)
-_PAULI_STACK = PAULI.reshape(3, 4)
 # u from the columns of (chi, lower, -lower), by shape 2*(k.t > 0) + (chi on top):
 # the lower block takes the frequency sign; chi is on top when the mass sign agrees with it
-_U_COLUMNS = np.array([(4, 5, 0, 1), (0, 1, 4, 5), (2, 3, 0, 1), (0, 1, 2, 3)])
+_U_COLUMNS = ((4, 5, 0, 1), (0, 1, 4, 5), (2, 3, 0, 1), (0, 1, 2, 3))
 
 
 class CertificationError(RuntimeError):
@@ -140,11 +139,10 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
             (mass, "mass"), (mass_sign, "mass_sign"), (spin, "spin"),
             (norm_choice, "norm_choice"), (spin_axis, "spin_axis"))]
     checked, bases = {}, {}  # bases: id(axis) -> the row of its up spinor in the chi table
-    chis, chi_rows, scalars, shapes = list(_Z_BASIS), [], [], []
-    for k, m, ms, sp, nc, axis in zip(ks, masses, signs, spins, norms, axes):
+    chis, chi_rows, scalars, flat = list(_Z_BASIS), [], [], []
+    for i, (k, m, ms, sp, nc, axis) in enumerate(zip(ks, masses, signs, spins, norms, axes)):
         # equal values of one type pass or fail these checks alike
-        _once(checked, (type(m), m, type(ms), ms, type(sp), sp, type(nc), nc),
-              lambda: _check_row_values(m, ms, sp, nc))
+        _once(checked, (type(m), m, type(ms), ms, type(sp), sp, type(nc), nc), _check_row_values, m, ms, sp, nc)
         if k.t == 0.0:
             raise ValueError(f"four-momentum {k} has zero frequency")
         if not dispersion_residual(k, m) <= verify.RESIDUAL_TOL:  # NaN when k.t**2 overflows
@@ -165,21 +163,20 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
         bound = verify.RESIDUAL_TOL * (energy + m) * math.sqrt(target)
         scalars += (energy + m, target, 1e-12 * math.sqrt(target),
                     min(bound * bound, sys.float_info.max), k.t, k.x, k.y, k.z, -ms * m)
-        shapes.append(2 * (k.t > 0) + ((ms > 0) == (k.t > 0)))
+        flat += [6 * i + c for c in _U_COLUMNS[2 * (k.t > 0) + ((ms > 0) == (k.t > 0))]]
 
     # every product below is complex
     nums = np.array(scalars, dtype=float).astype(complex).reshape(-1, 9)
     chi = np.array(chis, dtype=complex).take(chi_rows, axis=0)
-    rows = np.arange(len(ks))
     # sigma.k: one term per real and imaginary part, so exact, signed zeros included
-    sk = (nums[:, 5:8] @ _PAULI_STACK).reshape(-1, 2, 2)
+    sk = (nums[:, 5:8] @ PAULI.reshape(3, 4)).reshape(-1, 2, 2)
     lower = (sk @ chi[:, :, None])[:, :, 0] / nums[:, :1]
-    u = np.concatenate([chi, lower, -lower], axis=1)[rows[:, None], _U_COLUMNS[shapes]]
-    # np.vecdot rounds as np.vdot of each row does; a row-wise sum of |u|^2 does not
-    u = u * np.sqrt(nums.real[:, 1] / np.vecdot(u, u).real)[:, None]
+    u = np.concatenate([chi, lower, -lower], axis=1).take(flat).reshape(-1, 4)
+    # np.vdot per row: no row-wise sum of |u|^2 rounds as it does
+    u = u * np.array([math.sqrt(t / np.vdot(v, v).real) for t, v in zip(scalars[1::9], u)])[:, None]
     # make the first significant component real positive, dividing by np.hypot,
     # which abs() of one complex computes (np.abs of an array rounds differently)
-    lead = u[rows, (np.abs(u) > nums.real[:, 2:3]).argmax(axis=1)]
+    lead = u[np.arange(len(ks)), (np.abs(u) > nums.real[:, 2:3]).argmax(axis=1)]
     u = u * (np.conj(lead) / np.hypot(lead.real, lead.imag))[:, None]
 
     # a kernel entry has one term per real and imaginary part (two on the
@@ -209,16 +206,16 @@ def _check_row_values(m, mass_sign, spin, norm_choice) -> None:
         raise ValueError("norm_choice 'E_over_m' needs mass > 0")
 
 
-def _once(memo: dict, key, compute):
-    """compute() for the first row holding `key`, memo[key] for the rows
-    after it.  The memo lives for one call; an unhashable key is computed
-    every time."""
+def _once(memo: dict, key, compute, *args):
+    """compute(*args) for the first row holding `key`, memo[key] for the
+    rows after it.  The memo lives for one call; an unhashable key is
+    computed every time."""
     try:
         value = memo.get(key, memo)
     except TypeError:
-        return compute()
+        return compute(*args)
     if value is memo:  # not computed yet
-        value = memo[key] = compute()
+        value = memo[key] = compute(*args)
     return value
 
 
@@ -413,8 +410,9 @@ def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", s
     axis and four-momentum of each frequency sign, each computed once.
     """
     massive = mass > 0
+    kvec = list(kvec)  # holds every kvec object for the call, so its id keys the memos below
     signs = [verify.HALF_MASS_SIGN[h] if massive else 1 for h in half]
-    energies, momenta, axes, axis_names = {}, {}, {}, {}
+    energies, momenta, axes = {}, {}, {}
     ks, row_axes = [], []
     for kv, mass_sign, e, axis in zip(kvec, signs, esign, _per_row(spin_axis, "spin_axis", len(signs))):
         if isinstance(kv, FourVector):
@@ -426,13 +424,13 @@ def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", s
                     energies[id(kv)] = mass_shell_energy(kv, mass if massive else 0.0)
                 k = momenta[id(kv), mass_sign * e] = FourVector(mass_sign * e * energies[id(kv)], *kv)
         ks.append(k)
-        if massive and (axis is None or _once(axis_names, (type(axis), axis),
-                                              lambda: choice(axis, "spin_axis", (None, "momentum"))) is None):
+        if massive and choice(axis, "spin_axis", (None, "momentum")) is None:
             row_axes.append(None)
-        else:
-            if id(kv) not in axes:
-                axes[id(kv)] = _momentum_axis(k)
-            row_axes.append(axes[id(kv)])
+            continue
+        if id(kv) not in axes:
+            # unchecked when massless: a zero spatial momentum fails build_u_spinor's frequency or shell check
+            axes[id(kv)] = _momentum_axis(k) if massive else (k.x, k.y, k.z)
+        row_axes.append(axes[id(kv)])
     u = build_u_spinor(ks, mass, signs, spin, norm_choice if massive else "E", row_axes)
     u.setflags(write=False)
     return ks, u

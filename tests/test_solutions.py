@@ -295,6 +295,19 @@ def test_set_builders_make_one_half_call_per_distinct_term(monkeypatch):
     assert [len(kvec) for kvec, *_ in calls] == [4]
 
 
+@pytest.mark.parametrize("mass", [0.0, 1.3])
+def test_half_reads_momenta_from_an_array_or_generator_as_from_tuples(mass):
+    # the rows of an array or a generator are new objects, freed once read
+    kvecs = [(0.2, 0.3, -0.4), (0.5, 0.0, 0.1), (-0.7, 0.2, 0.9), (0.1, -0.6, 0.3)]
+    half, esign, spin = [0, 1, 0, 1], [1, -1, -1, 1], ["up", "down", "down", "up"]
+    norm_choice = "E" if mass == 0.0 else "E_over_m"
+    want_k, want_u = _half(kvecs, mass, half, esign, spin, norm_choice)
+    for kvec in (np.array(kvecs), (np.array(kv) for kv in kvecs)):
+        k, u = _half(kvec, mass, half, esign, spin, norm_choice)
+        assert k == want_k
+        assert np.array_equal(u, want_u)
+
+
 # --- one row table per build ------------------------------------------------------
 
 def _bits(*arrays) -> list:
@@ -802,6 +815,13 @@ def test_massless_terms_are_chiral_kernel_elements():
 def test_massless_zero_momentum_rejected():
     with pytest.raises(ValueError):
         enumerate_massless_theta0_set((0, 0, 0), (0, 0, 1), 0.0)
+
+
+def test_running_phase_momentum_underflowing_to_zero_has_zero_frequency():
+    # valid spec, but kappa0*theta underflows to the zero four-momentum
+    spec = MasslessThetaSpec(theta=FourVector(1e-170, 1e-170, 0, 0), kappa0=1e-170, kappa1=1.0)
+    with pytest.raises(ValueError, match="has zero frequency"):
+        build_massless_theta_solution(spec)
 
 
 # --- wave packets --------------------------------------------------------------------
