@@ -463,11 +463,20 @@ def _build(mass: float, members, norm_choice: str = "E_over_m") -> list[PlaneWav
     table = [(q.t, -q.x, -q.y, -q.z) for q in k]
     spinors = list(u)  # one read-only view per row, shared by the fields holding it
     fields = [object.__new__(PlaneWaveSolution) for _ in members]
+    # each slot's own descriptor sets it past the frozen __setattr__
+    set_theta0, set_k0, set_k1, set_u0, set_u1, set_mass, set_theta, set_label = (
+        getattr(PlaneWaveSolution, name).__set__
+        for name in ("theta0", "k0", "k1", "u0", "u1", "mass", "theta", "label"))
     coefs, kl_rows, u_rows, counts = [], [], [], []
     for f, (i, j), (t0, _, _, label, theta) in zip(fields, pairs, members):
-        for name, value in (("theta0", float(t0)), ("k0", k[i]), ("k1", k[j]), ("u0", spinors[i]),
-                            ("u1", spinors[j]), ("mass", float(mass)), ("theta", theta), ("label", label)):
-            object.__setattr__(f, name, value)
+        set_theta0(f, float(t0))
+        set_k0(f, k[i])
+        set_k1(f, k[j])
+        set_u0(f, spinors[i])
+        set_u1(f, spinors[j])
+        set_mass(f, float(mass))
+        set_theta(f, theta)
+        set_label(f, label)
         for terms, r in zip(f._terms(), (i, j)):
             counts.append(len(terms))
             for c, q, _ in terms:
@@ -499,6 +508,8 @@ def build_massive_solutions(specs) -> list[PlaneWaveSolution]:
     """Certified massive solutions of one mass and norm_choice, one per
     spec, built and certified in one pass."""
     specs = list(specs)
+    if not specs:
+        return []
     mass, norm_choice = specs[0].mass, specs[0].norm_choice
     if any((s.mass, s.norm_choice) != (mass, norm_choice) for s in specs):
         raise ValueError("the specs of one build must share mass and norm_choice")
@@ -787,6 +798,8 @@ def certify_solution(sol):
     then the residual, against the spinor scale recorded with the field's
     stacked terms.  Each distinct term momentum is checked once."""
     fields = [sol] if isinstance(sol, _PlaneWaveSum) else list(sol)
+    if not fields:
+        return []
     terms = verify.term_residuals(fields)
     owner = np.concatenate([o for _, _, o in terms])
     kl = np.concatenate([kl for kl, _, _ in terms])

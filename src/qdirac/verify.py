@@ -67,9 +67,11 @@ def _stack_rows(fields):
     """Per half: the stacked terms of every field, concatenated in field
     order, as lowered momenta (M, 4), weighted spinors (M, 4) and the
     index (M,) of the field that owns each row.  One field gives its own
-    arrays, uncopied."""
+    arrays, uncopied; no field gives no rows."""
     if len(fields) == 1:
         return [(kl, w, np.zeros(len(kl), dtype=int)) for kl, w in fields[0].stacked_terms()]
+    if not fields:
+        return [(np.zeros((0, 4)), np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int))] * 2
     halves = [[f.stacked_terms()[h] for f in fields] for h in (0, 1)]
     return [(*map(np.concatenate, zip(*half)),
              np.arange(len(fields)).repeat([len(kl) for kl, _ in half])) for half in halves]
@@ -92,8 +94,9 @@ def term_residuals(fields, a: FourVector | None = None):
     indices (M,) of the plane-wave terms w exp(i k.x) of a sequence of
     fields of one mass, in gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi.
     The derivative and the potential give i (k - a)_mu, so by
-    HALF_MASS_SIGN: -(slashed(k - a) + m) w and (slashed(k - a) - m) w."""
-    mass = fields[0].mass
+    HALF_MASS_SIGN: -(slashed(k - a) + m) w and (slashed(k - a) - m) w.
+    No field gives no rows."""
+    mass = fields[0].mass if fields else 0.0
     if any(f.mass != mass for f in fields):
         raise ValueError("the fields of one set must share a mass")
     return [(kl, sign * np.einsum("mrc,tm,tc->tr", GAMMA, kl if a is None else kl - a.lowered(), w)
@@ -426,6 +429,12 @@ def adjoint_norm(sol, x: FourVector | None = None, theta0: float | None = None) 
     value read +-cos(2*theta0) by branch.  Constant in x for plane
     waves; massless components pair to zero identically.  `theta0`,
     when given, replaces the mixing angle of `sol`."""
+    return _adjoint_norms(sol, [sol.theta0 if theta0 is None else theta0], x)[0]
+
+
+def _adjoint_norms(sol, theta0s, x: FourVector | None = None) -> list[float]:
+    """`adjoint_norm` of `sol` at x for each mixing angle in `theta0s`,
+    from one rescaling of its spinors: row n is the one-angle sum."""
     if x is None:
         x = FourVector()
     u0, u1 = sol.u0, sol.u1
@@ -435,10 +444,11 @@ def adjoint_norm(sol, x: FourVector | None = None, theta0: float | None = None) 
     else:
         u0 = u0 / float(np.linalg.norm(u0))
         u1 = u1 / float(np.linalg.norm(u1))
-    ang = float(np.dot(x.as_array(), sol.theta.lowered())) + (sol.theta0 if theta0 is None else theta0)
-    w0 = math.cos(ang) ** 2 * np.abs(u0) ** 2
-    w1 = math.sin(ang) ** 2 * np.abs(u1) ** 2
-    return float(np.sum(BETA_DIAG * (w0 + w1)))
+    phase = float(np.dot(x.as_array(), sol.theta.lowered()))
+    angles = [phase + t0 for t0 in theta0s]
+    w0 = np.array([[math.cos(a) ** 2] for a in angles]) * np.abs(u0) ** 2
+    w1 = np.array([[math.sin(a) ** 2] for a in angles]) * np.abs(u1) ** 2
+    return np.sum(BETA_DIAG * (w0 + w1), axis=1).tolist()
 
 
 @dataclass(frozen=True, slots=True)
@@ -458,6 +468,8 @@ def helicity_check(sol):
     projection, Rayleigh quotient and eigen-residual in one pass."""
     single = hasattr(sol, "stacked_terms")
     sols = [sol] if single else list(sol)
+    if not sols:
+        return []
     k = np.array([kk.spatial() for s in sols for kk in (s.k0, s.k1)])
     u = np.array([uu for s in sols for uu in (s.u0, s.u1)])
     norm = np.linalg.norm(k, axis=1)

@@ -1,9 +1,10 @@
 """The per-solution checks run over a whole set in one array pass:
 `dirac_residual` and `helicity_check` on a sequence, `densities`, and
-`adjoint_norm` with a mixing angle.  Each set value is checked against
-its member's value from a per-field formula written here from the
-plane-wave terms, `_terms()`, so a row that lands in the wrong member
-shows.  Also pins the real span of the massive and massless sets."""
+`adjoint_norm` with one mixing angle or several.  Each set value is
+checked against its member's value from a per-field formula written
+here from the plane-wave terms, `_terms()`, so a row that lands in the
+wrong member shows.  Also pins the real span of the massive and
+massless sets, and the empty result of each set kernel."""
 
 import cmath
 import dataclasses
@@ -27,9 +28,9 @@ from qdirac import (
     make_wave_packet,
     slashed,
 )
-from qdirac.solutions import SPIN_PAIRS, build_massive_solutions
+from qdirac.solutions import SPIN_PAIRS, build_massive_solutions, certify_solution
 from qdirac.spinor import BETA_DIAG
-from qdirac.verify import densities
+from qdirac.verify import _adjoint_norms, densities, term_residuals
 from helpers import matrix_rank
 
 POINTS = np.random.default_rng(31).uniform(-3, 3, size=(12, 4))
@@ -145,6 +146,63 @@ def test_set_helicity_in_the_momentum_basis_reads_the_labels():
         assert rep.residual0 <= 1e-12 and rep.residual1 <= 1e-12
         assert abs(rep.h0 - want[s.label[0]]) <= 2 * EPS
         assert abs(rep.h1 - want[s.label[1]]) <= 2 * EPS
+
+
+# x != 0 moves a running phase's angle by theta.x
+ADJOINT_POINTS = [None, FourVector(0.3, -1.2, 0.5, 2.0)]
+ADJOINT_ANGLES = (0.0, 0.4, math.pi / 8, math.pi / 4, math.pi / 2, 2.0)
+
+
+def _adjoint_norm_one_angle(s, x, t0):
+    """adj(Psi) Psi at x for one mixing angle, each spinor rescaled on its
+    own and summed over one 1-D row, as a one-angle check computes it."""
+    u0, u1 = s.u0, s.u1
+    if s.mass > 0:
+        u0 = u0 * math.sqrt((abs(s.k0.t) / s.mass) / float(np.real(np.vdot(u0, u0))))
+        u1 = u1 * math.sqrt((abs(s.k1.t) / s.mass) / float(np.real(np.vdot(u1, u1))))
+    else:
+        u0 = u0 / float(np.linalg.norm(u0))
+        u1 = u1 / float(np.linalg.norm(u1))
+    ang = float(np.dot((FourVector() if x is None else x).as_array(), s.theta.lowered())) + t0
+    return float(np.sum(BETA_DIAG * (math.cos(ang) ** 2 * np.abs(u0) ** 2
+                                     + math.sin(ang) ** 2 * np.abs(u1) ** 2)))
+
+
+@pytest.mark.parametrize("x", ADJOINT_POINTS, ids=["origin", "x"])
+@pytest.mark.parametrize("name", ["massive_z", "massive_momentum", "massless", "running_phase",
+                                  "gram", "mixed"])
+def test_batched_adjoint_norms_equal_each_one_angle_call(name, x):
+    for s in _set(name):
+        got = _adjoint_norms(s, ADJOINT_ANGLES, x)
+        assert got == [adjoint_norm(s, x, theta0=t0) for t0 in ADJOINT_ANGLES], s.label
+        assert got == [_adjoint_norm_one_angle(s, x, t0) for t0 in ADJOINT_ANGLES], s.label
+
+
+def test_massless_set_and_running_phase_share_one_residual_pass():
+    # verify checks both m = 0 sets in one call: each value is its own call's, bit for bit
+    for theta0 in (0.0, 0.77, 2.5):
+        massless = enumerate_massless_theta0_set(KV0, KV1, theta0)
+        running = build_massless_theta_solution(MasslessThetaSpec(THETA, 2.0, 1.0, theta0))
+        assert dirac_residual([*massless, running], points=POINTS) == [
+            *dirac_residual(massless, points=POINTS), dirac_residual(running, points=POINTS)]
+
+
+# each set kernel on no field, and its empty result
+EMPTY_SETS = {
+    "dirac_residual": (lambda: dirac_residual([]), []),
+    "term_residuals": (lambda: [tuple(a.shape for a in half) for half in term_residuals([])],
+                       [((0, 4), (0, 4), (0,))] * 2),
+    "certify_solution": (lambda: certify_solution([]), []),
+    "build_massive_solutions": (lambda: build_massive_solutions([]), []),
+    "densities": (lambda: densities([], POINTS).shape, (len(POINTS), 0)),
+    "helicity_check": (lambda: helicity_check([]), []),
+}
+
+
+@pytest.mark.parametrize("kernel", list(EMPTY_SETS))
+def test_set_kernels_take_an_empty_set(kernel):
+    call, want = EMPTY_SETS[kernel]
+    assert call() == want
 
 
 def test_set_residual_needs_one_mass():

@@ -68,9 +68,9 @@ def test_span_targets_trace_a_verify_run_without_changing_it():
     assert "solutions.build" not in stats
     # the quaternion sweep runs its independent products side by side
     assert stats["qalg.mul"].calls == 2
-    # one residual call per set (massive, massless, running phase) and one
-    # helicity call for the whole helicity set
-    assert stats["verify.dirac_residual"].calls <= 3
+    # one residual call per mass (the massive set; the massless set with the
+    # running phase) and one helicity call for the whole helicity set
+    assert stats["verify.dirac_residual"].calls == 2
     assert stats["verify.helicity_check"].calls == 1
 
 
