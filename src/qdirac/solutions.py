@@ -36,11 +36,11 @@ table, and one stacked residual product certifies them all, as
 `make_wave_packet` certifies a packet's terms.  The checks of `verify`
 take a set the same way, and `density` is their one-field case.
 
-The rows are checked in order, so the first bad row raises its own
-error, and each value-level step runs once per distinct value: the
-`choice` checks of a row's values, the energy of each spatial momentum,
-the spin basis of each axis.  Certification checks each distinct term
-momentum, and takes the norm of each distinct spinor, once.
+Each check runs once, where its values enter: the public entry points
+read every value, and the private row kernel `_u_rows` runs the numeric
+gates of each row before it reads the next, so the first bad row raises
+its own error.  Certification checks each distinct term momentum, and
+takes the norm of each distinct spinor, once.
 """
 
 from __future__ import annotations
@@ -128,36 +128,52 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
     A sequence of T four-momenta builds T rows in one array pass: every
     other argument is then one value or T values (a spin_axis of three
     numbers is one axis), and the result is the (T, 4) stack of the
-    one-row builds.  The rows are checked in order, and the first bad row
-    raises; the values (mass, mass_sign, spin, norm_choice) of a row are
-    checked once per distinct value, the spin basis once per axis object.
+    one-row builds.  Each row's values are checked as `_u_rows` reads
+    the row, after the numeric gates of the rows before it, so the first
+    bad row raises its own error; the kernel bounds are checked last.
     """
     single = isinstance(kfour, FourVector)
     ks = [kfour] if single else list(kfour)
-    masses, signs, spins, norms, axes = [
-        [v] if single else _per_row(v, name, len(ks)) for v, name in (
-            (mass, "mass"), (mass_sign, "mass_sign"), (spin, "spin"),
-            (norm_choice, "norm_choice"), (spin_axis, "spin_axis"))]
-    checked, bases = {}, {}  # bases: id(axis) -> the row of its up spinor in the chi table
-    chis, chi_rows, scalars, flat = list(_Z_BASIS), [], [], []
-    for i, (k, m, ms, sp, nc, axis) in enumerate(zip(ks, masses, signs, spins, norms, axes)):
-        # equal values of one type pass or fail these checks alike
-        _once(checked, (type(m), m, type(ms), ms, type(sp), sp, type(nc), nc), _check_row_values, m, ms, sp, nc)
+    columns = [[v] if single else _per_row(v, name, len(ks)) for v, name in (
+        (mass, "mass"), (mass_sign, "mass_sign"), (spin, "spin"),
+        (norm_choice, "norm_choice"), (spin_axis, "spin_axis"))]
+    u = _u_rows(_checked_row(*row) for row in zip(ks, *columns))
+    return u[0] if single else u
+
+
+def _checked_row(k, m, mass_sign, spin, norm_choice, axis) -> tuple:
+    """One row of `build_u_spinor`, its values checked, as `_u_rows` reads it."""
+    if not m >= 0.0:
+        raise ValueError("build_u_spinor requires mass >= 0")
+    choice(mass_sign, "mass_sign", (1, -1))
+    choice(spin, "spin", SPINS)
+    choice(norm_choice, "norm_choice", NORM_CHOICES)
+    if m == 0.0 and norm_choice == "E_over_m":
+        raise ValueError("norm_choice 'E_over_m' needs mass > 0")
+    basis = _Z_BASIS if axis is None else spin_basis(axis)
+    return k, m, mass_sign, basis[SPINS.index(spin)], norm_choice
+
+
+def _u_rows(rows) -> np.ndarray:
+    """The (T, 4) spinors of T checked rows (k, m, mass_sign, chi,
+    norm_choice), as `build_u_spinor` describes them, in one array pass.
+
+    Each row passes its gates (nonzero frequency, mass shell, a finite
+    u^dag u) before the next row is read; the kernel bound of every row,
+    which an overflowing spinor fails, is checked after the pass, and
+    the first row failing it raises."""
+    seen, chis, scalars, flat = [], [], [], []
+    for i, (k, m, ms, chi, nc) in enumerate(rows):
+        seen.append((k, m, ms))
         if k.t == 0.0:
             raise ValueError(f"four-momentum {k} has zero frequency")
         if not dispersion_residual(k, m) <= verify.RESIDUAL_TOL:  # NaN when k.t**2 overflows
             raise ValueError(f"four-momentum {k} is off the mass shell for m={m}")
-        if axis is None:
-            chi_rows.append(SPINS.index(sp))
-        else:
-            if id(axis) not in bases:
-                bases[id(axis)] = len(chis)
-                chis += spin_basis(axis)
-            chi_rows.append(bases[id(axis)] + SPINS.index(sp))
         energy = abs(k.t)
         target = energy if nc == "E" else energy / m
         if not math.isfinite(target):
             raise ValueError(f"mass {m!r} is too small: u^dag u = |k.t|/m overflows")
+        chis.append(chi)
         # |k.t| + m, u^dag u, the phase threshold, the squared kernel bound
         # (|u| = sqrt(target); finite, so an overflow fails it), _KERNEL_STACK weights
         bound = verify.RESIDUAL_TOL * (energy + m) * math.sqrt(target)
@@ -167,7 +183,7 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
 
     # every product below is complex
     nums = np.array(scalars, dtype=float).astype(complex).reshape(-1, 9)
-    chi = np.array(chis, dtype=complex).take(chi_rows, axis=0)
+    chi = np.array(chis, dtype=complex).reshape(-1, 2)
     # sigma.k: one term per real and imaginary part, so exact, signed zeros included
     sk = (nums[:, 5:8] @ PAULI.reshape(3, 4)).reshape(-1, 2, 2)
     lower = (sk @ chi[:, :, None])[:, :, 0] / nums[:, :1]
@@ -176,7 +192,7 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
     u = u * np.array([math.sqrt(t / np.vdot(v, v).real) for t, v in zip(scalars[1::9], u)])[:, None]
     # make the first significant component real positive, dividing by np.hypot,
     # which abs() of one complex computes (np.abs of an array rounds differently)
-    lead = u[np.arange(len(ks)), (np.abs(u) > nums.real[:, 2:3]).argmax(axis=1)]
+    lead = u[np.arange(len(seen)), (np.abs(u) > nums.real[:, 2:3]).argmax(axis=1)]
     u = u * (np.conj(lead) / np.hypot(lead.real, lead.imag))[:, None]
 
     # a kernel entry has one term per real and imaginary part (two on the
@@ -184,39 +200,16 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
     r = ((nums[:, 4:] @ _KERNEL_STACK).reshape(-1, 4, 4) @ u[:, :, None]).view(float)
     squares = np.einsum("tij,tij->t", r, r)  # no overflow warning: an inf fails the finite bound
     ok = squares <= nums.real[:, 3]
-    if np.count_nonzero(ok) < len(ks):
+    if np.count_nonzero(ok) < len(seen):
         i = int(np.argmin(ok))
+        k, m, ms = seen[i]
         if not math.isfinite(squares[i]):
-            raise ValueError(f"mass {masses[i]!r} or momentum {ks[i]} is too large: the spinor overflows")
+            raise ValueError(f"mass {m!r} or momentum {k} is too large: the spinor overflows")
         raise CertificationError(
             f"u-spinor failed the kernel condition: residual {math.sqrt(squares[i]):.3e} "
-            f"for k={ks[i]}, mass_sign={signs[i]}"
+            f"for k={k}, mass_sign={ms}"
         )
-    return u[0] if single else u
-
-
-def _check_row_values(m, mass_sign, spin, norm_choice) -> None:
-    """The checks of `build_u_spinor` on the values of one row."""
-    if not m >= 0.0:
-        raise ValueError("build_u_spinor requires mass >= 0")
-    choice(mass_sign, "mass_sign", (1, -1))
-    choice(spin, "spin", SPINS)
-    choice(norm_choice, "norm_choice", NORM_CHOICES)
-    if m == 0.0 and norm_choice == "E_over_m":
-        raise ValueError("norm_choice 'E_over_m' needs mass > 0")
-
-
-def _once(memo: dict, key, compute, *args):
-    """compute(*args) for the first row holding `key`, memo[key] for the
-    rows after it.  The memo lives for one call; an unhashable key is
-    computed every time."""
-    try:
-        value = memo.get(key, memo)
-    except TypeError:
-        return compute(*args)
-    if value is memo:  # not computed yet
-        value = memo[key] = compute(*args)
-    return value
+    return u
 
 
 def _per_row(value, name: str, count: int) -> list:
@@ -403,45 +396,44 @@ def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", s
     +esign*E with u in ker(slashed(k) - m).  Massless: the frequency is
     esign*|k| on both halves, the mass sign drops out, the spin axis is
     the momentum, so spin names the helicity, and u^dag u = |k.t|.
-    `spin_axis` is one value or T values: None for the z axis, or
-    "momentum" for the helicity basis.  A FourVector in `kvec` is a
-    four-momentum taken as given (a running phase's kappa*theta); its
-    esign is not read.  Rows sharing a kvec object share its energy, spin
-    axis and four-momentum of each frequency sign, each computed once.
+    `half`, `esign` and `spin` hold T values; `spin_axis` is one value or
+    T values: None for the z axis, or "momentum" for the helicity basis.
+    A FourVector in `kvec` is a four-momentum taken as given (a running
+    phase's kappa*theta); its esign is not read.
+
+    The values are read as checked where they entered.  Rows sharing a
+    kvec object share its energy, its four-momentum of each frequency
+    sign and its helicity basis, each computed once; each basis is taken
+    as `_u_rows` reads its row, after the gates of the rows before it.
     """
     massive = mass > 0
     kvec = list(kvec)  # holds every kvec object for the call, so its id keys the memos below
     signs = [verify.HALF_MASS_SIGN[h] if massive else 1 for h in half]
-    energies, momenta, axes = {}, {}, {}
-    ks, row_axes = [], []
-    for kv, mass_sign, e, axis in zip(kvec, signs, esign, _per_row(spin_axis, "spin_axis", len(signs))):
+    energies, momenta, helicity, ks = {}, {}, {}, []
+    for kv, mass_sign, e in zip(kvec, signs, esign):
         if isinstance(kv, FourVector):
-            k = kv
-        else:
-            k = momenta.get((id(kv), mass_sign * e))
-            if k is None:
-                if id(kv) not in energies:
-                    energies[id(kv)] = mass_shell_energy(kv, mass if massive else 0.0)
-                k = momenta[id(kv), mass_sign * e] = FourVector(mass_sign * e * energies[id(kv)], *kv)
-        ks.append(k)
-        if massive and choice(axis, "spin_axis", (None, "momentum")) is None:
-            row_axes.append(None)
+            ks.append(kv)
             continue
-        if id(kv) not in axes:
-            # unchecked when massless: a zero spatial momentum fails build_u_spinor's frequency or shell check
-            axes[id(kv)] = _momentum_axis(k) if massive else (k.x, k.y, k.z)
-        row_axes.append(axes[id(kv)])
-    u = build_u_spinor(ks, mass, signs, spin, norm_choice if massive else "E", row_axes)
+        k = momenta.get((id(kv), mass_sign * e))
+        if k is None:
+            if id(kv) not in energies:
+                energies[id(kv)] = mass_shell_energy(kv, mass)
+            k = momenta[id(kv), mass_sign * e] = FourVector(mass_sign * e * energies[id(kv)], *kv)
+        ks.append(k)
+
+    def chi(kv, k, sp, axis):
+        if massive and axis is None:
+            return _Z_BASIS[SPINS.index(sp)]
+        if id(kv) not in helicity:
+            # at zero frequency the z basis stands in: _u_rows rejects the row
+            helicity[id(kv)] = _Z_BASIS if k.t == 0.0 else spin_basis((k.x, k.y, k.z))
+        return helicity[id(kv)][SPINS.index(sp)]
+
+    axes, norm_choice = _per_row(spin_axis, "spin_axis", len(ks)), norm_choice if massive else "E"
+    u = _u_rows((k, mass, ms, chi(kv, k, sp, axis), norm_choice)
+                for kv, k, ms, sp, axis in zip(kvec, ks, signs, spin, axes))
     u.setflags(write=False)
     return ks, u
-
-
-def _momentum_axis(k: FourVector) -> tuple:
-    """The spatial momentum of k as a spin axis (the helicity basis)."""
-    kvec = (k.x, k.y, k.z)
-    if float(np.linalg.norm(kvec)) == 0.0:
-        raise ValueError("spin_axis='momentum' needs nonzero spatial momentum")
-    return kvec
 
 
 def _build(mass: float, members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
@@ -449,16 +441,17 @@ def _build(mass: float, members, norm_choice: str = "E_over_m") -> list[PlaneWav
 
     Each member (theta0, row0, row1, label, theta) is one field, whose
     halves are the plane-wave terms of rows (kvec, half, esign, spin,
-    spin_axis), as `_half` reads them; rows equal in value are built
-    once.  One `_half` call builds every row, the fields take their
-    stacked terms from one table and skip the dataclass checks of these
-    values, and one `certify_solution` call certifies them all.  A term
-    at a row's own momentum gathers the row; a running phase's k +- theta
-    adds its own momenta to the table."""
-    index = {}  # row -> its index, in order of first use
-    pairs = [(index.setdefault(row0, len(index)), index.setdefault(row1, len(index)))
-             for _, row0, row1, _, _ in members]
-    kvec, half, esign, spin, axis = zip(*index)
+    spin_axis), as `_half` reads them; rows holding the same kvec object
+    and equal labels are built once, so equal momenta that differ in the
+    sign of a zero keep their own rows.  One `_half` call builds every
+    row, the fields take their stacked terms from one table and skip the
+    dataclass checks of these values, and one `certify_solution` call
+    certifies them all.  A term at a row's own momentum gathers the row;
+    a running phase's k +- theta adds its own momenta to the table."""
+    index = {}  # (id(kvec), half, esign, spin, spin_axis) -> (its index, the row), in order of first use
+    pairs = [tuple(index.setdefault((id(row[0]), *row[1:]), (len(index), row))[0] for row in rows)
+             for _, *rows, _, _ in members]
+    kvec, half, esign, spin, axis = zip(*(row for _, row in index.values()))
     k, u = _half(kvec, mass, half, esign, spin, norm_choice, axis)
     table = [(q.t, -q.x, -q.y, -q.z) for q in k]
     spinors = list(u)  # one read-only view per row, shared by the fields holding it
@@ -771,11 +764,14 @@ def build_wave_packet(spec: WavePacketSpec) -> WavePacket:
 
 def make_wave_packet(mass: float, theta0: float, samples0, samples1) -> WavePacket:
     """Two-component packet with an explicit mixing angle, certified as a field."""
+    mass, theta0 = number(mass, "mass"), number(theta0, "theta0")
+    if mass < 0:
+        raise ValueError("mass must be finite and >= 0")
     samples, n0 = [*samples0, *samples1], len(samples0)
     k, u = _half([s.kvec for s in samples], mass, [0] * n0 + [1] * (len(samples) - n0),
                  [s.esign for s in samples], [s.spin for s in samples])
     terms = [(s.amplitude, k[i], u[i]) for i, s in enumerate(samples)]
-    packet = WavePacket(float(mass), float(theta0), tuple(terms[:n0]), tuple(terms[n0:]))
+    packet = WavePacket(mass, theta0, tuple(terms[:n0]), tuple(terms[n0:]))
     certify_solution(packet)
     return packet
 

@@ -1,0 +1,72 @@
+"""The closed form of `build_u_spinor` in exact arithmetic.
+
+The spatial momentum k and the mass m are symbols, and so is
+E = |k.t|, with the mass shell E^2 = |k|^2 + m^2 as the one relation
+between them: an expression vanishes on the shell when the numerator
+of its reduced form leaves no remainder on division by that relation.
+Each branch shape of `solutions._U_COLUMNS` assembles u from chi and
+(sigma.k) chi / (E + m) as the builder does.  For both mass signs, both
+frequency signs and both spins, and at m = 0 in the helicity basis,
+(slashed(k) - mass_sign*m) u vanishes exactly, and the builder's
+rescaling gives u^dag u = E or E/m exactly."""
+
+import itertools
+
+import pytest
+
+from qdirac import solutions
+from qdirac.spinor import GAMMA, PAULI
+
+sp = pytest.importorskip("sympy")
+
+KVEC = KX, KY, KZ = sp.symbols("k_x k_y k_z", real=True)
+M = sp.Symbol("m", positive=True)
+E = sp.Symbol("E", positive=True)  # |k.t|
+
+
+def _exact(a) -> "sp.Matrix":
+    """A matrix of entries 0, +-1 and +-i, exactly."""
+    return sp.Matrix([[int(z.real) + sp.I * int(z.imag) for z in row] for row in a])
+
+
+SIGMA_K = sum((k * _exact(p) for k, p in zip(KVEC, PAULI)), sp.zeros(2, 2))
+GAMMA0 = _exact(GAMMA[0])
+SLASHED_K_SPATIAL = sum((-k * _exact(g) for k, g in zip(KVEC, GAMMA[1:])), sp.zeros(4, 4))
+GAMMA5 = sp.I * GAMMA0 * _exact(GAMMA[1]) * _exact(GAMMA[2]) * _exact(GAMMA[3])
+
+
+def _zero_on_shell(expr, m) -> bool:
+    numerator, _ = sp.fraction(sp.together(sp.expand(expr)))
+    return sp.rem(sp.expand(numerator), E**2 - KX**2 - KY**2 - KZ**2 - m**2, E) == 0
+
+
+def _check_closed_form(m, mass_sign, freq, chi, targets):
+    """The spinor of one branch shape, unscaled, after checking it."""
+    lower = SIGMA_K * chi / (E + m)
+    column = [*chi, *lower, *(-lower)]
+    u = sp.Matrix([column[c] for c in solutions._U_COLUMNS[2 * (freq > 0) + ((mass_sign > 0) == (freq > 0))]])
+    kernel = freq * E * GAMMA0 + SLASHED_K_SPATIAL - mass_sign * m * sp.eye(4)
+    assert all(_zero_on_shell(r, m) for r in kernel * u)
+    # u^dag u = 2E chi^dag chi / (E + m) > 0, so the builder's scale
+    # sqrt(target / u^dag u) is real, and the built u^dag u is the target
+    norm2, closed = (u.H * u)[0], 2 * E * (chi.H * chi)[0] / (E + m)
+    assert _zero_on_shell(norm2 - closed, m)
+    for target in targets:
+        assert _zero_on_shell(target / closed * norm2 - target, m)
+    return u
+
+
+@pytest.mark.parametrize("mass_sign, freq, spin", itertools.product((1, -1), (1, -1), (0, 1)))
+def test_massive_closed_form_is_in_the_kernel_with_either_norm(mass_sign, freq, spin):
+    _check_closed_form(M, mass_sign, freq, sp.eye(2)[:, spin], (E, E / M))
+
+
+@pytest.mark.parametrize("mass_sign, freq, helicity", itertools.product((1, -1), (1, -1), (1, -1)))
+def test_massless_closed_form_names_the_helicity(mass_sign, freq, helicity):
+    zero = sp.Integer(0)
+    # the eigenvectors of sigma.k, unnormalized: the builder's rescaling drops the norm of chi
+    chi = sp.Matrix([E + KZ, KX + sp.I * KY] if helicity > 0 else [-KX + sp.I * KY, E + KZ])
+    assert all(_zero_on_shell(r, zero) for r in SIGMA_K * chi - helicity * E * chi)
+    u = _check_closed_form(zero, mass_sign, freq, chi, (E,))
+    # the chirality is helicity * sign(k.t)
+    assert all(_zero_on_shell(r, zero) for r in GAMMA5 * u - helicity * freq * u)

@@ -32,6 +32,7 @@ from qdirac import (
     SpacetimeGrid,
 )
 from qdirac import solutions
+from qdirac._fields import choice
 from qdirac.cli import run_verify
 from qdirac.solutions import (
     NORM_CHOICES,
@@ -254,9 +255,12 @@ def _member_alone(mass, kvec0, kvec1, theta0, norm_choice, spin_axis,
     spec = MassiveSpec(mass, theta0, kvec0, kvec1, spin0, spin1, esign0, norm_choice)
     if spin_axis is None:
         return build_massive_solution(spec)
+    # _half reads its values as checked: the spec checks the spins, and the
+    # axis is read here as enumerate_massive_set reads it
+    spin_axis = choice(spin_axis, "spin_axis", (None, "momentum"))
     # one one-row _half call per half, the complex half first
     ((k0,), (u0,)), ((k1,), (u1,)) = (
-        _half([kvec], spec.mass, [half], [e], spin, norm_choice, spin_axis)
+        _half([kvec], spec.mass, [half], [e], [spin], norm_choice, spin_axis)
         for half, kvec, e, spin in ((0, spec.kvec0, esign0, spin0), (1, spec.kvec1, -esign0, spin1)))
     sol = PlaneWaveSolution(spec.theta0, k0, k1, u0, u1, spec.mass, label=spec.label)
     certify_solution(sol)
@@ -503,6 +507,12 @@ def test_builds_keep_the_signed_zeros_of_each_momentum():
     sol = build_massive_solution(MassiveSpec(1.0, 0.3, (0.0, 0.0, 1.0), (-0.0, 0.0, 1.0)))
     assert sol.k0.t == sol.k1.t
     assert (math.copysign(1.0, sol.k0.x), math.copysign(1.0, sol.k1.x)) == (1.0, -1.0)
+    # and so do the rows of one set build, which equal spatial momenta would otherwise share
+    specs = [MassiveSpec(1.0, 0.3, (0.0, 0.5, 1.0), (0.2, 0.1, 0.3)),
+             MassiveSpec(1.0, 0.3, (-0.0, 0.5, 1.0), (0.2, 0.1, 0.3))]
+    for f, spec in zip(build_massive_solutions(specs), specs, strict=True):
+        assert _field_bits(f) == _field_bits(build_massive_solution(spec))
+    assert math.copysign(1.0, build_massive_solutions(specs)[1].k0.x) == -1.0
 
 
 def test_stacked_builder_raises_for_its_first_bad_row():
@@ -519,6 +529,14 @@ def test_stacked_builder_raises_for_its_first_bad_row():
     with pytest.raises(ValueError) as first:
         build_u_spinor([good, off_shell, good], 1.0, 1, ["sideways", "up", "up"])
     assert str(first.value) == str(bad_spin.value)
+    # a row failing a numeric gate raises before a later row's values are checked
+    tiny = FourVector(mass_shell_energy((0.0, 0.3, 0.4), 5e-324), 0.0, 0.3, 0.4)
+    with pytest.raises(ValueError) as alone:
+        build_u_spinor(tiny, 5e-324, 1, "up")
+    assert "is too small: u^dag u = |k.t|/m overflows" in str(alone.value)
+    with pytest.raises(ValueError) as first:
+        build_u_spinor([tiny, good], [5e-324, 1.0], 1, ["up", "sideways"])
+    assert str(first.value) == str(alone.value)
     # a value equal to a valid one in an earlier row is still checked on its own
     for name, value in (("mass_sign", [1, True]), ("mass_sign", [1, np.True_]), ("spin", ["up", ["up"]])):
         kwargs = {"mass": 1.0, "mass_sign": 1, "spin": "up", name: value}
@@ -825,6 +843,18 @@ def test_running_phase_momentum_underflowing_to_zero_has_zero_frequency():
 
 
 # --- wave packets --------------------------------------------------------------------
+
+@pytest.mark.parametrize("mass, theta0, message", [
+    ("1.0", 0.3, "field 'mass' must be a number"),
+    (math.nan, 0.3, "field 'mass' must be finite"),
+    (-1.0, 0.3, "mass must be finite and >= 0"),
+    (1.0, math.nan, "field 'theta0' must be finite"),
+    (1.0, "0.3", "field 'theta0' must be a number"),
+])
+def test_make_wave_packet_reads_its_mass_and_angle_where_they_enter(mass, theta0, message):
+    with pytest.raises(ValueError, match=message):
+        make_wave_packet(mass, theta0, [PacketSample((0.0, 0.0, 1.0), 1.0)], [])
+
 
 def test_single_sample_packet_equals_plane_wave():
     kvec = (0.2, -0.4, 0.9)
