@@ -8,6 +8,7 @@ stencil wrap.  Layout is row-major (it, ix, iy, iz) and deterministic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,22 +27,24 @@ class SpacetimeGrid:
     periodic: tuple[bool, bool, bool, bool] = (False, False, False, False)
 
     def __post_init__(self) -> None:
-        spacing = vector(self.spacing, "spacing", 4)
-        counts = vector(self.counts, "counts", 4, integral=True)
-        periodic = tuple(flag(p, "periodic") for p in sequence(self.periodic, "periodic", 4))
+        object.__setattr__(self, "spacing", vector(self.spacing, "spacing", 4))
+        object.__setattr__(self, "counts", vector(self.counts, "counts", 4, integral=True))
+        object.__setattr__(self, "periodic",
+                           tuple(flag(p, "periodic") for p in sequence(self.periodic, "periodic", 4)))
+        self._check()
+
+    def _check(self) -> None:
+        """The range checks on fields already read as typed tuples."""
+        o, spacing, counts = self.origin, self.spacing, self.counts
+        origin = (o.t, o.x, o.y, o.z)
         if not all(s > 0 for s in spacing):
             raise ValueError(f"grid spacings must be finite and positive, got {spacing}")
-        if not np.isfinite(self.origin.as_array()).all():
-            raise ValueError(f"grid origin must be finite, got {self.origin}")
+        if not all(map(math.isfinite, origin)):
+            raise ValueError(f"grid origin must be finite, got {o}")
         if any(c < 1 for c in counts):
             raise ValueError("grid counts must be >= 1")
-        o = self.origin
-        if not all(math.isfinite(a + s * (n - 1))
-                   for a, s, n in zip((o.t, o.x, o.y, o.z), spacing, counts)):
+        if not all(math.isfinite(a + s * (n - 1)) for a, s, n in zip(origin, spacing, counts)):
             raise ValueError("grid extent overflows: origin + spacing * (counts - 1) must be finite")
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "periodic", periodic)
 
     def axis(self, i: int) -> np.ndarray:
         o = self.origin.as_array()[i]
@@ -70,7 +73,8 @@ class SpacetimeGrid:
         """
         spacing = tuple(s / 2 for s in self.spacing)
         counts = []
-        origin = list(self.origin.as_array())
+        o = self.origin
+        origin = [o.t, o.x, o.y, o.z]
         for i, (n, per) in enumerate(zip(self.counts, self.periodic)):
             if per and n > 1:
                 counts.append(2 * n)
@@ -78,7 +82,15 @@ class SpacetimeGrid:
                 counts.append(n)
                 center = origin[i] + 0.5 * (n - 1) * self.spacing[i]
                 origin[i] = center - 0.5 * (n - 1) * spacing[i]
-        return SpacetimeGrid(FourVector.from_array(origin), spacing, tuple(counts), self.periodic)
+        # the fields are typed already, so only the range checks run: a
+        # halved spacing can underflow to 0, and a doubled count can
+        # push a periodic axis's extent past the float range
+        grid = object.__new__(SpacetimeGrid)
+        for name, value in (("origin", FourVector(*origin)), ("spacing", spacing),
+                            ("counts", tuple(counts)), ("periodic", self.periodic)):
+            object.__setattr__(grid, name, value)
+        grid._check()
+        return grid
 
     def to_dict(self) -> dict:
         return {
@@ -152,6 +164,89 @@ def _plane_wave_sum(axes, k: np.ndarray, coef: np.ndarray) -> np.ndarray:
         # the first block is taken as it is: one block gives the bytes of one product
         out = block if out is None else out + block
     return out.reshape(counts + (c,))
+
+
+# Bytes per slab of `_real_slabs`: its phase rows and its real sums.
+# A slab is a run of whole (t, x) lines at one t, at least one, so it is
+# bounded by this or by one line of ny rows, whatever the lattice size.
+_SLAB_BYTES = 1 << 19
+
+
+def _interleaved(c: np.ndarray) -> np.ndarray:
+    """(P, W) complex -> (2P, W) real rows (Re c_p, -Im c_p): a (rows, P)
+    complex array viewed as (rows, 2P) floats times this is Re of its
+    complex product with c."""
+    p, w = c.shape
+    return np.conj(c, order="C").view(float).reshape(p, w, 2).transpose(0, 2, 1).reshape(2 * p, w)
+
+
+def _real_slabs(axes, k: np.ndarray, coef: np.ndarray, seams=()):
+    """Re sum_p coef_p exp(i k_p.x) on the product of four coordinate
+    arrays, as `_plane_wave_sum(axes, k, coef).real`, streamed in slabs,
+    each a run of x lines at one t: yields blocks (lines, ny, C, nz) in
+    row-major (t, x) order.  A block is a view of a buffer reused for the
+    next slab, so read it (or write it) before asking for the next one.
+
+    Each `seams` entry (mu, slot, c), c of shape (P,), adds
+    Re sum_p c_p exp(i k_p.x) to column 0 on the points whose index on
+    axis mu is `slot`.
+
+    The axis phases, and the z phases times the coefficients as
+    interleaved (Re, -Im) rows, are formed once.  Each slab fills one
+    (rows, P) complex buffer with the (t, x, y) phases and makes one real
+    matrix product per block of _MAX_PAIRS pairs, the blocks summed in
+    order; a z seam rides along as one more product column.  Memory is
+    O(P * (nt + nx + ny + nz)) for the phases plus one slab."""
+    sizes = [len(a) for a in axes]
+    nt, nx, ny, nz = sizes
+    pairs, c = coef.shape
+    width = c * nz
+    zseams = [(slot, cs) for mu, slot, cs in seams if mu == 3]
+    cols = width + len(zseams)
+    x = np.concatenate(axes)[:, None]
+    blocks = []
+    # one (empty) block when there are no pairs, so the sums read zero
+    for start in range(0, max(pairs, 1), _MAX_PAIRS):
+        part = slice(start, start + _MAX_PAIRS)
+        # the four axis phase arrays, stacked, in one exp
+        phase = np.exp(1j * (x * np.repeat(k[part].T, sizes, axis=0)))
+        et, ex, ey, ez = phase[:nt], phase[nt:nt + nx], phase[nt + nx:nt + nx + ny], phase[-nz:]
+        z = (coef[part, :, None] * ez.T[:, None, :]).reshape(ez.shape[1], width)
+        if zseams:
+            z = np.concatenate([z, *(cs[part, None] * ez[slot, :, None] for slot, cs in zseams)], axis=1)
+        row_seams = [(mu, slot, _interleaved(cs[part, None] * ez.T)) for mu, slot, cs in seams if mu != 3]
+        blocks.append((et, ex, ey, _interleaved(z), row_seams))
+    pw = blocks[0][2].shape[1]
+    step = min(nx, max(1, _SLAB_BYTES // (ny * (16 * pw + 8 * cols))))
+    tx_rows = np.empty(step * pw, dtype=complex)
+    phases = np.empty(step * ny * pw, dtype=complex)
+    sums = np.empty(step * ny * cols)
+    more = np.empty(step * ny * cols) if len(blocks) > 1 else None
+    # a slab is a run of x lines at one t
+    for t, x0 in itertools.product(range(nt), range(0, nx, step)):
+        m = min(step, nx - x0)
+        out = sums[:m * ny * cols].reshape(m, ny, cols)
+        for n, (et, ex, ey, z, row_seams) in enumerate(blocks):
+            p = ey.shape[1]
+            tx = tx_rows[:m * p].reshape(m, p)
+            np.multiply(et[t], ex[x0:x0 + m], out=tx)
+            buf = phases[:m * ny * p].reshape(m, ny, p)
+            np.multiply(tx[:, None], ey, out=buf)
+            real = buf.view(float)
+            if n == 0:
+                np.matmul(real, z, out=out)
+            else:
+                out += np.matmul(real, z, out=more[:out.size].reshape(out.shape))
+            for mu, slot, zs in row_seams:
+                if mu == 2:
+                    out[:, slot, :nz] += real[:, slot] @ zs
+                elif mu == 0 and slot == t:
+                    out[..., :nz] += real @ zs
+                elif mu == 1 and x0 <= slot < x0 + m:
+                    out[slot - x0, :, :nz] += real[slot - x0] @ zs
+        for e, (slot, _) in enumerate(zseams):
+            out[..., slot] += out[..., width + e]
+        yield out[..., :width].reshape(m, ny, c, nz)
 
 
 def central_diff(values: np.ndarray, axis: int, spacing: float, periodic: bool = False) -> np.ndarray:

@@ -768,6 +768,8 @@ def make_wave_packet(mass: float, theta0: float, samples0, samples1) -> WavePack
     if mass < 0:
         raise ValueError("mass must be finite and >= 0")
     samples, n0 = [*samples0, *samples1], len(samples0)
+    if not samples:
+        raise ValueError("samples must be nonempty")
     k, u = _half([s.kvec for s in samples], mass, [0] * n0 + [1] * (len(samples) - n0),
                  [s.esign for s in samples], [s.spin for s in samples])
     terms = [(s.amplitude, k[i], u[i]) for i, s in enumerate(samples)]

@@ -17,11 +17,14 @@ Every field is a finite sum of plane waves per symplectic half, so its
 current and its complex-potential source are finite sums of bilinear
 pair terms.  The central difference of a plane wave is the plane wave
 times its difference symbol i sin(q h)/h, so the continuity check takes
-the lattice divergence as one sum of pair terms on the interior points,
-through the evaluator that also samples Psi, plus two end-slab sums on
-each periodic axis that some pair does not wrap; every field runs this
-one kernel, and a refinement ladder forms its pairs once for all levels.
-`analytic_divergence` differentiates the same pairs exactly.
+the lattice divergence as one real sum of pair terms on the interior
+points, plus two end-slab sums on each periodic axis that some pair does
+not wrap.  The sums stream through one reused slab buffer
+(`grid._real_slabs`) and the norms are folded slab by slab, so the
+check's memory is one slab plus the axis phases of the pairs, whatever
+the lattice size; every field runs this one kernel, and a refinement
+ladder forms its pairs once for all levels.  `analytic_divergence`
+differentiates the same pairs exactly.
 
 Grid inner products and the Gram matrix are summed from the same pair
 terms with the lattice sum factorized by axis, so their memory is
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledField, SpacetimeGrid, _plane_wave_sum
+from .grid import SampledField, SpacetimeGrid, _real_slabs
 # not called here; perfbench/spans.py wraps them under this module path
 from .grid import central_diff, integrate_spatial, sample  # noqa: F401
 from .spinor import BETA_DIAG, FourVector, GAMMA, PAULI
@@ -214,11 +217,20 @@ def analytic_divergence(field) -> float:
     return float(np.abs(np.sum(coef * k, axis=1)).sum())
 
 
-def _interior(grid: SpacetimeGrid) -> tuple:
-    """Index of the lattice points where the central difference is
+def _interior_axes(grid: SpacetimeGrid) -> list[np.ndarray]:
+    """Coordinates of the lattice points where the central difference is
     defined: all but the end slots of each non-periodic axis."""
-    return tuple(slice(1, -1) if n > 1 and not per else slice(None)
-                 for n, per in zip(grid.counts, grid.periodic))
+    o = grid.origin
+    index = np.arange(max(grid.counts), dtype=float)
+    return [a + h * (index[1:n - 1] if n > 1 and not per else index[:n])
+            for a, h, n, per in zip((o.t, o.x, o.y, o.z), grid.spacing, grid.counts, grid.periodic)]
+
+
+def _running_max(peak: float, values: np.ndarray) -> float:
+    """max(peak, max |values|), NaN once either holds a NaN."""
+    v = max(abs(float(np.maximum.reduce(values, axis=None))),
+            abs(float(np.minimum.reduce(values, axis=None))))
+    return v if v > peak or v != v else peak
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,7 +253,10 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
     is the real part of one plane-wave sum on the interior points whose
     coefficients are the pair coefficients contracted with that symbol
     over the non-reduced axes.  The source pairs ride along as a second
-    coefficient column.
+    coefficient column.  The sum streams through the real slabs of
+    `_real_slabs`, and lhs_norm, rhs_norm and defect are running maxima
+    over the slabs that keep a NaN, so a level holds one slab (at most
+    grid._SLAB_BYTES, or one (t, x) line) and never its whole lattice.
 
     A wrapped stencil on a periodic axis reads exp(i q.x) at its end
     slots only when phi = q N h is a multiple of 2 pi.  Where some pair
@@ -262,7 +277,9 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
             raise ValueError("degenerate grid: no differentiable axis")
     s = None if b is None else _source_matrix(b)
     k, coef = _current_pairs(field)
-    if s is not None:
+    if s is None:
+        k_both, stacked = k, np.zeros((len(k), 1), dtype=complex)
+    else:
         ks, cs = _source_pairs(field, s)
         k_both = np.concatenate([k, ks])
         stacked = np.zeros((len(k) + len(ks), 2), dtype=complex)
@@ -276,33 +293,38 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
         if not np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
             turn = np.exp(1j * phi)
             seams.append((mu, -(turn - 1.0), 1.0 / turn - 1.0))
+    pairs = len(k_both)
     reports = []
     for grid in grids:
-        symbol = np.zeros(len(k), dtype=complex)
+        # the divergence column of `stacked`, summed in place
+        symbol = stacked[:len(k), 0]
+        symbol[:] = 0.0
         for mu, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
             if n > 1:
                 symbol += coef[:, mu] * (1j * np.sin(k[:, mu] * h) / h)
-        axes = [a[inner] for a, inner in zip(grid.axes(), _interior(grid))]
-        if s is None:
-            div, rhs = _plane_wave_sum(axes, k, symbol[:, None])[..., 0].real, None
-        else:
-            stacked[:len(k), 0] = symbol
-            both = _plane_wave_sum(axes, k_both, stacked).real
-            div, rhs = both[..., 0], both[..., 1]
+        cuts = []
         for mu, ahead, behind in seams:
             n, h = grid.counts[mu], grid.spacing[mu]
             step = np.exp(1j * k[:, mu] * h)
             for slot, seam in ((0, ahead / step), (n - 1, step * behind)):
-                cut = list(axes)
-                cut[mu] = axes[mu][slot:slot + 1]
-                index = (slice(None),) * mu + (slice(slot, slot + 1),)
-                div[index] += _plane_wave_sum(cut, k, (coef[:, mu] * seam / (2.0 * h))[:, None])[..., 0].real
-        lhs_norm = float(np.abs(div).max())
-        rhs_norm = 0.0 if rhs is None else float(np.abs(rhs).max())
-        defect = lhs_norm if rhs is None else float(np.abs(div - rhs).max())
+                cut = np.zeros(pairs, dtype=complex)
+                cut[:len(k)] = coef[:, mu] * seam / (2.0 * h)
+                cuts.append((mu, slot, cut))
+        axes = _interior_axes(grid)
+        lhs_norm = rhs_norm = defect = 0.0
+        for block in _real_slabs(axes, k_both, stacked, cuts):
+            div = block[:, :, 0]
+            lhs_norm = _running_max(lhs_norm, div)
+            if s is not None:
+                rhs_norm = _running_max(rhs_norm, block[:, :, 1])
+                # the slab is read, so its divergence column takes the gap
+                defect = _running_max(defect, np.subtract(div, block[:, :, 1], out=div))
+        if s is None:
+            defect = lhs_norm
         if not all(map(math.isfinite, (lhs_norm, rhs_norm, defect))):
             raise ValueError("continuity terms overflow: the field or the potential b is too large")
-        reports.append(ContinuityReport(grid.to_dict(), lhs_norm, rhs_norm, defect, div.size))
+        reports.append(ContinuityReport(grid.to_dict(), lhs_norm, rhs_norm, defect,
+                                        math.prod(map(len, axes))))
     return reports
 
 
@@ -313,8 +335,9 @@ def continuity_residual(field, grid: SpacetimeGrid, b=None) -> ContinuityReport:
 
     The divergence and the source come from one plane-wave sum of the
     pair terms times their difference symbols, plus the end-slab terms
-    of a periodic axis that some pair does not wrap: the one-grid case
-    of `_ladder`; no stencil runs and no current array is formed.  Axes
+    of a periodic axis that some pair does not wrap, streamed in real
+    slabs: the one-grid case of `_ladder`; no stencil runs and no
+    current or lattice-sized array is formed.  Axes
     with a single point are treated as reduced (the field must be
     uniform along them, so their derivative vanishes); every other axis
     needs at least three points."""

@@ -5,7 +5,8 @@ import pytest
 
 from qdirac import (FourVector, MassiveSpec, SampledField, SpacetimeGrid,
                     build_massive_solution, central_diff, integrate_spatial, sample)
-from qdirac.grid import _MAX_PAIRS, _plane_wave_sum
+import qdirac.grid
+from qdirac.grid import _MAX_PAIRS, _plane_wave_sum, _real_slabs
 
 
 class ConstantField:
@@ -93,6 +94,33 @@ def test_refined_keeps_a_one_point_axis_periodic_or_not():
     assert (r.origin.x, r.origin.y, r.origin.z) == (-0.25, 0.0, 1.0)
     assert r.periodic == g.periodic
 
+
+
+@pytest.mark.parametrize("grid", [
+    small_grid(origin=FourVector(-0.3, 0.2, 0.1, -0.4), periodic=(False, True, False, True)),
+    SpacetimeGrid(FourVector(1e300, -2.5, 0.0, 3.0), (1e-300, 0.7, 2.0, 0.3), (3, 1, 5, 7),
+                  (True, True, False, False)),
+], ids=["small", "wide"])
+def test_refined_grid_equals_the_validated_grid(grid):
+    for _ in range(3):
+        grid = grid.refined()
+        checked = SpacetimeGrid(grid.origin, grid.spacing, grid.counts, grid.periodic)
+        assert grid == checked
+        for name in ("spacing", "counts", "periodic"):
+            got, want = getattr(grid, name), getattr(checked, name)
+            assert type(got) is tuple and list(map(type, got)) == list(map(type, want))
+
+
+@pytest.mark.parametrize("spacing, counts, message", [
+    # a subnormal spacing halves to 0
+    ((0.5, 5e-324, 0.25, 0.25), (2, 4, 4, 4), "spacings must be finite and positive"),
+    # a doubled periodic count pushes the extent past the float range
+    ((0.5, 8.5e307, 0.25, 0.25), (2, 3, 4, 4), "extent overflows"),
+])
+def test_refined_grid_keeps_the_range_checks(spacing, counts, message):
+    grid = small_grid(spacing=spacing, counts=counts, periodic=(False, True, False, False))
+    with pytest.raises(ValueError, match=message):
+        grid.refined()
 
 # --- sampling ----------------------------------------------------------------
 
@@ -182,6 +210,81 @@ def test_plane_wave_sum_memory_is_bounded_by_the_pair_block():
     # pairs and would be 23 MB with all 2500 in one block
     block = 24 * 24 * _MAX_PAIRS * 16
     assert peak < 1.5 * block
+
+
+def _slab_sums(axes, k, coef, seams=()):
+    """The slabs of `_real_slabs`, copied and put back together in the
+    layout of `_plane_wave_sum`: counts + (C,)."""
+    lines = []
+    for block in _real_slabs(axes, k, coef, seams):
+        lines.extend(block.copy())
+    counts = tuple(len(a) for a in axes)
+    return np.moveaxis(np.array(lines).reshape(counts[:3] + (coef.shape[1], counts[3])), 3, -1)
+
+
+def _seamed_sum(axes, k, coef, seams):
+    """`_plane_wave_sum(...).real` plus each seam's sum on its end slab."""
+    want = _plane_wave_sum(axes, k, coef).real
+    for mu, slot, c in seams:
+        cut = list(axes)
+        cut[mu] = axes[mu][slot:slot + 1]
+        index = (slice(None),) * mu + (slice(slot, slot + 1), Ellipsis, 0)
+        want[index] += _plane_wave_sum(cut, k, c[:, None])[..., 0].real
+    return want
+
+
+# (counts, pairs, coefficient columns, seam axes, slab bytes or None for the default)
+SLAB_CASES = {
+    "random": ((2, 3, 4, 5), 7, 1, (), None),
+    "source_column": ((2, 3, 4, 5), 7, 2, (), None),
+    "no_pairs": ((2, 3, 4, 5), 0, 2, (), None),
+    "seams": ((3, 3, 4, 5), 7, 2, (0, 1, 2, 3), None),
+    "seams_one_line_slabs": ((3, 3, 4, 5), 7, 2, (0, 1, 2, 3), 1),
+    # three-line slabs that cut across the t slabs of the seams
+    "seams_straddling_slabs": ((3, 5, 4, 5), 7, 2, (0, 1, 2, 3), 3000),
+    "one_point_axes": ((1, 4, 1, 1), 7, 2, (1,), None),
+    "one_point_tz": ((1, 3, 4, 1), 7, 1, (2,), 1),
+    "pair_blocks": ((2, 3, 4, 5), 2500, 2, (0, 1, 2, 3), None),
+    "pair_blocks_one_line_slabs": ((2, 3, 4, 5), 1001, 2, (1, 3), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLAB_CASES))
+def test_real_slabs_equal_the_plane_wave_sum(monkeypatch, case):
+    counts, p, columns, seam_axes, slab_bytes = SLAB_CASES[case]
+    if slab_bytes is not None:
+        monkeypatch.setattr(qdirac.grid, "_SLAB_BYTES", slab_bytes)
+    grid = small_grid(origin=FourVector(-0.3, 0.2, 0.1, -0.4), counts=counts)
+    k, coef = _pair_terms(p, columns)
+    rng = np.random.default_rng(9)
+    seams = [(mu, slot, rng.normal(size=p) + 1j * rng.normal(size=p))
+             for mu in seam_axes for slot in sorted({0, counts[mu] - 1})]
+    got = _slab_sums(grid.axes(), k, coef, seams)
+    want = _seamed_sum(grid.axes(), k, coef, seams)
+    assert got.shape == want.shape
+    # each side rounds a sum of unit phases times its coefficients
+    scale = np.abs(coef).sum() + sum(np.abs(c).sum() for _, _, c in seams)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * scale
+    if p == 0:
+        assert not got.any()
+
+
+def test_real_slab_memory_is_bounded_by_the_axes_and_one_slab():
+    # 256 (t, x) lines of 32 y rows, 2500 pairs in three blocks
+    grid = small_grid(counts=(16, 16, 32, 4))
+    k, coef = _pair_terms(2500, columns=1)
+    tracemalloc.start()
+    try:
+        for _ in _real_slabs(grid.axes(), k, coef):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the axis phases of all pairs take 2.7 MB and a slab of one line
+    # 0.5 MB; one (t x y points, pairs) phase block would take 131 MB
+    axis_phases = (16 + 16 + 32 + 4) * 2500 * 16
+    line = 32 * (_MAX_PAIRS * 16 + 8 * 4)
+    assert peak < 2 * axis_phases + 2 * line
 
 
 # --- central differences ------------------------------------------------------

@@ -856,6 +856,16 @@ def test_make_wave_packet_reads_its_mass_and_angle_where_they_enter(mass, theta0
         make_wave_packet(mass, theta0, [PacketSample((0.0, 0.0, 1.0), 1.0)], [])
 
 
+
+def test_make_wave_packet_needs_a_sample():
+    with pytest.raises(ValueError, match="samples must be nonempty"):
+        make_wave_packet(1.0, 0.3, [], [])
+    # one empty half is a one-component packet
+    for samples0, samples1 in (([PacketSample((0.0, 0.0, 1.0), 1.0)], []),
+                               ([], [PacketSample((0.0, 0.0, 1.0), 1.0)])):
+        packet = make_wave_packet(1.0, 0.3, samples0, samples1)
+        assert (len(packet.terms0), len(packet.terms1)) == (len(samples0), len(samples1))
+
 def test_single_sample_packet_equals_plane_wave():
     kvec = (0.2, -0.4, 0.9)
     m = 1.2

@@ -441,13 +441,13 @@ def test_periodic_axis_adds_seam_terms_only_off_whole_periods(monkeypatch, stret
     packet, grid = _default_continuity_setup("1+1")
     h = grid.spacing
     grid = dataclasses.replace(grid, spacing=(h[0], h[1], h[2], h[3] * (1.0 + stretch)))
-    z_points = []
-    lattice_sum = ver._plane_wave_sum
-    monkeypatch.setattr(ver, "_plane_wave_sum",
-                        lambda axes, k, coef: z_points.append(len(axes[3])) or lattice_sum(axes, k, coef))
+    sums = []
+    lattice_sum = ver._real_slabs
+    monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef, cuts: sums.append(
+        (len(axes[3]), [(mu, slot) for mu, slot, _ in cuts])) or lattice_sum(axes, k, coef, cuts))
     _one_kernel(monkeypatch, packet, grid, None)
-    # one sum on the whole ring, then one per end slab of the ring
-    assert z_points == ([12, 1, 1] if seams else [12])
+    # one sum on the whole ring, plus one per end slab of the ring
+    assert sums == [(12, [(3, 0), (3, 11)] if seams else [])]
 
 
 def _bits(rep):
@@ -471,18 +471,49 @@ LADDER_CASES = _ladder_cases()
 def test_ladder_levels_equal_standalone_residuals(monkeypatch, label, field, grid, b, levels):
     # each level of one ladder pass is the one-grid check on that grid, bit for bit
     calls = []
-    lattice_sum = ver._plane_wave_sum
-    monkeypatch.setattr(ver, "_plane_wave_sum",
-                        lambda axes, k, coef: calls.append(len(k)) or lattice_sum(axes, k, coef))
+    lattice_sum = ver._real_slabs
+    monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef, cuts: calls.append(
+        (len(k), len(cuts))) or lattice_sum(axes, k, coef, cuts))
     conv = continuity_convergence(field, grid, levels=levels, b=b)
-    # the seam case adds two end-slab sums per level on every seam axis
-    assert (len(calls) > levels) == (label == "seam")
+    # one sum per level; the seam case adds two end-slab sums per level on every seam axis
+    assert len(calls) == levels
+    assert (sum(cuts for _, cuts in calls) > 0) == (label == "seam")
     if label == "many_terms":
-        assert min(calls) > qdirac.grid._MAX_PAIRS
+        assert min(pairs for pairs, _ in calls) > qdirac.grid._MAX_PAIRS
     assert conv.h_scales == tuple(2.0 ** -i for i in range(levels))
     assert [_bits(r) for r in conv.levels] == [
         _bits(continuity_residual(field, g, b=b)) for g in _ladder(grid, levels)]
 
+
+
+def test_ladder_memory_is_one_slab_not_the_lattice():
+    # the 3+1 preset at levels 5 ends on 3 x 96^3 points; a whole-lattice
+    # sum of that level peaks at 21 MB, while the slabs stay under 2 MB
+    packet, grid = _default_continuity_setup("3+1")
+    tracemalloc.start()
+    try:
+        conv = continuity_convergence(packet, grid, levels=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # the order fitted from the whole-lattice sums
+    assert abs(conv.fitted_order - 1.9601724932456248) <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_running_max_keeps_a_non_finite_slab(bad):
+    # a non-finite value in any slab, first or later, reaches the overflow check
+    slabs = [np.array([[0.5, -2.0]]), np.array([[bad, 1.0]]), np.array([[3.0, -0.25]])]
+    for order in (slabs, slabs[::-1], slabs[1:] + slabs[:1]):
+        peak = 0.0
+        for values in order:
+            peak = ver._running_max(peak, values)
+        assert not math.isfinite(peak)
+    peak = 0.0
+    for values in (slabs[0], slabs[2]):
+        peak = ver._running_max(peak, values)
+    assert peak == 3.0
 
 def test_ladder_forms_pairs_once(monkeypatch):
     packet, grid = _default_continuity_setup("3+1")
@@ -504,7 +535,7 @@ def test_degenerate_ladder_rejected_before_lattice_work(monkeypatch, counts, mes
     def forbidden(*args):
         raise AssertionError("lattice work on a degenerate ladder")
 
-    monkeypatch.setattr(ver, "_plane_wave_sum", forbidden)
+    monkeypatch.setattr(ver, "_real_slabs", forbidden)
     monkeypatch.setattr(ver, "_current_pairs", forbidden)
     packet, _ = _default_continuity_setup("3+1")
     grid = SpacetimeGrid(FourVector(), (0.1,) * 4, counts, (False, True, True, True))
