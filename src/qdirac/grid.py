@@ -1,5 +1,8 @@
 """Spacetime lattice sampling, central differences, and Riemann-sum quadrature.
 
+One kernel, `_real_slabs`, sums plane waves on a lattice, in slabs:
+continuity sums its current pairs through it, and a field samples Psi.
+
 A grid axis with a periodic flag generates N points covering one full
 period (no duplicated endpoint), which makes the plain Riemann sum exact
 for commensurate trigonometric integrands and lets the difference
@@ -135,35 +138,8 @@ def sample(field, grid: SpacetimeGrid) -> SampledField:
     return field.evaluate_grid(grid)
 
 
-# Pairs per block of `_plane_wave_sum`: the (t, x, y) phase block holds
-# t*x*y points times at most this many pairs, whatever the pair count.
+# Pairs per block of `_real_slabs`: one matrix product per block and slab.
 _MAX_PAIRS = 1000
-
-
-def _plane_wave_sum(axes, k: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """sum_p coef_p exp(i k_p.x) on the product of four coordinate arrays
-    (a grid's `axes()`), shape counts + (C,), for P lowered four-momenta
-    `k` (P, 4) and their complex coefficients `coef` (P, C).
-
-    exp(i k.x) factorizes by axis, so the exponentials are taken on the
-    axes only; the (t, x, y) phase block is then contracted against the
-    z phases times the coefficients in one matrix product per block of
-    _MAX_PAIRS pairs, the blocks summed in order.
-    """
-    counts = tuple(len(a) for a in axes)
-    nt, nx, ny, nz = counts
-    c = coef.shape[1]
-    out = None
-    # one (empty) block when there are no pairs, so the sum reads zero
-    for start in range(0, max(len(k), 1), _MAX_PAIRS):
-        kb, cb = k[start:start + _MAX_PAIRS], coef[start:start + _MAX_PAIRS]
-        et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, kb[:, i])) for i, a in enumerate(axes))
-        zc = (ez.T[:, :, None] * cb[:, None, :]).reshape(len(kb), nz * c)
-        # a temporary, so one phase block is alive at a time
-        block = (et[:, None, None] * ex[:, None] * ey).reshape(nt * nx * ny, len(kb)) @ zc
-        # the first block is taken as it is: one block gives the bytes of one product
-        out = block if out is None else out + block
-    return out.reshape(counts + (c,))
 
 
 # Bytes per slab of `_real_slabs`: its phase rows and its real sums.
@@ -182,8 +158,9 @@ def _interleaved(c: np.ndarray) -> np.ndarray:
 
 def _real_slabs(axes, k: np.ndarray, coef: np.ndarray, seams=()):
     """Re sum_p coef_p exp(i k_p.x) on the product of four coordinate
-    arrays, as `_plane_wave_sum(axes, k, coef).real`, streamed in slabs,
-    each a run of x lines at one t: yields blocks (lines, ny, C, nz) in
+    arrays (a grid's `axes()`), for P lowered four-momenta `k` (P, 4) and
+    their complex coefficients `coef` (P, C), streamed in slabs, each a
+    run of x lines at one t: yields blocks (lines, ny, C, nz) in
     row-major (t, x) order.  A block is a view of a buffer reused for the
     next slab, so read it (or write it) before asking for the next one.
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import verify
 from ._fields import choice, number, require, sign, vector
-from .grid import SampledField, SpacetimeGrid, _plane_wave_sum
+from .grid import SampledField, SpacetimeGrid, _real_slabs
 from .spinor import GAMMA, PAULI, ZERO_FOUR, FourVector, QSpinor4, spin_basis
 
 SCHEMA_VERSION = 1
@@ -142,7 +142,8 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
 
 
 def _checked_row(k, m, mass_sign, spin, norm_choice, axis) -> tuple:
-    """One row of `build_u_spinor`, its values checked, as `_u_rows` reads it."""
+    """One row of `build_u_spinor`, its values checked, as `_u_rows` reads
+    it; the mass is a Python float, so a numpy scalar rounds as a float does."""
     if not m >= 0.0:
         raise ValueError("build_u_spinor requires mass >= 0")
     choice(mass_sign, "mass_sign", (1, -1))
@@ -151,7 +152,7 @@ def _checked_row(k, m, mass_sign, spin, norm_choice, axis) -> tuple:
     if m == 0.0 and norm_choice == "E_over_m":
         raise ValueError("norm_choice 'E_over_m' needs mass > 0")
     basis = _Z_BASIS if axis is None else spin_basis(axis)
-    return k, m, mass_sign, basis[SPINS.index(spin)], norm_choice
+    return k, float(m), mass_sign, basis[SPINS.index(spin)], norm_choice
 
 
 def _u_rows(rows) -> np.ndarray:
@@ -255,8 +256,17 @@ class _PlaneWaveSum:
         return tuple(np.exp(1j * (pts @ kl.T)) @ cu for kl, cu in self.stacked_terms())
 
     def _sample_grid(self, grid: SpacetimeGrid) -> SampledField:
-        """Values on every lattice point."""
-        return SampledField(grid, *(_plane_wave_sum(grid.axes(), kl, cu) for kl, cu in self.stacked_terms()))
+        """Values on every lattice point: Im s = Re -i s, so each half is the real
+        lattice sum of (c u, -i c u), copied slab by slab into its float view."""
+        halves = []
+        for kl, cu in self.stacked_terms():
+            # allocated as its sum starts: the first sum's tables never sit beside both outputs
+            halves.append(np.empty(grid.counts + (4,), dtype=complex))
+            row, lines = 0, halves[-1].view(float).reshape((-1,) + grid.counts[2:] + (8,))
+            for block in _real_slabs(grid.axes(), kl, np.stack([cu, -1j * cu], axis=2).reshape(-1, 8)):
+                row += len(block)
+                lines[row - len(block):row] = block.transpose(0, 1, 3, 2)
+        return SampledField(grid, *halves)
 
     def evaluate(self, x: FourVector) -> QSpinor4:
         psi0, psi1 = self.eval_points(x.as_array())

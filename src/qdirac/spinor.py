@@ -13,6 +13,7 @@ the field equation is `verify.HALF_MASS_SIGN`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +105,25 @@ def slashed(v) -> np.ndarray:
     return t * GAMMA[0] - x * GAMMA[1] - y * GAMMA[2] - z * GAMMA[3]
 
 
+def _axis_norm(v, name: str) -> tuple[np.ndarray, float]:
+    """The finite vector `v` as floats, and its norm; a vector whose squares overflow
+    or underflow past the smallest normal float is divided by its largest component first."""
+    a = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not sys.float_info.min ** 0.5 <= norm < math.inf:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite, got {a.tolist()}")
+        if a.any():
+            a = a / np.abs(a).max()
+            norm = float(np.linalg.norm(a))
+    return a, norm
+
+
 def helicity_matrix(kvec) -> np.ndarray:
     """Spin projection onto the momentum direction: (1/2) sigma.k_hat in
     both 2x2 blocks.  Eigenvalues are +-1/2, each doubly degenerate."""
-    k = np.asarray(kvec, dtype=float)
-    norm = float(np.linalg.norm(k))
+    k, norm = _axis_norm(kvec, "three-momentum")
     if norm == 0.0:
         raise ValueError("helicity is undefined for zero three-momentum")
     sk = sum(k[ell] * PAULI[ell] for ell in range(3)) / norm
@@ -122,10 +137,7 @@ def spin_basis(axis=None) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal 2-spinor eigenvectors (chi_plus, chi_minus) of
     sigma.n_hat for a quantization axis n.  None means the z axis, which
     returns the exact standard basis (1,0) and (0,1)."""
-    if axis is None:
-        return (np.array([1.0 + 0j, 0.0 + 0j]), np.array([0.0 + 0j, 1.0 + 0j]))
-    n = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(n))
+    n, norm = (np.array([0.0, 0.0, 1.0]), 1.0) if axis is None else _axis_norm(axis, "spin axis")
     if norm == 0.0:
         raise ValueError("spin axis must be nonzero")
     n = n / norm

@@ -108,6 +108,15 @@ def scalar_slashed_square(rng: np.random.Generator, n: int = 200) -> float:
     return worst
 
 
+def lattice_sum(axes, k: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_p coef_p exp(i k_p.x) on the product of four coordinate arrays,
+    by brute force: every lattice point times every lowered four-momentum
+    k (P, 4), one phase matrix against the coefficients coef (P, C).
+    Shape counts + (C,)."""
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return (np.exp(1j * (x.reshape(-1, 4) @ k.T)) @ coef).reshape(x.shape[:4] + (coef.shape[1],))
+
+
 def einsum_current(psi0: np.ndarray, psi1: np.ndarray) -> np.ndarray:
     """Real four-current adj(psi) gamma^mu psi of both symplectic halves,
     one 4x4 Hermitian form per point, shape (..., 4)."""

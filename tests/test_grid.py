@@ -6,7 +6,9 @@ import pytest
 from qdirac import (FourVector, MassiveSpec, SampledField, SpacetimeGrid,
                     build_massive_solution, central_diff, integrate_spatial, sample)
 import qdirac.grid
-from qdirac.grid import _MAX_PAIRS, _plane_wave_sum, _real_slabs
+from qdirac.grid import _MAX_PAIRS, _SLAB_BYTES, _real_slabs
+from qdirac.solutions import _PlaneWaveSum
+from helpers import lattice_sum
 
 
 class ConstantField:
@@ -171,50 +173,9 @@ def _pair_terms(p, columns=2):
     return rng.uniform(-2.0, 2.0, (p, 4)), rng.normal(size=(p, columns)) + 1j * rng.normal(size=(p, columns))
 
 
-def _single_block_sum(grid, k, coef):
-    """The lattice sum with all P pairs in one (t x y points, P) block."""
-    nt, nx, ny, nz = grid.counts
-    p, c = coef.shape
-    et, ex, ey, ez = (np.exp(1j * np.multiply.outer(a, k[:, i])) for i, a in enumerate(grid.axes()))
-    txy = et[:, None, None] * ex[:, None] * ey
-    zc = (ez.T[:, :, None] * coef[:, None, :]).reshape(p, nz * c)
-    return (txy.reshape(nt * nx * ny, p) @ zc).reshape(grid.counts + (c,))
-
-
-@pytest.mark.parametrize("p", [0, 999, 1000, 1001, 2500])
-def test_plane_wave_sum_blocks_match_direct_sum(p):
-    grid = small_grid(origin=FourVector(-0.3, 0.2, 0.1, -0.4), counts=(2, 3, 4, 5))
-    k, coef = _pair_terms(p)
-    got = _plane_wave_sum(grid.axes(), k, coef)
-    x = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 4)
-    want = (np.exp(1j * (x @ k.T)) @ coef).reshape(grid.counts + (2,))
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    if p == 0:
-        assert not got.any()
-    if p <= _MAX_PAIRS:
-        # one block: the bytes of the single-block formula, signed zeros included
-        assert got.tobytes() == _single_block_sum(grid, k, coef).tobytes()
-
-
-def test_plane_wave_sum_memory_is_bounded_by_the_pair_block():
-    grid = small_grid(counts=(1, 24, 24, 8))
-    k, coef = _pair_terms(2500, columns=1)
-    tracemalloc.start()
-    try:
-        _plane_wave_sum(grid.axes(), k, coef)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # a (t x y points, pairs) complex phase block is 9.2 MB at 1000
-    # pairs and would be 23 MB with all 2500 in one block
-    block = 24 * 24 * _MAX_PAIRS * 16
-    assert peak < 1.5 * block
-
-
 def _slab_sums(axes, k, coef, seams=()):
     """The slabs of `_real_slabs`, copied and put back together in the
-    layout of `_plane_wave_sum`: counts + (C,)."""
+    layout of `lattice_sum`: counts + (C,)."""
     lines = []
     for block in _real_slabs(axes, k, coef, seams):
         lines.extend(block.copy())
@@ -223,13 +184,13 @@ def _slab_sums(axes, k, coef, seams=()):
 
 
 def _seamed_sum(axes, k, coef, seams):
-    """`_plane_wave_sum(...).real` plus each seam's sum on its end slab."""
-    want = _plane_wave_sum(axes, k, coef).real
+    """`lattice_sum(...).real` plus each seam's sum on its end slab."""
+    want = lattice_sum(axes, k, coef).real
     for mu, slot, c in seams:
         cut = list(axes)
         cut[mu] = axes[mu][slot:slot + 1]
         index = (slice(None),) * mu + (slice(slot, slot + 1), Ellipsis, 0)
-        want[index] += _plane_wave_sum(cut, k, c[:, None])[..., 0].real
+        want[index] += lattice_sum(cut, k, c[:, None])[..., 0].real
     return want
 
 
@@ -244,6 +205,7 @@ SLAB_CASES = {
     "seams_straddling_slabs": ((3, 5, 4, 5), 7, 2, (0, 1, 2, 3), 3000),
     "one_point_axes": ((1, 4, 1, 1), 7, 2, (1,), None),
     "one_point_tz": ((1, 3, 4, 1), 7, 1, (2,), 1),
+    "full_pair_block": ((2, 3, 4, 5), _MAX_PAIRS, 2, (), None),
     "pair_blocks": ((2, 3, 4, 5), 2500, 2, (0, 1, 2, 3), None),
     "pair_blocks_one_line_slabs": ((2, 3, 4, 5), 1001, 2, (1, 3), 1),
 }
@@ -267,6 +229,59 @@ def test_real_slabs_equal_the_plane_wave_sum(monkeypatch, case):
     assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * scale
     if p == 0:
         assert not got.any()
+
+
+class _Halves:
+    """A field whose two halves are given as (lowered momenta, c*u) pairs,
+    sampled by the grid routine every field in the library shares."""
+
+    _sample_grid = _PlaneWaveSum._sample_grid
+
+    def __init__(self, *halves):
+        self.halves = halves
+
+    def stacked_terms(self):
+        return self.halves
+
+
+@pytest.mark.parametrize("case", sorted(SLAB_CASES))
+def test_sampled_halves_equal_the_lattice_sum(monkeypatch, case):
+    # the seams of a case belong to continuity; sampling has none
+    counts, p, _, _, slab_bytes = SLAB_CASES[case]
+    if slab_bytes is not None:
+        monkeypatch.setattr(qdirac.grid, "_SLAB_BYTES", slab_bytes)
+    grid = small_grid(origin=FourVector(-0.3, 0.2, 0.1, -0.4), counts=counts)
+    halves = (_pair_terms(p, 4), _pair_terms(p // 3, 4))
+    got = _Halves(*halves)._sample_grid(grid)
+    for psi, (k, coef) in zip((got.psi0, got.psi1), halves):
+        want = lattice_sum(grid.axes(), k, coef)
+        assert psi.shape == want.shape
+        # Re and Im each round a sum of unit phases times the coefficients
+        gap = (psi - want).view(float)
+        assert np.abs(gap).max() <= 4 * np.finfo(float).eps * np.abs(coef).sum()
+        if len(k) == 0:
+            assert not psi.any()
+
+
+def test_sampling_memory_is_bounded_by_the_output_one_slab_and_the_axes():
+    counts = (1, 24, 24, 8)
+    grid = small_grid(counts=counts)
+    k, coef = _pair_terms(2500, columns=4)
+    none = (np.empty((0, 4)), np.empty((0, 4), dtype=complex))
+    tracemalloc.start()
+    try:
+        _Halves((k, coef), none)._sample_grid(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # both complex halves; the slab budget (or one y line of a pair
+    # block); per pair, the axis phases and the z phases times the
+    # (Re, Im) coefficient columns, complex and interleaved.  One
+    # (t x y points, pairs) complex phase block would take 23 MB.
+    output = 2 * np.prod(counts) * 4 * 16
+    slab = max(_SLAB_BYTES, counts[2] * (_MAX_PAIRS * 16 + 8 * 8 * counts[3]))
+    axes = len(k) * (sum(counts[:3]) + 8 * counts[3]) * 16
+    assert peak < output + slab + 2 * axes
 
 
 def test_real_slab_memory_is_bounded_by_the_axes_and_one_slab():

@@ -42,12 +42,13 @@ from qdirac.solutions import (
     massive_spec_from_dict,
     packet_spec_from_dict,
 )
-from qdirac.spinor import GAMMA, spin_basis
+from qdirac.spinor import BETA_DIAG, GAMMA, spin_basis
 from helpers import in_span, null_space, random_null_fourvector
 
 # chirality operator; "R" is its +1 eigenvalue, "L" its -1 eigenvalue
 GAMMA5 = 1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]
 
+EPS = np.finfo(float).eps
 RNG_POINTS = np.random.default_rng(77).uniform(-3, 3, size=(40, 4))
 
 
@@ -181,6 +182,37 @@ def test_u_spinor_massless_case():
                     assert np.real(np.vdot(u, u)) == pytest.approx(abs(k.t), rel=1e-12)
                 sol = PlaneWaveSolution(0.3, k, k, up, down, 0.0)
                 assert certify_solution(sol) <= 1e-12 * max(1.0, abs(k.t))
+
+
+@pytest.mark.parametrize("mass, norm_choice", [(1.3, "E_over_m"), (1.3, "E"), (0.0, "E")])
+@pytest.mark.parametrize("mass_sign", [1, -1])
+def test_spin_sums_and_completeness(mass, norm_choice, mass_sign):
+    # per half: sum_s u ubar = sign(k.t) (slashed(k) + mass_sign m) / (2m)
+    # (/ 2 with the "E" norm), and the two spins at +-E form a basis of
+    # C^4: sum u u^dag = u^dag u times 1, in the z and momentum bases
+    rng = np.random.default_rng(41 + mass_sign)
+    div = 2 * mass if norm_choice == "E_over_m" else 2.0
+    for _ in range(20):
+        kvec = rng.uniform(-2, 2, size=3)
+        for axis in (None, kvec):
+            completeness = np.zeros((4, 4), dtype=complex)
+            for esign in (1, -1):
+                k = FourVector(mass_shell_energy(kvec, mass, esign), *kvec)
+                us = [build_u_spinor(k, mass, mass_sign, spin, norm_choice, axis) for spin in SPINS]
+                target = abs(k.t) * 2 / div
+                spin_sum = sum(np.outer(u, np.conj(u) * BETA_DIAG) for u in us)
+                want = esign * (slashed(k) + mass_sign * mass * np.eye(4)) / div
+                assert np.abs(spin_sum - want).max() <= 8 * EPS * target
+                completeness += sum(np.outer(u, np.conj(u)) for u in us)
+            assert np.abs(completeness - target * np.eye(4)).max() <= 8 * EPS * target
+
+
+def test_numpy_scalar_mass_builds_the_float_mass_spinor():
+    k = FourVector(2.0, 0.0, 0.0, math.sqrt(3.0))
+    for mass in (np.float32(1.0), np.float64(1.0), 1):
+        for norm_choice in NORM_CHOICES:
+            got = build_u_spinor(k, mass, 1, "up", norm_choice)
+            assert got.tobytes() == build_u_spinor(k, 1.0, 1, "up", norm_choice).tobytes()
 
 
 # --- massive solutions -----------------------------------------------------------

@@ -14,6 +14,7 @@ from qdirac.spinor import (
     slashed,
     spin_basis,
 )
+from qdirac.solutions import build_u_spinor
 from helpers import (
     adjoint_pairing, apply_left, matrix_rank, random_null_fourvector, spinor_quaternions,
 )
@@ -267,6 +268,41 @@ def test_helicity_scale_invariant():
 def test_helicity_zero_momentum_rejected():
     with pytest.raises(ValueError):
         helicity_matrix((0, 0, 0))
+
+
+# axes whose norm overflows or underflows, each with its in-range twin
+EXTREME_AXES = [((1e308, 1e308, 0.0), (1.0, 1.0, 0.0)), ((-1e308, 0.0, 1e308), (-1.0, 0.0, 1.0)),
+                ((1e-320, 1e-320, 0.0), (1.0, 1.0, 0.0)), ((0.0, -5e-324, 0.0), (0.0, -1.0, 0.0)),
+                ((3e-200, -4e-200, 1e-200), (3.0, -4.0, 1.0)), ((0.0, 0.0, -1e308), (0.0, 0.0, -1.0))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis, twin", EXTREME_AXES)
+def test_extreme_axes_keep_their_direction(axis, twin):
+    for got, want in zip(spin_basis(axis), spin_basis(twin)):
+        assert np.abs(got - want).max() <= 1e-15
+    assert np.abs(helicity_matrix(axis) - helicity_matrix(twin)).max() <= 1e-15
+    k = FourVector(2.0, 0.0, 0.0, 3.0 ** 0.5)
+    u, want = (build_u_spinor(k, 1.0, 1, "up", spin_axis=a) for a in (axis, twin))
+    assert np.abs(u - want).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_axes_are_rejected_by_name(bad):
+    axis = (0.5, bad, 0.0)
+    with pytest.raises(ValueError, match="spin axis must be finite"):
+        spin_basis(axis)
+    with pytest.raises(ValueError, match="spin axis must be finite"):
+        build_u_spinor(FourVector(2.0, 0.0, 0.0, 3.0 ** 0.5), 1.0, 1, "up", spin_axis=axis)
+    with pytest.raises(ValueError, match="three-momentum must be finite"):
+        helicity_matrix(axis)
+
+
+def test_zero_axis_is_rejected():
+    for zero in ((0.0, 0.0, 0.0), (0.0, -0.0, 0.0)):
+        with pytest.raises(ValueError, match="spin axis must be nonzero"):
+            spin_basis(zero)
 
 
 def test_spin_basis_eigenvectors():

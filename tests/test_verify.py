@@ -36,12 +36,11 @@ from qdirac import (
 )
 import qdirac.grid
 import qdirac.verify as ver
-from qdirac.grid import _plane_wave_sum
 from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_massive_solutions, build_wave_packet
 from qdirac.cli import _default_continuity_setup
 from helpers import (
-    adjoint_pairing, difference_residual, einsum_current, oracle_continuity, sampled_gram,
-    sampled_source,
+    adjoint_pairing, difference_residual, einsum_current, lattice_sum, oracle_continuity,
+    sampled_gram, sampled_source,
 )
 
 POINTS = np.random.default_rng(99).uniform(-3, 3, size=(40, 4))
@@ -318,7 +317,7 @@ def _relative_gap(a, b):
 def test_pair_current_matches_einsum_oracle(label, field):
     sampled = sample(field, PAIR_GRID)
     oracle = einsum_current(sampled.psi0, sampled.psi1)
-    assert _relative_gap(_plane_wave_sum(PAIR_GRID.axes(), *ver._current_pairs(field)).real, oracle) <= 1e-14
+    assert _relative_gap(lattice_sum(PAIR_GRID.axes(), *ver._current_pairs(field)).real, oracle) <= 1e-14
     # the Pauli form on sampled arrays, used by packet
     assert _relative_gap(ver.current_grid(sampled), oracle) <= 1e-14
     j = current(field, PAIR_GRID.point(1, 2, 3, 4)).as_array()
@@ -330,7 +329,7 @@ def test_pair_source_matches_sampled_oracle(label, field):
     sampled = sample(field, PAIR_GRID)
     oracle = sampled_source(sampled.psi0, sampled.psi1, B)
     s = ver._source_matrix(B)
-    pairs = _plane_wave_sum(PAIR_GRID.axes(), *ver._source_pairs(field, s))[..., 0].real
+    pairs = lattice_sum(PAIR_GRID.axes(), *ver._source_pairs(field, s))[..., 0].real
     # relative to the size of the bilinear form, which stays meaningful
     # where the source cancels (one empty half, or opposite chiralities)
     scale = np.abs(s).max() * np.abs(sampled.psi0).max() * np.abs(sampled.psi1).max()
@@ -442,9 +441,9 @@ def test_periodic_axis_adds_seam_terms_only_off_whole_periods(monkeypatch, stret
     h = grid.spacing
     grid = dataclasses.replace(grid, spacing=(h[0], h[1], h[2], h[3] * (1.0 + stretch)))
     sums = []
-    lattice_sum = ver._real_slabs
+    real_slabs = ver._real_slabs
     monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef, cuts: sums.append(
-        (len(axes[3]), [(mu, slot) for mu, slot, _ in cuts])) or lattice_sum(axes, k, coef, cuts))
+        (len(axes[3]), [(mu, slot) for mu, slot, _ in cuts])) or real_slabs(axes, k, coef, cuts))
     _one_kernel(monkeypatch, packet, grid, None)
     # one sum on the whole ring, plus one per end slab of the ring
     assert sums == [(12, [(3, 0), (3, 11)] if seams else [])]
@@ -471,9 +470,9 @@ LADDER_CASES = _ladder_cases()
 def test_ladder_levels_equal_standalone_residuals(monkeypatch, label, field, grid, b, levels):
     # each level of one ladder pass is the one-grid check on that grid, bit for bit
     calls = []
-    lattice_sum = ver._real_slabs
+    real_slabs = ver._real_slabs
     monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef, cuts: calls.append(
-        (len(k), len(cuts))) or lattice_sum(axes, k, coef, cuts))
+        (len(k), len(cuts))) or real_slabs(axes, k, coef, cuts))
     conv = continuity_convergence(field, grid, levels=levels, b=b)
     # one sum per level; the seam case adds two end-slab sums per level on every seam axis
     assert len(calls) == levels
