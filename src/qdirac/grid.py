@@ -152,11 +152,13 @@ def _interleaved(c: np.ndarray) -> np.ndarray:
     """(P, W) complex -> (2P, W) real rows (Re c_p, -Im c_p): a (rows, P)
     complex array viewed as (rows, 2P) floats times this is Re of its
     complex product with c."""
-    p, w = c.shape
-    return np.conj(c, order="C").view(float).reshape(p, w, 2).transpose(0, 2, 1).reshape(2 * p, w)
+    out = np.empty((2 * len(c), c.shape[1]))
+    out[0::2] = c.real
+    np.negative(c.imag, out=out[1::2])
+    return out
 
 
-def _real_slabs(axes, k: np.ndarray, coef: np.ndarray, seams=()):
+def _real_slabs(axes, k: np.ndarray, coef: np.ndarray):
     """Re sum_p coef_p exp(i k_p.x) on the product of four coordinate
     arrays (a grid's `axes()`), for P lowered four-momenta `k` (P, 4) and
     their complex coefficients `coef` (P, C), streamed in slabs, each a
@@ -164,22 +166,16 @@ def _real_slabs(axes, k: np.ndarray, coef: np.ndarray, seams=()):
     row-major (t, x) order.  A block is a view of a buffer reused for the
     next slab, so read it (or write it) before asking for the next one.
 
-    Each `seams` entry (mu, slot, c), c of shape (P,), adds
-    Re sum_p c_p exp(i k_p.x) to column 0 on the points whose index on
-    axis mu is `slot`.
-
     The axis phases, and the z phases times the coefficients as
     interleaved (Re, -Im) rows, are formed once.  Each slab fills one
     (rows, P) complex buffer with the (t, x, y) phases and makes one real
     matrix product per block of _MAX_PAIRS pairs, the blocks summed in
-    order; a z seam rides along as one more product column.  Memory is
-    O(P * (nt + nx + ny + nz)) for the phases plus one slab."""
+    order.  Memory is O(P * (nt + nx + ny + nz)) for the phases plus one
+    slab."""
     sizes = [len(a) for a in axes]
     nt, nx, ny, nz = sizes
     pairs, c = coef.shape
     width = c * nz
-    zseams = [(slot, cs) for mu, slot, cs in seams if mu == 3]
-    cols = width + len(zseams)
     x = np.concatenate(axes)[:, None]
     blocks = []
     # one (empty) block when there are no pairs, so the sums read zero
@@ -189,21 +185,18 @@ def _real_slabs(axes, k: np.ndarray, coef: np.ndarray, seams=()):
         phase = np.exp(1j * (x * np.repeat(k[part].T, sizes, axis=0)))
         et, ex, ey, ez = phase[:nt], phase[nt:nt + nx], phase[nt + nx:nt + nx + ny], phase[-nz:]
         z = (coef[part, :, None] * ez.T[:, None, :]).reshape(ez.shape[1], width)
-        if zseams:
-            z = np.concatenate([z, *(cs[part, None] * ez[slot, :, None] for slot, cs in zseams)], axis=1)
-        row_seams = [(mu, slot, _interleaved(cs[part, None] * ez.T)) for mu, slot, cs in seams if mu != 3]
-        blocks.append((et, ex, ey, _interleaved(z), row_seams))
+        blocks.append((et, ex, ey, _interleaved(z)))
     pw = blocks[0][2].shape[1]
-    step = min(nx, max(1, _SLAB_BYTES // (ny * (16 * pw + 8 * cols))))
+    step = min(nx, max(1, _SLAB_BYTES // (ny * (16 * pw + 8 * width))))
     tx_rows = np.empty(step * pw, dtype=complex)
     phases = np.empty(step * ny * pw, dtype=complex)
-    sums = np.empty(step * ny * cols)
-    more = np.empty(step * ny * cols) if len(blocks) > 1 else None
+    sums = np.empty(step * ny * width)
+    more = np.empty(step * ny * width) if len(blocks) > 1 else None
     # a slab is a run of x lines at one t
     for t, x0 in itertools.product(range(nt), range(0, nx, step)):
         m = min(step, nx - x0)
-        out = sums[:m * ny * cols].reshape(m, ny, cols)
-        for n, (et, ex, ey, z, row_seams) in enumerate(blocks):
+        out = sums[:m * ny * width].reshape(m, ny, width)
+        for n, (et, ex, ey, z) in enumerate(blocks):
             p = ey.shape[1]
             tx = tx_rows[:m * p].reshape(m, p)
             np.multiply(et[t], ex[x0:x0 + m], out=tx)
@@ -214,16 +207,7 @@ def _real_slabs(axes, k: np.ndarray, coef: np.ndarray, seams=()):
                 np.matmul(real, z, out=out)
             else:
                 out += np.matmul(real, z, out=more[:out.size].reshape(out.shape))
-            for mu, slot, zs in row_seams:
-                if mu == 2:
-                    out[:, slot, :nz] += real[:, slot] @ zs
-                elif mu == 0 and slot == t:
-                    out[..., :nz] += real @ zs
-                elif mu == 1 and x0 <= slot < x0 + m:
-                    out[slot - x0, :, :nz] += real[slot - x0] @ zs
-        for e, (slot, _) in enumerate(zseams):
-            out[..., slot] += out[..., width + e]
-        yield out[..., :width].reshape(m, ny, c, nz)
+        yield out.reshape(m, ny, c, nz)
 
 
 def central_diff(values: np.ndarray, axis: int, spacing: float, periodic: bool = False) -> np.ndarray:

@@ -65,11 +65,6 @@ class FourVector:
         """Covariant components (t, -x, -y, -z)."""
         return np.array([self.t, -self.x, -self.y, -self.z])
 
-    @classmethod
-    def from_array(cls, a) -> "FourVector":
-        t, x, y, z = (float(v) for v in a)
-        return cls(t, x, y, z)
-
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.t + other.t, self.x + other.x, self.y + other.y, self.z + other.z)
 

@@ -18,12 +18,14 @@ current and its complex-potential source are finite sums of bilinear
 pair terms.  The central difference of a plane wave is the plane wave
 times its difference symbol i sin(q h)/h, so the continuity check takes
 the lattice divergence as one real sum of pair terms on the interior
-points, plus two end-slab sums on each periodic axis that some pair does
-not wrap.  The sums stream through one reused slab buffer
-(`grid._real_slabs`) and the norms are folded slab by slab, so the
-check's memory is one slab plus the axis phases of the pairs, whatever
-the lattice size; every field runs this one kernel, and a refinement
-ladder forms its pairs once for all levels.  `analytic_divergence`
+points.  A periodic axis that some pair does not wrap is a seam: its end
+slots take exact correction terms, so the check splits it into runs of
+slots and sums each product of runs on its own.  The seams are decided
+here alone.  Every sum streams through one reused slab buffer of the
+plain lattice kernel (`grid._real_slabs`, which also samples Psi) and
+the norms are folded slab by slab, so the check's memory is one slab
+plus the axis phases of the pairs, whatever the lattice size; a
+refinement ladder forms its pairs once for all levels.  `analytic_divergence`
 differentiates the same pairs exactly.
 
 Grid inner products and the Gram matrix are summed from the same pair
@@ -33,6 +35,7 @@ O(box_cells) per term rather than O(box_cells^3): no field is sampled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -260,18 +263,26 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
 
     A wrapped stencil on a periodic axis reads exp(i q.x) at its end
     slots only when phi = q N h is a multiple of 2 pi.  Where some pair
-    misses one by more than ALGEBRA_TOL * max(1, |phi|), the exact
-    correction of the two end slabs is one more sum each:
-    -c e^{-iqh} (e^{i phi} - 1) / 2h at slot 0 and
-    c e^{iqh} (e^{-i phi} - 1) / 2h at slot N - 1.  Refinement doubles N
-    and halves h, both exactly, so phi and the seam axes are decided on
-    the first grid for the whole ladder.  Every grid is validated before
-    any lattice work."""
+    misses one by more than ALGEBRA_TOL * max(1, |phi|), the axis is a
+    seam: its slots split into three runs, slot 0, slots 1 to N - 2 and
+    slot N - 1, and each end slot's divergence coefficients take the
+    exact correction -c e^{-iqh} (e^{i phi} - 1) / 2h at slot 0 and
+    c e^{iqh} (e^{-i phi} - 1) / 2h at slot N - 1.  Each product of runs
+    over the seam axes is one `_real_slabs` sum, and the running maxima
+    fold over all of them.  Refinement doubles N and halves h, both
+    exactly, so phi and the seam axes are decided on the first grid for
+    the whole ladder.  Every grid is validated before any lattice work,
+    including each differentiated axis's 1 / h: an inf there would read
+    0 * inf = NaN in the symbol."""
     for grid in grids:
-        for i, n in enumerate(grid.counts):
+        for i, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
             if n == 2:
                 raise ValueError(
                     f"degenerate grid: axis {i} has 2 points; need >= 3 (or 1 for a reduced axis)"
+                )
+            if n > 1 and not math.isfinite(1.0 / h):
+                raise ValueError(
+                    f"grid spacing {h!r} on axis {i} is too small: its difference symbol overflows"
                 )
         if all(n == 1 for n in grid.counts):
             raise ValueError("degenerate grid: no differentiable axis")
@@ -293,7 +304,6 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
         if not np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
             turn = np.exp(1j * phi)
             seams.append((mu, -(turn - 1.0), 1.0 / turn - 1.0))
-    pairs = len(k_both)
     reports = []
     for grid in grids:
         # the divergence column of `stacked`, summed in place
@@ -302,23 +312,27 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
         for mu, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
             if n > 1:
                 symbol += coef[:, mu] * (1j * np.sin(k[:, mu] * h) / h)
-        cuts = []
-        for mu, ahead, behind in seams:
-            n, h = grid.counts[mu], grid.spacing[mu]
-            step = np.exp(1j * k[:, mu] * h)
-            for slot, seam in ((0, ahead / step), (n - 1, step * behind)):
-                cut = np.zeros(pairs, dtype=complex)
-                cut[:len(k)] = coef[:, mu] * seam / (2.0 * h)
-                cuts.append((mu, slot, cut))
         axes = _interior_axes(grid)
+        # per seam axis, its three runs: (axis, coordinates, seam term of the run)
+        splits = []
+        for mu, ahead, behind in seams:
+            h, a = grid.spacing[mu], axes[mu]
+            step = np.exp(1j * k[:, mu] * h)
+            splits.append([(mu, a[:1], coef[:, mu] * (ahead / step) / (2.0 * h)), (mu, a[1:-1], 0.0),
+                           (mu, a[-1:], coef[:, mu] * (step * behind) / (2.0 * h))])
         lhs_norm = rhs_norm = defect = 0.0
-        for block in _real_slabs(axes, k_both, stacked, cuts):
-            div = block[:, :, 0]
-            lhs_norm = _running_max(lhs_norm, div)
-            if s is not None:
-                rhs_norm = _running_max(rhs_norm, block[:, :, 1])
-                # the slab is read, so its divergence column takes the gap
-                defect = _running_max(defect, np.subtract(div, block[:, :, 1], out=div))
+        for runs in itertools.product(*splits):
+            run_axes, column = list(axes), stacked.copy()
+            for mu, a, seam in runs:
+                run_axes[mu] = a
+                column[:len(k), 0] += seam
+            for block in _real_slabs(run_axes, k_both, column):
+                div = block[:, :, 0]
+                lhs_norm = _running_max(lhs_norm, div)
+                if s is not None:
+                    rhs_norm = _running_max(rhs_norm, block[:, :, 1])
+                    # the slab is read, so its divergence column takes the gap
+                    defect = _running_max(defect, np.subtract(div, block[:, :, 1], out=div))
         if s is None:
             defect = lhs_norm
         if not all(map(math.isfinite, (lhs_norm, rhs_norm, defect))):
@@ -333,11 +347,11 @@ def continuity_residual(field, grid: SpacetimeGrid, b=None) -> ContinuityReport:
     on the points where the stencil is defined (all but the end slots of
     each non-periodic axis).
 
-    The divergence and the source come from one plane-wave sum of the
-    pair terms times their difference symbols, plus the end-slab terms
-    of a periodic axis that some pair does not wrap, streamed in real
-    slabs: the one-grid case of `_ladder`; no stencil runs and no
-    current or lattice-sized array is formed.  Axes
+    The divergence and the source come from plane-wave sums of the pair
+    terms times their difference symbols, one per run of slots (one run
+    unless a periodic axis has a seam), streamed in real slabs: the
+    one-grid case of `_ladder`; no stencil runs and no current or
+    lattice-sized array is formed.  Axes
     with a single point are treated as reduced (the field must be
     uniform along them, so their derivative vanishes); every other axis
     needs at least three points."""

@@ -43,6 +43,7 @@ from qdirac.solutions import (
     packet_spec_from_dict,
 )
 from qdirac.spinor import BETA_DIAG, GAMMA, spin_basis
+from qdirac.verify import default_points
 from helpers import in_span, null_space, random_null_fourvector
 
 # chirality operator; "R" is its +1 eigenvalue, "L" its -1 eigenvalue
@@ -313,6 +314,43 @@ def test_massive_set_members_equal_their_single_builds(norm_choice, spin_axis):
             assert (s.k0, s.k1, s.label, s.theta0, s.mass) == (
                 want.k0, want.k1, want.label, want.theta0, want.mass)
             assert np.array_equal(s.u0, want.u0) and np.array_equal(s.u1, want.u1)
+
+
+def _values(field, points):
+    """(psi0, psi1) of a field at every point, as one flat complex vector."""
+    return np.concatenate([np.concatenate([e.psi0, e.psi1])
+                           for e in (field.evaluate(FourVector(*p)) for p in points)])
+
+
+def test_gamma5_j_map_swaps_the_halves_but_leaves_the_labeled_span():
+    # Psi -> gamma5 Psi j sends (psi0, psi1) to (-gamma5 psi1, gamma5 psi0):
+    # the halves swap, and gamma5 flips their mass signs back
+    mass, kvec, theta0 = 1.3, (0.3, -0.5, 0.7), 0.37
+    sols = enumerate_massive_set(mass, kvec, kvec, theta0)
+    images = [PlaneWaveSolution(math.pi / 2 - s.theta0, s.k1, s.k0, -GAMMA5 @ s.u1, GAMMA5 @ s.u0, mass)
+              for s in sols]
+    for s, image in zip(sols, images):
+        for p in RNG_POINTS:
+            x = FourVector(*p)
+            e, g = s.evaluate(x), image.evaluate(x)
+            assert np.abs(g.psi0 + GAMMA5 @ e.psi1).max() <= 4 * EPS
+            assert np.abs(g.psi1 - GAMMA5 @ e.psi0).max() <= 4 * EPS
+    assert max(dirac_residual(images)) <= 1e-16
+    points = default_points()
+
+    def real_rank(fields):
+        v = np.array([_values(f, points) for f in fields])
+        return np.linalg.matrix_rank(np.concatenate([v.real, v.imag], axis=1))
+
+    assert real_rank(images) == 6
+    # the map does not keep the labeled set's span under the set's phase convention
+    for angle, rank in ((theta0, 12), (math.pi / 2 - theta0, 12),
+                        (-(math.pi / 2 - theta0), 10), (math.pi / 2 + theta0, 10)):
+        assert real_rank(images + enumerate_massive_set(mass, kvec, kvec, angle)) == rank
+    members = [_values(s, points) for s in sols]
+    for image in (_values(f, points) for f in images):
+        for v in members:
+            assert min(np.abs(image - sign * v).max() for sign in (1, -1)) >= 0.99 * np.abs(v).max()
 
 
 def test_set_builders_make_one_half_call_per_distinct_term(monkeypatch):

@@ -371,6 +371,14 @@ def test_continuity_one_kernel_on_both_sides_of_pair_block(monkeypatch, label, b
     _one_kernel(monkeypatch, dict(FAMILIES)[label], SEAM_GRID, B)
 
 
+@pytest.mark.parametrize("slab_bytes", [1, 1500, 3000])
+def test_seam_runs_across_slab_boundaries(monkeypatch, slab_bytes):
+    # one-line slabs; two-line slabs, which cut the three inner x lines of
+    # the runs with two y rows; slabs that hold each run whole
+    monkeypatch.setattr(qdirac.grid, "_SLAB_BYTES", slab_bytes)
+    _one_kernel(monkeypatch, dict(FAMILIES)["packet01"], SEAM_GRID, B)
+
+
 def test_many_term_packet_takes_the_one_kernel(monkeypatch):
     packet = _many_term_packet(32)
     assert len(ver._current_pairs(packet)[0]) > qdirac.grid._MAX_PAIRS
@@ -442,11 +450,11 @@ def test_periodic_axis_adds_seam_terms_only_off_whole_periods(monkeypatch, stret
     grid = dataclasses.replace(grid, spacing=(h[0], h[1], h[2], h[3] * (1.0 + stretch)))
     sums = []
     real_slabs = ver._real_slabs
-    monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef, cuts: sums.append(
-        (len(axes[3]), [(mu, slot) for mu, slot, _ in cuts])) or real_slabs(axes, k, coef, cuts))
+    monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef: sums.append(
+        len(axes[3])) or real_slabs(axes, k, coef))
     _one_kernel(monkeypatch, packet, grid, None)
-    # one sum on the whole ring, plus one per end slab of the ring
-    assert sums == [(12, [(3, 0), (3, 11)] if seams else [])]
+    # one sum on the whole ring, or one per run: slot 0, the inner slots, slot 11
+    assert sums == ([1, 10, 1] if seams else [12])
 
 
 def _bits(rep):
@@ -471,14 +479,13 @@ def test_ladder_levels_equal_standalone_residuals(monkeypatch, label, field, gri
     # each level of one ladder pass is the one-grid check on that grid, bit for bit
     calls = []
     real_slabs = ver._real_slabs
-    monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef, cuts: calls.append(
-        (len(k), len(cuts))) or real_slabs(axes, k, coef, cuts))
+    monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef: calls.append(
+        len(k)) or real_slabs(axes, k, coef))
     conv = continuity_convergence(field, grid, levels=levels, b=b)
-    # one sum per level; the seam case adds two end-slab sums per level on every seam axis
-    assert len(calls) == levels
-    assert (sum(cuts for _, cuts in calls) > 0) == (label == "seam")
+    # one sum per level, or per product of runs on the three seam axes of the seam case
+    assert len(calls) == levels * (27 if label == "seam" else 1)
     if label == "many_terms":
-        assert min(pairs for pairs, _ in calls) > qdirac.grid._MAX_PAIRS
+        assert min(calls) > qdirac.grid._MAX_PAIRS
     assert conv.h_scales == tuple(2.0 ** -i for i in range(levels))
     assert [_bits(r) for r in conv.levels] == [
         _bits(continuity_residual(field, g, b=b)) for g in _ladder(grid, levels)]
@@ -526,21 +533,47 @@ def test_ladder_forms_pairs_once(monkeypatch):
     assert counts == dict.fromkeys(counts, 1)
 
 
-@pytest.mark.parametrize("counts, message", [
-    ((2, 4, 4, 4), "degenerate grid: axis 0 has 2 points; need >= 3 (or 1 for a reduced axis)"),
-    ((1, 1, 1, 1), "degenerate grid: no differentiable axis"),
-])
-def test_degenerate_ladder_rejected_before_lattice_work(monkeypatch, counts, message):
+@pytest.fixture
+def no_lattice_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("lattice work on a degenerate ladder")
 
     monkeypatch.setattr(ver, "_real_slabs", forbidden)
     monkeypatch.setattr(ver, "_current_pairs", forbidden)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((2, 4, 4, 4), "degenerate grid: axis 0 has 2 points; need >= 3 (or 1 for a reduced axis)"),
+    ((1, 1, 1, 1), "degenerate grid: no differentiable axis"),
+])
+def test_degenerate_ladder_rejected_before_lattice_work(no_lattice_work, counts, message):
     packet, _ = _default_continuity_setup("3+1")
     grid = SpacetimeGrid(FourVector(), (0.1,) * 4, counts, (False, True, True, True))
     with pytest.raises(ValueError) as err:
         continuity_convergence(packet, grid, levels=3)
     assert str(err.value) == message
+
+
+def _tiny_t_spacing(h):
+    packet, grid = _default_continuity_setup("1+1")
+    return packet, dataclasses.replace(grid, spacing=(h,) + grid.spacing[1:])
+
+
+# 1/5e-309 overflows, so the 1e-308 ladder fails on its second level
+@pytest.mark.parametrize("spacing, named", [(1e-310, 1e-310), (1e-308, 5e-309)])
+def test_overflowing_spacing_rejected_before_lattice_work(no_lattice_work, spacing, named):
+    # 1/h is inf, so i sin(q h)/h would read 0 * inf = NaN, which is no fault of the field
+    packet, grid = _tiny_t_spacing(spacing)
+    with pytest.raises(ValueError) as err:
+        continuity_convergence(packet, grid, levels=3)
+    assert str(err.value) == (f"grid spacing {named!r} on axis 0 is too small: "
+                              "its difference symbol overflows")
+
+
+def test_smallest_spacing_with_a_finite_symbol_runs():
+    # 1/h stays finite down to the last level, 1e-308, so the study runs
+    packet, grid = _tiny_t_spacing(4e-308)
+    assert abs(continuity_convergence(packet, grid, levels=3).fitted_order - 1.9813420743807808) <= 1e-9
 
 
 def test_ladder_keeps_a_one_point_periodic_axis_reduced():
