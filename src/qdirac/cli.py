@@ -289,21 +289,21 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     points = ver.default_points(seed=seed)
 
     directions = ((base, 0.0, 0.0), (0.0, base, 0.0), (0.0, 0.0, base), (-base, 0.0, 0.0))
-    # the massive set, the helicity set and the Gram set in one certified
-    # pass, then the massless set and the running phase in another
     gram_pairs = [(theta0, kv, kv, s0, s1, esign0)
                   for (s0, s1), kv in zip(sol.SPIN_PAIRS, directions) for esign0 in (1, -1)]
-    built = sol._build(mass, sol._massive_set(kvec, kvec, theta0)
-                       + sol._massive_set(kvec, kvec, theta0, "momentum") + sol._massive_pairs(gram_pairs))
-    massive, hel_sols, gram_sols = built[:8], built[8:16], built[16:]
-    add("residual_massive_set", max(ver.dirac_residual(massive, points=points)), residual_tol)
     theta_dir = FourVector(1.0, 0.0, 0.0, 1.0)
-    *massless, mtheta = sol._build(0.0, sol._massless_set(kvec, kvec, theta0) + sol._running_phase(
-        sol.MasslessThetaSpec(theta=theta_dir, kappa0=2.0, kappa1=1.0, theta0=theta0)))
-    # the massless set and the running phase share m = 0, so one pass checks both
-    *massless_res, mtheta_res = ver.dirac_residual([*massless, mtheta], points=points)
-    add("residual_massless_set", max(massless_res), residual_tol)
-    add("residual_massless_theta", mtheta_res, residual_tol)
+    running = sol.MasslessThetaSpec(theta=theta_dir, kappa0=2.0, kappa1=1.0, theta0=theta0)
+    # every field in one certified pass over one row table, ordered so that the
+    # residual set (the first 13 fields), the density set (the first 8) and the
+    # Gram set (the last 8) are each one run of it
+    built = sol._build(sol._massive_set(mass, kvec, kvec, theta0) + sol._massless_set(kvec, kvec, theta0)
+                       + sol._running_phase(running) + sol._massive_set(mass, kvec, kvec, theta0, "momentum")
+                       + sol._massive_pairs(mass, gram_pairs))
+    massive, massless, hel_sols, gram_sols = built[:8], built[8:12], built[13:21], built[21:]
+    residuals = ver.dirac_residual(built[:13], points=points)
+    add("residual_massive_set", max(residuals[:8]), residual_tol)
+    add("residual_massless_set", max(residuals[8:12]), residual_tol)
+    add("residual_massless_theta", residuals[12], residual_tol)
 
     all_momenta = [(s.k0, s.mass) for s in massive + massless] + [(s.k1, s.mass) for s in massive + massless]
     add("dispersion", max(sol.dispersion_residual(k, m) for k, m in all_momenta), residual_tol)

@@ -33,8 +33,12 @@ runs through one row table (`_build`): the distinct terms of its fields
 (4 per half for the 8 massive solutions, 2 for the 4 massless ones) are
 the rows of one array pass, each field's stacked terms are slices of one
 table, and one stacked residual product certifies them all, as
-`make_wave_packet` certifies a packet's terms.  The checks of `verify`
-take a set the same way, and `density` is their one-field case.
+`make_wave_packet` certifies a packet's terms.  The fields of one table
+may have several masses (`verify` builds its massive and massless fields
+in one): each row and each field is held to its own mass.  The table
+runs half by half, so the rows of consecutive fields are one slice of
+each half, which the checks of `verify` read without a copy; they take a
+set the same way, and `density` is their one-field case.
 
 Each check runs once, where its values enter: the public entry points
 read every value, and the private row kernel `_u_rows` runs the numeric
@@ -244,7 +248,8 @@ class _PlaneWaveSum:
         terms = [term for half in halves for term in half]
         _stack_terms([self], [c for c, _, _ in terms],
                      np.array([(k.t, -k.x, -k.y, -k.z) for _, k, _ in terms], dtype=float).reshape(-1, 4),
-                     np.array([u for _, _, u in terms], dtype=complex).reshape(-1, 4), map(len, halves))
+                     np.array([u for _, _, u in terms], dtype=complex).reshape(-1, 4),
+                     [tuple(map(len, halves))])
 
     def stacked_terms(self):
         """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4)."""
@@ -278,13 +283,16 @@ class _PlaneWaveSum:
 
 def _stack_terms(fields, coefs, kl, u, counts, u_rows=None) -> None:
     """Give every field its stacked terms, as slices of one read-only table
-    of lowered momenta and weighted spinors c*u, and the spinor scale of
-    its certification bound: its largest term spinor norm, scaled up by a
-    coefficient above 1 (an amplitude).
+    of lowered momenta and weighted spinors c*u, its place in that table,
+    and the spinor scale of its certification bound: its largest term
+    spinor norm, scaled up by a coefficient above 1 (an amplitude).
 
-    Term n has coefficient coefs[n], lowered momentum kl[n] and spinor
-    u[u_rows[n]] (u[n] when u_rows is None); counts are the term counts of
-    each half, field by field.  The norm of each row of u is taken once."""
+    The table runs half by half: the half-0 terms of every field, in field
+    order, then their half-1 terms, so the rows of consecutive fields are
+    one slice of each half (`verify._stack_rows` reads them so).  Term n
+    has coefficient coefs[n], lowered momentum kl[n] and spinor
+    u[u_rows[n]] (u[n] when u_rows is None); counts holds each field's
+    term counts (half 0, half 1).  The norm of each row of u is taken once."""
     norms = [math.hypot(*a) for a in np.abs(u).tolist()]
     if u_rows is None:
         u_rows = range(len(coefs))
@@ -294,11 +302,19 @@ def _stack_terms(fields, coefs, kl, u, counts, u_rows=None) -> None:
     kl.setflags(write=False)
     cu.setflags(write=False)
     scales = [max(1.0, abs(c)) * norms[r] for c, r in zip(coefs, u_rows)]
-    ends = list(itertools.accumulate(counts, initial=0))
+    counts0, counts1 = zip(*counts)
+    # each field's first row in each half, the half-1 rows after every
+    # half-0 row; the last pair ends the table
+    starts = list(zip(itertools.accumulate(counts0, initial=0),
+                      itertools.accumulate(counts1, initial=sum(counts0))))
+    # the index of each row's field, which only a run of several fields reads
+    owner = (np.arange(2 * len(fields)) % len(fields)).repeat(counts0 + counts1) if len(fields) > 1 else None
+    table = kl, cu, owner, starts
     for n, f in enumerate(fields):
-        a, b, c = ends[2 * n:2 * n + 3]
-        object.__setattr__(f, "_stacked", [(kl[a:b], cu[a:b]), (kl[b:c], cu[b:c])])
-        object.__setattr__(f, "_u_scale", max([1.0, *scales[a:c]]))
+        (a0, a1), (b0, b1) = starts[n:n + 2]
+        object.__setattr__(f, "_stacked", [(kl[a0:b0], cu[a0:b0]), (kl[a1:b1], cu[a1:b1])])
+        object.__setattr__(f, "_u_scale", max([1.0, *scales[a0:b0], *scales[a1:b1]]))
+        object.__setattr__(f, "_run", (table, n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,6 +337,7 @@ class PlaneWaveSolution(_PlaneWaveSum):
     label: str = ""
     _stacked: list = field(init=False, repr=False, compare=False)
     _u_scale: float = field(init=False, repr=False, compare=False)
+    _run: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("u0", "u1"):
@@ -397,7 +414,7 @@ def _massive_label(spin0: str, spin1: str, esign0: int) -> str:
     return f"{spin0[0]}{spin1[0]}{'+-' if esign0 > 0 else '-+'}"
 
 
-def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", spin_axis=None):
+def _half(kvec, mass, half, esign, spin, norm_choice: str = "E_over_m", spin_axis=None):
     """Four-momenta and read-only kernel spinors (T, 4) of T plane-wave terms.
 
     The only place a branch label becomes a frequency sign.  Massive: the
@@ -406,63 +423,73 @@ def _half(kvec, mass: float, half, esign, spin, norm_choice: str = "E_over_m", s
     +esign*E with u in ker(slashed(k) - m).  Massless: the frequency is
     esign*|k| on both halves, the mass sign drops out, the spin axis is
     the momentum, so spin names the helicity, and u^dag u = |k.t|.
-    `half`, `esign` and `spin` hold T values; `spin_axis` is one value or
-    T values: None for the z axis, or "momentum" for the helicity basis.
-    A FourVector in `kvec` is a four-momentum taken as given (a running
-    phase's kappa*theta); its esign is not read.
+    `half`, `esign` and `spin` hold T values; `mass` and `spin_axis` are
+    one value or T values, so one call builds rows of several masses,
+    each row massive or massless by its own mass (`norm_choice` applies
+    to the massive rows).  A spin axis is None for the z axis, or
+    "momentum" for the helicity basis.  A FourVector in `kvec` is a
+    four-momentum taken as given (a running phase's kappa*theta); its
+    esign is not read.
 
     The values are read as checked where they entered.  Rows sharing a
-    kvec object share its energy, its four-momentum of each frequency
-    sign and its helicity basis, each computed once; each basis is taken
-    as `_u_rows` reads its row, after the gates of the rows before it.
+    kvec object and a mass share its energy and its four-momentum of each
+    frequency sign, and rows sharing a kvec object share its helicity
+    basis (a function of the spatial momentum alone), each computed once;
+    each basis is taken as `_u_rows` reads its row, after the gates of
+    the rows before it.
     """
-    massive = mass > 0
     kvec = list(kvec)  # holds every kvec object for the call, so its id keys the memos below
-    signs = [verify.HALF_MASS_SIGN[h] if massive else 1 for h in half]
+    masses = _per_row(mass, "mass", len(kvec))
+    signs = [verify.HALF_MASS_SIGN[h] if m > 0 else 1 for h, m in zip(half, masses)]
     energies, momenta, helicity, ks = {}, {}, {}, []
-    for kv, mass_sign, e in zip(kvec, signs, esign):
+    for kv, m, mass_sign, e in zip(kvec, masses, signs, esign):
         if isinstance(kv, FourVector):
             ks.append(kv)
             continue
-        k = momenta.get((id(kv), mass_sign * e))
+        key = id(kv), m
+        k = momenta.get((key, mass_sign * e))
         if k is None:
-            if id(kv) not in energies:
-                energies[id(kv)] = mass_shell_energy(kv, mass)
-            k = momenta[id(kv), mass_sign * e] = FourVector(mass_sign * e * energies[id(kv)], *kv)
+            if key not in energies:
+                energies[key] = mass_shell_energy(kv, m)
+            k = momenta[key, mass_sign * e] = FourVector(mass_sign * e * energies[key], *kv)
         ks.append(k)
 
-    def chi(kv, k, sp, axis):
-        if massive and axis is None:
+    def chi(kv, k, m, sp, axis):
+        if m > 0 and axis is None:
             return _Z_BASIS[SPINS.index(sp)]
         if id(kv) not in helicity:
             # at zero frequency the z basis stands in: _u_rows rejects the row
             helicity[id(kv)] = _Z_BASIS if k.t == 0.0 else spin_basis((k.x, k.y, k.z))
         return helicity[id(kv)][SPINS.index(sp)]
 
-    axes, norm_choice = _per_row(spin_axis, "spin_axis", len(ks)), norm_choice if massive else "E"
-    u = _u_rows((k, mass, ms, chi(kv, k, sp, axis), norm_choice)
-                for kv, k, ms, sp, axis in zip(kvec, ks, signs, spin, axes))
+    axes = _per_row(spin_axis, "spin_axis", len(ks))
+    u = _u_rows((k, m, ms, chi(kv, k, m, sp, axis), norm_choice if m > 0 else "E")
+                for kv, k, m, ms, sp, axis in zip(kvec, ks, masses, signs, spin, axes))
     u.setflags(write=False)
     return ks, u
 
 
-def _build(mass: float, members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
-    """Certified fields of one mass from one row table, in one pass.
+def _build(members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
+    """Certified fields of any masses from one row table, in one pass.
 
-    Each member (theta0, row0, row1, label, theta) is one field, whose
-    halves are the plane-wave terms of rows (kvec, half, esign, spin,
-    spin_axis), as `_half` reads them; rows holding the same kvec object
-    and equal labels are built once, so equal momenta that differ in the
-    sign of a zero keep their own rows.  One `_half` call builds every
-    row, the fields take their stacked terms from one table and skip the
-    dataclass checks of these values, and one `certify_solution` call
-    certifies them all.  A term at a row's own momentum gathers the row;
-    a running phase's k +- theta adds its own momenta to the table."""
-    index = {}  # (id(kvec), half, esign, spin, spin_axis) -> (its index, the row), in order of first use
-    pairs = [tuple(index.setdefault((id(row[0]), *row[1:]), (len(index), row))[0] for row in rows)
-             for _, *rows, _, _ in members]
+    Each member (mass, theta0, row0, row1, label, theta) is one field of
+    that mass, whose halves are the plane-wave terms of rows (kvec, half,
+    esign, spin, spin_axis), as `_half` reads them at the member's mass;
+    massive rows take `norm_choice`.  Rows holding the same kvec object at
+    equal masses and equal labels are built once, so equal momenta that
+    differ in the sign of a zero keep their own rows, and so do the rows
+    of one kvec at two masses.  One `_half` call builds every row, the
+    fields take their stacked terms from one table and skip the dataclass
+    checks of these values, and one `certify_solution` call certifies
+    them all, each field at its own mass.  A term at a row's own momentum
+    gathers the row; a running phase's k +- theta adds its own momenta to
+    the table."""
+    # (id(kvec), mass, half, esign, spin, spin_axis) -> (its index, the row), in order of first use
+    index = {}
+    pairs = [tuple(index.setdefault((id(row[0]), m, *row[1:]), (len(index), row))[0] for row in rows)
+             for m, _, *rows, _, _ in members]
     kvec, half, esign, spin, axis = zip(*(row for _, row in index.values()))
-    k, u = _half(kvec, mass, half, esign, spin, norm_choice, axis)
+    k, u = _half(kvec, [key[1] for key in index], half, esign, spin, norm_choice, axis)
     table = [(q.t, -q.x, -q.y, -q.z) for q in k]
     spinors = list(u)  # one read-only view per row, shared by the fields holding it
     fields = [object.__new__(PlaneWaveSolution) for _ in members]
@@ -470,19 +497,22 @@ def _build(mass: float, members, norm_choice: str = "E_over_m") -> list[PlaneWav
     set_theta0, set_k0, set_k1, set_u0, set_u1, set_mass, set_theta, set_label = (
         getattr(PlaneWaveSolution, name).__set__
         for name in ("theta0", "k0", "k1", "u0", "u1", "mass", "theta", "label"))
-    coefs, kl_rows, u_rows, counts = [], [], [], []
-    for f, (i, j), (t0, _, _, label, theta) in zip(fields, pairs, members):
+    terms = []
+    for f, (i, j), (m, t0, _, _, label, theta) in zip(fields, pairs, members):
         set_theta0(f, float(t0))
         set_k0(f, k[i])
         set_k1(f, k[j])
         set_u0(f, spinors[i])
         set_u1(f, spinors[j])
-        set_mass(f, float(mass))
+        set_mass(f, float(m))
         set_theta(f, theta)
         set_label(f, label)
-        for terms, r in zip(f._terms(), (i, j)):
-            counts.append(len(terms))
-            for c, q, _ in terms:
+        terms.append(f._terms())
+    coefs, kl_rows, u_rows = [], [], []
+    for h in (0, 1):  # the table runs half by half (`_stack_terms`)
+        for field_terms, rows in zip(terms, pairs):
+            r = rows[h]
+            for c, q, _ in field_terms[h]:
                 u_rows.append(r)
                 coefs.append(c)
                 if q is k[r]:
@@ -490,15 +520,16 @@ def _build(mass: float, members, norm_choice: str = "E_over_m") -> list[PlaneWav
                 else:  # a running phase's k +- theta
                     kl_rows.append(len(table))
                     table.append((q.t, -q.x, -q.y, -q.z))
-    _stack_terms(fields, coefs, np.array(table, dtype=float).take(kl_rows, axis=0), u, counts, u_rows)
+    _stack_terms(fields, coefs, np.array(table, dtype=float).take(kl_rows, axis=0), u,
+                 [tuple(map(len, t)) for t in terms], u_rows)
     certify_solution(fields)
     return fields
 
 
-def _massive_pairs(pairs, spin_axis=None) -> list:
+def _massive_pairs(mass: float, pairs, spin_axis=None) -> list:
     """Members of the massive solutions (theta0, kvec0, kvec1, spin0, spin1,
-    esign0); the j half carries the label -esign0."""
-    return [(t0, (kv0, 0, e, s0, spin_axis), (kv1, 1, -e, s1, spin_axis),
+    esign0) of one mass; the j half carries the label -esign0."""
+    return [(mass, t0, (kv0, 0, e, s0, spin_axis), (kv1, 1, -e, s1, spin_axis),
              _massive_label(s0, s1, e), ZERO_FOUR) for t0, kv0, kv1, s0, s1, e in pairs]
 
 
@@ -516,18 +547,18 @@ def build_massive_solutions(specs) -> list[PlaneWaveSolution]:
     mass, norm_choice = specs[0].mass, specs[0].norm_choice
     if any((s.mass, s.norm_choice) != (mass, norm_choice) for s in specs):
         raise ValueError("the specs of one build must share mass and norm_choice")
-    return _build(mass, _massive_pairs([(s.theta0, s.kvec0, s.kvec1, s.spin0, s.spin1, s.esign0)
+    return _build(_massive_pairs(mass, [(s.theta0, s.kvec0, s.kvec1, s.spin0, s.spin1, s.esign0)
                                         for s in specs]), norm_choice)
 
 
 SPIN_PAIRS = (("up", "up"), ("down", "down"), ("up", "down"), ("down", "up"))
 
 
-def _massive_set(kvec0, kvec1, theta0: float, spin_axis=None) -> list:
+def _massive_set(mass: float, kvec0, kvec1, theta0: float, spin_axis=None) -> list:
     """Members of the eight labeled massive solutions, in set order; they
     share their 8 distinct rows (half, spin, esign0)."""
     pairs = [(theta0, kvec0, kvec1, s0, s1, e) for s0, s1 in SPIN_PAIRS for e in (1, -1)]
-    return _massive_pairs(pairs, spin_axis)
+    return _massive_pairs(mass, pairs, spin_axis)
 
 
 def enumerate_massive_set(
@@ -543,7 +574,7 @@ def enumerate_massive_set(
     spec = MassiveSpec(mass=mass, theta0=theta0, kvec0=kvec0, kvec1=kvec1, norm_choice=norm_choice)
     # read before the rows that hold it are hashed
     spin_axis = choice(spin_axis, "spin_axis", (None, "momentum"))
-    return _build(spec.mass, _massive_set(spec.kvec0, spec.kvec1, spec.theta0, spin_axis), spec.norm_choice)
+    return _build(_massive_set(spec.mass, spec.kvec0, spec.kvec1, spec.theta0, spin_axis), spec.norm_choice)
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +623,12 @@ def _running_phase(spec: MasslessThetaSpec) -> list:
     # chirality * sign(k.t), which flips with the sign of kappa
     row0, row1 = ((k, h, 1, "up" if (c == "R") == (k.t > 0) else "down", None) for h, (k, c) in enumerate(
         ((spec.theta.scale(spec.kappa0), spec.chirality0), (spec.theta.scale(spec.kappa1), spec.chirality1))))
-    return [(spec.theta0, row0, row1, spec.label, spec.theta)]
+    return [(0.0, spec.theta0, row0, row1, spec.label, spec.theta)]
 
 
 def build_massless_theta_solution(spec: MasslessThetaSpec) -> PlaneWaveSolution:
     """Certified massless solution with running phase direction theta."""
-    return _build(0.0, _running_phase(spec))[0]
+    return _build(_running_phase(spec))[0]
 
 
 _CHIRALITY_PAIRS = (("L", "L"), ("L", "R"), ("R", "L"), ("R", "R"))
@@ -607,15 +638,15 @@ def _massless_set(kvec0, kvec1, theta0: float) -> list:
     """Members of the four constant-phase massless solutions, sharing 4
     rows; at positive frequency chirality = helicity."""
     spin = {"L": "down", "R": "up"}
-    return [(theta0, (kvec0, 0, 1, spin[c0], None), (kvec1, 1, 1, spin[c1], None), f"{c0}{c1}", ZERO_FOUR)
-            for c0, c1 in _CHIRALITY_PAIRS]
+    return [(0.0, theta0, (kvec0, 0, 1, spin[c0], None), (kvec1, 1, 1, spin[c1], None), f"{c0}{c1}",
+             ZERO_FOUR) for c0, c1 in _CHIRALITY_PAIRS]
 
 
 def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWaveSolution]:
     """The four constant-phase massless solutions, ordered
     (L,L), (L,R), (R,L), (R,R); both components run at positive frequency."""
-    return _build(0.0, _massless_set(vector(kvec0, "kvec0", 3), vector(kvec1, "kvec1", 3),
-                                     number(theta0, "theta0")))
+    return _build(_massless_set(vector(kvec0, "kvec0", 3), vector(kvec1, "kvec1", 3),
+                                number(theta0, "theta0")))
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +784,7 @@ class WavePacket(_PlaneWaveSum):
     terms1: tuple[tuple[float, FourVector, np.ndarray], ...]
     _stacked: list = field(init=False, repr=False, compare=False)
     _u_scale: float = field(init=False, repr=False, compare=False)
+    _run: tuple = field(init=False, repr=False, compare=False)
     label = "wave packet"
 
     def _terms(self):
@@ -800,11 +832,14 @@ def certify_solution(sol):
     no point is sampled.  A non-finite residual is an overflow of the
     inputs (ValueError).
 
-    A list of fields of one mass is certified in one `verify.term_residuals`
-    product, each by its own checks and bound, and returns a list of bounds.
-    The fields are checked in order: each term momentum by its dispersion,
-    then the residual, against the spinor scale recorded with the field's
-    stacked terms.  Each distinct term momentum is checked once."""
+    A list of fields of any masses is certified in one
+    `verify.term_residuals` product and returns a list of bounds; each
+    field is held to its own mass, checks and bound, so its bound equals
+    its one-field call's.  The fields are checked in order: each term
+    momentum by its dispersion at the field's mass, then the residual,
+    against the momentum scale of that mass and the spinor scale recorded
+    with the field's stacked terms.  Each distinct term momentum is
+    checked once per mass."""
     fields = [sol] if isinstance(sol, _PlaneWaveSum) else list(sol)
     if not fields:
         return []
@@ -813,25 +848,27 @@ def certify_solution(sol):
     kl = np.concatenate([kl for kl, _, _ in terms])
     res = np.bincount(owner, np.linalg.norm(np.concatenate([r for _, r, _ in terms]), axis=1),
                       minlength=len(fields))
-    mass = fields[0].mass
+    masses = [f.mass for f in fields]
     # a running phase moves the term momenta to k +- theta
-    k_scale = np.full(len(fields), max(1.0, mass))
+    k_scale = np.maximum(1.0, masses)
     np.maximum.at(k_scale, owner, np.abs(kl).max(axis=1))
-    lowered = list(map(tuple, kl.tolist()))
+    owners = owner.tolist()
+    # each term as (its lowered momentum, its field's mass)
+    rows = list(zip(map(tuple, kl.tolist()), map(masses.__getitem__, owners)))
     # k.k of lowered components (t, -x, -y, -z), summed as FourVector.dot sums it
-    off = {(t, x, y, z) for t, x, y, z in set(lowered)
-           if not _dispersion(t, t * t - x * x - y * y - z * z, mass) <= verify.RESIDUAL_TOL}
+    off = {((t, x, y, z), m) for (t, x, y, z), m in set(rows)
+           if not _dispersion(t, t * t - x * x - y * y - z * z, m) <= verify.RESIDUAL_TOL}
     # the first off-shell term of the first field holding one, in the field's term order
     first_off = (-1, 0)
     if off:
-        first_off = min((o, n) for n, (o, q) in enumerate(zip(owner.tolist(), lowered)) if q in off)
+        first_off = min((o, n) for n, (o, q) in enumerate(zip(owners, rows)) if q in off)
     for n, (f, r, ks) in enumerate(zip(fields, res.tolist(), k_scale.tolist())):
         if n == first_off[0]:
-            t, x, y, z = lowered[first_off[1]]
+            t, x, y, z = rows[first_off[1]][0]
             k = FourVector(t, -x, -y, -z)
-            if not math.isfinite(dispersion_residual(k, mass)):  # k.k overflows
+            if not math.isfinite(dispersion_residual(k, f.mass)):  # k.k overflows
                 raise ValueError(f"solution {f.label!r} overflows: term momentum {k} is too large")
-            raise CertificationError(f"term momentum {k} violates the dispersion relation for m={mass}")
+            raise CertificationError(f"term momentum {k} violates the dispersion relation for m={f.mass}")
         if not math.isfinite(r):
             raise ValueError(f"solution {f.label!r} overflows: mass, momenta or amplitudes too large")
         if r > verify.RESIDUAL_TOL * ks * f._u_scale:

@@ -8,10 +8,11 @@ and their norms bound it at every spacetime point.  The lattice
 difference operator appears only in the continuity check, so convention
 bugs and discretization error stay separable.
 
-The per-solution checks take a whole set in one array pass: the terms
-of every field are stacked per half (`_stack_rows`, as certification
-and the Gram products stack them), and each row is summed into the
-field that owns it.
+The per-solution checks take a whole set, of one mass or several, in
+one array pass: the terms of every field are stacked per half
+(`_stack_rows`, as certification and the Gram products stack them; a
+run of one build's fields is a slice of its table), each row is summed
+into the field that owns it, and each field keeps its one-field value.
 
 Every field is a finite sum of plane waves per symplectic half, so its
 current and its complex-potential source are finite sums of bilinear
@@ -72,12 +73,22 @@ def default_points(seed: int = 7) -> np.ndarray:
 def _stack_rows(fields):
     """Per half: the stacked terms of every field, concatenated in field
     order, as lowered momenta (M, 4), weighted spinors (M, 4) and the
-    index (M,) of the field that owns each row.  One field gives its own
-    arrays, uncopied; no field gives no rows."""
+    index (M,) of the field that owns each row; no field gives no rows.
+
+    One field gives its own arrays, and fields that are a run of
+    consecutive fields of one table (the fields of one build, or a slice
+    of them; `solutions._stack_terms`) one slice of each of the table's
+    halves, uncopied; any other list concatenates its fields' stacked
+    terms."""
     if len(fields) == 1:
         return [(kl, w, np.zeros(len(kl), dtype=int)) for kl, w in fields[0].stacked_terms()]
     if not fields:
         return [(np.zeros((0, 4)), np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int))] * 2
+    table, first = fields[0]._run
+    if all(f._run[0] is table and f._run[1] == n for n, f in enumerate(fields, first)):
+        kl, w, owner, starts = table
+        return [(kl[a:b], w[a:b], owner[a:b] - first)
+                for a, b in zip(starts[first], starts[first + len(fields)])]
     halves = [[f.stacked_terms()[h] for f in fields] for h in (0, 1)]
     return [(*map(np.concatenate, zip(*half)),
              np.arange(len(fields)).repeat([len(kl) for kl, _ in half])) for half in halves]
@@ -86,8 +97,12 @@ def _stack_rows(fields):
 def _owner_sums(points, kl, values, owner, count: int) -> np.ndarray:
     """sum exp(i k.x) value over each field's rows, shape (P, F, 4): one
     matmul against the rows spread into their owners' columns (one field
-    owns every row, so its rows need no spreading)."""
-    phases = np.exp(1j * (points @ kl.T))
+    owns every row, so its rows need no spreading).  Each field's sum is
+    its one-field sum, bit for bit, in any set."""
+    # BLAS rounds a matrix-vector product unlike a matrix product, so a
+    # one-row table is read as the first row of its row doubled
+    rows = kl.repeat(2, axis=0) if len(kl) == 1 else kl
+    phases = np.exp(1j * (points @ rows.T)[:, :len(kl)])
     if count == 1:
         return (phases @ values)[:, None, :]
     spread = np.zeros((len(kl), count, 4), dtype=complex)
@@ -98,15 +113,16 @@ def _owner_sums(points, kl, values, owner, count: int) -> np.ndarray:
 def term_residuals(fields, a: FourVector | None = None):
     """Per half: lowered momenta (M, 4), residual spinors (M, 4) and owner
     indices (M,) of the plane-wave terms w exp(i k.x) of a sequence of
-    fields of one mass, in gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi.
-    The derivative and the potential give i (k - a)_mu, so by
-    HALF_MASS_SIGN: -(slashed(k - a) + m) w and (slashed(k - a) - m) w.
-    No field gives no rows."""
-    mass = fields[0].mass if fields else 0.0
-    if any(f.mass != mass for f in fields):
-        raise ValueError("the fields of one set must share a mass")
+    fields, each term at its own field's mass m, in
+    gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi.  The derivative and the
+    potential give i (k - a)_mu, so by HALF_MASS_SIGN:
+    -(slashed(k - a) + m) w and (slashed(k - a) - m) w.  No field gives
+    no rows."""
+    masses = [f.mass for f in fields]
+    # a set of one mass takes it as a number, a set of several row by row
+    column = None if len(set(masses)) == 1 else np.array(masses, dtype=float)[:, None]
     return [(kl, sign * np.einsum("mrc,tm,tc->tr", GAMMA, kl if a is None else kl - a.lowered(), w)
-             - mass * w, owner)
+             - (masses[0] if column is None else column[owner]) * w, owner)
             for sign, (kl, w, owner) in zip(HALF_MASS_SIGN, _stack_rows(fields))]
 
 
@@ -116,7 +132,8 @@ def dirac_residual(field, a: FourVector | None = None, points=None):
     Sums the phased term residuals of `term_residuals` at each point;
     `a` is the real gauge four-vector entering the potential as a^mu i
     (the complex part is zero for every field in scope).  A sequence of
-    fields of one mass gives one value per field, from one pass."""
+    fields of any masses gives one value per field, from one pass; each
+    value is the field's one-field value."""
     single = hasattr(field, "stacked_terms")
     fields = [field] if single else list(field)
     if points is None:

@@ -28,9 +28,12 @@ from qdirac import (
     make_wave_packet,
     slashed,
 )
-from qdirac.solutions import SPIN_PAIRS, build_massive_solutions, certify_solution
+from qdirac.cli import run_verify
+from qdirac.grid import SpacetimeGrid
+from qdirac.solutions import (SPIN_PAIRS, build_massive_solutions, build_u_spinor, certify_solution,
+                              mass_shell_energy)
 from qdirac.spinor import BETA_DIAG
-from qdirac.verify import _adjoint_norms, densities, term_residuals
+from qdirac.verify import _adjoint_norms, default_points, densities, gram_matrix, term_residuals
 from helpers import matrix_rank
 
 POINTS = np.random.default_rng(31).uniform(-3, 3, size=(12, 4))
@@ -205,9 +208,19 @@ def test_set_kernels_take_an_empty_set(kernel):
     assert call() == want
 
 
-def test_set_residual_needs_one_mass():
-    with pytest.raises(ValueError, match="share a mass"):
-        dirac_residual([*_set("massive_z")[:1], *_set("massless")[:1]])
+def test_set_residual_gives_each_mass_its_one_field_value():
+    # each field is held to its own mass: a mixed list, in any order and
+    # from separate builds, gives every field its one-field value bit for bit
+    fields = [*_set("massive_z")[:3], *_set("massless")[:2], *_set("running_phase")[:1],
+              *_set("gram")[:2], *_set("packets")[:1], *_set("massive_momentum")[5:]]
+    for order in (fields, fields[::-1], fields[1::2] + fields[::2]):
+        assert dirac_residual(order, a=A, points=POINTS) == [
+            dirac_residual(f, a=A, points=POINTS) for f in order]
+        assert dirac_residual(order, points=POINTS) == [dirac_residual(f, points=POINTS) for f in order]
+        halves = term_residuals(order)
+        for n, f in enumerate(order):
+            for (kl, r, owner), (want_kl, want_r, _) in zip(halves, term_residuals([f])):
+                assert np.array_equal(kl[owner == n], want_kl) and np.array_equal(r[owner == n], want_r)
 
 
 # --- the span of each set -------------------------------------------------------------
@@ -238,3 +251,63 @@ def test_massless_set_spans_three_real_dimensions():
     lhs, rhs = values["LL"] + values["RR"], values["LR"] + values["RL"]
     assert np.abs(lhs - rhs).max() <= 1e-14 * np.abs(lhs).max()
     assert _real_rank(values.values()) == 3
+
+
+# --- verify's one row table --------------------------------------------------------
+
+def _verify_configs(count=30):
+    """Seeded verify configs over mass 1e-3..1e3, theta0 in [0, pi/2],
+    box_length 1e-2..1e2 and box_cells 3..16, each with its own seed, every
+    other one under --tol 1e-20."""
+    rng = np.random.default_rng(29)
+    for n in range(count):
+        cfg = {"mass": 10.0 ** rng.uniform(-3, 3), "theta0": rng.uniform(0, math.pi / 2),
+               "box_length": 10.0 ** rng.uniform(-2, 2), "box_cells": int(rng.integers(3, 17))}
+        yield cfg, int(rng.integers(0, 2**32)), 1e-20 if n % 2 else None
+
+
+def _one_set_checks(cfg, seed):
+    """verify's table-built check values and Gram matrix, each from separate
+    one-set public builds and one call per set."""
+    mass, theta0, box_length, cells = cfg["mass"], cfg["theta0"], cfg["box_length"], cfg["box_cells"]
+    base = 2.0 * math.pi / box_length
+    kvec = (base, 0.0, base)
+    points = default_points(seed=seed)
+    massive = enumerate_massive_set(mass, kvec, kvec, theta0)
+    helicity = enumerate_massive_set(mass, kvec, kvec, theta0, spin_axis="momentum")
+    directions = ((base, 0.0, 0.0), (0.0, base, 0.0), (0.0, 0.0, base), (-base, 0.0, 0.0))
+    gram = build_massive_solutions(MassiveSpec(mass, theta0, kv, kv, s0, s1, e)
+                                   for (s0, s1), kv in zip(SPIN_PAIRS, directions) for e in (1, -1))
+    running = build_massless_theta_solution(
+        MasslessThetaSpec(FourVector(1.0, 0.0, 0.0, 1.0), 2.0, 1.0, theta0))
+    e_plus = mass_shell_energy(kvec, mass)
+    k_up = FourVector(e_plus, *kvec)
+    norm_err = 0.0
+    for nc, target in (("E", e_plus), ("E_over_m", e_plus / mass)):
+        u = build_u_spinor(k_up, mass, 1, norm_choice=nc)
+        norm_err = max(norm_err, abs(float(np.real(np.vdot(u, u))) - target) / target)
+    expected = math.cos(theta0) ** 2 * (e_plus / mass) + math.sin(theta0) ** 2 * (e_plus / mass)
+    hel_err, eig = 0.0, {"u": 0.5, "d": -0.5}
+    for s, rep in zip(helicity, helicity_check(helicity)):
+        hel_err = max(hel_err, rep.residual0, rep.residual1,
+                      abs(rep.h0 - eig[s.label[0]]), abs(rep.h1 - eig[s.label[1]]))
+    grid = SpacetimeGrid(FourVector(0, 0, 0, 0), (0.1, *[box_length / cells] * 3), (1, cells, cells, cells),
+                         (False, True, True, True))
+    return {
+        "residual_massive_set": max(dirac_residual(massive, points=points)),
+        "residual_massless_set": max(dirac_residual(enumerate_massless_theta0_set(kvec, kvec, theta0),
+                                                    points=points)),
+        "residual_massless_theta": dirac_residual(running, points=points),
+        "normalization": norm_err,
+        "density": float(np.abs(densities(massive, points[:8]) - expected).max()),
+        "helicity": hel_err,
+    }, gram_matrix(gram, grid).matrix.tolist()
+
+
+def test_verify_table_changes_no_check_value():
+    for cfg, seed, tol in _verify_configs():
+        _, report = run_verify(cfg, tol, seed)
+        want, gram = _one_set_checks(cfg, seed)
+        got = {name: value for name, value, _, _ in report["checks"].rows if name in want}
+        assert got == want, (cfg, seed)
+        assert report["gram"]["matrix"] == gram, (cfg, seed)

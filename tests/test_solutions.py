@@ -395,20 +395,20 @@ def _field_bits(f) -> list:
 
 
 def _verify_fields(mass, box_length, theta0):
-    """The fields of run_verify's two passes, each built by its standalone
-    builder: the massive, helicity and Gram sets, then the massless set and
-    the running phase."""
+    """The fields of run_verify's one pass, in its table order, each built
+    by its standalone builder: the massive set, the massless set, the
+    running phase, the helicity set and the Gram set."""
     base = 2.0 * math.pi / box_length
     kvec = (base, 0.0, base)
     directions = ((base, 0.0, 0.0), (0.0, base, 0.0), (0.0, 0.0, base), (-base, 0.0, 0.0))
-    massive = [*enumerate_massive_set(mass, kvec, kvec, theta0),
-               *enumerate_massive_set(mass, kvec, kvec, theta0, spin_axis="momentum"),
-               *build_massive_solutions(MassiveSpec(mass, theta0, kv, kv, s0, s1, e)
-                                        for (s0, s1), kv in zip(solutions.SPIN_PAIRS, directions)
-                                        for e in (1, -1))]
-    massless = [*enumerate_massless_theta0_set(kvec, kvec, theta0), build_massless_theta_solution(
-        MasslessThetaSpec(FourVector(1.0, 0.0, 0.0, 1.0), kappa0=2.0, kappa1=1.0, theta0=theta0))]
-    return massive, massless
+    return [*enumerate_massive_set(mass, kvec, kvec, theta0),
+            *enumerate_massless_theta0_set(kvec, kvec, theta0),
+            build_massless_theta_solution(
+                MasslessThetaSpec(FourVector(1.0, 0.0, 0.0, 1.0), kappa0=2.0, kappa1=1.0, theta0=theta0)),
+            *enumerate_massive_set(mass, kvec, kvec, theta0, spin_axis="momentum"),
+            *build_massive_solutions(MassiveSpec(mass, theta0, kv, kv, s0, s1, e)
+                                     for (s0, s1), kv in zip(solutions.SPIN_PAIRS, directions)
+                                     for e in (1, -1))]
 
 
 @pytest.mark.parametrize("mass, box_length, theta0", [(1.0, 2.0 * math.pi, math.pi / 8), (1.7, 5.0, -0.3)])
@@ -429,9 +429,9 @@ def test_verify_passes_equal_the_standalone_builds(monkeypatch, mass, box_length
     monkeypatch.setattr(solutions, "_half", counting_half)
     code, _ = run_verify({"mass": mass, "box_length": box_length, "theta0": theta0}, None, 3)
     assert code == 0
-    # 8 + 8 + 16 massive rows in one spinor build, then 4 + 2 massless rows
-    assert rows == [32, 6]
-    assert [[_field_bits(f) for f in p] for p in passes] == [[_field_bits(f) for f in p] for p in want]
+    # one pass: 8 massive, 4 massless, 2 running-phase, 8 helicity and 16 Gram rows in one spinor build
+    assert rows == [38]
+    assert [[_field_bits(f) for f in p] for p in passes] == [[_field_bits(f) for f in want]]
 
 
 def test_table_built_stacks_equal_the_constructor_stacks():
@@ -460,11 +460,11 @@ def test_table_built_stacks_equal_the_constructor_stacks():
 def test_a_broken_row_raises_its_standalone_message(kvec, spin_axis):
     with pytest.raises(ValueError) as alone:
         enumerate_massive_set(1.3, kvec, kvec, 0.4, spin_axis=spin_axis)
-    good = solutions._massive_set((0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77)
+    good = solutions._massive_set(1.3, (0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77)
     with pytest.raises(ValueError) as merged:
-        solutions._build(1.3, good + solutions._massive_set(kvec, kvec, 0.4, spin_axis))
+        solutions._build(good + solutions._massive_set(1.3, kvec, kvec, 0.4, spin_axis))
     assert str(merged.value) == str(alone.value)
-    # verify's first pass: its massive set overflows first, as it does alone
+    # verify's one pass: its massive set, first in the table, overflows first, as it does alone
     with pytest.raises(ValueError) as alone:
         enumerate_massive_set(1e300, (1.0, 0.0, 1.0), (1.0, 0.0, 1.0), math.pi / 8)
     with pytest.raises(ValueError) as merged:
@@ -620,8 +620,9 @@ def test_off_shell_term_momentum_fails_certification_alone_and_in_a_set():
     bad = dataclasses.replace(good[0], theta=FourVector(0.3, 0.1, 0.0, 0.0))
     with pytest.raises(CertificationError, match="violates the dispersion relation") as alone:
         certify_solution(bad)
-    # bad shares both of its rows with good[0]
-    for fields in ([good[0], bad], [bad, good[0]], [*good, bad]):
+    # bad shares both of its rows with good[0]; behind massless fields it keeps its own mass
+    massless = enumerate_massless_theta0_set((0.3, 0.0, 0.4), (0.0, 0.5, 0.0), 0.4)
+    for fields in ([good[0], bad], [bad, good[0]], [*good, bad], [*massless, bad]):
         with pytest.raises(CertificationError) as in_set:
             certify_solution(fields)
         assert str(in_set.value) == str(alone.value)
@@ -667,8 +668,13 @@ def test_set_certification_holds_each_solution_to_its_own_bound():
     with pytest.raises(CertificationError) as in_set:
         certify_solution([big, broken])
     assert str(in_set.value) == str(alone.value)
-    with pytest.raises(ValueError, match="share a mass"):
-        certify_solution([big, build_massive_solution(MassiveSpec(2.0, 0.3, (0, 0, 1), (0, 1, 0)))])
+    # each field is held to its own mass: a list of several masses gives each its one-field bound
+    mixed = [big, build_massive_solution(MassiveSpec(2.0, 0.3, (0, 0, 1), (0, 1, 0))),
+             *enumerate_massless_theta0_set((0, 0, 1e3), (0, 1, 0), 0.3), ok,
+             build_massless_theta_solution(MasslessThetaSpec(FourVector(1.2, 0, 1.2, 0), -1.5, 0.5, 2.1)),
+             make_wave_packet(40.0, 0.3, [PacketSample((0.2, 0, 1), 1.5)], [PacketSample((1, 1, 0), 0.7)])]
+    for fields in (mixed, mixed[::-1]):
+        assert certify_solution(fields) == [certify_solution(f) for f in fields]
 
 
 def test_packets_are_certified_as_fields():

@@ -59,18 +59,18 @@ def test_span_targets_trace_a_verify_run_without_changing_it():
     assert code == untraced_code == 0
     assert qdirac.cli._render(traced, "json") == qdirac.cli._render(untraced, "json")
     (stats,) = tracer.op_stats
-    # two certified passes: the 8 massive, 8 helicity and 8 Gram solutions,
-    # then the 4 massless ones and the running phase; the adjoint check
-    # re-phases 2 of them without a certification
-    assert stats["solutions.certify"].calls == 2
-    # both passes run through solutions._build, which no target wraps, so
-    # no build span is recorded
+    # one certified pass over all 29 fields (the 8 massive, 4 massless, running
+    # phase, 8 helicity and 8 Gram solutions); the adjoint check re-phases 2
+    # of them without a certification
+    assert stats["solutions.certify"].calls == 1
+    # the pass runs through solutions._build, which no target wraps, so no
+    # build span is recorded
     assert "solutions.build" not in stats
     # the quaternion sweep runs its independent products side by side
     assert stats["qalg.mul"].calls == 2
-    # one residual call per mass (the massive set; the massless set with the
-    # running phase) and one helicity call for the whole helicity set
-    assert stats["verify.dirac_residual"].calls == 2
+    # one residual call for the massive set, the massless set and the running
+    # phase, and one helicity call for the whole helicity set
+    assert stats["verify.dirac_residual"].calls == 1
     assert stats["verify.helicity_check"].calls == 1
 
 
