@@ -1,7 +1,8 @@
 """Spacetime lattice sampling, central differences, and Riemann-sum quadrature.
 
 One kernel, `_real_slabs`, sums plane waves on a lattice, in slabs:
-continuity sums its current pairs through it, and a field samples Psi.
+continuity sums its current pairs of nonzero momentum difference through
+it, and a field samples Psi.
 
 A grid axis with a periodic flag generates N points covering one full
 period (no duplicated endpoint), which makes the plain Riemann sum exact
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +48,10 @@ class SpacetimeGrid:
             raise ValueError(f"grid origin must be finite, got {o}")
         if any(c < 1 for c in counts):
             raise ValueError("grid counts must be >= 1")
-        if not all(math.isfinite(a + s * (n - 1)) for a, s, n in zip(origin, spacing, counts)):
+        # a count past the float range (a long refinement ladder doubles it
+        # each level) overflows the extent too, and cannot be a float factor
+        if not all(n - 1 <= sys.float_info.max and math.isfinite(a + s * (n - 1))
+                   for a, s, n in zip(origin, spacing, counts)):
             raise ValueError("grid extent overflows: origin + spacing * (counts - 1) must be finite")
 
     def axis(self, i: int) -> np.ndarray:

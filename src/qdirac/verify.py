@@ -19,14 +19,17 @@ current and its complex-potential source are finite sums of bilinear
 pair terms.  The central difference of a plane wave is the plane wave
 times its difference symbol i sin(q h)/h, so the continuity check takes
 the lattice divergence as one real sum of pair terms on the interior
-points.  A periodic axis that some pair does not wrap is a seam: its end
-slots take exact correction terms, so the check splits it into runs of
-slots and sums each product of runs on its own.  The seams are decided
-here alone.  Every sum streams through one reused slab buffer of the
-plain lattice kernel (`grid._real_slabs`, which also samples Psi) and
-the norms are folded slab by slab, so the check's memory is one slab
-plus the axis phases of the pairs, whatever the lattice size; a
-refinement ladder forms its pairs once for all levels.  `analytic_divergence`
+points.  A pair of equal momenta (every diagonal pair) has the symbol 0
+and is dropped first, so a field of one term per half without a
+potential makes no lattice sum.  A periodic axis that some pair does
+not wrap is a seam: its end slots take exact correction terms, so the
+check splits it into runs of slots and sums each product of runs on its
+own.  The seams are decided here alone.  Every sum streams through one
+reused slab buffer of the plain lattice kernel (`grid._real_slabs`,
+which also samples Psi) and the norms are folded slab by slab, so the
+check's memory is one slab plus the axis phases of the pairs, whatever
+the lattice size; a refinement ladder forms its pairs once, and every
+level's symbols and seam terms in one array pass.  `analytic_divergence`
 differentiates the same pairs exactly.
 
 Grid inner products and the Gram matrix are summed from the same pair
@@ -246,6 +249,9 @@ def _interior_axes(grid: SpacetimeGrid) -> list[np.ndarray]:
             for a, h, n, per in zip((o.t, o.x, o.y, o.z), grid.spacing, grid.counts, grid.periodic)]
 
 
+_OVERFLOW = "continuity terms overflow: the field or the potential b is too large"
+
+
 def _running_max(peak: float, values: np.ndarray) -> float:
     """max(peak, max |values|), NaN once either holds a NaN."""
     v = max(abs(float(np.maximum.reduce(values, axis=None))),
@@ -272,11 +278,20 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
     i sin(q_mu h_mu) / h_mu exp(i q.x), so on each grid the divergence
     is the real part of one plane-wave sum on the interior points whose
     coefficients are the pair coefficients contracted with that symbol
-    over the non-reduced axes.  The source pairs ride along as a second
-    coefficient column.  The sum streams through the real slabs of
+    over the non-reduced axes.  A current pair with q = 0 (every
+    diagonal pair, and any pair of equal momenta) has the symbol 0 and
+    no seam term, so it adds exactly 0 and is dropped before any lattice
+    work; its coefficients on the differentiated axes must be finite,
+    since 0 * inf would read NaN, or the overflow error is raised.
+    The source pairs ride along as a second coefficient column.  Spacings
+    halve exactly on each level and the differentiated axes stay the
+    same, so every level's symbols are formed in one array pass, summed
+    axis by axis.  The sum streams through the real slabs of
     `_real_slabs`, and lhs_norm, rhs_norm and defect are running maxima
     over the slabs that keep a NaN, so a level holds one slab (at most
     grid._SLAB_BYTES, or one (t, x) line) and never its whole lattice.
+    With no pair left in either column (one term per half and no `b`)
+    no lattice sum runs and each level reads 0.
 
     A wrapped stencil on a periodic axis reads exp(i q.x) at its end
     slots only when phi = q N h is a multiple of 2 pi.  Where some pair
@@ -288,7 +303,9 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
     over the seam axes is one `_real_slabs` sum, and the running maxima
     fold over all of them.  Refinement doubles N and halves h, both
     exactly, so phi and the seam axes are decided on the first grid for
-    the whole ladder.  Every grid is validated before any lattice work,
+    the whole ladder, and the end-slot terms of every level are formed
+    in one array pass; a ladder without seams sums each level's columns
+    uncopied.  Every grid is validated before any lattice work,
     including each differentiated axis's 1 / h: an inf there would read
     0 * inf = NaN in the symbol."""
     for grid in grids:
@@ -304,45 +321,55 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
         if all(n == 1 for n in grid.counts):
             raise ValueError("degenerate grid: no differentiable axis")
     s = None if b is None else _source_matrix(b)
+    first = grids[0]
+    # the differentiated axes, and the periodic ones among them
+    diff = [mu for mu, n in enumerate(first.counts) if n > 1]
+    ring = [mu for mu in diff if first.periodic[mu]]
     k, coef = _current_pairs(field)
+    moving = k.any(axis=1)
+    if not np.isfinite(coef[~moving][:, diff]).all():
+        raise ValueError(_OVERFLOW)
+    k, coef = k[moving], coef[moving]
+    pairs = len(k)
+    # every level's coefficient columns: the divergence, summed in place,
+    # and the source of b
     if s is None:
-        k_both, stacked = k, np.zeros((len(k), 1), dtype=complex)
+        k_both, columns = k, np.zeros((len(grids), pairs, 1), dtype=complex)
     else:
         ks, cs = _source_pairs(field, s)
         k_both = np.concatenate([k, ks])
-        stacked = np.zeros((len(k) + len(ks), 2), dtype=complex)
-        stacked[len(k):, 1] = cs[:, 0]
-    seams = []
-    for mu, (n, h, per) in enumerate(zip(grids[0].counts, grids[0].spacing, grids[0].periodic)):
-        if not per or n == 1:
-            continue
-        phi = k[:, mu] * (n * h)
-        miss = np.abs(phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi)))
-        if not np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
-            turn = np.exp(1j * phi)
-            seams.append((mu, -(turn - 1.0), 1.0 / turn - 1.0))
+        columns = np.zeros((len(grids), len(k_both), 2), dtype=complex)
+        columns[:, pairs:, 1] = cs[:, 0]
+    if not len(k_both):
+        return [ContinuityReport(grid.to_dict(), 0.0, 0.0, 0.0, math.prod(map(len, _interior_axes(grid))))
+                for grid in grids]
+    h = np.array([g.spacing for g in grids])[:, None, :]
+    symbol, hd = columns[:, :pairs, 0], h[..., diff]
+    terms = coef[:, diff] * (1j * np.sin(k[:, diff] * hd) / hd)
+    for d in range(len(diff)):
+        symbol += terms[..., d]
+    phi = k[:, ring] * np.array([first.counts[mu] * first.spacing[mu] for mu in ring])
+    miss = np.abs(phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi)))
+    cut = ~np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi)), axis=0)
+    seams = [mu for mu, c in zip(ring, cut) if c]
+    if seams:
+        turn = np.exp(1j * phi[:, cut])
+        step = np.exp(1j * k[:, seams] * h[..., seams])
+        twice_h = 2.0 * h[..., seams]
+        heads = coef[:, seams] * (-(turn - 1.0) / step) / twice_h
+        tails = coef[:, seams] * (step * (1.0 / turn - 1.0)) / twice_h
     reports = []
-    for grid in grids:
-        # the divergence column of `stacked`, summed in place
-        symbol = stacked[:len(k), 0]
-        symbol[:] = 0.0
-        for mu, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
-            if n > 1:
-                symbol += coef[:, mu] * (1j * np.sin(k[:, mu] * h) / h)
+    for level, grid in enumerate(grids):
         axes = _interior_axes(grid)
-        # per seam axis, its three runs: (axis, coordinates, seam term of the run)
-        splits = []
-        for mu, ahead, behind in seams:
-            h, a = grid.spacing[mu], axes[mu]
-            step = np.exp(1j * k[:, mu] * h)
-            splits.append([(mu, a[:1], coef[:, mu] * (ahead / step) / (2.0 * h)), (mu, a[1:-1], 0.0),
-                           (mu, a[-1:], coef[:, mu] * (step * behind) / (2.0 * h))])
+        # per seam axis, its three runs: (slots, seam term of the run)
+        splits = [[(slice(0, 1), heads[level, :, i]), (slice(1, -1), 0.0),
+                   (slice(-1, None), tails[level, :, i])] for i in range(len(seams))]
         lhs_norm = rhs_norm = defect = 0.0
         for runs in itertools.product(*splits):
-            run_axes, column = list(axes), stacked.copy()
-            for mu, a, seam in runs:
-                run_axes[mu] = a
-                column[:len(k), 0] += seam
+            run_axes, column = list(axes), columns[level].copy() if seams else columns[level]
+            for mu, (slots, term) in zip(seams, runs):
+                run_axes[mu] = axes[mu][slots]
+                column[:pairs, 0] += term
             for block in _real_slabs(run_axes, k_both, column):
                 div = block[:, :, 0]
                 lhs_norm = _running_max(lhs_norm, div)
@@ -353,7 +380,7 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
         if s is None:
             defect = lhs_norm
         if not all(map(math.isfinite, (lhs_norm, rhs_norm, defect))):
-            raise ValueError("continuity terms overflow: the field or the potential b is too large")
+            raise ValueError(_OVERFLOW)
         reports.append(ContinuityReport(grid.to_dict(), lhs_norm, rhs_norm, defect,
                                         math.prod(map(len, axes))))
     return reports

@@ -14,6 +14,10 @@ that the builders and `verify` share shows up there.
 
 from __future__ import annotations
 
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 
 from qdirac import (
@@ -219,3 +223,19 @@ def oracle_continuity(field, grid, b=None):
     inner = tuple(slice(1, -1) if n > 1 and not per else slice(None)
                   for n, per in zip(grid.counts, grid.periodic))
     return np.abs(div[inner]).max(), np.abs(rhs[inner]).max(), np.abs((div - rhs)[inner]).max(), j
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """perfbench/<name>.py as a module, executed from its source text, so
+    no bytecode is written next to it and the benchmark's files are only
+    read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    # dataclasses resolve annotations through sys.modules
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module

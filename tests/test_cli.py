@@ -176,6 +176,15 @@ def test_continuity_too_few_levels_exit_2(tmp_path):
     assert "levels" in proc.stderr
 
 
+@pytest.mark.parametrize("dimension", ["1+1", "3+1"])
+def test_continuity_huge_levels_exit_2(tmp_path, dimension):
+    # a periodic count doubles each level and passes the float range near
+    # level 1022, before the halved spacing underflows: the grids are
+    # rejected while the ladder is built, before any lattice work
+    cfg = write_json(tmp_path / "levels.json", {"schema_version": 1, "dimension": dimension, "levels": 1100})
+    assert_rejected(run_cli("continuity", "--config", cfg), "grid extent overflows")
+
+
 def test_continuity_degenerate_grid_exit_2(tmp_path):
     cfg = write_json(tmp_path / "cont.json", {
         "schema_version": 1,

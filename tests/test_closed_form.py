@@ -8,7 +8,9 @@ Each branch shape of `solutions._U_COLUMNS` assembles u from chi and
 (sigma.k) chi / (E + m) as the builder does.  For both mass signs, both
 frequency signs and both spins, and at m = 0 in the helicity basis,
 (slashed(k) - mass_sign*m) u vanishes exactly, and the builder's
-rescaling gives u^dag u = E or E/m exactly."""
+rescaling gives u^dag u = E or E/m exactly.  The spin sums of the
+scaled spinors are the frequency projectors, and per half the two spins
+at both frequency signs are complete."""
 
 import itertools
 
@@ -70,3 +72,61 @@ def test_massless_closed_form_names_the_helicity(mass_sign, freq, helicity):
     u = _check_closed_form(zero, mass_sign, freq, chi, (E,))
     # the chirality is helicity * sign(k.t)
     assert all(_zero_on_shell(r, zero) for r in GAMMA5 * u - helicity * freq * u)
+
+
+# --- spin sums and completeness -------------------------------------------------
+#
+# A mode expansion per symplectic half needs more than kernel membership:
+# the spin sums give the projectors onto each frequency, and completeness
+# says the two spins at +-E span C^4.  ubar = u^dag gamma^0.
+
+SPINS = [sp.eye(2)[:, s] for s in (0, 1)]
+HELICITIES = [sp.Matrix([E + KZ, KX + sp.I * KY]), sp.Matrix([-KX + sp.I * KY, E + KZ])]
+
+
+def _slashed_k(freq) -> "sp.Matrix":
+    return freq * E * GAMMA0 + SLASHED_K_SPATIAL
+
+
+def _outer_sum(m, mass_sign, freq, chis, target) -> "sp.Matrix":
+    """sum over the spinors chi of u u^dag, each u scaled to u^dag u = target
+    as the builder scales it."""
+    total = sp.zeros(4, 4)
+    for chi in chis:
+        u = _check_closed_form(m, mass_sign, freq, chi, (target,))
+        total += u * u.H * target / (2 * E * (chi.H * chi)[0] / (E + m))
+    return total
+
+
+def _zero_matrix_on_shell(a, m) -> bool:
+    return all(_zero_on_shell(r, m) for r in a)
+
+
+@pytest.mark.parametrize("mass_sign, freq", itertools.product((1, -1), (1, -1)))
+def test_massive_spin_sum_is_the_frequency_projector(mass_sign, freq):
+    # with u^dag u = E/m: sum_s u ubar = sign(k.t) (slashed(k) + mass_sign m) / 2m,
+    # and each ubar u = sign(k.t) mass_sign
+    total = _outer_sum(M, mass_sign, freq, SPINS, E / M)
+    assert _zero_matrix_on_shell(total * GAMMA0 - freq * (_slashed_k(freq) + mass_sign * M * sp.eye(4)) / (2 * M), M)
+    for chi in SPINS:
+        ubar_u = (_outer_sum(M, mass_sign, freq, [chi], E / M) * GAMMA0).trace()
+        assert _zero_on_shell(ubar_u - freq * mass_sign, M)
+
+
+@pytest.mark.parametrize("mass_sign, freq", itertools.product((1, -1), (1, -1)))
+def test_massless_helicity_sum_is_half_slashed_k(mass_sign, freq):
+    # at m = 0 with u^dag u = E in the helicity basis: sum_h u ubar = sign(k.t) slashed(k) / 2
+    zero = sp.Integer(0)
+    total = _outer_sum(zero, mass_sign, freq, HELICITIES, E)
+    assert _zero_matrix_on_shell(total * GAMMA0 - freq * _slashed_k(freq) / 2, zero)
+
+
+@pytest.mark.parametrize("mass_sign", [1, -1])
+@pytest.mark.parametrize("m, target", [(M, E / M), (M, E), (sp.Integer(0), E)],
+                         ids=["E_over_m", "E", "massless"])
+def test_two_spins_at_both_frequencies_are_complete(mass_sign, m, target):
+    # per half: sum over 2 spins x 2 frequency signs of u u^dag = target * 1,
+    # so the four spinors have rank 4 and form a basis of C^4
+    chis = SPINS if m != 0 else HELICITIES
+    total = _outer_sum(m, mass_sign, 1, chis, target) + _outer_sum(m, mass_sign, -1, chis, target)
+    assert _zero_matrix_on_shell(total - target * sp.eye(4), m)

@@ -118,6 +118,8 @@ def test_refined_grid_equals_the_validated_grid(grid):
     ((0.5, 5e-324, 0.25, 0.25), (2, 4, 4, 4), "spacings must be finite and positive"),
     # a doubled periodic count pushes the extent past the float range
     ((0.5, 8.5e307, 0.25, 0.25), (2, 3, 4, 4), "extent overflows"),
+    # a doubled periodic count passes the float range itself: 2 * 2^1023
+    ((0.5, 1e-300, 0.25, 0.25), (2, 2**1023, 4, 4), "extent overflows"),
 ])
 def test_refined_grid_keeps_the_range_checks(spacing, counts, message):
     grid = small_grid(spacing=spacing, counts=counts, periodic=(False, True, False, False))

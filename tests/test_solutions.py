@@ -152,6 +152,36 @@ def test_u_spinor_phase_convention():
         assert lead.real > 0
 
 
+@pytest.mark.parametrize("mass_sign", [1, -1])
+@pytest.mark.parametrize("norm_choice, basis", [
+    ("E_over_m", "z"), ("E_over_m", "momentum"), ("E", "z"), ("E", "momentum"), ("E", "massless"),
+])
+def test_spin_sums_and_completeness_of_built_rows(mass_sign, norm_choice, basis):
+    # the rows (+E up, +E down, -E up, -E down) at one spatial momentum, built
+    # in one call: per frequency sign, sum_s u ubar = sign(k.t) (slashed(k) +
+    # mass_sign m) / 2, divided by m for E_over_m, and ubar u = sign(k.t)
+    # mass_sign (times m for E); over all four, sum u u^dag = (E/m or E) 1,
+    # so they have rank 4 and form a basis of C^4.  ubar = u^dag gamma^0
+    rng = np.random.default_rng(31 + 2 * mass_sign + len(norm_choice) + len(basis))
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        kvec = tuple(rng.uniform(-2, 2, size=3))
+        m = 0.0 if basis == "massless" else rng.uniform(0.2, 3.0)
+        e = mass_shell_energy(kvec, m)
+        per_m = m if norm_choice == "E_over_m" else 1.0
+        u = build_u_spinor([FourVector(f * e, *kvec) for f in (1, 1, -1, -1)], m, mass_sign,
+                           ["up", "down"] * 2, norm_choice, None if basis == "z" else kvec)
+        outer = np.einsum("ti,tj->tij", u, u.conj())
+        scale = e / per_m
+        assert np.abs(outer.sum(axis=0) - scale * np.eye(4)).max() <= 8 * eps * scale
+        assert np.linalg.matrix_rank(u) == 4
+        for f, rows in ((1, slice(0, 2)), (-1, slice(2, 4))):
+            want = f * (slashed(FourVector(f * e, *kvec)) + mass_sign * m * np.eye(4)) / (2 * per_m)
+            assert np.abs(outer[rows].sum(axis=0) @ GAMMA[0] - want).max() <= 8 * eps * scale
+            ubar_u = np.einsum("ti,ij,tj->t", u[rows].conj(), GAMMA[0], u[rows]).real
+            assert np.abs(ubar_u - f * mass_sign * m / per_m).max() <= 8 * eps * scale
+
+
 def test_u_spinor_input_validation():
     with pytest.raises(ValueError):
         build_u_spinor(FourVector(1.5, 0, 0, 0), 1.0, 1, "up")  # off shell

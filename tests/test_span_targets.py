@@ -5,8 +5,6 @@ here, where the library's own suite runs.  The file is only read.
 So is the package's public name list, `qdirac.__all__`."""
 
 import ast
-import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -14,27 +12,10 @@ import pytest
 import qdirac
 import qdirac.cli
 import qdirac.verify
-
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    """spans.py as a module, executed from its source text (no bytecode
-    is written next to it)."""
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS_PATH)
-    # dataclasses resolve annotations through sys.modules
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(SPANS_PATH.read_text(encoding="utf-8"), str(SPANS_PATH), "exec"),
-             module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
-    return module
-
+from helpers import perfbench_module
 
 def test_span_targets_install_and_trace_a_run():
-    spans = _load_spans()
+    spans = perfbench_module("spans")
     before = qdirac.verify.dirac_residual
     tracer = spans.Tracer()
     cfg = {"kind": "massive", "mass": 1.0, "kvec0": [0, 0, 1.0], "kvec1": [0, 1.0, 0],
@@ -51,7 +32,7 @@ def test_span_targets_install_and_trace_a_run():
 
 
 def test_span_targets_trace_a_verify_run_without_changing_it():
-    spans = _load_spans()
+    spans = perfbench_module("spans")
     tracer = spans.Tracer()
     with spans.install(tracer):
         code, traced = tracer.run_op(lambda: qdirac.cli.run_verify({}, None, 5))
@@ -87,7 +68,7 @@ _PACKET = {"component": 0, "mass": 1.0,
                                          (qdirac.cli.run_packet, _PACKET)],
                          ids=["continuity", "packet"])
 def test_continuity_and_packet_runs_certify_once(runner, cfg):
-    spans = _load_spans()
+    spans = perfbench_module("spans")
     tracer = spans.Tracer()
     with spans.install(tracer):
         code, _ = tracer.run_op(lambda: runner(cfg, None, 0))

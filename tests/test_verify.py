@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -37,10 +38,10 @@ from qdirac import (
 import qdirac.grid
 import qdirac.verify as ver
 from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_massive_solutions, build_wave_packet
-from qdirac.cli import _default_continuity_setup
+from qdirac.cli import _default_continuity_setup, run_continuity
 from helpers import (
     adjoint_pairing, difference_residual, einsum_current, lattice_sum, oracle_continuity,
-    sampled_gram, sampled_source,
+    perfbench_module, sampled_gram, sampled_source,
 )
 
 POINTS = np.random.default_rng(99).uniform(-3, 3, size=(40, 4))
@@ -462,13 +463,22 @@ def _bits(rep):
             rep.interior_points)
 
 
+# one term per half, on a 12-point ring of length 2 pi that its momenta
+# 0.5 and 0.8 do not wrap: every current pair is diagonal, so q = 0
+ONE_TERM = build_massive_solution(MassiveSpec(1.0, 0.6, (0, 0, 0.5), (0, 0, 0.8), spin1="down"))
+ONE_TERM_GRID = SpacetimeGrid(FourVector(-0.2, 0, 0, 0), (0.2, 1, 1, BOX / 12), (3, 1, 1, 12),
+                              (False, False, False, True))
+
+
 def _ladder_cases():
     packet1, grid1 = _default_continuity_setup("1+1")
     packet3, grid3 = _default_continuity_setup("3+1")
     return [("1+1", packet1, grid1, None, 4), ("3+1", packet3, grid3, None, 4),
             ("3+1-b", packet3, grid3, B, 3),
             ("seam", dict(FAMILIES)["packet01"], SEAM_GRID, B, 3),
-            ("many_terms", _many_term_packet(32), PAIR_GRID, B, 3)]
+            ("many_terms", _many_term_packet(32), PAIR_GRID, B, 3),
+            ("one_term", ONE_TERM, ONE_TERM_GRID, None, 4),
+            ("one_term-b", ONE_TERM, ONE_TERM_GRID, B, 3)]
 
 
 LADDER_CASES = _ladder_cases()
@@ -482,14 +492,134 @@ def test_ladder_levels_equal_standalone_residuals(monkeypatch, label, field, gri
     monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef: calls.append(
         len(k)) or real_slabs(axes, k, coef))
     conv = continuity_convergence(field, grid, levels=levels, b=b)
-    # one sum per level, or per product of runs on the three seam axes of the seam case
-    assert len(calls) == levels * (27 if label == "seam" else 1)
+    # one sum per level, or per product of runs on the three seam axes of the
+    # seam case; one term per half leaves no current pair with q != 0, so only
+    # the source pairs are summed, and without b nothing is
+    assert len(calls) == levels * {"seam": 27, "one_term": 0}.get(label, 1)
     if label == "many_terms":
         assert min(calls) > qdirac.grid._MAX_PAIRS
+    if label.startswith("one_term"):
+        assert all(r.lhs_norm == 0.0 for r in conv.levels)
     assert conv.h_scales == tuple(2.0 ** -i for i in range(levels))
     assert [_bits(r) for r in conv.levels] == [
         _bits(continuity_residual(field, g, b=b)) for g in _ladder(grid, levels)]
 
+
+
+def _all_pair_levels(field, grids, b):
+    """Per level, (lhs_norm, rhs_norm, defect) of the divergence summed
+    over every current pair, the pairs of q = 0 kept, by `lattice_sum`,
+    and the bound 4 eps sum_p |s_p| on each.  At each interior point s_p
+    is the pair's coefficients contracted with the difference symbol of
+    its slots: i sin(q h)/h, and at the end slots of a seam axis (one
+    that some pair does not wrap on the first grid) the wrapped stencil's
+    (e^{iqh} - e^{iq(N-1)h}) / 2h and (e^{-iq(N-1)h} - e^{-iqh}) / 2h."""
+    k, coef = ver._current_pairs(field)
+    eps = np.finfo(float).eps
+    first = grids[0]
+    seams = []
+    for mu, (n, h, per) in enumerate(zip(first.counts, first.spacing, first.periodic)):
+        phi = k[:, mu] * (n * h)
+        if per and n > 1 and np.any(np.abs(phi - 2 * np.pi * np.round(phi / (2 * np.pi)))
+                                    > ver.ALGEBRA_TOL * np.maximum(1.0, np.abs(phi))):
+            seams.append(mu)
+    levels = []
+    for grid in grids:
+        axes = [grid.axis(mu) if per or n == 1 else grid.axis(mu)[1:-1]
+                for mu, (n, per) in enumerate(zip(grid.counts, grid.periodic))]
+        shape = tuple(map(len, axes))
+        s = np.zeros(shape + (len(k),), dtype=complex)
+        for mu, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
+            if n == 1:
+                continue
+            slots = np.tile(1j * np.sin(k[:, mu] * h) / h, (shape[mu], 1))
+            if mu in seams:
+                slots[0] = (np.exp(1j * k[:, mu] * h) - np.exp(1j * k[:, mu] * (n - 1) * h)) / (2 * h)
+                slots[-1] = (np.exp(-1j * k[:, mu] * (n - 1) * h) - np.exp(-1j * k[:, mu] * h)) / (2 * h)
+            s += coef[:, mu] * slots.reshape([-1 if i == mu else 1 for i in range(4)] + [len(k)])
+        # the identity's columns are the phases exp(i q_p.x) at every point
+        div = np.sum(s * lattice_sum(axes, k, np.eye(len(k))), axis=-1).real
+        bound = 4 * eps * np.abs(s).sum(axis=-1).max()
+        if b is None:
+            levels.append(((np.abs(div).max(), 0.0, np.abs(div).max()), (bound, 0.0, bound)))
+            continue
+        ks, cs = ver._source_pairs(field, ver._source_matrix(b))
+        src = lattice_sum(axes, ks, cs)[..., 0].real
+        src_bound = 4 * eps * np.abs(cs).sum()
+        levels.append(((np.abs(div).max(), np.abs(src).max(), np.abs(div - src).max()),
+                       (bound, src_bound, bound + src_bound)))
+    return levels
+
+
+def _assert_levels_match_all_pairs(reports, field, grids, b):
+    levels = _all_pair_levels(field, grids, b)
+    for rep, (want, bounds) in zip(reports, levels, strict=True):
+        for got, value, bound in zip((rep.lhs_norm, rep.rhs_norm, rep.defect), want, bounds):
+            assert abs(got - value) <= bound, (got, value, bound)
+    return [defect for (_, _, defect), _ in levels]
+
+
+@pytest.mark.parametrize("label, field, grid, b", SYMBOL_CASES, ids=[c[0] for c in SYMBOL_CASES])
+def test_pruned_pairs_equal_the_all_pair_sum(label, field, grid, b):
+    _assert_levels_match_all_pairs([continuity_residual(field, grid, b=b)], field, [grid], b)
+
+
+def _workload_studies(seeds):
+    """(op key, config, cli seed) of every valid op of the continuity-ladder
+    benchmark workload at each seed."""
+    workloads = perfbench_module("workloads")
+    return [(f"{seed}-{op.key}", json.loads(op.config_text), op.cli_seed)
+            for seed in seeds for op in workloads.build("continuity-ladder", seed).ops if not op.probe]
+
+
+WORKLOAD_STUDIES = _workload_studies((0, 1, 2))
+
+
+@pytest.mark.parametrize("key, cfg, seed", WORKLOAD_STUDIES, ids=[key for key, _, _ in WORKLOAD_STUDIES])
+def test_workload_studies_equal_the_all_pair_sum(monkeypatch, key, cfg, seed):
+    # each level within rounding of the sum over every pair, and the same
+    # verdicts as the all-pair defects give
+    studies = []
+    convergence = ver.continuity_convergence
+
+    def recorded(field, grid, levels, b):
+        studies.append((field, grid, levels, b))
+        return convergence(field, grid, levels=levels, b=b)
+
+    monkeypatch.setattr(ver, "continuity_convergence", recorded)
+    _, report = run_continuity(cfg, None, seed)
+    ((field, grid, levels, b),) = studies
+    rows = report["levels"].rows
+    reports = [ver.ContinuityReport(*row[1:]) for row in rows]
+    defects = _assert_levels_match_all_pairs(reports, field, list(_ladder(grid, levels)), b)
+    rounding = all(d <= ver.QUADRATURE_TOL for d in defects)
+    fitted = all(d > 0 for d in defects)
+    order = np.polyfit(np.log([row[0] for row in rows]), np.log(defects), 1)[0] if fitted else math.nan
+    assert report["defects_at_rounding_level"] == rounding
+    assert (report["fitted_order"] is None) == (not fitted)
+    assert report["passed"] == (b is not None or rounding or 1.8 <= order <= 2.2)
+
+
+@pytest.mark.parametrize("b", [None, B])
+def test_a_non_finite_dropped_pair_still_overflows(monkeypatch, b):
+    # the diagonal pair (0, 0) has q = 0; its inf would read 0 * inf = NaN in the sum
+    packet, grid = _default_continuity_setup("3+1")
+    current_pairs = ver._current_pairs
+
+    def inf_diagonal(field):
+        k, coef = current_pairs(field)
+        assert not k[0].any()
+        coef = coef.copy()
+        coef[0, 0] = np.inf
+        return k, coef
+
+    def forbidden(*args):
+        raise AssertionError("lattice work on a non-finite pair")
+
+    monkeypatch.setattr(ver, "_current_pairs", inf_diagonal)
+    monkeypatch.setattr(ver, "_real_slabs", forbidden)
+    with pytest.raises(ValueError, match="^continuity terms overflow: the field or the potential b is too large$"):
+        continuity_convergence(packet, grid, levels=3, b=b)
 
 
 def test_ladder_memory_is_one_slab_not_the_lattice():
