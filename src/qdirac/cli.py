@@ -311,7 +311,8 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     e_plus = sol.mass_shell_energy(kvec, mass)
     k_up = FourVector(e_plus, *kvec)
     norm_err = 0.0
-    spinors = sol.build_u_spinor([k_up, k_up], mass, mass_sign=1, norm_choice=["E", "E_over_m"])
+    # the E_over_m spinor at k_up is uu-+'s j half: +E, mass sign +1, spin up, z axis
+    spinors = sol.build_u_spinor(k_up, mass, mass_sign=1, norm_choice="E"), massive[1].u1
     for u, target in zip(spinors, (e_plus, e_plus / mass)):
         norm_err = max(norm_err, abs(float(np.real(np.vdot(u, u))) - target) / target)
     add("normalization", norm_err, residual_tol)
@@ -509,7 +510,8 @@ def _run_command(runner, config_path: str, out_path, fmt: str, tol, seed: int) -
 
 _tol_option = click.option(
     "--tol", type=float, default=None,
-    help=f"Override the residual-class tolerance (default {ver.RESIDUAL_TOL:g}).")
+    help=f"Override the residual-class tolerance (default {ver.RESIDUAL_TOL:g}); "
+         f"on verify, also the algebra bound (default {ver.ALGEBRA_TOL:g}).")
 
 
 def _common_options(fn):

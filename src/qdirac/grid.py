@@ -1,15 +1,15 @@
-"""Spacetime lattice sampling, central differences, and Riemann-sum quadrature.
-
-One kernel, `_real_slabs`, sums plane waves on a lattice, in slabs:
-continuity sums its current pairs of nonzero momentum difference through
-it, and a field samples Psi.
+"""Spacetime lattices, sampling, and `_real_slabs`, the one kernel that
+sums plane waves on a lattice, in slabs: continuity sums its current
+pairs of nonzero momentum difference through it, and a field samples
+Psi.  No `src/` code calls the central differences and the quadrature
+below; they remain as names the benchmark's traced runs wrap and as
+test oracles.
 
 A grid axis with a periodic flag generates N points covering one full
 period (no duplicated endpoint), which makes the plain Riemann sum exact
 for commensurate trigonometric integrands and lets the difference
 stencil wrap.  Layout is row-major (it, ix, iy, iz) and deterministic.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -71,14 +71,9 @@ class SpacetimeGrid:
         return FourVector(ts[it], xs[ix], ys[iy], zs[iz])
 
     def refined(self) -> "SpacetimeGrid":
-        """Grid with all spacings halved.
-
-        Periodic axes keep their extent (counts multiply, origin fixed);
-        non-periodic axes keep their counts, so their window shrinks
-        about its own center.  Either way the difference stencils probe
-        the same region of the field with a halved step.  A 1-point axis
-        is reduced, periodic or not: it keeps its count and its origin.
-        """
+        """Grid with all spacings halved: a periodic axis keeps its extent
+        (count doubled, origin fixed), any other keeps its count about its
+        center, and a 1-point axis keeps its count and its origin."""
         spacing = tuple(s / 2 for s in self.spacing)
         counts = []
         o = self.origin
@@ -165,18 +160,12 @@ def _interleaved(c: np.ndarray) -> np.ndarray:
 
 def _real_slabs(axes, k: np.ndarray, coef: np.ndarray):
     """Re sum_p coef_p exp(i k_p.x) on the product of four coordinate
-    arrays (a grid's `axes()`), for P lowered four-momenta `k` (P, 4) and
-    their complex coefficients `coef` (P, C), streamed in slabs, each a
-    run of x lines at one t: yields blocks (lines, ny, C, nz) in
-    row-major (t, x) order.  A block is a view of a buffer reused for the
-    next slab, so read it (or write it) before asking for the next one.
-
-    The axis phases, and the z phases times the coefficients as
-    interleaved (Re, -Im) rows, are formed once.  Each slab fills one
-    (rows, P) complex buffer with the (t, x, y) phases and makes one real
-    matrix product per block of _MAX_PAIRS pairs, the blocks summed in
-    order.  Memory is O(P * (nt + nx + ny + nz)) for the phases plus one
-    slab."""
+    arrays (a grid's `axes()`), for lowered four-momenta `k` (P, 4) and
+    complex coefficients `coef` (P, C): yields blocks (lines, ny, C, nz),
+    each a slab of x lines at one t, in row-major (t, x) order.  A block
+    is a view of a buffer reused for the next slab, so read or write it
+    before asking for the next.  Memory: O(P * (nt + nx + ny + nz)) phases
+    and one slab."""
     sizes = [len(a) for a in axes]
     nt, nx, ny, nz = sizes
     pairs, c = coef.shape

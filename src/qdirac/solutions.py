@@ -1,58 +1,17 @@
-"""Construction of free-particle solutions of the quaternionic Dirac
-equation in the real-Hilbert-space formulation.
-
-A solution is the quaternionic field
+"""Free-particle solutions of the quaternionic Dirac equation,
 
     Psi(x) = cos(Theta) exp(i k0.x) u0  +  sin(Theta) exp(i k1.x) u1 j,
+    Theta = theta.x + theta0,
 
-with Theta = theta.x + theta0.  Splitting the equation symplectically
-decouples it into two complex Dirac problems whose mass terms carry
-opposite signs:
-
-    (slashed(k0) + m) u0 = 0        (complex half)
-    (slashed(k1) - m) u1 = 0        (j half)
-
-Sign bookkeeping that follows from this and is certified at build time:
-the (+/-) branch labels attached to a solution name the spinor shape
-(upper-dominant "+" versus lower-dominant "-").  For the j half the
-label coincides with the sign of the plane-wave frequency k1.t.  For the
-complex half the flipped mass sign forces the opposite frequency,
-k0.t = -esign0 * E0: the upper-dominant kernel element of
-slashed(k) + m lives at negative k.t.  Only this assignment satisfies
-the field equation and reproduces the +-cos(2*theta0) adjoint-norm
-pattern simultaneously; every constructor re-checks its residual and
-aborts rather than fall back to a different sign convention.
-
-Every plane-wave term, massless ones included, takes its spinor from the
-one closed form `build_u_spinor` for ker(slashed(k) -+ m): the massless
-kernel is its m = 0 case, with the spatial momentum as spin axis so that
-spin names the helicity.  So every term passes the same kernel check,
-normalization and phase fix (the first significant component is made
-real positive, so builds are deterministic).  Every solution builder
-runs through one row table (`_build`): the distinct terms of its fields
-(4 per half for the 8 massive solutions, 2 for the 4 massless ones) are
-the rows of one array pass, each field's stacked terms are slices of one
-table, and one stacked residual product certifies them all, as
-`make_wave_packet` certifies a packet's terms.  The fields of one table
-may have several masses (`verify` builds its massive and massless fields
-in one): each row and each field is held to its own mass.  The table
-runs half by half, so the rows of consecutive fields are one slice of
-each half, which the checks of `verify` read without a copy; they take a
-set the same way, and `density` is their one-field case.
-
-Each check runs once, where its values enter: the public entry points
-read every value, and the private row kernel `_u_rows` runs the numeric
-gates of each row before it reads the next, so the first bad row raises
-its own error.  Certification checks each distinct term momentum, and
-takes the norm of each distinct spinor, once.
+built in closed form from one row kernel and residual-certified; the
+README states the sign convention, the row table and the certification
+bound.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -103,13 +62,9 @@ def mass_shell_energy(kvec, mass: float, sign: int = 1) -> float:
 
 
 def dispersion_residual(kfour: FourVector, mass: float) -> float:
-    """|k.k - m^2| relative to |k.t|^2 + m^2."""
-    return _dispersion(kfour.t, kfour.dot(kfour), mass)
-
-
-def _dispersion(t: float, kk: float, mass: float) -> float:
-    """dispersion_residual of a four-momentum with time part t and k.k = kk."""
-    scale = t * t + mass * mass
+    """|k.k - m^2| relative to |k.t|^2 + m^2, or |k.k| when that is 0."""
+    kk = kfour.dot(kfour)
+    scale = kfour.t * kfour.t + mass * mass
     if scale == 0.0:
         return abs(kk)
     return abs(kk - mass * mass) / scale
@@ -117,56 +72,33 @@ def _dispersion(t: float, kk: float, mass: float) -> float:
 
 def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
                    spin_axis=None) -> np.ndarray:
-    """Closed-form element of ker(slashed(k) - mass_sign*m) for on-shell k
-    with k.t != 0, massless (m = 0) included.
-
-    The 2-spinor chi is the spin-`spin` eigenvector of sigma.n for the
-    quantization axis `spin_axis` (z axis when None).  Both branch shapes
-    use the denominator |k.t| + m, so they are stable at every admissible
-    frequency sign.  At m = 0 the mass sign drops out; with the spatial
-    momentum as spin axis, spin names the helicity and the chirality
-    (gamma5 eigenvalue) is helicity * sign(k.t).  The result is scaled to
-    u^dag u = |k.t| ("E") or |k.t|/m ("E_over_m", m > 0 only) and its
-    kernel membership is re-verified.
-
-    A sequence of T four-momenta builds T rows in one array pass: every
-    other argument is then one value or T values (a spin_axis of three
-    numbers is one axis), and the result is the (T, 4) stack of the
-    one-row builds.  Each row's values are checked as `_u_rows` reads
-    the row, after the numeric gates of the rows before it, so the first
-    bad row raises its own error; the kernel bounds are checked last.
-    """
-    single = isinstance(kfour, FourVector)
-    ks = [kfour] if single else list(kfour)
-    columns = [[v] if single else _per_row(v, name, len(ks)) for v, name in (
-        (mass, "mass"), (mass_sign, "mass_sign"), (spin, "spin"),
-        (norm_choice, "norm_choice"), (spin_axis, "spin_axis"))]
-    u = _u_rows(_checked_row(*row) for row in zip(ks, *columns))
-    return u[0] if single else u
-
-
-def _checked_row(k, m, mass_sign, spin, norm_choice, axis) -> tuple:
-    """One row of `build_u_spinor`, its values checked, as `_u_rows` reads
-    it; the mass is a Python float, so a numpy scalar rounds as a float does."""
-    if not m >= 0.0:
+    """The element (4,) of ker(slashed(k) - mass_sign*m) for one on-shell
+    FourVector `kfour` with k.t != 0 and mass m >= 0: the spin-`spin`
+    eigenvector of sigma.n on top for the axis `spin_axis` (z when None),
+    scaled to u^dag u = |k.t| ("E") or |k.t|/m ("E_over_m", m > 0), its
+    first significant component real positive.  Raises ValueError for a
+    bad value, a sequence of four-momenta included, and
+    CertificationError when the kernel check fails."""
+    if not isinstance(kfour, FourVector):
+        raise ValueError(f"build_u_spinor builds one row: got a {type(kfour).__name__}, not a FourVector")
+    if not mass >= 0.0:
         raise ValueError("build_u_spinor requires mass >= 0")
     choice(mass_sign, "mass_sign", (1, -1))
     choice(spin, "spin", SPINS)
     choice(norm_choice, "norm_choice", NORM_CHOICES)
-    if m == 0.0 and norm_choice == "E_over_m":
+    if mass == 0.0 and norm_choice == "E_over_m":
         raise ValueError("norm_choice 'E_over_m' needs mass > 0")
-    basis = _Z_BASIS if axis is None else spin_basis(axis)
-    return k, float(m), mass_sign, basis[SPINS.index(spin)], norm_choice
+    basis = _Z_BASIS if spin_axis is None else spin_basis(spin_axis)
+    # the mass as a Python float, so a numpy scalar rounds as a float does
+    return _u_rows([(kfour, float(mass), mass_sign, basis[SPINS.index(spin)], norm_choice)])[0]
 
 
 def _u_rows(rows) -> np.ndarray:
-    """The (T, 4) spinors of T checked rows (k, m, mass_sign, chi,
-    norm_choice), as `build_u_spinor` describes them, in one array pass.
-
-    Each row passes its gates (nonzero frequency, mass shell, a finite
-    u^dag u) before the next row is read; the kernel bound of every row,
-    which an overflowing spinor fails, is checked after the pass, and
-    the first row failing it raises."""
+    """The (T, 4) `build_u_spinor` spinors of T checked rows (k, m,
+    mass_sign, chi, norm_choice), in one array pass.  Each row passes its
+    gates (nonzero frequency, mass shell, a finite u^dag u) before the
+    next row is read; the first row failing its kernel bound, which an
+    overflowing spinor fails, raises after the pass."""
     seen, chis, scalars, flat = [], [], [], []
     for i, (k, m, ms, chi, nc) in enumerate(rows):
         seen.append((k, m, ms))
@@ -217,17 +149,6 @@ def _u_rows(rows) -> np.ndarray:
     return u
 
 
-def _per_row(value, name: str, count: int) -> list:
-    """`value` for each of `count` rows: a list, tuple or array holds one
-    value per row, except a spin axis of three numbers, which is one axis."""
-    if not isinstance(value, (list, tuple, np.ndarray)) or (
-            name == "spin_axis" and len(value) == 3 and all(isinstance(x, numbers.Real) for x in value)):
-        return [value] * count
-    if len(value) != count:
-        raise ValueError(f"{name} must be one value or {count} values, got {len(value)}")
-    return list(value)
-
-
 # ---------------------------------------------------------------------------
 # solution descriptors
 
@@ -246,10 +167,11 @@ class _PlaneWaveSum:
         """Stack the terms once, at construction (see stacked_terms)."""
         halves = self._terms()
         terms = [term for half in halves for term in half]
-        _stack_terms([self], [c for c, _, _ in terms],
-                     np.array([(k.t, -k.x, -k.y, -k.z) for _, k, _ in terms], dtype=float).reshape(-1, 4),
-                     np.array([u for _, _, u in terms], dtype=complex).reshape(-1, 4),
-                     [tuple(map(len, halves))])
+        verify._stack_terms([self], [c for c, _, _ in terms],
+                            np.array([(k.t, -k.x, -k.y, -k.z) for _, k, _ in terms],
+                                     dtype=float).reshape(-1, 4),
+                            np.array([u for _, _, u in terms], dtype=complex).reshape(-1, 4),
+                            [tuple(map(len, halves))], range(len(terms)))
 
     def stacked_terms(self):
         """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4)."""
@@ -257,7 +179,7 @@ class _PlaneWaveSum:
 
     def eval_points(self, points):
         """Values (psi0, psi1), each of shape (P, 4), at a batch of points."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 4)
+        pts = verify._points(points)
         return tuple(np.exp(1j * (pts @ kl.T)) @ cu for kl, cu in self.stacked_terms())
 
     def _sample_grid(self, grid: SpacetimeGrid) -> SampledField:
@@ -279,42 +201,6 @@ class _PlaneWaveSum:
 
     def density(self, x: FourVector) -> float:
         return float(verify.densities([self], x.as_array())[0, 0])
-
-
-def _stack_terms(fields, coefs, kl, u, counts, u_rows=None) -> None:
-    """Give every field its stacked terms, as slices of one read-only table
-    of lowered momenta and weighted spinors c*u, its place in that table,
-    and the spinor scale of its certification bound: its largest term
-    spinor norm, scaled up by a coefficient above 1 (an amplitude).
-
-    The table runs half by half: the half-0 terms of every field, in field
-    order, then their half-1 terms, so the rows of consecutive fields are
-    one slice of each half (`verify._stack_rows` reads them so).  Term n
-    has coefficient coefs[n], lowered momentum kl[n] and spinor
-    u[u_rows[n]] (u[n] when u_rows is None); counts holds each field's
-    term counts (half 0, half 1).  The norm of each row of u is taken once."""
-    norms = [math.hypot(*a) for a in np.abs(u).tolist()]
-    if u_rows is None:
-        u_rows = range(len(coefs))
-    else:
-        u = u.take(u_rows, axis=0)
-    cu = np.array(coefs, dtype=complex)[:, None] * u.reshape(-1, 4)
-    kl.setflags(write=False)
-    cu.setflags(write=False)
-    scales = [max(1.0, abs(c)) * norms[r] for c, r in zip(coefs, u_rows)]
-    counts0, counts1 = zip(*counts)
-    # each field's first row in each half, the half-1 rows after every
-    # half-0 row; the last pair ends the table
-    starts = list(zip(itertools.accumulate(counts0, initial=0),
-                      itertools.accumulate(counts1, initial=sum(counts0))))
-    # the index of each row's field, which only a run of several fields reads
-    owner = (np.arange(2 * len(fields)) % len(fields)).repeat(counts0 + counts1) if len(fields) > 1 else None
-    table = kl, cu, owner, starts
-    for n, f in enumerate(fields):
-        (a0, a1), (b0, b1) = starts[n:n + 2]
-        object.__setattr__(f, "_stacked", [(kl[a0:b0], cu[a0:b0]), (kl[a1:b1], cu[a1:b1])])
-        object.__setattr__(f, "_u_scale", max([1.0, *scales[a0:b0], *scales[a1:b1]]))
-        object.__setattr__(f, "_run", (table, n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,14 +260,9 @@ class PlaneWaveSolution(_PlaneWaveSum):
 
 @dataclass(frozen=True, slots=True)
 class MassiveSpec:
-    """Parameters of one massive plane-wave solution.
-
-    esign0 is the branch label of the complex half; the j half carries
-    the opposite label -esign0 (the (+-)/(-+) pairing), which is also the
-    frequency sign of k1.  The complex half runs at the reversed
-    frequency -esign0*E0 (see module docstring).  esign0 is read as
-    '+', '-', 1 or -1 and stored as +-1.
-    """
+    """Parameters of one massive plane-wave solution.  esign0 ('+', '-',
+    1 or -1, stored as +-1) is the branch label of the complex half, which
+    runs at -esign0*E0; the j half carries -esign0, its frequency sign."""
 
     mass: float
     theta0: float
@@ -414,35 +295,20 @@ def _massive_label(spin0: str, spin1: str, esign0: int) -> str:
     return f"{spin0[0]}{spin1[0]}{'+-' if esign0 > 0 else '-+'}"
 
 
-def _half(kvec, mass, half, esign, spin, norm_choice: str = "E_over_m", spin_axis=None):
-    """Four-momenta and read-only kernel spinors (T, 4) of T plane-wave terms.
-
-    The only place a branch label becomes a frequency sign.  Massive: the
-    complex half (0) carries the flipped mass sign, so it runs at
-    -esign*E with u in ker(slashed(k) + m); the j half (1) runs at
-    +esign*E with u in ker(slashed(k) - m).  Massless: the frequency is
-    esign*|k| on both halves, the mass sign drops out, the spin axis is
-    the momentum, so spin names the helicity, and u^dag u = |k.t|.
-    `half`, `esign` and `spin` hold T values; `mass` and `spin_axis` are
-    one value or T values, so one call builds rows of several masses,
-    each row massive or massless by its own mass (`norm_choice` applies
-    to the massive rows).  A spin axis is None for the z axis, or
-    "momentum" for the helicity basis.  A FourVector in `kvec` is a
-    four-momentum taken as given (a running phase's kappa*theta); its
-    esign is not read.
-
-    The values are read as checked where they entered.  Rows sharing a
-    kvec object and a mass share its energy and its four-momentum of each
-    frequency sign, and rows sharing a kvec object share its helicity
-    basis (a function of the spatial momentum alone), each computed once;
-    each basis is taken as `_u_rows` reads its row, after the gates of
-    the rows before it.
-    """
+def _half(kvec, mass, half, esign, spin, norm_choice, spin_axis):
+    """Four-momenta and read-only kernel spinors (T, 4) of T plane-wave
+    terms, from per-row lists of checked values: spatial momentum (or a
+    FourVector, taken as given), mass, half, branch label, spin and spin
+    axis (None for z, "momentum" for the helicity basis).  Massive rows
+    take `norm_choice`, massless ones "E".  The only place a branch label
+    becomes a frequency sign: -esign*E on half 0, +esign*E on half 1 (the
+    mass signs of verify.HALF_MASS_SIGN), esign*|k| on a massless row.
+    Rows sharing a kvec object and a mass share its energy and momenta,
+    and rows sharing a kvec object its helicity basis, each made once."""
     kvec = list(kvec)  # holds every kvec object for the call, so its id keys the memos below
-    masses = _per_row(mass, "mass", len(kvec))
-    signs = [verify.HALF_MASS_SIGN[h] if m > 0 else 1 for h, m in zip(half, masses)]
+    signs = [verify.HALF_MASS_SIGN[h] if m > 0 else 1 for h, m in zip(half, mass)]
     energies, momenta, helicity, ks = {}, {}, {}, []
-    for kv, m, mass_sign, e in zip(kvec, masses, signs, esign):
+    for kv, m, mass_sign, e in zip(kvec, mass, signs, esign):
         if isinstance(kv, FourVector):
             ks.append(kv)
             continue
@@ -462,29 +328,21 @@ def _half(kvec, mass, half, esign, spin, norm_choice: str = "E_over_m", spin_axi
             helicity[id(kv)] = _Z_BASIS if k.t == 0.0 else spin_basis((k.x, k.y, k.z))
         return helicity[id(kv)][SPINS.index(sp)]
 
-    axes = _per_row(spin_axis, "spin_axis", len(ks))
+    # each basis is taken as `_u_rows` reads its row, after the gates of the rows before it
     u = _u_rows((k, m, ms, chi(kv, k, m, sp, axis), norm_choice if m > 0 else "E")
-                for kv, k, m, ms, sp, axis in zip(kvec, ks, masses, signs, spin, axes))
+                for kv, k, m, ms, sp, axis in zip(kvec, ks, mass, signs, spin, spin_axis))
     u.setflags(write=False)
     return ks, u
 
 
 def _build(members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
-    """Certified fields of any masses from one row table, in one pass.
-
-    Each member (mass, theta0, row0, row1, label, theta) is one field of
-    that mass, whose halves are the plane-wave terms of rows (kvec, half,
-    esign, spin, spin_axis), as `_half` reads them at the member's mass;
-    massive rows take `norm_choice`.  Rows holding the same kvec object at
-    equal masses and equal labels are built once, so equal momenta that
-    differ in the sign of a zero keep their own rows, and so do the rows
-    of one kvec at two masses.  One `_half` call builds every row, the
-    fields take their stacked terms from one table and skip the dataclass
-    checks of these values, and one `certify_solution` call certifies
-    them all, each field at its own mass.  A term at a row's own momentum
-    gathers the row; a running phase's k +- theta adds its own momenta to
-    the table."""
-    # (id(kvec), mass, half, esign, spin, spin_axis) -> (its index, the row), in order of first use
+    """Certified fields from one row table.  Member (mass, theta0, row0,
+    row1, label, theta) is one field whose halves hold the terms of rows
+    (kvec, half, esign, spin, spin_axis) at its mass; massive rows take
+    `norm_choice`.  One `_half` call builds every distinct row, and one
+    `certify_solution` call certifies every field at its own mass."""
+    # (id(kvec), mass, half, esign, spin, spin_axis) -> (its index, the row), in order
+    # of first use; keyed by object, so equal momenta differing in a zero's sign keep their rows
     index = {}
     pairs = [tuple(index.setdefault((id(row[0]), m, *row[1:]), (len(index), row))[0] for row in rows)
              for m, _, *rows, _, _ in members]
@@ -509,7 +367,7 @@ def _build(members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
         set_label(f, label)
         terms.append(f._terms())
     coefs, kl_rows, u_rows = [], [], []
-    for h in (0, 1):  # the table runs half by half (`_stack_terms`)
+    for h in (0, 1):  # the table runs half by half (`verify._stack_terms`)
         for field_terms, rows in zip(terms, pairs):
             r = rows[h]
             for c, q, _ in field_terms[h]:
@@ -520,8 +378,8 @@ def _build(members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
                 else:  # a running phase's k +- theta
                     kl_rows.append(len(table))
                     table.append((q.t, -q.x, -q.y, -q.z))
-    _stack_terms(fields, coefs, np.array(table, dtype=float).take(kl_rows, axis=0), u,
-                 [tuple(map(len, t)) for t in terms], u_rows)
+    verify._stack_terms(fields, coefs, np.array(table, dtype=float).take(kl_rows, axis=0), u,
+                        [tuple(map(len, t)) for t in terms], u_rows)
     certify_solution(fields)
     return fields
 
@@ -812,8 +670,8 @@ def make_wave_packet(mass: float, theta0: float, samples0, samples1) -> WavePack
     samples, n0 = [*samples0, *samples1], len(samples0)
     if not samples:
         raise ValueError("samples must be nonempty")
-    k, u = _half([s.kvec for s in samples], mass, [0] * n0 + [1] * (len(samples) - n0),
-                 [s.esign for s in samples], [s.spin for s in samples])
+    k, u = _half([s.kvec for s in samples], [mass] * len(samples), [0] * n0 + [1] * (len(samples) - n0),
+                 [s.esign for s in samples], [s.spin for s in samples], "E_over_m", [None] * len(samples))
     terms = [(s.amplitude, k[i], u[i]) for i, s in enumerate(samples)]
     packet = WavePacket(mass, theta0, tuple(terms[:n0]), tuple(terms[n0:]))
     certify_solution(packet)
@@ -825,21 +683,12 @@ def make_wave_packet(mass: float, theta0: float, samples0, samples1) -> WavePack
 
 
 def certify_solution(sol):
-    """Verify the field-equation residual and dispersion of a constructed
-    field, a solution or a wave packet; raise CertificationError on
-    failure, else return the residual bound.  The bound is the sum of the
-    norms of the term residuals, which no pointwise residual exceeds, so
-    no point is sampled.  A non-finite residual is an overflow of the
-    inputs (ValueError).
-
-    A list of fields of any masses is certified in one
-    `verify.term_residuals` product and returns a list of bounds; each
-    field is held to its own mass, checks and bound, so its bound equals
-    its one-field call's.  The fields are checked in order: each term
-    momentum by its dispersion at the field's mass, then the residual,
-    against the momentum scale of that mass and the spinor scale recorded
-    with the field's stacked terms.  Each distinct term momentum is
-    checked once per mass."""
+    """Certify one field (a solution or a wave packet) and return its
+    residual bound, or a list of fields of any masses and return one bound
+    per field, equal to its one-field call's.  In field order, each field
+    needs every term momentum on its mass shell and its bound, the sum of
+    its term residual norms, at most RESIDUAL_TOL * k_scale * u_scale.
+    Raises CertificationError for a failure, ValueError for an overflow."""
     fields = [sol] if isinstance(sol, _PlaneWaveSum) else list(sol)
     if not fields:
         return []
@@ -848,25 +697,23 @@ def certify_solution(sol):
     kl = np.concatenate([kl for kl, _, _ in terms])
     res = np.bincount(owner, np.linalg.norm(np.concatenate([r for _, r, _ in terms]), axis=1),
                       minlength=len(fields))
-    masses = [f.mass for f in fields]
+    masses = np.array([f.mass for f in fields])
     # a running phase moves the term momenta to k +- theta
     k_scale = np.maximum(1.0, masses)
     np.maximum.at(k_scale, owner, np.abs(kl).max(axis=1))
-    owners = owner.tolist()
-    # each term as (its lowered momentum, its field's mass)
-    rows = list(zip(map(tuple, kl.tolist()), map(masses.__getitem__, owners)))
-    # k.k of lowered components (t, -x, -y, -z), summed as FourVector.dot sums it
-    off = {((t, x, y, z), m) for (t, x, y, z), m in set(rows)
-           if not _dispersion(t, t * t - x * x - y * y - z * z, m) <= verify.RESIDUAL_TOL}
+    # each term's dispersion_residual at its field's mass, in the same float operations
+    t, x, y, z = kl.T
+    m = masses[owner]
+    scale = t * t + m * m
+    # a scale of 0 (k.t = m = 0) leaves |k.k| undivided; an overflow reads NaN, so off shell
+    disp = np.abs(t * t - x * x - y * y - z * z - m * m) / np.where(scale == 0.0, 1.0, scale)
+    off = np.flatnonzero(~(disp <= verify.RESIDUAL_TOL))
     # the first off-shell term of the first field holding one, in the field's term order
-    first_off = (-1, 0)
-    if off:
-        first_off = min((o, n) for n, (o, q) in enumerate(zip(owners, rows)) if q in off)
+    first = off[np.argmin(owner[off])] if len(off) else None
     for n, (f, r, ks) in enumerate(zip(fields, res.tolist(), k_scale.tolist())):
-        if n == first_off[0]:
-            t, x, y, z = rows[first_off[1]][0]
-            k = FourVector(t, -x, -y, -z)
-            if not math.isfinite(dispersion_residual(k, f.mass)):  # k.k overflows
+        if first is not None and n == owner[first]:
+            k = FourVector(*(kl[first] * (1.0, -1.0, -1.0, -1.0)).tolist())
+            if not math.isfinite(disp[first]):  # k.k overflows
                 raise ValueError(f"solution {f.label!r} overflows: term momentum {k} is too large")
             raise CertificationError(f"term momentum {k} violates the dispersion relation for m={f.mass}")
         if not math.isfinite(r):

@@ -1,40 +1,7 @@
-"""Quantitative checks on constructed solutions: field-equation
-residuals, probability currents and their conservation, grid inner
-products, Gram/orthogonality structure, adjoint norms, and helicity.
-
-Each plane-wave term leaves a constant residual spinor in the field
-equation, so a field's residual is the phased sum of its term residuals
-and their norms bound it at every spacetime point.  The lattice
-difference operator appears only in the continuity check, so convention
-bugs and discretization error stay separable.
-
-The per-solution checks take a whole set, of one mass or several, in
-one array pass: the terms of every field are stacked per half
-(`_stack_rows`, as certification and the Gram products stack them; a
-run of one build's fields is a slice of its table), each row is summed
-into the field that owns it, and each field keeps its one-field value.
-
-Every field is a finite sum of plane waves per symplectic half, so its
-current and its complex-potential source are finite sums of bilinear
-pair terms.  The central difference of a plane wave is the plane wave
-times its difference symbol i sin(q h)/h, so the continuity check takes
-the lattice divergence as one real sum of pair terms on the interior
-points.  A pair of equal momenta (every diagonal pair) has the symbol 0
-and is dropped first, so a field of one term per half without a
-potential makes no lattice sum.  A periodic axis that some pair does
-not wrap is a seam: its end slots take exact correction terms, so the
-check splits it into runs of slots and sums each product of runs on its
-own.  The seams are decided here alone.  Every sum streams through one
-reused slab buffer of the plain lattice kernel (`grid._real_slabs`,
-which also samples Psi) and the norms are folded slab by slab, so the
-check's memory is one slab plus the axis phases of the pairs, whatever
-the lattice size; a refinement ladder forms its pairs once, and every
-level's symbols and seam terms in one array pass.  `analytic_divergence`
-differentiates the same pairs exactly.
-
-Grid inner products and the Gram matrix are summed from the same pair
-terms with the lattice sum factorized by axis, so their memory is
-O(box_cells) per term rather than O(box_cells^3): no field is sampled.
+"""Checks on constructed fields: field-equation residuals, probability
+currents and their continuity on a lattice, grid inner products and Gram
+matrices, adjoint norms and helicity.  README §continuity states the
+lattice mechanism, its seam runs included.
 """
 
 from __future__ import annotations
@@ -73,16 +40,42 @@ def default_points(seed: int = 7) -> np.ndarray:
     return rng.uniform(-3.0, 3.0, size=(32, 4))
 
 
-def _stack_rows(fields):
-    """Per half: the stacked terms of every field, concatenated in field
-    order, as lowered momenta (M, 4), weighted spinors (M, 4) and the
-    index (M,) of the field that owns each row; no field gives no rows.
+def _stack_terms(fields, coefs, kl, u, counts, u_rows) -> None:
+    """Write one read-only table (kl, cu, owner, starts) and give each
+    field its slices: term n has coefficient coefs[n], lowered momentum
+    kl[n] and spinor u[u_rows[n]], and counts[f] holds field f's term
+    counts (half 0, half 1).  The table runs half by half: the half-0
+    terms of every field in field order, then their half-1 terms; cu = c*u,
+    starts[f] is field f's first row in each half and owner[n] the field
+    of row n (None for one field).  Each field gets `_stacked`, its `_run`
+    (table, f) and `_u_scale`, its largest term |u| times max(1, |c|)."""
+    norms = [math.hypot(*a) for a in np.abs(u).tolist()]
+    u = u.take(u_rows, axis=0)
+    cu = np.array(coefs, dtype=complex)[:, None] * u.reshape(-1, 4)
+    kl.setflags(write=False)
+    cu.setflags(write=False)
+    scales = [max(1.0, abs(c)) * norms[r] for c, r in zip(coefs, u_rows)]
+    counts0, counts1 = zip(*counts)
+    # each field's first row in each half, the half-1 rows after every
+    # half-0 row; the last pair ends the table
+    starts = list(zip(itertools.accumulate(counts0, initial=0),
+                      itertools.accumulate(counts1, initial=sum(counts0))))
+    # the index of each row's field, which only a run of several fields reads
+    owner = (np.arange(2 * len(fields)) % len(fields)).repeat(counts0 + counts1) if len(fields) > 1 else None
+    table = kl, cu, owner, starts
+    for n, f in enumerate(fields):
+        (a0, a1), (b0, b1) = starts[n:n + 2]
+        object.__setattr__(f, "_stacked", [(kl[a0:b0], cu[a0:b0]), (kl[a1:b1], cu[a1:b1])])
+        object.__setattr__(f, "_u_scale", max([1.0, *scales[a0:b0], *scales[a1:b1]]))
+        object.__setattr__(f, "_run", (table, n))
 
-    One field gives its own arrays, and fields that are a run of
-    consecutive fields of one table (the fields of one build, or a slice
-    of them; `solutions._stack_terms`) one slice of each of the table's
-    halves, uncopied; any other list concatenates its fields' stacked
-    terms."""
+
+def _stack_rows(fields):
+    """Per half: the lowered momenta (M, 4), weighted spinors (M, 4) and
+    owner indices (M,) of the stacked terms of `fields`, in field order.
+    One field gives its own arrays, a run of consecutive fields of one
+    `_stack_terms` table slices of it, uncopied, and any other list a
+    concatenation."""
     if len(fields) == 1:
         return [(kl, w, np.zeros(len(kl), dtype=int)) for kl, w in fields[0].stacked_terms()]
     if not fields:
@@ -97,17 +90,24 @@ def _stack_rows(fields):
              np.arange(len(fields)).repeat([len(kl) for kl, _ in half])) for half in halves]
 
 
+def _points(points) -> np.ndarray:
+    """`points` as a (P, 4) float array; raises ValueError naming any
+    point that is not finite."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 4)
+    if not np.isfinite(pts).all():
+        bad = pts[~np.isfinite(pts).all(axis=1)]
+        raise ValueError(f"sample points must be finite, got {bad.tolist()}")
+    return pts
+
+
 def _owner_sums(points, kl, values, owner, count: int) -> np.ndarray:
-    """sum exp(i k.x) value over each field's rows, shape (P, F, 4): one
-    matmul against the rows spread into their owners' columns (one field
-    owns every row, so its rows need no spreading).  Each field's sum is
-    its one-field sum, bit for bit, in any set."""
+    """sum exp(i k.x) value over each field's rows, shape (P, F, 4), as one
+    matmul against the rows spread into their owners' columns: each
+    field's sum is its one-field sum, bit for bit, in any set."""
     # BLAS rounds a matrix-vector product unlike a matrix product, so a
     # one-row table is read as the first row of its row doubled
     rows = kl.repeat(2, axis=0) if len(kl) == 1 else kl
     phases = np.exp(1j * (points @ rows.T)[:, :len(kl)])
-    if count == 1:
-        return (phases @ values)[:, None, :]
     spread = np.zeros((len(kl), count, 4), dtype=complex)
     spread[np.arange(len(kl)), owner] = values
     return (phases @ spread.reshape(len(kl), 4 * count)).reshape(len(points), count, 4)
@@ -115,12 +115,9 @@ def _owner_sums(points, kl, values, owner, count: int) -> np.ndarray:
 
 def term_residuals(fields, a: FourVector | None = None):
     """Per half: lowered momenta (M, 4), residual spinors (M, 4) and owner
-    indices (M,) of the plane-wave terms w exp(i k.x) of a sequence of
-    fields, each term at its own field's mass m, in
-    gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi.  The derivative and the
-    potential give i (k - a)_mu, so by HALF_MASS_SIGN:
-    -(slashed(k - a) + m) w and (slashed(k - a) - m) w.  No field gives
-    no rows."""
+    indices (M,) of the terms w exp(i k.x) of `fields`, each at its own
+    field's mass m, in gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi: by
+    HALF_MASS_SIGN, -(slashed(k - a) + m) w and (slashed(k - a) - m) w."""
     masses = [f.mass for f in fields]
     # a set of one mass takes it as a number, a set of several row by row
     column = None if len(set(masses)) == 1 else np.array(masses, dtype=float)[:, None]
@@ -130,18 +127,15 @@ def term_residuals(fields, a: FourVector | None = None):
 
 
 def dirac_residual(field, a: FourVector | None = None, points=None):
-    """Sup-norm of the field-equation residual over sample points.
-
-    Sums the phased term residuals of `term_residuals` at each point;
-    `a` is the real gauge four-vector entering the potential as a^mu i
-    (the complex part is zero for every field in scope).  A sequence of
-    fields of any masses gives one value per field, from one pass; each
-    value is the field's one-field value."""
+    """Sup-norm of the field-equation residual, with the real gauge
+    four-vector `a` in the potential a^mu i, over the sample points
+    (`default_points()` when None).  A sequence of fields of any masses
+    gives one value per field, each its one-field value."""
     single = hasattr(field, "stacked_terms")
     fields = [field] if single else list(field)
     if points is None:
         points = default_points()
-    pts = np.asarray(points, dtype=float).reshape(-1, 4)
+    pts = _points(points)
     r0, r1 = (_owner_sums(pts, kl, r, owner, len(fields)) for kl, r, owner in term_residuals(fields, a))
     norms = np.sqrt(np.sum(np.abs(r0) ** 2 + np.abs(r1) ** 2, axis=2)).max(axis=0)
     return float(norms[0]) if single else norms.tolist()
@@ -150,7 +144,7 @@ def dirac_residual(field, a: FourVector | None = None, points=None):
 def densities(fields, points) -> np.ndarray:
     """Psi^dag Psi of every field at every point, shape (P, F)."""
     fields = list(fields)
-    pts = np.asarray(points, dtype=float).reshape(-1, 4)
+    pts = _points(points)
     psi0, psi1 = (_owner_sums(pts, kl, w, owner, len(fields)) for kl, w, owner in _stack_rows(fields))
     return np.sum(np.abs(psi0) ** 2 + np.abs(psi1) ** 2, axis=2)
 
@@ -188,14 +182,9 @@ def current_grid(sampled: SampledField) -> np.ndarray:
 
 
 def _current_pairs(field):
-    """The four-current as a finite sum of plane waves.
-
-    Each half sum_a w_a exp(i k_a.x) gives
-    J^mu = sum_a adj(w_a) gamma^mu w_a
-         + sum_{a<b} 2 Re(adj(w_a) gamma^mu w_b exp(i (k_b - k_a).x)),
-    so the pairs a <= b of both halves are returned as lowered
-    momenta (P, 4) and complex coefficients (P, 4) whose real part,
-    summed over the pairs, is J^mu."""
+    """The pairs a <= b of both halves as lowered momenta k_b - k_a (P, 4)
+    and coefficients adj(w_a) gamma^mu w_b (P, 4), doubled for a < b,
+    whose phased real parts sum to J^mu."""
     ks, coefs = [], []
     for kl, w in field.stacked_terms():
         a, b = np.array([(i, j) for i in range(len(w)) for j in range(i, len(w))],
@@ -208,11 +197,9 @@ def _current_pairs(field):
 
 def _source_matrix(b) -> np.ndarray:
     """S = A - A^T with A = beta conj(m) and m = -b_l (gamma^l - conj(gamma^l)):
-    the source of the complex potential `b` is Re psi1^T S psi0.
-
-    `b` holds the contravariant complex components b^mu; only the spatial
-    (lowered) entries act, and only matrices with imaginary entries
-    survive the gamma - conj(gamma) difference."""
+    the source of the complex potential `b` (b^mu, complex) is
+    Re psi1^T S psi0.  Only b^y acts: gamma^0, gamma^1 and gamma^3 are real
+    in the Dirac representation, so gamma^2 alone survives the difference."""
     b = np.asarray(b, dtype=complex)
     if b.shape != (4,):
         raise ValueError("b must be a complex 4-vector")
@@ -271,43 +258,13 @@ class ContinuityReport:
 
 
 def _ladder(field, grids, b) -> list[ContinuityReport]:
-    """The continuity check on each grid of a refinement ladder, with the
-    pair terms of the current and of the source of `b` formed once.
-
-    The central difference of exp(i q.x) along axis mu is exactly
-    i sin(q_mu h_mu) / h_mu exp(i q.x), so on each grid the divergence
-    is the real part of one plane-wave sum on the interior points whose
-    coefficients are the pair coefficients contracted with that symbol
-    over the non-reduced axes.  A current pair with q = 0 (every
-    diagonal pair, and any pair of equal momenta) has the symbol 0 and
-    no seam term, so it adds exactly 0 and is dropped before any lattice
-    work; its coefficients on the differentiated axes must be finite,
-    since 0 * inf would read NaN, or the overflow error is raised.
-    The source pairs ride along as a second coefficient column.  Spacings
-    halve exactly on each level and the differentiated axes stay the
-    same, so every level's symbols are formed in one array pass, summed
-    axis by axis.  The sum streams through the real slabs of
-    `_real_slabs`, and lhs_norm, rhs_norm and defect are running maxima
-    over the slabs that keep a NaN, so a level holds one slab (at most
-    grid._SLAB_BYTES, or one (t, x) line) and never its whole lattice.
-    With no pair left in either column (one term per half and no `b`)
-    no lattice sum runs and each level reads 0.
-
-    A wrapped stencil on a periodic axis reads exp(i q.x) at its end
-    slots only when phi = q N h is a multiple of 2 pi.  Where some pair
-    misses one by more than ALGEBRA_TOL * max(1, |phi|), the axis is a
-    seam: its slots split into three runs, slot 0, slots 1 to N - 2 and
-    slot N - 1, and each end slot's divergence coefficients take the
-    exact correction -c e^{-iqh} (e^{i phi} - 1) / 2h at slot 0 and
-    c e^{iqh} (e^{-i phi} - 1) / 2h at slot N - 1.  Each product of runs
-    over the seam axes is one `_real_slabs` sum, and the running maxima
-    fold over all of them.  Refinement doubles N and halves h, both
-    exactly, so phi and the seam axes are decided on the first grid for
-    the whole ladder, and the end-slot terms of every level are formed
-    in one array pass; a ladder without seams sums each level's columns
-    uncopied.  Every grid is validated before any lattice work,
-    including each differentiated axis's 1 / h: an inf there would read
-    0 * inf = NaN in the symbol."""
+    """The continuity report of `field` on each grid of a refinement
+    ladder (each grid the `refined()` one before it), against the source of
+    the complex potential `b` (None for none).  Every grid is checked
+    before any lattice work.  Raises ValueError for an axis of 2 points, a
+    grid with no differentiated axis, a differentiated spacing whose 1 / h
+    overflows (it would read 0 * inf = NaN in the symbol) and terms that
+    overflow."""
     for grid in grids:
         for i, (n, h) in enumerate(zip(grid.counts, grid.spacing)):
             if n == 2:
@@ -326,6 +283,8 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
     diff = [mu for mu, n in enumerate(first.counts) if n > 1]
     ring = [mu for mu in diff if first.periodic[mu]]
     k, coef = _current_pairs(field)
+    # a pair with q = 0 has the symbol 0 and no seam term, so it is dropped,
+    # unless a coefficient is not finite: 0 * inf would read NaN
     moving = k.any(axis=1)
     if not np.isfinite(coef[~moving][:, diff]).all():
         raise ValueError(_OVERFLOW)
@@ -348,6 +307,7 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
     terms = coef[:, diff] * (1j * np.sin(k[:, diff] * hd) / hd)
     for d in range(len(diff)):
         symbol += terms[..., d]
+    # refinement doubles N and halves h, both exactly, so every level has the first one's phi and seams
     phi = k[:, ring] * np.array([first.counts[mu] * first.spacing[mu] for mu in ring])
     miss = np.abs(phi - 2.0 * np.pi * np.round(phi / (2.0 * np.pi)))
     cut = ~np.all(miss <= ALGEBRA_TOL * np.maximum(1.0, np.abs(phi)), axis=0)
@@ -387,18 +347,10 @@ def _ladder(field, grids, b) -> list[ContinuityReport]:
 
 
 def continuity_residual(field, grid: SpacetimeGrid, b=None) -> ContinuityReport:
-    """Central-difference d_mu J^mu against the complex-potential source,
-    on the points where the stencil is defined (all but the end slots of
-    each non-periodic axis).
-
-    The divergence and the source come from plane-wave sums of the pair
-    terms times their difference symbols, one per run of slots (one run
-    unless a periodic axis has a seam), streamed in real slabs: the
-    one-grid case of `_ladder`; no stencil runs and no current or
-    lattice-sized array is formed.  Axes
-    with a single point are treated as reduced (the field must be
-    uniform along them, so their derivative vanishes); every other axis
-    needs at least three points."""
+    """Central-difference d_mu J^mu against the source of the complex
+    potential `b` on the points where the stencil is defined (all but the
+    end slots of each non-periodic axis): the one-grid `_ladder`.  An axis
+    of one point is reduced; every other axis needs at least three."""
     return _ladder(field, [grid], b)[0]
 
 
@@ -432,16 +384,10 @@ def continuity_convergence(field, grid: SpacetimeGrid, levels: int = 3, b=None) 
 
 
 def _inner_products(fields, grid: SpacetimeGrid) -> np.ndarray:
-    """Real inner products of every pair of fields, (F, F), symmetric.
-
-    With each half sum_a w_a exp(i k_a.x), the lattice sum at the first
-    time slice of Re psi^dag phi is the real part of
-    sum_{a in psi, b in phi} (w_a . conj(w_b)) sum_x exp(i (k_a - k_b).x),
-    and the lattice sum of the phase factorizes into one sum per axis,
-    E^T conj(E) with E = exp(i outer(axis, k)).  The M terms of all
-    fields are stacked per half, and an (F, M) owner matrix, 1 where a
-    term belongs to a field, reduces the (M, M) pair sums to fields.
-    Cost and memory are O(axis points * M + M^2): nothing is sampled."""
+    """Real inner products of every pair of fields, (F, F), symmetric,
+    summed from the (M, M) term pairs with the lattice sum factorized by
+    axis, E^T conj(E) with E = exp(i outer(axis, k)), and reduced to
+    fields by an (F, M) owner matrix: O(axis points * M + M^2)."""
     g = np.zeros((len(fields), len(fields)))
     if not fields:
         return g
@@ -525,7 +471,7 @@ def _adjoint_norms(sol, theta0s, x: FourVector | None = None) -> list[float]:
     else:
         u0 = u0 / float(np.linalg.norm(u0))
         u1 = u1 / float(np.linalg.norm(u1))
-    phase = float(np.dot(x.as_array(), sol.theta.lowered()))
+    phase = float(np.dot(_points(x.as_array())[0], sol.theta.lowered()))
     angles = [phase + t0 for t0 in theta0s]
     w0 = np.array([[math.cos(a) ** 2] for a in angles]) * np.abs(u0) ** 2
     w1 = np.array([[math.sin(a) ** 2] for a in angles]) * np.abs(u1) ** 2

@@ -9,8 +9,9 @@ Each branch shape of `solutions._U_COLUMNS` assembles u from chi and
 frequency signs and both spins, and at m = 0 in the helicity basis,
 (slashed(k) - mass_sign*m) u vanishes exactly, and the builder's
 rescaling gives u^dag u = E or E/m exactly.  The spin sums of the
-scaled spinors are the frequency projectors, and per half the two spins
-at both frequency signs are complete."""
+scaled spinors are the frequency projectors, per half the two spins at
+both frequency signs are complete, and the residues of the propagator
+at k.t = +-E are the spin sums."""
 
 import itertools
 
@@ -130,3 +131,33 @@ def test_two_spins_at_both_frequencies_are_complete(mass_sign, m, target):
     chis = SPINS if m != 0 else HELICITIES
     total = _outer_sum(m, mass_sign, 1, chis, target) + _outer_sum(m, mass_sign, -1, chis, target)
     assert _zero_matrix_on_shell(total - target * sp.eye(4), m)
+
+
+# --- propagator residues ----------------------------------------------------------
+
+W = sp.Symbol("omega", real=True)  # k.t off the shell
+
+
+def _propagator_residue(m, mass_sign, freq) -> "sp.Matrix":
+    """The residue in k.t at k.t = freq * E of S(k) = (slashed(k) + mass_sign m) / (k^2 - m^2).
+    At fixed spatial momentum k^2 - m^2 = (k.t)^2 - |k|^2 - m^2 = (k.t)^2 - E^2."""
+    numerator = W * GAMMA0 + SLASHED_K_SPATIAL + mass_sign * m * sp.eye(4)
+    return ((W - freq * E) * numerator / (W**2 - E**2)).applyfunc(sp.cancel).subs(W, freq * E)
+
+
+@pytest.mark.parametrize("mass_sign, freq", itertools.product((1, -1), (1, -1)))
+def test_propagator_residue_is_the_spin_sum(mass_sign, freq):
+    # (m/E) sum_s u ubar with u^dag u = E/m, and (1/E) sum_s u ubar with
+    # u^dag u = E: the signs of the spin sum and of 1/(2 k.t) cancel
+    residue = _propagator_residue(M, mass_sign, freq)
+    for target, weight in ((E / M, M / E), (E, 1 / E)):
+        spin_sum = _outer_sum(M, mass_sign, freq, SPINS, target) * GAMMA0
+        assert _zero_matrix_on_shell(residue - weight * spin_sum, M)
+
+
+@pytest.mark.parametrize("mass_sign, freq", itertools.product((1, -1), (1, -1)))
+def test_massless_propagator_residue_is_the_helicity_sum(mass_sign, freq):
+    # at m = 0 with u^dag u = E = |k| in the helicity basis: (1/|k|) sum_h u ubar
+    zero = sp.Integer(0)
+    spin_sum = _outer_sum(zero, mass_sign, freq, HELICITIES, E) * GAMMA0
+    assert _zero_matrix_on_shell(_propagator_residue(zero, mass_sign, freq) - spin_sum / E, zero)

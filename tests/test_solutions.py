@@ -157,11 +157,11 @@ def test_u_spinor_phase_convention():
     ("E_over_m", "z"), ("E_over_m", "momentum"), ("E", "z"), ("E", "momentum"), ("E", "massless"),
 ])
 def test_spin_sums_and_completeness_of_built_rows(mass_sign, norm_choice, basis):
-    # the rows (+E up, +E down, -E up, -E down) at one spatial momentum, built
-    # in one call: per frequency sign, sum_s u ubar = sign(k.t) (slashed(k) +
-    # mass_sign m) / 2, divided by m for E_over_m, and ubar u = sign(k.t)
-    # mass_sign (times m for E); over all four, sum u u^dag = (E/m or E) 1,
-    # so they have rank 4 and form a basis of C^4.  ubar = u^dag gamma^0
+    # the rows (+E up, +E down, -E up, -E down) at one spatial momentum: per
+    # frequency sign, sum_s u ubar = sign(k.t) (slashed(k) + mass_sign m) / 2,
+    # divided by m for E_over_m, and ubar u = sign(k.t) mass_sign (times m
+    # for E); over all four, sum u u^dag = (E/m or E) 1, so they have rank 4
+    # and form a basis of C^4.  ubar = u^dag gamma^0
     rng = np.random.default_rng(31 + 2 * mass_sign + len(norm_choice) + len(basis))
     eps = np.finfo(float).eps
     for _ in range(20):
@@ -169,8 +169,8 @@ def test_spin_sums_and_completeness_of_built_rows(mass_sign, norm_choice, basis)
         m = 0.0 if basis == "massless" else rng.uniform(0.2, 3.0)
         e = mass_shell_energy(kvec, m)
         per_m = m if norm_choice == "E_over_m" else 1.0
-        u = build_u_spinor([FourVector(f * e, *kvec) for f in (1, 1, -1, -1)], m, mass_sign,
-                           ["up", "down"] * 2, norm_choice, None if basis == "z" else kvec)
+        u = np.array([build_u_spinor(FourVector(f * e, *kvec), m, mass_sign, spin, norm_choice,
+                                     None if basis == "z" else kvec) for f in (1, -1) for spin in SPINS])
         outer = np.einsum("ti,tj->tij", u, u.conj())
         scale = e / per_m
         assert np.abs(outer.sum(axis=0) - scale * np.eye(4)).max() <= 8 * eps * scale
@@ -323,7 +323,7 @@ def _member_alone(mass, kvec0, kvec1, theta0, norm_choice, spin_axis,
     spin_axis = choice(spin_axis, "spin_axis", (None, "momentum"))
     # one one-row _half call per half, the complex half first
     ((k0,), (u0,)), ((k1,), (u1,)) = (
-        _half([kvec], spec.mass, [half], [e], [spin], norm_choice, spin_axis)
+        _half([kvec], [spec.mass], [half], [e], [spin], norm_choice, [spin_axis])
         for half, kvec, e, spin in ((0, spec.kvec0, esign0, spin0), (1, spec.kvec1, -esign0, spin1)))
     sol = PlaneWaveSolution(spec.theta0, k0, k1, u0, u1, spec.mass, label=spec.label)
     certify_solution(sol)
@@ -405,9 +405,9 @@ def test_half_reads_momenta_from_an_array_or_generator_as_from_tuples(mass):
     kvecs = [(0.2, 0.3, -0.4), (0.5, 0.0, 0.1), (-0.7, 0.2, 0.9), (0.1, -0.6, 0.3)]
     half, esign, spin = [0, 1, 0, 1], [1, -1, -1, 1], ["up", "down", "down", "up"]
     norm_choice = "E" if mass == 0.0 else "E_over_m"
-    want_k, want_u = _half(kvecs, mass, half, esign, spin, norm_choice)
+    want_k, want_u = _half(kvecs, [mass] * 4, half, esign, spin, norm_choice, [None] * 4)
     for kvec in (np.array(kvecs), (np.array(kv) for kv in kvecs)):
-        k, u = _half(kvec, mass, half, esign, spin, norm_choice)
+        k, u = _half(kvec, [mass] * 4, half, esign, spin, norm_choice, [None] * 4)
         assert k == want_k
         assert np.array_equal(u, want_u)
 
@@ -519,10 +519,18 @@ def _oracle_rows(seed):
     return [rows[i] for i in rng.permutation(len(rows))]
 
 
+def _checked(k, mass, mass_sign, spin, norm, axis) -> tuple:
+    """The `solutions._u_rows` row of build_u_spinor's arguments, read as
+    build_u_spinor reads them."""
+    basis = solutions._Z_BASIS if axis is None else spin_basis(axis)
+    return k, float(mass), mass_sign, basis[SPINS.index(spin)], norm
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_stacked_builder_rows_equal_their_one_row_builds(seed):
+    # the row kernel builds every set and every packet in one pass
     rows = _oracle_rows(seed)
-    stacked = build_u_spinor(*(list(column) for column in zip(*rows)))
+    stacked = solutions._u_rows([_checked(*row) for row in rows])
     assert stacked.shape == (len(rows), 4)
     for (k, mass, mass_sign, spin, norm, axis), u in zip(rows, stacked):
         alone = build_u_spinor(k, mass, mass_sign, spin, norm, axis)
@@ -540,23 +548,11 @@ def _four_momenta(mass: float = 1.0) -> list:
             for kvec in ((0.3, 0, 0.4), (0, 1.0, 0), (-0.2, 0.5, 0.1), (0, 0, 2.0))]
 
 
-@pytest.mark.parametrize("name, value", [("mass", [1.0, 1.0]), ("mass_sign", [1] * 5),
-                                         ("spin", ["up"] * 3), ("norm_choice", ["E"] * 5)])
-def test_stacked_builder_needs_one_or_t_values_per_argument(name, value):
-    kwargs = {"mass": 1.0, "mass_sign": 1, name: value}
-    with pytest.raises(ValueError, match=f"{name} must be one value or 4 values, got {len(value)}"):
-        build_u_spinor(_four_momenta(), **kwargs)
-
-
-@pytest.mark.parametrize("rows", [3, 4])
-def test_stacked_builder_reads_one_spin_axis_for_every_row(rows):
-    axis = (0.0, 0.6, 0.8)
-    ks = _four_momenta()[:rows]
-    stacked = build_u_spinor(ks, 1.0, 1, "down", spin_axis=axis)
-    assert stacked.shape == (rows, 4)
-    for k, u in zip(ks, stacked):
-        assert build_u_spinor(k, 1.0, 1, "down", spin_axis=axis).tobytes() == u.tobytes()
-    assert build_u_spinor(ks, 1.0, 1, "down", spin_axis=np.array(axis)).tobytes() == stacked.tobytes()
+def test_build_u_spinor_builds_one_row():
+    ks = _four_momenta()
+    for kfour in (ks, ks[:1], tuple(ks)):
+        with pytest.raises(ValueError, match="build_u_spinor builds one row"):
+            build_u_spinor(kfour, 1.0, 1)
 
 
 def test_stacked_builder_checks_each_row_against_its_own_bound(monkeypatch):
@@ -570,7 +566,7 @@ def test_stacked_builder_checks_each_row_against_its_own_bound(monkeypatch):
     with pytest.raises(CertificationError) as alone:
         build_u_spinor(small, 1.0, 1)
     with pytest.raises(CertificationError) as in_stack:
-        build_u_spinor([big, small], 1.0, 1)
+        solutions._u_rows([_checked(k, 1.0, 1, "up", "E_over_m", None) for k in (big, small)])
     assert str(in_stack.value) == str(alone.value)
 
 
@@ -596,7 +592,7 @@ def test_stacked_builder_rows_reusing_momenta_and_axes_equal_their_one_row_build
     rows = _reused_rows()
     assert spin_basis((-1.0, 0.0, 0.5))[0].tobytes() != spin_basis((-1.0, -0.0, 0.5))[0].tobytes()
     for part in (rows, rows[::-1], rows[5:9]):
-        stacked = build_u_spinor(*(list(column) for column in zip(*part)))
+        stacked = solutions._u_rows([_checked(*row) for row in part])
         for (k, mass, mass_sign, spin, norm, axis), u in zip(part, stacked, strict=True):
             # bit for bit, signed zeros included
             assert build_u_spinor(k, mass, mass_sign, spin, norm, axis).tobytes() == u.tobytes()
@@ -618,30 +614,34 @@ def test_builds_keep_the_signed_zeros_of_each_momentum():
 def test_stacked_builder_raises_for_its_first_bad_row():
     good = FourVector(mass_shell_energy((0.0, 0.3, 0.4), 1.0), 0.0, 0.3, 0.4)
     off_shell = FourVector(1.5, 0.0, 0.0, 0.0)
+    tiny = FourVector(mass_shell_energy((0.0, 0.3, 0.4), 5e-324), 0.0, 0.3, 0.4)
     with pytest.raises(ValueError) as off:
         build_u_spinor(off_shell, 1.0, 1, "up")
-    with pytest.raises(ValueError) as bad_spin:
-        build_u_spinor(good, 1.0, 1, "sideways")
-    assert "off the mass shell" in str(off.value) and "'spin'" in str(bad_spin.value)
-    with pytest.raises(ValueError) as first:
-        build_u_spinor([off_shell, good, good], 1.0, 1, ["up", "sideways", "up"])
-    assert str(first.value) == str(off.value)
-    with pytest.raises(ValueError) as first:
-        build_u_spinor([good, off_shell, good], 1.0, 1, ["sideways", "up", "up"])
-    assert str(first.value) == str(bad_spin.value)
-    # a row failing a numeric gate raises before a later row's values are checked
-    tiny = FourVector(mass_shell_energy((0.0, 0.3, 0.4), 5e-324), 0.0, 0.3, 0.4)
-    with pytest.raises(ValueError) as alone:
+    with pytest.raises(ValueError) as small:
         build_u_spinor(tiny, 5e-324, 1, "up")
-    assert "is too small: u^dag u = |k.t|/m overflows" in str(alone.value)
-    with pytest.raises(ValueError) as first:
-        build_u_spinor([tiny, good], [5e-324, 1.0], 1, ["up", "sideways"])
-    assert str(first.value) == str(alone.value)
-    # a value equal to a valid one in an earlier row is still checked on its own
-    for name, value in (("mass_sign", [1, True]), ("mass_sign", [1, np.True_]), ("spin", ["up", ["up"]])):
-        kwargs = {"mass": 1.0, "mass_sign": 1, "spin": "up", name: value}
-        with pytest.raises(ValueError, match=f"'{name}' must be one of"):
-            build_u_spinor([good, good], **kwargs)
+    assert "off the mass shell" in str(off.value)
+    assert "is too small: u^dag u = |k.t|/m overflows" in str(small.value)
+    for spin in ("sideways", ["up"]):
+        with pytest.raises(ValueError, match="'spin' must be one of"):
+            build_u_spinor(good, 1.0, 1, spin)
+    rows = {k: _checked(k, m, 1, "up", "E_over_m", None)
+            for k, m in ((good, 1.0), (off_shell, 1.0), (tiny, 5e-324))}
+    for ks, alone in (((off_shell, good, good), off), ((good, off_shell, good), off),
+                      ((good, tiny, off_shell), small)):
+        with pytest.raises(ValueError) as first:
+            solutions._u_rows([rows[k] for k in ks])
+        assert str(first.value) == str(alone.value)
+
+    # a row failing a numeric gate raises before the next row is read
+    def unread_after(bad):
+        yield rows[good]
+        yield rows[bad]
+        raise AssertionError("the row after a failing row was read")
+
+    for bad, alone in ((off_shell, off), (tiny, small)):
+        with pytest.raises(ValueError) as first:
+            solutions._u_rows(unread_after(bad))
+        assert str(first.value) == str(alone.value)
 
 
 def test_off_shell_term_momentum_fails_certification_alone_and_in_a_set():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,7 +38,9 @@ from qdirac import (
 )
 import qdirac.grid
 import qdirac.verify as ver
-from qdirac.solutions import SPIN_PAIRS, WavePacketSpec, build_massive_solutions, build_wave_packet
+from qdirac.solutions import (
+    SPIN_PAIRS, WavePacketSpec, build_massive_solutions, build_wave_packet, packet_spec_from_dict,
+)
 from qdirac.cli import _default_continuity_setup, run_continuity
 from helpers import (
     adjoint_pairing, difference_residual, einsum_current, lattice_sum, oracle_continuity,
@@ -208,6 +211,20 @@ def test_current_time_component_is_density():
     for pt in POINTS[:10]:
         x = FourVector(*pt)
         assert current(sol, x).t == pytest.approx(sol.density(x), rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_point_raises_at_every_entry_point(bad):
+    sol = build_massive_solution(MassiveSpec(1.0, 0.9, (0.5, 0.2, -0.3), (0.1, 0, 0.8)))
+    x = FourVector(0.3, bad, -0.5, 0.2)
+    points = [[0.1, 0.2, 0.3, 0.4], x.as_array().tolist()]
+    message = re.escape(f"sample points must be finite, got [{x.as_array().tolist()}]")
+    for call in (lambda: dirac_residual(sol, points=points), lambda: dirac_residual([sol, sol], points=points),
+                 lambda: ver.densities([sol], points), lambda: sol.eval_points(points),
+                 lambda: sol.evaluate(x), lambda: sol.density(x), lambda: current(sol, x),
+                 lambda: adjoint_norm(sol, x)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_current_spatial_flip():
@@ -504,6 +521,57 @@ def test_ladder_levels_equal_standalone_residuals(monkeypatch, label, field, gri
     assert [_bits(r) for r in conv.levels] == [
         _bits(continuity_residual(field, g, b=b)) for g in _ladder(grid, levels)]
 
+
+
+# README's example spacing 0.5236 is not 2 pi / 12, so a field of several
+# terms per half has a seam on it; the exact seam sum is kept for it
+SEAM_PACKET = {"component": 0, "mass": 1.0, "samples": [{"kvec": [0, 0, 1.0], "amplitude": 1.0},
+                                                        {"kvec": [0, 0, 2.0], "amplitude": 0.8}]}
+
+
+def _near_ring(h_z):
+    return {"origin": [-0.2, 0, 0, 0], "spacing": [0.2, 1, 1, h_z], "counts": [3, 1, 1, 12],
+            "periodic": [False, False, False, True]}
+
+
+@pytest.mark.parametrize("levels, order", [(3, 1.98981), (4, 1.99317), (5, 1.99516)])
+def test_a_near_commensurate_seam_study_passes_with_the_exact_seam_sum(monkeypatch, levels, order):
+    sums = []
+    real_slabs = ver._real_slabs
+    monkeypatch.setattr(ver, "_real_slabs", lambda axes, k, coef: sums.append(
+        len(axes[3])) or real_slabs(axes, k, coef))
+    code, report = run_continuity({"schema_version": 1, "levels": levels, "packet": SEAM_PACKET,
+                                   "grid": _near_ring(0.5236)}, None, 0)
+    assert code == 0 and report["passed"] is True
+    assert report["fitted_order"] == pytest.approx(order, abs=1e-5)
+    # per level, three runs of the 12 * 2^level slots: slot 0, the inner slots, the last slot
+    assert sums == [n for level in range(levels) for n in (1, 12 * 2**level - 2, 1)]
+    # at the exact 2 pi / 12 the ring has no seam; the defects are O(h^2), so a
+    # relative change delta of h_z moves them by about 2 delta
+    packet = build_wave_packet(packet_spec_from_dict(SEAM_PACKET))
+    seam, exact = (continuity_convergence(packet, SpacetimeGrid.from_dict(_near_ring(h_z)), levels)
+                   for h_z in (0.5236, BOX / 12))
+    delta = abs(0.5236 - BOX / 12) / (BOX / 12)
+    for got, want in zip(seam.levels, exact.levels, strict=True):
+        assert 0.0 < abs(got.defect - want.defect) <= 2.5 * delta * want.defect
+
+
+def test_only_the_y_component_of_b_adds_a_source():
+    # gamma^0, gamma^1 and gamma^3 are real in the Dirac representation, so
+    # gamma - conj(gamma) leaves gamma^2 alone
+    for mu in range(4):
+        b = np.zeros(4, dtype=complex)
+        b[mu] = 0.3 + 0.1j
+        size = np.abs(ver._source_matrix(b)).max()
+        assert size == (pytest.approx(4 * abs(b[mu]), rel=1e-15) if mu == 2 else 0.0)
+    # so CI's seam study, with b^x alone, is a passing source diagnostic whose source is 0
+    code, report = run_continuity({
+        "schema_version": 1, "dimension": "3+1", "levels": 3,
+        "grid": {"origin": [-0.2, 0.3, 0.1, -0.2], "spacing": [0.2, 1, 1, 1], "counts": [3, 5, 4, 6],
+                 "periodic": [False, True, True, True]},
+        "b": [[0, 0], [0.3, 0.1], [0, 0], [0, 0]]}, None, 0)
+    assert code == 0 and report["source_active"] is True
+    assert [row[report["levels"].header.index("rhs_norm")] for row in report["levels"].rows] == [0.0] * 3
 
 
 def _all_pair_levels(field, grids, b):
