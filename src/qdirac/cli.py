@@ -381,24 +381,29 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
 # continuity
 
 
-def _default_continuity_setup(dimension: str):
-    length = 2.0 * math.pi
-    if choice(dimension, "dimension", ("1+1", "3+1")) == "1+1":
-        samples0 = (sol.PacketSample((0.0, 0.0, 1.0), 1.0),
-                    sol.PacketSample((0.0, 0.0, 2.0), 0.8))
-        samples1 = (sol.PacketSample((0.0, 0.0, 1.0), 0.7, "down"),)
-        grid = SpacetimeGrid(
-            FourVector(-0.2, 0.0, 0.0, 0.0), (0.2, 1.0, 1.0, length / 12),
-            (3, 1, 1, 12), (False, False, False, True))
-    else:
-        samples0 = (sol.PacketSample((1.0, 0.0, 0.0), 1.0),
-                    sol.PacketSample((0.0, 1.0, 1.0), 0.8))
-        samples1 = (sol.PacketSample((0.0, 0.0, 1.0), 0.7, "down"),)
-        grid = SpacetimeGrid(
-            FourVector(-0.2, 0.0, 0.0, 0.0), (0.2, length / 6, length / 6, length / 6),
-            (3, 6, 6, 6), (False, True, True, True))
+# the continuity presets by dimension: the packet samples of each half and
+# the grid (origin, spacing, counts, periodic) of a config that gives none
+_PRESETS = {
+    "1+1": ((sol.PacketSample((0.0, 0.0, 1.0), 1.0), sol.PacketSample((0.0, 0.0, 2.0), 0.8)),
+            (sol.PacketSample((0.0, 0.0, 1.0), 0.7, "down"),),
+            ((-0.2, 0.0, 0.0, 0.0), (0.2, 1.0, 1.0, 2.0 * math.pi / 12), (3, 1, 1, 12),
+             (False, False, False, True))),
+    "3+1": ((sol.PacketSample((1.0, 0.0, 0.0), 1.0), sol.PacketSample((0.0, 1.0, 1.0), 0.8)),
+            (sol.PacketSample((0.0, 0.0, 1.0), 0.7, "down"),),
+            ((-0.2, 0.0, 0.0, 0.0), (0.2,) + (2.0 * math.pi / 6,) * 3, (3, 6, 6, 6),
+             (False, True, True, True))),
+}
+
+
+def _default_continuity_setup(cfg: dict):
+    """The preset packet of the config's `dimension` ("1+1" when absent)
+    and the config's grid, or the preset's grid when it gives none."""
+    samples0, samples1, grid = _PRESETS[choice(cfg.get("dimension", "1+1"), "dimension", tuple(_PRESETS))]
     packet = sol.make_wave_packet(1.0, math.pi / 6.0, samples0, samples1)
-    return packet, grid
+    if "grid" in cfg:
+        return packet, SpacetimeGrid.from_dict(cfg["grid"])
+    origin, spacing, counts, periodic = grid
+    return packet, SpacetimeGrid(FourVector(*origin), spacing, counts, periodic)
 
 
 def _parse_b(cfg: dict):
@@ -424,9 +429,7 @@ def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report
         field = sol.build_wave_packet(sol.packet_spec_from_dict(cfg["packet"]))
         grid = SpacetimeGrid.from_dict(require(cfg, "grid"))
     else:
-        field, grid = _default_continuity_setup(cfg.get("dimension", "1+1"))
-        if "grid" in cfg:
-            grid = SpacetimeGrid.from_dict(cfg["grid"])
+        field, grid = _default_continuity_setup(cfg)
     conv = ver.continuity_convergence(field, grid, levels=levels, b=b)
     order_lo, order_hi = 1.8, 2.2
     # a plane wave has constant currents, so its defects sit at rounding

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -81,6 +82,8 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
     CertificationError when the kernel check fails."""
     if not isinstance(kfour, FourVector):
         raise ValueError(f"build_u_spinor builds one row: got a {type(kfour).__name__}, not a FourVector")
+    if not isinstance(mass, numbers.Real):
+        number(mass, "mass")  # raises, naming the mass; a number keeps the messages below
     if not mass >= 0.0:
         raise ValueError("build_u_spinor requires mass >= 0")
     choice(mass_sign, "mass_sign", (1, -1))
@@ -695,23 +698,29 @@ def certify_solution(sol):
     terms = verify.term_residuals(fields)
     owner = np.concatenate([o for _, _, o in terms])
     kl = np.concatenate([kl for kl, _, _ in terms])
-    res = np.bincount(owner, np.linalg.norm(np.concatenate([r for _, r, _ in terms]), axis=1),
-                      minlength=len(fields))
+    r = np.concatenate([r for _, r, _ in terms])
+    # each term's residual norm, in np.linalg.norm's float operations
+    norms = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1)).tolist()
     masses = np.array([f.mass for f in fields])
-    # a running phase moves the term momenta to k +- theta
-    k_scale = np.maximum(1.0, masses)
-    np.maximum.at(k_scale, owner, np.abs(kl).max(axis=1))
     # each term's dispersion_residual at its field's mass, in the same float operations
     t, x, y, z = kl.T
     m = masses[owner]
     scale = t * t + m * m
     # a scale of 0 (k.t = m = 0) leaves |k.k| undivided; an overflow reads NaN, so off shell
-    disp = np.abs(t * t - x * x - y * y - z * z - m * m) / np.where(scale == 0.0, 1.0, scale)
-    off = np.flatnonzero(~(disp <= verify.RESIDUAL_TOL))
+    disp = (np.abs(t * t - x * x - y * y - z * z - m * m) / np.where(scale == 0.0, 1.0, scale)).tolist()
+    # per field, the sum of its term residual norms in row order and its k_scale: the
+    # largest of 1, its mass and its term momenta (a running phase moves them to k +- theta)
+    res = [0.0] * len(fields)
+    k_scale = [max(1.0, f.mass) for f in fields]
     # the first off-shell term of the first field holding one, in the field's term order
-    first = off[np.argmin(owner[off])] if len(off) else None
-    for n, (f, r, ks) in enumerate(zip(fields, res.tolist(), k_scale.tolist())):
-        if first is not None and n == owner[first]:
+    owners, first = owner.tolist(), None
+    for i, (o, norm, peak, d) in enumerate(zip(owners, norms, np.abs(kl).max(axis=1).tolist(), disp)):
+        res[o] += norm
+        k_scale[o] = max(k_scale[o], peak)
+        if not d <= verify.RESIDUAL_TOL and (first is None or o < owners[first]):
+            first = i
+    for n, (f, r, ks) in enumerate(zip(fields, res, k_scale)):
+        if first is not None and n == owners[first]:
             k = FourVector(*(kl[first] * (1.0, -1.0, -1.0, -1.0)).tolist())
             if not math.isfinite(disp[first]):  # k.k overflows
                 raise ValueError(f"solution {f.label!r} overflows: term momentum {k} is too large")
@@ -720,7 +729,7 @@ def certify_solution(sol):
             raise ValueError(f"solution {f.label!r} overflows: mass, momenta or amplitudes too large")
         if r > verify.RESIDUAL_TOL * ks * f._u_scale:
             raise CertificationError(f"solution {f.label!r} failed residual certification: {r:.3e}")
-    return float(res[0]) if isinstance(sol, _PlaneWaveSum) else [float(r) for r in res]
+    return res[0] if isinstance(sol, _PlaneWaveSum) else res
 
 
 # ---------------------------------------------------------------------------

@@ -91,9 +91,14 @@ def _stack_rows(fields):
 
 
 def _points(points) -> np.ndarray:
-    """`points` as a (P, 4) float array; raises ValueError naming any
-    point that is not finite."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 4)
+    """One (4,) point or a (P, 4) array of points as a (P, 4) float array;
+    raises ValueError naming any other shape and any point that is not
+    finite."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape == (4,):
+        pts = pts[None]
+    elif pts.ndim != 2 or pts.shape[1] != 4:
+        raise ValueError(f"sample points must be one point (4,) or an array (P, 4), got shape {pts.shape}")
     if not np.isfinite(pts).all():
         bad = pts[~np.isfinite(pts).all(axis=1)]
         raise ValueError(f"sample points must be finite, got {bad.tolist()}")
@@ -185,14 +190,18 @@ def _current_pairs(field):
     """The pairs a <= b of both halves as lowered momenta k_b - k_a (P, 4)
     and coefficients adj(w_a) gamma^mu w_b (P, 4), doubled for a < b,
     whose phased real parts sum to J^mu."""
-    ks, coefs = [], []
+    ks, coefs, rows, weights, start = [], [], [], [], 0
     for kl, w in field.stacked_terms():
-        a, b = np.array([(i, j) for i in range(len(w)) for j in range(i, len(w))],
-                        dtype=int).reshape(-1, 2).T
-        pair = np.einsum("ai,mij,bj->abm", np.conj(w), _BG_STACK, w)[a, b]
-        ks.append(kl[b] - kl[a])
-        coefs.append(np.where((a == b)[:, None], 1.0, 2.0) * pair)
-    return np.concatenate(ks), np.concatenate(coefs)
+        n = len(w)
+        # every ordered pair (a, b) of the half, at row start + a * n + b; rows keeps a <= b
+        ks.append((kl[None] - kl[:, None]).reshape(-1, 4))
+        coefs.append(np.einsum("ai,mij,bj->abm", w.conj(), _BG_STACK, w).reshape(-1, 4))
+        for a in range(n):
+            rows += range(start + a * n + a, start + (a + 1) * n)
+            weights += [1.0] + [2.0] * (n - 1 - a)
+        start += n * n
+    rows = np.array(rows, dtype=int)
+    return np.concatenate(ks)[rows], np.concatenate(coefs)[rows] * np.array(weights)[:, None]
 
 
 def _source_matrix(b) -> np.ndarray:
@@ -227,12 +236,12 @@ def analytic_divergence(field) -> float:
     return float(np.abs(np.sum(coef * k, axis=1)).sum())
 
 
-def _interior_axes(grid: SpacetimeGrid) -> list[np.ndarray]:
+def _interior_axes(grid: SpacetimeGrid) -> list[list[float]]:
     """Coordinates of the lattice points where the central difference is
-    defined: all but the end slots of each non-periodic axis."""
+    defined, all but the end slots of each non-periodic axis, as lists of
+    the floats `grid.axis` holds there."""
     o = grid.origin
-    index = np.arange(max(grid.counts), dtype=float)
-    return [a + h * (index[1:n - 1] if n > 1 and not per else index[:n])
+    return [[a + h * i for i in (range(1, n - 1) if n > 1 and not per else range(n))]
             for a, h, n, per in zip((o.t, o.x, o.y, o.z), grid.spacing, grid.counts, grid.periodic)]
 
 
@@ -373,14 +382,23 @@ def continuity_convergence(field, grid: SpacetimeGrid, levels: int = 3, b=None) 
     while len(grids) < levels:
         grids.append(grids[-1].refined())
     reports = _ladder(field, grids, b)
-    h_scales = [2.0 ** (-lvl) for lvl in range(levels)]
-    defects = np.array([r.defect for r in reports])
-    if np.all(defects > 0):
-        slope = np.polyfit(np.log(np.array(h_scales)), np.log(defects), 1)[0]
-        order = float(slope)
-    else:
-        order = float("nan")
-    return ConvergenceReport(tuple(h_scales), tuple(reports), order)
+    h_scales = tuple(2.0 ** (-lvl) for lvl in range(levels))
+    return ConvergenceReport(h_scales, tuple(reports), _fitted_order(h_scales, [r.defect for r in reports]))
+
+
+def _fitted_order(h_scales, defects) -> float:
+    """The least-squares slope of log(defect) against log(h), in closed
+    form with `math.fsum`; NaN unless every defect is positive.  The
+    log-defects are taken from the first level's, which leaves the slope
+    unchanged and makes equal defects fit exactly 0.0."""
+    if not all(d > 0 for d in defects):
+        return math.nan
+    xs = [math.log(h) for h in h_scales]
+    y0 = math.log(defects[0])
+    ys = [math.log(d) - y0 for d in defects]
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    return (math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / math.fsum((x - mx) ** 2 for x in xs))
 
 
 def _inner_products(fields, grid: SpacetimeGrid) -> np.ndarray:

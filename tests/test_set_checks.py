@@ -223,6 +223,17 @@ def test_set_residual_gives_each_mass_its_one_field_value():
                 assert np.array_equal(kl[owner == n], want_kl) and np.array_equal(r[owner == n], want_r)
 
 
+def test_certified_bounds_equal_the_array_reference():
+    # the per-field sums of term residual norms, bit for bit as np.bincount
+    # sums np.linalg.norm's values, for every set and for all of them at once
+    every = [f for name in SETS for f in _set(name)]
+    for fields in [*(_set(name) for name in SETS), every]:
+        halves = term_residuals(fields)
+        owner = np.concatenate([o for _, _, o in halves])
+        norms = np.linalg.norm(np.concatenate([r for _, r, _ in halves]), axis=1)
+        assert certify_solution(fields) == np.bincount(owner, norms, minlength=len(fields)).tolist()
+
+
 # --- the span of each set -------------------------------------------------------------
 
 def _values(sols):

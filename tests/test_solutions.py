@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ def test_numpy_scalar_mass_builds_the_float_mass_spinor():
         for norm_choice in NORM_CHOICES:
             got = build_u_spinor(k, mass, 1, "up", norm_choice)
             assert got.tobytes() == build_u_spinor(k, 1.0, 1, "up", norm_choice).tobytes()
+
+
+@pytest.mark.parametrize("mass", [[1.0], "1.0", None, 1j])
+def test_a_non_number_mass_raises_naming_the_mass(mass):
+    k = FourVector(2.0, 0.0, 0.0, math.sqrt(3.0))
+    with pytest.raises(ValueError, match=re.escape(f"field 'mass' must be a number, got {mass!r}")):
+        build_u_spinor(k, mass, 1)
+
+
+@pytest.mark.parametrize("mass, message", [
+    (math.nan, "build_u_spinor requires mass >= 0"),
+    (-1.0, "build_u_spinor requires mass >= 0"),
+    (math.inf, "is off the mass shell for m=inf"),
+])
+def test_a_bad_number_mass_keeps_its_message(mass, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_u_spinor(FourVector(2.0, 0.0, 0.0, math.sqrt(3.0)), mass, 1)
 
 
 # --- massive solutions -----------------------------------------------------------

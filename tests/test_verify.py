@@ -42,6 +42,7 @@ from qdirac.solutions import (
     SPIN_PAIRS, WavePacketSpec, build_massive_solutions, build_wave_packet, packet_spec_from_dict,
 )
 from qdirac.cli import _default_continuity_setup, run_continuity
+from test_golden import CASES as GOLDEN_CASES
 from helpers import (
     adjoint_pairing, difference_residual, einsum_current, lattice_sum, oracle_continuity,
     perfbench_module, sampled_gram, sampled_source,
@@ -225,6 +226,28 @@ def test_a_non_finite_point_raises_at_every_entry_point(bad):
                  lambda: adjoint_norm(sol, x)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (5, 3), (3,), (2, 2, 4), (0,)])
+def test_points_of_any_other_shape_raise_naming_it(shape):
+    # a (4, 3) array is not three points, though its size is a multiple of 4
+    sol = build_massive_solution(MassiveSpec(1.0, 0.9, (0.5, 0.2, -0.3), (0.1, 0, 0.8)))
+    message = re.escape(f"got shape {shape}")
+    for call in (lambda: dirac_residual(sol, points=np.zeros(shape)),
+                 lambda: ver.densities([sol], np.arange(float(math.prod(shape))).reshape(shape))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_one_point_and_a_point_array_are_read():
+    sol = build_massive_solution(MassiveSpec(1.0, 0.9, (0.5, 0.2, -0.3), (0.1, 0, 0.8)))
+    rows = [dirac_residual(sol, points=x) for x in POINTS[:3]]
+    assert dirac_residual(sol, points=POINTS[:3]) == pytest.approx(max(rows), rel=1e-9, abs=1e-15)
+    assert dirac_residual(sol, points=POINTS[:3].tolist()) == dirac_residual(sol, points=POINTS[:3])
+    assert ver.densities([sol], POINTS[0]).shape == (1, 1)
+    assert ver.densities([sol], POINTS[:5]).shape == (5, 1)
+    assert ver.densities([sol], POINTS[:5])[:, 0] == pytest.approx([sol.density(FourVector(*x)) for x in POINTS[:5]],
+                                                                   rel=1e-12)
 
 
 def test_current_spatial_flip():
@@ -417,9 +440,9 @@ def _symbol_cases():
     periodic axes."""
     cases = []
     for dim in ("1+1", "3+1"):
-        packet, grid = _default_continuity_setup(dim)
+        packet, grid = _default_continuity_setup({"dimension": dim})
         cases += [(f"default{dim}-l{i}", packet, g, None) for i, g in enumerate(_ladder(grid))]
-    packet, box = _default_continuity_setup("3+1")
+    packet, box = _default_continuity_setup({"dimension": "3+1"})
     cases += [(f"default3+1-b-l{i}", packet, g, B) for i, g in enumerate(_ladder(box, 3))]
     # non-periodic spatial axes: any momentum fits
     cases += [(f"open-{label}", dict(FAMILIES)[label], PAIR_GRID, B)
@@ -427,7 +450,7 @@ def _symbol_cases():
     # reduced time and y axes, open x, periodic z
     reduced = SpacetimeGrid(FourVector(0.3, -0.4, 0.2, 0.1), (0.1, 0.25, 1.0, BOX / 10),
                             (1, 6, 1, 10), (False, False, False, True))
-    cases.append(("reduced", _default_continuity_setup("1+1")[0], reduced, B))
+    cases.append(("reduced", _default_continuity_setup({"dimension": "1+1"})[0], reduced, B))
     rng = np.random.default_rng(2024)
     for i in range(3):
         origin = FourVector(*rng.uniform(-3.0, 3.0, 4))
@@ -463,7 +486,7 @@ def test_periodic_axis_adds_seam_terms_only_off_whole_periods(monkeypatch, stret
     # the 1+1 packet has integer momenta on a 12-point ring of length
     # 2 pi (1 + stretch): each pair misses a whole period by 2 pi q stretch,
     # against a bound of ALGEBRA_TOL = 1e-13 relative
-    packet, grid = _default_continuity_setup("1+1")
+    packet, grid = _default_continuity_setup({"dimension": "1+1"})
     h = grid.spacing
     grid = dataclasses.replace(grid, spacing=(h[0], h[1], h[2], h[3] * (1.0 + stretch)))
     sums = []
@@ -488,8 +511,8 @@ ONE_TERM_GRID = SpacetimeGrid(FourVector(-0.2, 0, 0, 0), (0.2, 1, 1, BOX / 12), 
 
 
 def _ladder_cases():
-    packet1, grid1 = _default_continuity_setup("1+1")
-    packet3, grid3 = _default_continuity_setup("3+1")
+    packet1, grid1 = _default_continuity_setup({"dimension": "1+1"})
+    packet3, grid3 = _default_continuity_setup({"dimension": "3+1"})
     return [("1+1", packet1, grid1, None, 4), ("3+1", packet3, grid3, None, 4),
             ("3+1-b", packet3, grid3, B, 3),
             ("seam", dict(FAMILIES)["packet01"], SEAM_GRID, B, 3),
@@ -632,6 +655,28 @@ def test_pruned_pairs_equal_the_all_pair_sum(label, field, grid, b):
     _assert_levels_match_all_pairs([continuity_residual(field, grid, b=b)], field, [grid], b)
 
 
+def _reference_pairs(field):
+    """The current pairs as index arrays and np.where weights select them."""
+    ks, coefs = [], []
+    for kl, w in field.stacked_terms():
+        a, b = np.triu_indices(len(w))
+        pair = np.einsum("ai,mij,bj->abm", np.conj(w), ver._BG_STACK, w)[a, b]
+        ks.append(kl[b] - kl[a])
+        coefs.append(np.where((a == b)[:, None], 1.0, 2.0) * pair)
+    return np.concatenate(ks), np.concatenate(coefs)
+
+
+@pytest.mark.parametrize("label, field, grid, b", SYMBOL_CASES, ids=[c[0] for c in SYMBOL_CASES])
+def test_current_pairs_and_interior_axes_equal_the_array_reference(label, field, grid, b):
+    for got, want in zip(ver._current_pairs(field), _reference_pairs(field), strict=True):
+        assert got.tobytes() == want.tobytes()
+    for level in _ladder(grid, 3):
+        for mu, axis in enumerate(ver._interior_axes(level)):
+            n = level.counts[mu]
+            inner = slice(1, -1) if n > 1 and not level.periodic[mu] else slice(None)
+            assert np.array(axis).tobytes() == level.axis(mu)[inner].tobytes()
+
+
 def _workload_studies(seeds):
     """(op key, config, cli seed) of every valid op of the continuity-ladder
     benchmark workload at each seed."""
@@ -668,10 +713,58 @@ def test_workload_studies_equal_the_all_pair_sum(monkeypatch, key, cfg, seed):
     assert report["passed"] == (b is not None or rounding or 1.8 <= order <= 2.2)
 
 
+@pytest.mark.parametrize("levels", range(3, 9))
+def test_equal_defects_fit_exactly_zero(levels):
+    # for 5, 6 and 7 levels, fsum(ys) / n misses a tenth of these log-defects,
+    # so the fit takes them from the first level's
+    h_scales = [2.0 ** -lvl for lvl in range(levels)]
+    rng = np.random.default_rng(levels)
+    for defect in [0.3648262093175443, 1e-300, 1e300, *10.0 ** rng.uniform(-300, 300, 200)]:
+        order = ver._fitted_order(h_scales, [defect] * levels)
+        assert order == 0.0 and math.copysign(1.0, order) == 1.0, (defect, order)
+
+
+def test_a_source_study_with_equal_defects_fits_exactly_zero():
+    # one term per half: the divergence is 0 and each defect is the source norm itself
+    ((key, cfg, seed),) = [study for study in _workload_studies((1,)) if study[0] == "1-solution1-0"]
+    code, report = run_continuity(cfg, None, seed)
+    defects = [row[4] for row in report["levels"].rows]
+    assert code == 0 and len(set(defects)) == 1 and defects[0] > 0
+    # np.polyfit reads -4.1e-16 here
+    assert report["fitted_order"] == 0.0
+
+
+@pytest.mark.parametrize("dimension", ["1+1", "3+1"])
+def test_a_preset_study_runs_on_the_grid_its_config_gives(dimension):
+    grid = {"origin": [0.1, 0.5, 0.25, 1.0], "spacing": [0.2, BOX / 6, BOX / 6, BOX / 6],
+            "counts": [3, 6, 6, 6], "periodic": [False, True, True, True]}
+    _, preset = _default_continuity_setup({"dimension": dimension})
+    _, report = run_continuity({"dimension": dimension, "grid": grid}, None, 0)
+    assert report["levels"].rows[0][1] == grid
+    _, report = run_continuity({"dimension": dimension}, None, 0)
+    assert report["levels"].rows[0][1] == preset.to_dict()
+
+
+FIT_STUDIES = [(f"golden-{case}", config, 0) for case, (command, config, _, _) in GOLDEN_CASES.items()
+               if command == "continuity"] + _workload_studies((0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("key, cfg, seed", FIT_STUDIES, ids=[key for key, _, _ in FIT_STUDIES])
+def test_the_closed_form_order_equals_the_polynomial_fit(key, cfg, seed):
+    _, report = run_continuity(cfg, None, seed)
+    rows = report["levels"].rows
+    defects = [row[4] for row in rows]
+    if not all(d > 0 for d in defects):
+        assert report["fitted_order"] is None
+        return
+    order = np.polyfit(np.log([row[0] for row in rows]), np.log(defects), 1)[0]
+    assert abs(report["fitted_order"] - order) <= 1e-12
+
+
 @pytest.mark.parametrize("b", [None, B])
 def test_a_non_finite_dropped_pair_still_overflows(monkeypatch, b):
     # the diagonal pair (0, 0) has q = 0; its inf would read 0 * inf = NaN in the sum
-    packet, grid = _default_continuity_setup("3+1")
+    packet, grid = _default_continuity_setup({"dimension": "3+1"})
     current_pairs = ver._current_pairs
 
     def inf_diagonal(field):
@@ -693,7 +786,7 @@ def test_a_non_finite_dropped_pair_still_overflows(monkeypatch, b):
 def test_ladder_memory_is_one_slab_not_the_lattice():
     # the 3+1 preset at levels 5 ends on 3 x 96^3 points; a whole-lattice
     # sum of that level peaks at 21 MB, while the slabs stay under 2 MB
-    packet, grid = _default_continuity_setup("3+1")
+    packet, grid = _default_continuity_setup({"dimension": "3+1"})
     tracemalloc.start()
     try:
         conv = continuity_convergence(packet, grid, levels=5)
@@ -720,7 +813,7 @@ def test_running_max_keeps_a_non_finite_slab(bad):
     assert peak == 3.0
 
 def test_ladder_forms_pairs_once(monkeypatch):
-    packet, grid = _default_continuity_setup("3+1")
+    packet, grid = _default_continuity_setup({"dimension": "3+1"})
     counts = dict.fromkeys(("_current_pairs", "_source_matrix", "_source_pairs"), 0)
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(ver, name)):
@@ -745,7 +838,7 @@ def no_lattice_work(monkeypatch):
     ((1, 1, 1, 1), "degenerate grid: no differentiable axis"),
 ])
 def test_degenerate_ladder_rejected_before_lattice_work(no_lattice_work, counts, message):
-    packet, _ = _default_continuity_setup("3+1")
+    packet, _ = _default_continuity_setup({"dimension": "3+1"})
     grid = SpacetimeGrid(FourVector(), (0.1,) * 4, counts, (False, True, True, True))
     with pytest.raises(ValueError) as err:
         continuity_convergence(packet, grid, levels=3)
@@ -753,7 +846,7 @@ def test_degenerate_ladder_rejected_before_lattice_work(no_lattice_work, counts,
 
 
 def _tiny_t_spacing(h):
-    packet, grid = _default_continuity_setup("1+1")
+    packet, grid = _default_continuity_setup({"dimension": "1+1"})
     return packet, dataclasses.replace(grid, spacing=(h,) + grid.spacing[1:])
 
 
@@ -776,7 +869,7 @@ def test_smallest_spacing_with_a_finite_symbol_runs():
 
 def test_ladder_keeps_a_one_point_periodic_axis_reduced():
     # the same study whether or not the reduced x and y axes are flagged periodic
-    packet, grid = _default_continuity_setup("1+1")
+    packet, grid = _default_continuity_setup({"dimension": "1+1"})
     flagged = dataclasses.replace(grid, periodic=(False, True, True, True))
     plain, marked = (continuity_convergence(packet, g, levels=3, b=B) for g in (grid, flagged))
     assert [r.grid["counts"] for r in marked.levels] == [[3, 1, 1, 12], [3, 1, 1, 24], [3, 1, 1, 48]]
