@@ -46,9 +46,11 @@ class CertificationError(RuntimeError):
 
 
 def mass_shell_energy(kvec, mass: float, sign: int = 1) -> float:
-    """Frequency sign * sqrt(|kvec|^2 + mass^2) on the mass shell."""
+    """Frequency sign * sqrt(|kvec|^2 + mass^2) on the mass shell, kvec of shape (3,)."""
     kvec = np.asarray(kvec, dtype=float)
-    if mass < 0:
+    if not isinstance(mass, numbers.Real):
+        number(mass, "mass")  # raises, naming the mass; a number keeps the messages below
+    if not mass >= 0:
         raise ValueError("mass must be >= 0")
     choice(sign, "sign", (1, -1))
     # the BLAS dot that @ runs, without its overflow warning (reported below)
@@ -59,6 +61,8 @@ def mass_shell_energy(kvec, mass: float, sign: int = 1) -> float:
     if not math.isfinite(energy):
         raise ValueError(
             f"mass {mass!r} or momentum {kvec.tolist()} is too large: its energy overflows")
+    if kvec.shape != (3,):  # last, so a momentum failing a check above keeps its message
+        raise ValueError(f"momentum must have shape (3,), got {kvec.shape}")
     return sign * energy
 
 
@@ -168,13 +172,7 @@ class _PlaneWaveSum:
 
     def __post_init__(self) -> None:
         """Stack the terms once, at construction (see stacked_terms)."""
-        halves = self._terms()
-        terms = [term for half in halves for term in half]
-        verify._stack_terms([self], [c for c, _, _ in terms],
-                            np.array([(k.t, -k.x, -k.y, -k.z) for _, k, _ in terms],
-                                     dtype=float).reshape(-1, 4),
-                            np.array([u for _, _, u in terms], dtype=complex).reshape(-1, 4),
-                            [tuple(map(len, halves))], range(len(terms)))
+        verify._stack_terms([self])
 
     def stacked_terms(self):
         """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4)."""
@@ -351,14 +349,12 @@ def _build(members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
              for m, _, *rows, _, _ in members]
     kvec, half, esign, spin, axis = zip(*(row for _, row in index.values()))
     k, u = _half(kvec, [key[1] for key in index], half, esign, spin, norm_choice, axis)
-    table = [(q.t, -q.x, -q.y, -q.z) for q in k]
     spinors = list(u)  # one read-only view per row, shared by the fields holding it
     fields = [object.__new__(PlaneWaveSolution) for _ in members]
     # each slot's own descriptor sets it past the frozen __setattr__
     set_theta0, set_k0, set_k1, set_u0, set_u1, set_mass, set_theta, set_label = (
         getattr(PlaneWaveSolution, name).__set__
         for name in ("theta0", "k0", "k1", "u0", "u1", "mass", "theta", "label"))
-    terms = []
     for f, (i, j), (m, t0, _, _, label, theta) in zip(fields, pairs, members):
         set_theta0(f, float(t0))
         set_k0(f, k[i])
@@ -368,21 +364,7 @@ def _build(members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
         set_mass(f, float(m))
         set_theta(f, theta)
         set_label(f, label)
-        terms.append(f._terms())
-    coefs, kl_rows, u_rows = [], [], []
-    for h in (0, 1):  # the table runs half by half (`verify._stack_terms`)
-        for field_terms, rows in zip(terms, pairs):
-            r = rows[h]
-            for c, q, _ in field_terms[h]:
-                u_rows.append(r)
-                coefs.append(c)
-                if q is k[r]:
-                    kl_rows.append(r)
-                else:  # a running phase's k +- theta
-                    kl_rows.append(len(table))
-                    table.append((q.t, -q.x, -q.y, -q.z))
-    verify._stack_terms(fields, coefs, np.array(table, dtype=float).take(kl_rows, axis=0), u,
-                        [tuple(map(len, t)) for t in terms], u_rows)
+    verify._stack_terms(fields)
     certify_solution(fields)
     return fields
 

@@ -100,9 +100,10 @@ def slashed(v) -> np.ndarray:
     return t * GAMMA[0] - x * GAMMA[1] - y * GAMMA[2] - z * GAMMA[3]
 
 
-def _axis_norm(v, name: str) -> tuple[np.ndarray, float]:
-    """The finite vector `v` as floats, and its norm; a vector whose squares overflow
-    or underflow past the smallest normal float is divided by its largest component first."""
+def _axis_norm(v, name: str, zero: str) -> tuple[np.ndarray, float]:
+    """The finite nonzero vector `v` (3,) as floats, and its norm; a vector whose squares overflow
+    or underflow past the smallest normal float is divided by its largest component first.
+    Raises ValueError, with the message `zero` for a zero vector."""
     a = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
@@ -112,15 +113,17 @@ def _axis_norm(v, name: str) -> tuple[np.ndarray, float]:
         if a.any():
             a = a / np.abs(a).max()
             norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        raise ValueError(zero)
+    if a.shape != (3,):  # last, so a vector failing a check above keeps its message
+        raise ValueError(f"{name} must have shape (3,), got {a.shape}")
     return a, norm
 
 
 def helicity_matrix(kvec) -> np.ndarray:
     """Spin projection onto the momentum direction: (1/2) sigma.k_hat in
     both 2x2 blocks.  Eigenvalues are +-1/2, each doubly degenerate."""
-    k, norm = _axis_norm(kvec, "three-momentum")
-    if norm == 0.0:
-        raise ValueError("helicity is undefined for zero three-momentum")
+    k, norm = _axis_norm(kvec, "three-momentum", "helicity is undefined for zero three-momentum")
     sk = sum(k[ell] * PAULI[ell] for ell in range(3)) / norm
     out = np.zeros((4, 4), dtype=complex)
     out[:2, :2] = 0.5 * sk
@@ -132,9 +135,7 @@ def spin_basis(axis=None) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal 2-spinor eigenvectors (chi_plus, chi_minus) of
     sigma.n_hat for a quantization axis n.  None means the z axis, which
     returns the exact standard basis (1,0) and (0,1)."""
-    n, norm = (np.array([0.0, 0.0, 1.0]), 1.0) if axis is None else _axis_norm(axis, "spin axis")
-    if norm == 0.0:
-        raise ValueError("spin axis must be nonzero")
+    n, norm = _axis_norm((0.0, 0.0, 1.0) if axis is None else axis, "spin axis", "spin axis must be nonzero")
     n = n / norm
     if n[0] == 0.0 and n[1] == 0.0:
         if n[2] > 0.0:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import number
 from .grid import SampledField, SpacetimeGrid, _real_slabs
 # not called here; perfbench/spans.py wraps them under this module path
 from .grid import central_diff, integrate_spatial, sample  # noqa: F401
@@ -40,24 +41,23 @@ def default_points(seed: int = 7) -> np.ndarray:
     return rng.uniform(-3.0, 3.0, size=(32, 4))
 
 
-def _stack_terms(fields, coefs, kl, u, counts, u_rows) -> None:
-    """Write one read-only table (kl, cu, owner, starts) and give each
-    field its slices: term n has coefficient coefs[n], lowered momentum
-    kl[n] and spinor u[u_rows[n]], and counts[f] holds field f's term
-    counts (half 0, half 1).  The table runs half by half: the half-0
-    terms of every field in field order, then their half-1 terms; cu = c*u,
-    starts[f] is field f's first row in each half and owner[n] the field
-    of row n (None for one field).  Each field gets `_stacked`, its `_run`
-    (table, f) and `_u_scale`, its largest term |u| times max(1, |c|)."""
-    norms = [math.hypot(*a) for a in np.abs(u).tolist()]
-    u = u.take(u_rows, axis=0)
-    cu = np.array(coefs, dtype=complex)[:, None] * u.reshape(-1, 4)
+def _stack_terms(fields) -> None:
+    """Write one read-only table (kl, cu, owner, starts) of the terms
+    (c, k, u) of `fields`, half 0 of every field then half 1, as lowered
+    momenta kl and cu = c*u; starts[f] is field f's first row in each
+    half, owner[n] the field of row n (None for one field).  Each field
+    gets `_stacked`, `_run` (table, f) and `_u_scale`, its largest term
+    |u| times max(1, |c|)."""
+    halves = [f._terms() for f in fields]
+    terms = [term for h in (0, 1) for field_terms in halves for term in field_terms[h]]
+    kl = np.array([(k.t, -k.x, -k.y, -k.z) for _, k, _ in terms], dtype=float).reshape(-1, 4)
+    u = np.array([w for _, _, w in terms], dtype=complex).reshape(-1, 4)
+    cu = np.array([c for c, _, _ in terms], dtype=complex)[:, None] * u
     kl.setflags(write=False)
     cu.setflags(write=False)
-    scales = [max(1.0, abs(c)) * norms[r] for c, r in zip(coefs, u_rows)]
-    counts0, counts1 = zip(*counts)
-    # each field's first row in each half, the half-1 rows after every
-    # half-0 row; the last pair ends the table
+    scales = [max(1.0, abs(c)) * math.hypot(*a) for (c, _, _), a in zip(terms, np.abs(u).tolist())]
+    counts0, counts1 = ([len(field_terms[h]) for field_terms in halves] for h in (0, 1))
+    # the half-1 rows follow every half-0 row; the last pair ends the table
     starts = list(zip(itertools.accumulate(counts0, initial=0),
                       itertools.accumulate(counts1, initial=sum(counts0))))
     # the index of each row's field, which only a run of several fields reads
@@ -376,6 +376,7 @@ def continuity_convergence(field, grid: SpacetimeGrid, levels: int = 3, b=None) 
     """Run the continuity check on `levels` grids, halving every spacing
     each level, in one `_ladder` pass, and fit the convergence order of
     the defect."""
+    levels = number(levels, "levels", integral=True)
     if levels < 2:
         raise ValueError("need at least 2 refinement levels to fit an order")
     grids = [grid]
@@ -474,7 +475,7 @@ def adjoint_norm(sol, x: FourVector | None = None, theta0: float | None = None) 
     value read +-cos(2*theta0) by branch.  Constant in x for plane
     waves; massless components pair to zero identically.  `theta0`,
     when given, replaces the mixing angle of `sol`."""
-    return _adjoint_norms(sol, [sol.theta0 if theta0 is None else theta0], x)[0]
+    return _adjoint_norms(sol, [sol.theta0 if theta0 is None else number(theta0, "theta0")], x)[0]
 
 
 def _adjoint_norms(sol, theta0s, x: FourVector | None = None) -> list[float]:

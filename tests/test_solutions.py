@@ -43,7 +43,7 @@ from qdirac.solutions import (
     massive_spec_from_dict,
     packet_spec_from_dict,
 )
-from qdirac.spinor import BETA_DIAG, GAMMA, spin_basis
+from qdirac.spinor import BETA_DIAG, GAMMA, helicity_matrix, spin_basis
 from qdirac.verify import default_points
 from helpers import in_span, null_space, random_null_fourvector
 
@@ -75,10 +75,33 @@ def test_mass_shell_dispersion():
 
 
 def test_mass_shell_rejects_null_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="massless momentum must have nonzero spatial part"):
         mass_shell_energy((0, 0, 0), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mass must be >= 0"):
         mass_shell_energy((1, 0, 0), -1.0)
+    # a vector failing another check keeps its message, whatever its length
+    with pytest.raises(ValueError, match="massless momentum must have nonzero spatial part"):
+        mass_shell_energy((0, 0, 0, 0), 0.0)
+    with pytest.raises(ValueError, match="spin axis must be nonzero"):
+        spin_basis((0, 0))
+    with pytest.raises(ValueError, match="three-momentum must be finite"):
+        helicity_matrix((math.inf, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mass_shell_energy([0, 0, 1, 5], 1.0), "momentum must have shape (3,), got (4,)"),
+    (lambda: mass_shell_energy([[0, 0, 1]], 1.0), "momentum must have shape (3,), got (1, 3)"),
+    (lambda: helicity_matrix([0, 0, 1, 5]), "three-momentum must have shape (3,), got (4,)"),
+    (lambda: spin_basis([1, 0, 1, 5]), "spin axis must have shape (3,), got (4,)"),
+    (lambda: spin_basis([1, 0]), "spin axis must have shape (3,), got (2,)"),
+    (lambda: build_u_spinor(FourVector(1.0, 0, 0, 0), 1.0, 1, spin_axis=[1, 0, 1, 5]),
+     "spin axis must have shape (3,), got (4,)"),
+    (lambda: mass_shell_energy((0, 0, 1), "1"), "field 'mass' must be a number, got '1'"),
+    (lambda: mass_shell_energy((0, 0, 1), math.nan), "mass must be >= 0"),
+], ids=["energy-4", "energy-1x3", "helicity-4", "axis-4", "axis-2", "u-axis-4", "mass-str", "mass-nan"])
+def test_a_wrong_length_vector_or_a_non_number_mass_raises(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 # --- u spinors ----------------------------------------------------------------
@@ -459,6 +482,20 @@ def _verify_fields(mass, box_length, theta0):
                                      for e in (1, -1))]
 
 
+def _verify_pass(mass=1.7, box_length=5.0, theta0=-0.3):
+    """run_verify's fields from its one `solutions._build` call: a table
+    of two masses holding the running phase's k +- theta terms."""
+    base = 2.0 * math.pi / box_length
+    kvec = (base, 0.0, base)
+    directions = ((base, 0.0, 0.0), (0.0, base, 0.0), (0.0, 0.0, base), (-base, 0.0, 0.0))
+    running = MasslessThetaSpec(FourVector(1.0, 0.0, 0.0, 1.0), kappa0=2.0, kappa1=1.0, theta0=theta0)
+    gram = [(theta0, kv, kv, s0, s1, e) for (s0, s1), kv in zip(solutions.SPIN_PAIRS, directions) for e in (1, -1)]
+    return solutions._build(solutions._massive_set(mass, kvec, kvec, theta0)
+                            + solutions._massless_set(kvec, kvec, theta0) + solutions._running_phase(running)
+                            + solutions._massive_set(mass, kvec, kvec, theta0, "momentum")
+                            + solutions._massive_pairs(mass, gram))
+
+
 @pytest.mark.parametrize("mass, box_length, theta0", [(1.0, 2.0 * math.pi, math.pi / 8), (1.7, 5.0, -0.3)])
 def test_verify_passes_equal_the_standalone_builds(monkeypatch, mass, box_length, theta0):
     want = _verify_fields(mass, box_length, theta0)
@@ -488,7 +525,8 @@ def test_table_built_stacks_equal_the_constructor_stacks():
               *build_massive_solutions([MassiveSpec(0.2, -2.5, (0, 0, 0), (1e3, -2.0, 0.5), "down", "up", -1),
                                         MassiveSpec(0.2, 1.1, (0.3, 0, 0), (0.3, 0, 0), esign0="-")]),
               *enumerate_massless_theta0_set((0.4, 0.0, -0.6), (-0.3, 0.5, 0.2), 2.9),
-              build_massless_theta_solution(MasslessThetaSpec(theta, -1.5, 0.5, 2.1, "L", "R"))]
+              build_massless_theta_solution(MasslessThetaSpec(theta, -1.5, 0.5, 2.1, "L", "R")),
+              *_verify_pass()]
     packet = make_wave_packet(0.8, 0.3, [PacketSample((0.2, 0, 1), 1.5),
                                          PacketSample((0, -1, 0), 0.5, "down")],
                               [PacketSample((1, 1, 0), 0.7, esign=-1)])
@@ -697,7 +735,8 @@ def test_spinor_scale_of_each_field_is_its_largest_scaled_term_spinor():
               *enumerate_massless_theta0_set((0.4, 0.0, -0.6), (-0.3, 0.5, 0.2), 2.9),
               build_massless_theta_solution(MasslessThetaSpec(theta, -1.5, 0.5, 2.1, "L", "R")),
               make_wave_packet(0.8, 0.3, [PacketSample((0.2, 0, 1), 1.5), PacketSample((0, -1, 0), 0.5, "down")],
-                               [PacketSample((1, 1, 0), 40.0, esign=-1)])]
+                               [PacketSample((1, 1, 0), 40.0, esign=-1)]),
+              *_verify_pass()]
     for f in fields:
         terms = [term for half in f._terms() for term in half]
         assert f._u_scale == max([1.0, *(max(1.0, abs(c)) * math.hypot(*np.abs(u)) for c, _, u in terms)])

@@ -296,6 +296,23 @@ def test_continuity_second_order_defect():
     assert 1.8 <= conv.fitted_order <= 2.2
 
 
+@pytest.mark.parametrize("levels, message", [(2.5, "field 'levels' must be an integer, got 2.5"),
+                                             (True, "field 'levels' must be a number, got True")],
+                         ids=["float", "bool"])
+def test_continuity_convergence_reads_levels(levels, message):
+    packet, grid = continuity_packet_1p1()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        continuity_convergence(packet, grid, levels=levels)
+
+
+@pytest.mark.parametrize("theta0", [math.nan, math.inf])
+def test_adjoint_norm_reads_theta0(theta0):
+    sol = build_massive_solution(MassiveSpec(1.0, 0.9, (0.5, 0.2, -0.3), (0.1, 0, 0.8)))
+    with pytest.raises(ValueError, match=re.escape(f"field 'theta0' must be finite, got {theta0!r}")):
+        adjoint_norm(sol, theta0=theta0)
+    assert adjoint_norm(sol, theta0=0.3) == adjoint_norm(dataclasses.replace(sol, theta0=0.3))
+
+
 def test_continuity_source_diagnostic():
     # the gamma - conj(gamma) difference couples opposite spins, so the
     # diagnostic needs a spin mixture to produce a visible source
