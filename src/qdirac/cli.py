@@ -295,11 +295,13 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     running = sol.MasslessThetaSpec(theta=theta_dir, kappa0=2.0, kappa1=1.0, theta0=theta0)
     # every field in one certified pass over one row table, ordered so that the
     # residual set (the first 13 fields), the density set (the first 8) and the
-    # Gram set (the last 8) are each one run of it
+    # Gram set (the next 8) are each one run of it; the last field is uu-+ at the
+    # norm E, for the normalization check
     built = sol._build(sol._massive_set(mass, kvec, kvec, theta0) + sol._massless_set(kvec, kvec, theta0)
                        + sol._running_phase(running) + sol._massive_set(mass, kvec, kvec, theta0, "momentum")
-                       + sol._massive_pairs(mass, gram_pairs))
-    massive, massless, hel_sols, gram_sols = built[:8], built[8:12], built[13:21], built[21:]
+                       + sol._massive_pairs(mass, gram_pairs)
+                       + sol._massive_pairs(mass, [(theta0, kvec, kvec, "up", "up", -1)], None, "E"))
+    massive, massless, hel_sols, gram_sols = built[:8], built[8:12], built[13:21], built[21:29]
     residuals = ver.dirac_residual(built[:13], points=points)
     add("residual_massive_set", max(residuals[:8]), residual_tol)
     add("residual_massless_set", max(residuals[8:12]), residual_tol)
@@ -309,10 +311,9 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     add("dispersion", max(sol.dispersion_residual(k, m) for k, m in all_momenta), residual_tol)
 
     e_plus = sol.mass_shell_energy(kvec, mass)
-    k_up = FourVector(e_plus, *kvec)
     norm_err = 0.0
-    # the E_over_m spinor at k_up is uu-+'s j half: +E, mass sign +1, spin up, z axis
-    spinors = sol.build_u_spinor(k_up, mass, mass_sign=1, norm_choice="E"), massive[1].u1
+    # the spinors at +E are uu-+'s j half (mass sign +1, spin up, z axis) at each norm
+    spinors = built[29].u1, massive[1].u1
     for u, target in zip(spinors, (e_plus, e_plus / mass)):
         norm_err = max(norm_err, abs(float(np.real(np.vdot(u, u))) - target) / target)
     add("normalization", norm_err, residual_tol)

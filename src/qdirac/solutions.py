@@ -30,6 +30,7 @@ CHIRALITIES = ("L", "R")
 NORM_CHOICES = ("E", "E_over_m")
 
 _Z_BASIS = spin_basis(None)
+_Z_ROWS = np.array(_Z_BASIS)
 # slashed(k) - mass_sign*m over coefficients (k.t, k.x, k.y, k.z, -mass_sign*m)
 _KERNEL_STACK = np.stack([GAMMA[0], -GAMMA[1], -GAMMA[2], -GAMMA[3], np.eye(4)]).reshape(5, 16)
 # u from the columns of (chi, lower, -lower), by shape 2*(k.t > 0) + (chi on top):
@@ -53,17 +54,27 @@ def mass_shell_energy(kvec, mass: float, sign: int = 1) -> float:
     if not mass >= 0:
         raise ValueError("mass must be >= 0")
     choice(sign, "sign", (1, -1))
+    return sign * _energy(kvec, mass)
+
+
+def _energy(kvec, mass: float) -> float:
+    """sqrt(|kvec|^2 + mass^2) for a checked mass m >= 0; raises ValueError
+    for a zero massless momentum, a momentum that is not finite, an energy
+    that overflows and a momentum not of shape (3,)."""
+    kvec = np.asarray(kvec, dtype=float)
     # the BLAS dot that @ runs, without its overflow warning (reported below)
     k2 = float(np.vdot(kvec, kvec))
     if mass == 0.0 and k2 == 0.0:
         raise ValueError("massless momentum must have nonzero spatial part")
     energy = math.sqrt(k2 + mass * mass)
     if not math.isfinite(energy):
+        if not np.isfinite(kvec).all():  # only past the energy, so a finite one costs nothing
+            raise ValueError(f"momentum {kvec.tolist()} must be finite")
         raise ValueError(
             f"mass {mass!r} or momentum {kvec.tolist()} is too large: its energy overflows")
     if kvec.shape != (3,):  # last, so a momentum failing a check above keeps its message
         raise ValueError(f"momentum must have shape (3,), got {kvec.shape}")
-    return sign * energy
+    return energy
 
 
 def dispersion_residual(kfour: FourVector, mass: float) -> float:
@@ -96,47 +107,59 @@ def build_u_spinor(kfour, mass, mass_sign, spin="up", norm_choice="E_over_m",
     if mass == 0.0 and norm_choice == "E_over_m":
         raise ValueError("norm_choice 'E_over_m' needs mass > 0")
     basis = _Z_BASIS if spin_axis is None else spin_basis(spin_axis)
+    chi = basis[SPINS.index(spin)][None]
     # the mass as a Python float, so a numpy scalar rounds as a float does
-    return _u_rows([(kfour, float(mass), mass_sign, basis[SPINS.index(spin)], norm_choice)])[0]
+    return _u_rows([kfour], [float(mass)], [mass_sign], [norm_choice], lambda n: chi)[0]
 
 
-def _u_rows(rows) -> np.ndarray:
-    """The (T, 4) `build_u_spinor` spinors of T checked rows (k, m,
-    mass_sign, chi, norm_choice), in one array pass.  Each row passes its
-    gates (nonzero frequency, mass shell, a finite u^dag u) before the
-    next row is read; the first row failing its kernel bound, which an
-    overflowing spinor fails, raises after the pass."""
-    seen, chis, scalars, flat = [], [], [], []
-    for i, (k, m, ms, chi, nc) in enumerate(rows):
-        seen.append((k, m, ms))
-        if k.t == 0.0:
-            raise ValueError(f"four-momentum {k} has zero frequency")
-        if not dispersion_residual(k, m) <= verify.RESIDUAL_TOL:  # NaN when k.t**2 overflows
-            raise ValueError(f"four-momentum {k} is off the mass shell for m={m}")
-        energy = abs(k.t)
-        target = energy if nc == "E" else energy / m
-        if not math.isfinite(target):
-            raise ValueError(f"mass {m!r} is too small: u^dag u = |k.t|/m overflows")
-        chis.append(chi)
-        # |k.t| + m, u^dag u, the phase threshold, the squared kernel bound
-        # (|u| = sqrt(target); finite, so an overflow fails it), _KERNEL_STACK weights
-        bound = verify.RESIDUAL_TOL * (energy + m) * math.sqrt(target)
-        scalars += (energy + m, target, 1e-12 * math.sqrt(target),
-                    min(bound * bound, sys.float_info.max), k.t, k.x, k.y, k.z, -ms * m)
-        flat += [6 * i + c for c in _U_COLUMNS[2 * (k.t > 0) + ((ms > 0) == (k.t > 0))]]
+def _u_rows(k, mass, mass_sign, norm_choice, chi) -> np.ndarray:
+    """The (T, 4) `build_u_spinor` spinors of T checked rows: per row a
+    FourVector k, a mass, a mass sign and a norm choice, and chi(n), the
+    (n, 2) spin-basis rows of the first n rows.  One pass over the rows
+    runs each row's gates (nonzero frequency, mass shell, a finite
+    u^dag u), in dispersion_residual's float operations, before it reads
+    the next; the first row failing one raises once chi has read the rows
+    up to it, so an earlier row's bad basis raises first.  The spinors are
+    built in one array pass, and the first row failing its kernel bound,
+    which an overflowing spinor fails, raises after it."""
+    scalars, flat = [], []
+    for i, (kk, m, s, nc) in enumerate(zip(k, mass, mass_sign, norm_choice)):
+        t, x, y, z = kk.t, kk.x, kk.y, kk.z
+        # dispersion_residual: |k.k - m^2| / (k.t^2 + m^2), or |k.k| when that is 0
+        kdot, scale = t * t - x * x - y * y - z * z, t * t + m * m
+        disp = abs(kdot) if scale == 0.0 else abs(kdot - m * m) / scale
+        energy = abs(t)
+        target = energy / m if nc == "E_over_m" else energy  # u^dag u
+        if t == 0.0 or not disp <= verify.RESIDUAL_TOL or not math.isfinite(target):
+            break
+        # |k.t| + m, u^dag u, the phase threshold, the squared kernel bound (|u| = sqrt(target);
+        # finite, so an overflow fails it), _KERNEL_STACK weights
+        root = math.sqrt(target)
+        bound = verify.RESIDUAL_TOL * (energy + m) * root
+        scalars += (energy + m, target, 1e-12 * root, min(bound * bound, sys.float_info.max),
+                    t, x, y, z, -s * m)
+        c0, c1, c2, c3 = _U_COLUMNS[2 * (t > 0) + ((s > 0) == (t > 0))]
+        flat += (6 * i + c0, 6 * i + c1, 6 * i + c2, 6 * i + c3)
+    rows = len(scalars) // 9
+    chi = chi(rows + (rows < len(k)))
+    if rows < len(k):
+        if t == 0.0:
+            raise ValueError(f"four-momentum {kk} has zero frequency")
+        if not disp <= verify.RESIDUAL_TOL:  # NaN when k.t**2 overflows
+            raise ValueError(f"four-momentum {kk} is off the mass shell for m={m}")
+        raise ValueError(f"mass {m!r} is too small: u^dag u = |k.t|/m overflows")
 
     # every product below is complex
-    nums = np.array(scalars, dtype=float).astype(complex).reshape(-1, 9)
-    chi = np.array(chis, dtype=complex).reshape(-1, 2)
+    nums = np.array(scalars, dtype=complex).reshape(-1, 9)
     # sigma.k: one term per real and imaginary part, so exact, signed zeros included
     sk = (nums[:, 5:8] @ PAULI.reshape(3, 4)).reshape(-1, 2, 2)
     lower = (sk @ chi[:, :, None])[:, :, 0] / nums[:, :1]
     u = np.concatenate([chi, lower, -lower], axis=1).take(flat).reshape(-1, 4)
     # np.vdot per row: no row-wise sum of |u|^2 rounds as it does
-    u = u * np.array([math.sqrt(t / np.vdot(v, v).real) for t, v in zip(scalars[1::9], u)])[:, None]
+    u = u * np.sqrt(nums.real[:, 1] / np.array(list(map(np.vdot, u, u))).real)[:, None]
     # make the first significant component real positive, dividing by np.hypot,
     # which abs() of one complex computes (np.abs of an array rounds differently)
-    lead = u[np.arange(len(seen)), (np.abs(u) > nums.real[:, 2:3]).argmax(axis=1)]
+    lead = u[np.arange(rows), (np.abs(u) > nums.real[:, 2:3]).argmax(axis=1)]
     u = u * (np.conj(lead) / np.hypot(lead.real, lead.imag))[:, None]
 
     # a kernel entry has one term per real and imaginary part (two on the
@@ -144,14 +167,13 @@ def _u_rows(rows) -> np.ndarray:
     r = ((nums[:, 4:] @ _KERNEL_STACK).reshape(-1, 4, 4) @ u[:, :, None]).view(float)
     squares = np.einsum("tij,tij->t", r, r)  # no overflow warning: an inf fails the finite bound
     ok = squares <= nums.real[:, 3]
-    if np.count_nonzero(ok) < len(seen):
-        i = int(np.argmin(ok))
-        k, m, ms = seen[i]
+    i = int(ok.argmin())
+    if not ok[i]:
         if not math.isfinite(squares[i]):
-            raise ValueError(f"mass {m!r} or momentum {k} is too large: the spinor overflows")
+            raise ValueError(f"mass {mass[i]!r} or momentum {k[i]} is too large: the spinor overflows")
         raise CertificationError(
             f"u-spinor failed the kernel condition: residual {math.sqrt(squares[i]):.3e} "
-            f"for k={k}, mass_sign={ms}"
+            f"for k={k[i]}, mass_sign={mass_sign[i]}"
         )
     return u
 
@@ -175,8 +197,23 @@ class _PlaneWaveSum:
         verify._stack_terms([self])
 
     def stacked_terms(self):
-        """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4)."""
-        return self._stacked
+        """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4),
+        read-only slices of the field's term table."""
+        (kl, cu, _, starts, _, _), n = self._run
+        return [(kl[h[n]:h[n + 1]], cu[h[n]:h[n + 1]]) for h in starts]
+
+    @property
+    def _scales(self) -> tuple:
+        """(u_scale, k_scale) of the certification bound: the largest term
+        |u| times max(1, |c|), and the largest of 1, the mass and every
+        component of a term momentum (a running phase moves them to k +-
+        theta)."""
+        table, n = self._run
+        return table[4][n], table[5][n]
+
+    @property
+    def _u_scale(self) -> float:
+        return self._scales[0]
 
     def eval_points(self, points):
         """Values (psi0, psi1), each of shape (P, 4), at a batch of points."""
@@ -222,8 +259,6 @@ class PlaneWaveSolution(_PlaneWaveSum):
     mass: float
     theta: FourVector = ZERO_FOUR
     label: str = ""
-    _stacked: list = field(init=False, repr=False, compare=False)
-    _u_scale: float = field(init=False, repr=False, compare=False)
     _run: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -243,7 +278,7 @@ class PlaneWaveSolution(_PlaneWaveSum):
         """One term per half at constant phase; with a running phase,
         cos(Theta) exp(i k.x) = (e^{i theta0} exp(i(k+theta).x)
         + e^{-i theta0} exp(i(k-theta).x)) / 2, and likewise for sin."""
-        if self.theta.is_zero():
+        if self.theta is ZERO_FOUR or self.theta.is_zero():
             return (((math.cos(self.theta0), self.k0, self.u0),),
                     ((math.sin(self.theta0), self.k1, self.u1),))
         e = 0.5 * cmath.exp(1j * self.theta0)
@@ -296,66 +331,86 @@ def _massive_label(spin0: str, spin1: str, esign0: int) -> str:
     return f"{spin0[0]}{spin1[0]}{'+-' if esign0 > 0 else '-+'}"
 
 
+_SET_T, _SET_X, _SET_Y, _SET_Z = (getattr(FourVector, name).__set__ for name in ("t", "x", "y", "z"))
+
+
+def _four(t, x, y, z) -> FourVector:
+    """FourVector(t, x, y, z), its components set once as floats."""
+    k = object.__new__(FourVector)
+    _SET_T(k, float(t))
+    _SET_X(k, float(x))
+    _SET_Y(k, float(y))
+    _SET_Z(k, float(z))
+    return k
+
+
 def _half(kvec, mass, half, esign, spin, norm_choice, spin_axis):
     """Four-momenta and read-only kernel spinors (T, 4) of T plane-wave
     terms, from per-row lists of checked values: spatial momentum (or a
-    FourVector, taken as given), mass, half, branch label, spin and spin
-    axis (None for z, "momentum" for the helicity basis).  Massive rows
-    take `norm_choice`, massless ones "E".  The only place a branch label
+    FourVector, taken as given), mass, half, branch label, spin, norm
+    choice and spin axis (None for z, "momentum" for the helicity basis).
+    A massless row takes the norm "E".  The only place a branch label
     becomes a frequency sign: -esign*E on half 0, +esign*E on half 1 (the
     mass signs of verify.HALF_MASS_SIGN), esign*|k| on a massless row.
     Rows sharing a kvec object and a mass share its energy and momenta,
     and rows sharing a kvec object its helicity basis, each made once."""
     kvec = list(kvec)  # holds every kvec object for the call, so its id keys the memos below
-    signs = [verify.HALF_MASS_SIGN[h] if m > 0 else 1 for h, m in zip(half, mass)]
-    energies, momenta, helicity, ks = {}, {}, {}, []
-    for kv, m, mass_sign, e in zip(kvec, mass, signs, esign):
+    energies, momenta, helicity = {}, {}, {}
+    ks, signs, norms, index = [], [], [], []
+    for kv, m, h, e, sp, nc, axis in zip(kvec, mass, half, esign, spin, norm_choice, spin_axis):
+        mass_sign = verify.HALF_MASS_SIGN[h] if m > 0 else 1
         if isinstance(kv, FourVector):
-            ks.append(kv)
-            continue
-        key = id(kv), m
-        k = momenta.get((key, mass_sign * e))
-        if k is None:
-            if key not in energies:
-                energies[key] = mass_shell_energy(kv, m)
-            k = momenta[key, mass_sign * e] = FourVector(mass_sign * e * energies[key], *kv)
+            k = kv
+        else:
+            key = id(kv), m
+            k = momenta.get((key, mass_sign * e))
+            if k is None:
+                if key not in energies:
+                    energies[key] = _energy(kv, m)
+                k = momenta[key, mass_sign * e] = _four(mass_sign * e * energies[key], *kv)
+        # the row's spin basis: 0 for z, else its momentum's helicity basis, numbered by first use
+        basis = 0 if m > 0 and axis is None else helicity.setdefault(id(kv), (len(helicity) + 1, k))[0]
         ks.append(k)
+        signs.append(mass_sign)
+        norms.append(nc if m > 0 else "E")
+        index.append(2 * basis + (sp == "down"))
 
-    def chi(kv, k, m, sp, axis):
-        if m > 0 and axis is None:
-            return _Z_BASIS[SPINS.index(sp)]
-        if id(kv) not in helicity:
-            # at zero frequency the z basis stands in: _u_rows rejects the row
-            helicity[id(kv)] = _Z_BASIS if k.t == 0.0 else spin_basis((k.x, k.y, k.z))
-        return helicity[id(kv)][SPINS.index(sp)]
+    def chi(n):
+        """The spin-basis rows of the first n rows, taken by index from the
+        z basis and the helicity bases those rows use, made in row order."""
+        used = list(helicity.values())[:max(index[:n]) // 2]
+        # at zero frequency the z basis stands in: _u_rows rejects the row
+        table = _Z_ROWS if not used else np.concatenate(
+            [_Z_ROWS, *(_Z_ROWS if k.t == 0.0 else spin_basis((k.x, k.y, k.z)) for _, k in used)])
+        return table.take(index[:n], axis=0)
 
-    # each basis is taken as `_u_rows` reads its row, after the gates of the rows before it
-    u = _u_rows((k, m, ms, chi(kv, k, m, sp, axis), norm_choice if m > 0 else "E")
-                for kv, k, m, ms, sp, axis in zip(kvec, ks, mass, signs, spin, spin_axis))
+    u = _u_rows(ks, mass, signs, norms, chi)
     u.setflags(write=False)
     return ks, u
 
 
-def _build(members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
+def _build(members) -> list[PlaneWaveSolution]:
     """Certified fields from one row table.  Member (mass, theta0, row0,
     row1, label, theta) is one field whose halves hold the terms of rows
-    (kvec, half, esign, spin, spin_axis) at its mass; massive rows take
-    `norm_choice`.  One `_half` call builds every distinct row, and one
-    `certify_solution` call certifies every field at its own mass."""
-    # (id(kvec), mass, half, esign, spin, spin_axis) -> (its index, the row), in order
-    # of first use; keyed by object, so equal momenta differing in a zero's sign keep their rows
+    (kvec, half, esign, spin, spin_axis, norm_choice) at its mass, kvec a
+    tuple or a FourVector.  One `_half` call builds every distinct row,
+    and one `certify_solution` call certifies every field at its own
+    mass."""
+    # (mass, id(kvec), row) -> its index, in order of first use; keyed by the momentum's
+    # object, so equal momenta differing in a zero's sign keep their rows
     index = {}
-    pairs = [tuple(index.setdefault((id(row[0]), m, *row[1:]), (len(index), row))[0] for row in rows)
-             for m, _, *rows, _, _ in members]
-    kvec, half, esign, spin, axis = zip(*(row for _, row in index.values()))
-    k, u = _half(kvec, [key[1] for key in index], half, esign, spin, norm_choice, axis)
+    rows = [index.setdefault((m, id(row[0]), row), len(index))
+            for m, _, *pair, _, _ in members for row in pair]
+    mass, _, distinct = zip(*index)
+    kvec, half, esign, spin, axis, norm = zip(*distinct)
+    k, u = _half(kvec, mass, half, esign, spin, norm, axis)
     spinors = list(u)  # one read-only view per row, shared by the fields holding it
     fields = [object.__new__(PlaneWaveSolution) for _ in members]
     # each slot's own descriptor sets it past the frozen __setattr__
     set_theta0, set_k0, set_k1, set_u0, set_u1, set_mass, set_theta, set_label = (
         getattr(PlaneWaveSolution, name).__set__
         for name in ("theta0", "k0", "k1", "u0", "u1", "mass", "theta", "label"))
-    for f, (i, j), (m, t0, _, _, label, theta) in zip(fields, pairs, members):
+    for f, i, j, (m, t0, _, _, label, theta) in zip(fields, rows[::2], rows[1::2], members):
         set_theta0(f, float(t0))
         set_k0(f, k[i])
         set_k1(f, k[j])
@@ -369,10 +424,10 @@ def _build(members, norm_choice: str = "E_over_m") -> list[PlaneWaveSolution]:
     return fields
 
 
-def _massive_pairs(mass: float, pairs, spin_axis=None) -> list:
+def _massive_pairs(mass: float, pairs, spin_axis=None, norm_choice="E_over_m") -> list:
     """Members of the massive solutions (theta0, kvec0, kvec1, spin0, spin1,
-    esign0) of one mass; the j half carries the label -esign0."""
-    return [(mass, t0, (kv0, 0, e, s0, spin_axis), (kv1, 1, -e, s1, spin_axis),
+    esign0) of one mass and norm; the j half carries the label -esign0."""
+    return [(mass, t0, (kv0, 0, e, s0, spin_axis, norm_choice), (kv1, 1, -e, s1, spin_axis, norm_choice),
              _massive_label(s0, s1, e), ZERO_FOUR) for t0, kv0, kv1, s0, s1, e in pairs]
 
 
@@ -391,17 +446,17 @@ def build_massive_solutions(specs) -> list[PlaneWaveSolution]:
     if any((s.mass, s.norm_choice) != (mass, norm_choice) for s in specs):
         raise ValueError("the specs of one build must share mass and norm_choice")
     return _build(_massive_pairs(mass, [(s.theta0, s.kvec0, s.kvec1, s.spin0, s.spin1, s.esign0)
-                                        for s in specs]), norm_choice)
+                                        for s in specs], None, norm_choice))
 
 
 SPIN_PAIRS = (("up", "up"), ("down", "down"), ("up", "down"), ("down", "up"))
 
 
-def _massive_set(mass: float, kvec0, kvec1, theta0: float, spin_axis=None) -> list:
+def _massive_set(mass: float, kvec0, kvec1, theta0: float, spin_axis=None, norm_choice="E_over_m") -> list:
     """Members of the eight labeled massive solutions, in set order; they
     share their 8 distinct rows (half, spin, esign0)."""
     pairs = [(theta0, kvec0, kvec1, s0, s1, e) for s0, s1 in SPIN_PAIRS for e in (1, -1)]
-    return _massive_pairs(mass, pairs, spin_axis)
+    return _massive_pairs(mass, pairs, spin_axis, norm_choice)
 
 
 def enumerate_massive_set(
@@ -417,7 +472,7 @@ def enumerate_massive_set(
     spec = MassiveSpec(mass=mass, theta0=theta0, kvec0=kvec0, kvec1=kvec1, norm_choice=norm_choice)
     # read before the rows that hold it are hashed
     spin_axis = choice(spin_axis, "spin_axis", (None, "momentum"))
-    return _build(_massive_set(spec.mass, spec.kvec0, spec.kvec1, spec.theta0, spin_axis), spec.norm_choice)
+    return _build(_massive_set(spec.mass, spec.kvec0, spec.kvec1, spec.theta0, spin_axis, spec.norm_choice))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +499,7 @@ class MasslessThetaSpec:
     def __post_init__(self) -> None:
         for name in ("kappa0", "kappa1", "theta0"):
             object.__setattr__(self, name, number(getattr(self, name), name))
-        if self.theta.is_zero():
+        if self.theta is ZERO_FOUR or self.theta.is_zero():
             raise ValueError("theta must be nonzero (use the constant-phase family otherwise)")
         scale = max(self.theta.t**2, float(self.theta.spatial() @ self.theta.spatial()))
         if abs(self.theta.dot(self.theta)) > verify.RESIDUAL_TOL * scale:
@@ -464,8 +519,9 @@ def _running_phase(spec: MasslessThetaSpec) -> list:
     kappa*theta are taken as given."""
     # ker slashed(k) = ker slashed(theta); the helicity along k is
     # chirality * sign(k.t), which flips with the sign of kappa
-    row0, row1 = ((k, h, 1, "up" if (c == "R") == (k.t > 0) else "down", None) for h, (k, c) in enumerate(
-        ((spec.theta.scale(spec.kappa0), spec.chirality0), (spec.theta.scale(spec.kappa1), spec.chirality1))))
+    row0, row1 = ((k, h, 1, "up" if (c == "R") == (k.t > 0) else "down", None, "E")
+                  for h, (k, c) in enumerate(((spec.theta.scale(spec.kappa0), spec.chirality0),
+                                              (spec.theta.scale(spec.kappa1), spec.chirality1))))
     return [(0.0, spec.theta0, row0, row1, spec.label, spec.theta)]
 
 
@@ -481,8 +537,8 @@ def _massless_set(kvec0, kvec1, theta0: float) -> list:
     """Members of the four constant-phase massless solutions, sharing 4
     rows; at positive frequency chirality = helicity."""
     spin = {"L": "down", "R": "up"}
-    return [(0.0, theta0, (kvec0, 0, 1, spin[c0], None), (kvec1, 1, 1, spin[c1], None), f"{c0}{c1}",
-             ZERO_FOUR) for c0, c1 in _CHIRALITY_PAIRS]
+    return [(0.0, theta0, (kvec0, 0, 1, spin[c0], None, "E"), (kvec1, 1, 1, spin[c1], None, "E"),
+             f"{c0}{c1}", ZERO_FOUR) for c0, c1 in _CHIRALITY_PAIRS]
 
 
 def enumerate_massless_theta0_set(kvec0, kvec1, theta0: float) -> list[PlaneWaveSolution]:
@@ -625,8 +681,6 @@ class WavePacket(_PlaneWaveSum):
     theta0: float
     terms0: tuple[tuple[float, FourVector, np.ndarray], ...]
     terms1: tuple[tuple[float, FourVector, np.ndarray], ...]
-    _stacked: list = field(init=False, repr=False, compare=False)
-    _u_scale: float = field(init=False, repr=False, compare=False)
     _run: tuple = field(init=False, repr=False, compare=False)
     label = "wave packet"
 
@@ -656,7 +710,8 @@ def make_wave_packet(mass: float, theta0: float, samples0, samples1) -> WavePack
     if not samples:
         raise ValueError("samples must be nonempty")
     k, u = _half([s.kvec for s in samples], [mass] * len(samples), [0] * n0 + [1] * (len(samples) - n0),
-                 [s.esign for s in samples], [s.spin for s in samples], "E_over_m", [None] * len(samples))
+                 [s.esign for s in samples], [s.spin for s in samples], ["E_over_m"] * len(samples),
+                 [None] * len(samples))
     terms = [(s.amplitude, k[i], u[i]) for i, s in enumerate(samples)]
     packet = WavePacket(mass, theta0, tuple(terms[:n0]), tuple(terms[n0:]))
     certify_solution(packet)
@@ -677,40 +732,36 @@ def certify_solution(sol):
     fields = [sol] if isinstance(sol, _PlaneWaveSum) else list(sol)
     if not fields:
         return []
-    terms = verify.term_residuals(fields)
-    owner = np.concatenate([o for _, _, o in terms])
-    kl = np.concatenate([kl for kl, _, _ in terms])
-    r = np.concatenate([r for _, r, _ in terms])
+    kl, r, owner = (np.concatenate(column) for column in zip(*verify.term_residuals(fields)))
     # each term's residual norm, in np.linalg.norm's float operations
-    norms = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1)).tolist()
+    norms = np.sqrt(np.add.reduce((r.conj() * r).real, axis=1))
     masses = np.array([f.mass for f in fields])
     # each term's dispersion_residual at its field's mass, in the same float operations
     t, x, y, z = kl.T
     m = masses[owner]
     scale = t * t + m * m
     # a scale of 0 (k.t = m = 0) leaves |k.k| undivided; an overflow reads NaN, so off shell
-    disp = (np.abs(t * t - x * x - y * y - z * z - m * m) / np.where(scale == 0.0, 1.0, scale)).tolist()
-    # per field, the sum of its term residual norms in row order and its k_scale: the
-    # largest of 1, its mass and its term momenta (a running phase moves them to k +- theta)
-    res = [0.0] * len(fields)
-    k_scale = [max(1.0, f.mass) for f in fields]
-    # the first off-shell term of the first field holding one, in the field's term order
-    owners, first = owner.tolist(), None
-    for i, (o, norm, peak, d) in enumerate(zip(owners, norms, np.abs(kl).max(axis=1).tolist(), disp)):
-        res[o] += norm
-        k_scale[o] = max(k_scale[o], peak)
-        if not d <= verify.RESIDUAL_TOL and (first is None or o < owners[first]):
-            first = i
-    for n, (f, r, ks) in enumerate(zip(fields, res, k_scale)):
-        if first is not None and n == owners[first]:
-            k = FourVector(*(kl[first] * (1.0, -1.0, -1.0, -1.0)).tolist())
-            if not math.isfinite(disp[first]):  # k.k overflows
+    disp = np.abs(t * t - x * x - y * y - z * z - m * m) / np.where(scale == 0.0, 1.0, scale)
+    off = ~(disp <= verify.RESIDUAL_TOL)
+    # per field, the sum of its term residual norms in row order, against its bound
+    res = np.bincount(owner, norms, len(fields))
+    bounds = [verify.RESIDUAL_TOL * k_scale * u_scale for u_scale, k_scale in (f._scales for f in fields)]
+    over = ~(res <= bounds)
+    if off.any() or over.any():
+        # in field order, the first field holding an off-shell term or failing its bound
+        n = int((over | (np.bincount(owner, off, len(fields)) > 0)).argmax())
+        f, r = fields[n], float(res[n])
+        if off[owner == n].any():
+            # its first off-shell term, in the field's term order
+            i = int((off & (owner == n)).argmax())
+            k = FourVector(*(kl[i] * (1.0, -1.0, -1.0, -1.0)).tolist())
+            if not math.isfinite(disp[i]):  # k.k overflows
                 raise ValueError(f"solution {f.label!r} overflows: term momentum {k} is too large")
             raise CertificationError(f"term momentum {k} violates the dispersion relation for m={f.mass}")
         if not math.isfinite(r):
             raise ValueError(f"solution {f.label!r} overflows: mass, momenta or amplitudes too large")
-        if r > verify.RESIDUAL_TOL * ks * f._u_scale:
-            raise CertificationError(f"solution {f.label!r} failed residual certification: {r:.3e}")
+        raise CertificationError(f"solution {f.label!r} failed residual certification: {r:.3e}")
+    res = res.tolist()
     return res[0] if isinstance(sol, _PlaneWaveSum) else res
 
 

@@ -105,14 +105,17 @@ def _axis_norm(v, name: str, zero: str) -> tuple[np.ndarray, float]:
     or underflow past the smallest normal float is divided by its largest component first.
     Raises ValueError, with the message `zero` for a zero vector."""
     a = np.asarray(v, dtype=float)
+    flat = a.ravel()
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
+        # np.linalg.norm's float operations for a real vector: sqrt(x.dot(x))
+        norm = math.sqrt(flat.dot(flat))
     if not sys.float_info.min ** 0.5 <= norm < math.inf:
         if not np.isfinite(a).all():
             raise ValueError(f"{name} must be finite, got {a.tolist()}")
         if a.any():
             a = a / np.abs(a).max()
-            norm = float(np.linalg.norm(a))
+            flat = a.ravel()
+            norm = math.sqrt(flat.dot(flat))
     if norm == 0.0:
         raise ValueError(zero)
     if a.shape != (3,):  # last, so a vector failing a check above keeps its message
@@ -136,17 +139,16 @@ def spin_basis(axis=None) -> tuple[np.ndarray, np.ndarray]:
     sigma.n_hat for a quantization axis n.  None means the z axis, which
     returns the exact standard basis (1,0) and (0,1)."""
     n, norm = _axis_norm((0.0, 0.0, 1.0) if axis is None else axis, "spin axis", "spin axis must be nonzero")
-    n = n / norm
-    if n[0] == 0.0 and n[1] == 0.0:
-        if n[2] > 0.0:
+    nx, ny, nz = (c / norm for c in n.tolist())
+    if nx == 0.0 and ny == 0.0:
+        if nz > 0.0:
             return (np.array([1.0 + 0j, 0.0 + 0j]), np.array([0.0 + 0j, 1.0 + 0j]))
         return (np.array([0.0 + 0j, 1.0 + 0j]), np.array([-1.0 + 0j, 0.0 + 0j]))
-    theta = math.acos(max(-1.0, min(1.0, n[2])))
-    phi = math.atan2(n[1], n[0])
+    theta = math.acos(max(-1.0, min(1.0, nz)))
+    phi = math.atan2(ny, nx)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     e = complex(math.cos(phi), math.sin(phi))
-    chi_plus = np.array([c + 0j, s * e]) + 0.0
-    chi_minus = np.array([-s * e.conjugate(), c + 0j]) + 0.0
+    chi_plus, chi_minus = np.array([[c + 0j, s * e], [-s * e.conjugate(), c + 0j]]) + 0.0
     return chi_plus, chi_minus
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from ._fields import number
 from .grid import SampledField, SpacetimeGrid, _real_slabs
 # not called here; perfbench/spans.py wraps them under this module path
 from .grid import central_diff, integrate_spatial, sample  # noqa: F401
-from .spinor import BETA_DIAG, FourVector, GAMMA, PAULI
+from .spinor import BETA_DIAG, METRIC_DIAG, FourVector, GAMMA, PAULI
 
 # The verification bounds, stated once.  RESIDUAL_TOL: field-equation,
 # dispersion, kernel, normalization, helicity and constraint residuals;
@@ -31,6 +32,7 @@ QUADRATURE_TOL = 1e-10
 # h lie in ker(slashed(k) - HALF_MASS_SIGN[h] m), because right
 # multiplication by i is +i on the complex half and -i on the j half.
 HALF_MASS_SIGN = (-1, 1)
+_COMPONENTS = operator.attrgetter("t", "x", "y", "z")
 # beta @ gamma^mu, the Hermitian forms behind the four-current
 _BG_STACK = np.stack([np.diag(BETA_DIAG).astype(complex) @ g for g in GAMMA])
 
@@ -42,31 +44,41 @@ def default_points(seed: int = 7) -> np.ndarray:
 
 
 def _stack_terms(fields) -> None:
-    """Write one read-only table (kl, cu, owner, starts) of the terms
-    (c, k, u) of `fields`, half 0 of every field then half 1, as lowered
-    momenta kl and cu = c*u; starts[f] is field f's first row in each
-    half, owner[n] the field of row n (None for one field).  Each field
-    gets `_stacked`, `_run` (table, f) and `_u_scale`, its largest term
-    |u| times max(1, |c|)."""
-    halves = [f._terms() for f in fields]
-    terms = [term for h in (0, 1) for field_terms in halves for term in field_terms[h]]
-    kl = np.array([(k.t, -k.x, -k.y, -k.z) for _, k, _ in terms], dtype=float).reshape(-1, 4)
-    u = np.array([w for _, _, w in terms], dtype=complex).reshape(-1, 4)
-    cu = np.array([c for c, _, _ in terms], dtype=complex)[:, None] * u
+    """Write one read-only table (kl, cu, owner, starts, u_scale, k_scale)
+    of the terms (c, k, u) of `fields`, half 0 of every field then half 1,
+    as lowered momenta kl and cu = c*u; starts[h][f] is field f's first
+    row in half h, owner[n] the field of row n (None for one field), and
+    u_scale[f] and k_scale[f] field f's certification scales, see
+    `_PlaneWaveSum._scales`.  Each field gets `_run` (table, f).  Past
+    reading each field's terms, no step runs Python code per term."""
+    half0, half1, counts0, counts1 = [], [], [], []
+    for f in fields:
+        terms0, terms1 = f._terms()
+        half0 += terms0
+        half1 += terms1
+        counts0.append(len(terms0))
+        counts1.append(len(terms1))
+    c, k, u = zip(*half0, *half1)
+    # each term's (t, x, y, z), then times the metric diagonal: the lowered momenta
+    components = list(itertools.chain.from_iterable(map(_COMPONENTS, k)))
+    kl = np.array(components, dtype=float).reshape(-1, 4) * METRIC_DIAG
+    u = np.array(u, dtype=complex).reshape(-1, 4)
+    cu = np.array(c, dtype=complex)[:, None] * u
     kl.setflags(write=False)
     cu.setflags(write=False)
-    scales = [max(1.0, abs(c)) * math.hypot(*a) for (c, _, _), a in zip(terms, np.abs(u).tolist())]
-    counts0, counts1 = ([len(field_terms[h]) for field_terms in halves] for h in (0, 1))
-    # the half-1 rows follow every half-0 row; the last pair ends the table
-    starts = list(zip(itertools.accumulate(counts0, initial=0),
-                      itertools.accumulate(counts1, initial=sum(counts0))))
+    # max(1, |c|) * math.hypot(*|u|) per term
+    scales = list(map(operator.mul, map(max, itertools.repeat(1.0), map(abs, c)),
+                      map(math.hypot, *np.abs(u).T.tolist())))
+    # the half-1 rows follow every half-0 row; each half's last start ends it
+    s0, s1 = starts = (list(itertools.accumulate(counts0, initial=0)),
+                       list(itertools.accumulate(counts1, initial=len(half0))))
     # the index of each row's field, which only a run of several fields reads
     owner = (np.arange(2 * len(fields)) % len(fields)).repeat(counts0 + counts1) if len(fields) > 1 else None
-    table = kl, cu, owner, starts
+    u_scale = [max([1.0, *scales[a0:b0], *scales[a1:b1]]) for a0, b0, a1, b1 in zip(s0, s0[1:], s1, s1[1:])]
+    k_scale = [max(1.0, f.mass, *map(abs, components[4 * a0:4 * b0]), *map(abs, components[4 * a1:4 * b1]))
+               for f, a0, b0, a1, b1 in zip(fields, s0, s0[1:], s1, s1[1:])]
+    table = kl, cu, owner, starts, u_scale, k_scale
     for n, f in enumerate(fields):
-        (a0, a1), (b0, b1) = starts[n:n + 2]
-        object.__setattr__(f, "_stacked", [(kl[a0:b0], cu[a0:b0]), (kl[a1:b1], cu[a1:b1])])
-        object.__setattr__(f, "_u_scale", max([1.0, *scales[a0:b0], *scales[a1:b1]]))
         object.__setattr__(f, "_run", (table, n))
 
 
@@ -82,9 +94,9 @@ def _stack_rows(fields):
         return [(np.zeros((0, 4)), np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int))] * 2
     table, first = fields[0]._run
     if all(f._run[0] is table and f._run[1] == n for n, f in enumerate(fields, first)):
-        kl, w, owner, starts = table
-        return [(kl[a:b], w[a:b], owner[a:b] - first)
-                for a, b in zip(starts[first], starts[first + len(fields)])]
+        kl, w, owner, starts, _, _ = table
+        return [(kl[h[first]:h[first + len(fields)]], w[h[first]:h[first + len(fields)]],
+                 owner[h[first]:h[first + len(fields)]] - first) for h in starts]
     halves = [[f.stacked_terms()[h] for f in fields] for h in (0, 1)]
     return [(*map(np.concatenate, zip(*half)),
              np.arange(len(fields)).repeat([len(kl) for kl, _ in half])) for half in halves]

@@ -29,11 +29,17 @@ CASES = {
         "schema_version": 1, "kind": "massive", "mass": 1.0,
         "kvec0": [0, 0, 1.0], "kvec1": [0, 0, 1.0], "theta0": 0.5236,
         "norm_choice": "E_over_m"}, [], 0),
+    "catalog_massive_e": ("catalog", {
+        "kind": "massive", "mass": 1.7, "kvec0": [0.3, -0.4, 1.1], "kvec1": [-0.2, 0.5, 0.6],
+        "theta0": 1.1, "norm_choice": "E"}, [], 0),
     "catalog_massless": ("catalog", {
         "schema_version": 1, "kind": "massless",
         "kvec0": [0, 0, 1.0], "kvec1": [0, 0.6, 0.8], "theta0": 0.5236}, [], 0),
     "verify_default": ("verify", {}, [], 0),
     "verify_tight_tol": ("verify", {}, ["--tol", "1e-20"], 1),
+    # the shape of a benchmark verify op: a 16^3 Gram box and a seed of its own
+    "verify_box16": ("verify", {"mass": 1.3, "theta0": 0.4, "box_length": 6.0, "box_cells": 16},
+                     ["--seed", "12345"], 0),
     "continuity_1p1": ("continuity", {"schema_version": 1, "dimension": "1+1", "levels": 3},
                        [], 0),
     "continuity_source": ("continuity", {

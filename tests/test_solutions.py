@@ -88,6 +88,21 @@ def test_mass_shell_rejects_null_zero():
         helicity_matrix((math.inf, 0))
 
 
+@pytest.mark.parametrize("mass", [1.0, 0.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mass_shell_names_a_momentum_that_is_not_finite(bad, mass):
+    for kvec in ((bad, 0.0, 0.0), (0.3, bad, 0.4), (0.0, 0.0, bad)):
+        with pytest.raises(ValueError) as exc:
+            mass_shell_energy(kvec, mass)
+        assert str(exc.value) == f"momentum {list(map(float, kvec))} must be finite"
+    # a finite momentum whose energy overflows keeps the overflow message
+    with pytest.raises(ValueError, match=r"mass 1.0 or momentum \[1e\+200, 0.0, 0.0\] is too large: "
+                                         r"its energy overflows"):
+        mass_shell_energy((1e200, 0.0, 0.0), 1.0)
+    with pytest.raises(ValueError, match=r"mass inf or momentum \[0.0, 0.0, 1.0\] is too large"):
+        mass_shell_energy((0.0, 0.0, 1.0), math.inf)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: mass_shell_energy([0, 0, 1, 5], 1.0), "momentum must have shape (3,), got (4,)"),
     (lambda: mass_shell_energy([[0, 0, 1]], 1.0), "momentum must have shape (3,), got (1, 3)"),
@@ -364,7 +379,7 @@ def _member_alone(mass, kvec0, kvec1, theta0, norm_choice, spin_axis,
     spin_axis = choice(spin_axis, "spin_axis", (None, "momentum"))
     # one one-row _half call per half, the complex half first
     ((k0,), (u0,)), ((k1,), (u1,)) = (
-        _half([kvec], [spec.mass], [half], [e], [spin], norm_choice, [spin_axis])
+        _half([kvec], [spec.mass], [half], [e], [spin], [norm_choice], [spin_axis])
         for half, kvec, e, spin in ((0, spec.kvec0, esign0, spin0), (1, spec.kvec1, -esign0, spin1)))
     sol = PlaneWaveSolution(spec.theta0, k0, k1, u0, u1, spec.mass, label=spec.label)
     certify_solution(sol)
@@ -446,9 +461,9 @@ def test_half_reads_momenta_from_an_array_or_generator_as_from_tuples(mass):
     kvecs = [(0.2, 0.3, -0.4), (0.5, 0.0, 0.1), (-0.7, 0.2, 0.9), (0.1, -0.6, 0.3)]
     half, esign, spin = [0, 1, 0, 1], [1, -1, -1, 1], ["up", "down", "down", "up"]
     norm_choice = "E" if mass == 0.0 else "E_over_m"
-    want_k, want_u = _half(kvecs, [mass] * 4, half, esign, spin, norm_choice, [None] * 4)
+    want_k, want_u = _half(kvecs, [mass] * 4, half, esign, spin, [norm_choice] * 4, [None] * 4)
     for kvec in (np.array(kvecs), (np.array(kv) for kv in kvecs)):
-        k, u = _half(kvec, [mass] * 4, half, esign, spin, norm_choice, [None] * 4)
+        k, u = _half(kvec, [mass] * 4, half, esign, spin, [norm_choice] * 4, [None] * 4)
         assert k == want_k
         assert np.array_equal(u, want_u)
 
@@ -468,7 +483,7 @@ def _field_bits(f) -> list:
 def _verify_fields(mass, box_length, theta0):
     """The fields of run_verify's one pass, in its table order, each built
     by its standalone builder: the massive set, the massless set, the
-    running phase, the helicity set and the Gram set."""
+    running phase, the helicity set, the Gram set and uu-+ at the norm E."""
     base = 2.0 * math.pi / box_length
     kvec = (base, 0.0, base)
     directions = ((base, 0.0, 0.0), (0.0, base, 0.0), (0.0, 0.0, base), (-base, 0.0, 0.0))
@@ -479,12 +494,13 @@ def _verify_fields(mass, box_length, theta0):
             *enumerate_massive_set(mass, kvec, kvec, theta0, spin_axis="momentum"),
             *build_massive_solutions(MassiveSpec(mass, theta0, kv, kv, s0, s1, e)
                                      for (s0, s1), kv in zip(solutions.SPIN_PAIRS, directions)
-                                     for e in (1, -1))]
+                                     for e in (1, -1)),
+            build_massive_solution(MassiveSpec(mass, theta0, kvec, kvec, "up", "up", -1, "E"))]
 
 
 def _verify_pass(mass=1.7, box_length=5.0, theta0=-0.3):
     """run_verify's fields from its one `solutions._build` call: a table
-    of two masses holding the running phase's k +- theta terms."""
+    of two masses and two norms holding the running phase's k +- theta terms."""
     base = 2.0 * math.pi / box_length
     kvec = (base, 0.0, base)
     directions = ((base, 0.0, 0.0), (0.0, base, 0.0), (0.0, 0.0, base), (-base, 0.0, 0.0))
@@ -493,14 +509,15 @@ def _verify_pass(mass=1.7, box_length=5.0, theta0=-0.3):
     return solutions._build(solutions._massive_set(mass, kvec, kvec, theta0)
                             + solutions._massless_set(kvec, kvec, theta0) + solutions._running_phase(running)
                             + solutions._massive_set(mass, kvec, kvec, theta0, "momentum")
-                            + solutions._massive_pairs(mass, gram))
+                            + solutions._massive_pairs(mass, gram)
+                            + solutions._massive_pairs(mass, [(theta0, kvec, kvec, "up", "up", -1)], None, "E"))
 
 
 @pytest.mark.parametrize("mass, box_length, theta0", [(1.0, 2.0 * math.pi, math.pi / 8), (1.7, 5.0, -0.3)])
 def test_verify_passes_equal_the_standalone_builds(monkeypatch, mass, box_length, theta0):
     want = _verify_fields(mass, box_length, theta0)
-    passes, rows = [], []
-    build, half = solutions._build, solutions._half
+    passes, rows, kernels = [], [], []
+    build, half, kernel = solutions._build, solutions._half, solutions._u_rows
 
     def recording_build(*args, **kwargs):
         passes.append(build(*args, **kwargs))
@@ -510,12 +527,19 @@ def test_verify_passes_equal_the_standalone_builds(monkeypatch, mass, box_length
         rows.append(len(kvec))
         return half(kvec, *args)
 
+    def counting_kernel(k, *args):
+        kernels.append(len(k))
+        return kernel(k, *args)
+
     monkeypatch.setattr(solutions, "_build", recording_build)
     monkeypatch.setattr(solutions, "_half", counting_half)
+    monkeypatch.setattr(solutions, "_u_rows", counting_kernel)
     code, _ = run_verify({"mass": mass, "box_length": box_length, "theta0": theta0}, None, 3)
     assert code == 0
-    # one pass: 8 massive, 4 massless, 2 running-phase, 8 helicity and 16 Gram rows in one spinor build
-    assert rows == [38]
+    # one pass: 8 massive, 4 massless, 2 running-phase, 8 helicity, 16 Gram and 2 norm-E
+    # rows in one spinor build, the op's only call of the row kernel
+    assert rows == [40]
+    assert kernels == [40]
     assert [[_field_bits(f) for f in p] for p in passes] == [[_field_bits(f) for f in want]]
 
 
@@ -558,6 +582,56 @@ def test_a_broken_row_raises_its_standalone_message(kvec, spin_axis):
     assert str(merged.value) == str(alone.value)
 
 
+def _given(member, k):
+    """`member` with the four-momentum k given, as a running phase gives
+    its rows, in place of its complex half's spatial momentum."""
+    mass, theta0, row0, *rest = member
+    return (mass, theta0, (k, *row0[1:]), *rest)
+
+
+def _alone_error(build) -> str:
+    with pytest.raises(ValueError) as alone:
+        build()
+    return str(alone.value)
+
+
+def _table_error(*parts) -> str:
+    """The message of one `solutions._build` call over the members of `parts`."""
+    return _alone_error(lambda: solutions._build([m for part in parts for m in part]))
+
+
+def test_mixed_tables_raise_the_error_of_their_first_bad_row():
+    good = solutions._massive_set(1.3, (0.4, -0.2, 0.7), (0.1, 0.5, -0.3), 0.77)
+    member = solutions._massive_pairs(1.0, [(0.3, (0.0, 0.0, 0.5), (0.0, 0.0, 0.5), "up", "up", 1)])[0]
+    off_k, zero_k = FourVector(1.5, 0.0, 0.0, 0.0), FourVector(0.0, 0.0, 0.0, 1.0)
+    off_shell, zero_frequency = [_given(member, off_k)], [_given(member, zero_k)]
+    off = _alone_error(lambda: build_u_spinor(off_k, 1.0, -1))
+    zero = _alone_error(lambda: build_u_spinor(zero_k, 1.0, -1))
+    assert "off the mass shell" in off and "zero frequency" in zero
+    # two different gates failing on different rows: the earlier row's gate raises
+    assert _table_error(good, off_shell, zero_frequency) == off
+    assert _table_error(good, zero_frequency, off_shell) == zero
+    # u^dag u = |k.t|/m overflows on one row; another row's spinor overflows its kernel bound
+    tiny = solutions._massive_set(5e-324, (0.3, 0.4, 0.0), (0.3, 0.4, 0.0), 0.3)
+    huge = solutions._massless_set((0.0, 0.0, 1e153), (0.0, 0.0, 1e153), 0.3)
+    small = _alone_error(lambda: enumerate_massive_set(5e-324, (0.3, 0.4, 0.0), (0.3, 0.4, 0.0), 0.3))
+    overflow = _alone_error(lambda: enumerate_massless_theta0_set((0.0, 0.0, 1e153), (0.0, 0.0, 1e153), 0.3))
+    assert "is too small: u^dag u = |k.t|/m overflows" in small
+    assert "too large: the spinor overflows" in overflow
+    assert _table_error(good, tiny, huge) == small
+    # the gates of every row run before any row is held to its kernel bound
+    assert _table_error(good, huge, tiny) == small
+    assert _table_error(good, huge) == overflow
+    # a zero-momentum helicity row has no spin basis: it raises its own message after
+    # a good set, and the first of it and a gate failure on another row raises
+    helicity = solutions._massive_set(1.3, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.4, "momentum")
+    basis = _alone_error(lambda: enumerate_massive_set(1.3, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.4,
+                                                       spin_axis="momentum"))
+    assert _table_error(good, helicity) == basis
+    assert _table_error(good, off_shell, helicity) == off
+    assert _table_error(good, helicity, off_shell) == basis
+
+
 def _oracle_rows(seed):
     """Builder rows over both mass signs, massive and massless momenta,
     both norms, the z and momentum axes, both frequency signs and both
@@ -576,17 +650,30 @@ def _oracle_rows(seed):
 
 
 def _checked(k, mass, mass_sign, spin, norm, axis) -> tuple:
-    """The `solutions._u_rows` row of build_u_spinor's arguments, read as
-    build_u_spinor reads them."""
+    """The row (k, mass, mass_sign, chi, norm) of build_u_spinor's
+    arguments, read as build_u_spinor reads them."""
     basis = solutions._Z_BASIS if axis is None else spin_basis(axis)
     return k, float(mass), mass_sign, basis[SPINS.index(spin)], norm
+
+
+def _kernel(rows, reads=None):
+    """`solutions._u_rows` over `_checked` rows; each n its chi(n) is
+    asked for is appended to `reads`."""
+    k, mass, mass_sign, chi, norm = (list(column) for column in zip(*rows))
+
+    def spin_rows(n):
+        if reads is not None:
+            reads.append(n)
+        return np.array(chi[:n]).reshape(-1, 2)
+
+    return solutions._u_rows(k, mass, mass_sign, norm, spin_rows)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_stacked_builder_rows_equal_their_one_row_builds(seed):
     # the row kernel builds every set and every packet in one pass
     rows = _oracle_rows(seed)
-    stacked = solutions._u_rows([_checked(*row) for row in rows])
+    stacked = _kernel([_checked(*row) for row in rows])
     assert stacked.shape == (len(rows), 4)
     for (k, mass, mass_sign, spin, norm, axis), u in zip(rows, stacked):
         alone = build_u_spinor(k, mass, mass_sign, spin, norm, axis)
@@ -622,7 +709,7 @@ def test_stacked_builder_checks_each_row_against_its_own_bound(monkeypatch):
     with pytest.raises(CertificationError) as alone:
         build_u_spinor(small, 1.0, 1)
     with pytest.raises(CertificationError) as in_stack:
-        solutions._u_rows([_checked(k, 1.0, 1, "up", "E_over_m", None) for k in (big, small)])
+        _kernel([_checked(k, 1.0, 1, "up", "E_over_m", None) for k in (big, small)])
     assert str(in_stack.value) == str(alone.value)
 
 
@@ -648,7 +735,7 @@ def test_stacked_builder_rows_reusing_momenta_and_axes_equal_their_one_row_build
     rows = _reused_rows()
     assert spin_basis((-1.0, 0.0, 0.5))[0].tobytes() != spin_basis((-1.0, -0.0, 0.5))[0].tobytes()
     for part in (rows, rows[::-1], rows[5:9]):
-        stacked = solutions._u_rows([_checked(*row) for row in part])
+        stacked = _kernel([_checked(*row) for row in part])
         for (k, mass, mass_sign, spin, norm, axis), u in zip(part, stacked, strict=True):
             # bit for bit, signed zeros included
             assert build_u_spinor(k, mass, mass_sign, spin, norm, axis).tobytes() == u.tobytes()
@@ -685,19 +772,17 @@ def test_stacked_builder_raises_for_its_first_bad_row():
     for ks, alone in (((off_shell, good, good), off), ((good, off_shell, good), off),
                       ((good, tiny, off_shell), small)):
         with pytest.raises(ValueError) as first:
-            solutions._u_rows([rows[k] for k in ks])
+            _kernel([rows[k] for k in ks])
         assert str(first.value) == str(alone.value)
 
-    # a row failing a numeric gate raises before the next row is read
-    def unread_after(bad):
-        yield rows[good]
-        yield rows[bad]
-        raise AssertionError("the row after a failing row was read")
-
-    for bad, alone in ((off_shell, off), (tiny, small)):
+    # a row failing a numeric gate raises its own message, not that of a later
+    # failing row, and the spin-basis rows after it are not read
+    for bad, later, alone in ((off_shell, tiny, off), (tiny, off_shell, small)):
+        reads = []
         with pytest.raises(ValueError) as first:
-            solutions._u_rows(unread_after(bad))
+            _kernel([rows[good], rows[bad], rows[later]], reads)
         assert str(first.value) == str(alone.value)
+        assert reads == [2]
 
 
 def test_off_shell_term_momentum_fails_certification_alone_and_in_a_set():

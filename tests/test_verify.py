@@ -191,7 +191,11 @@ def test_one_field_uses_its_own_rows_without_spreading():
         FourVector(1.2, 0, 1.2, 0), kappa0=2.0, kappa1=-0.5, theta0=0.4))
     rows = ver._stack_rows([field])
     for (kl, w, owner), (own_kl, own_w) in zip(rows, field.stacked_terms()):
-        assert kl is own_kl and w is own_w and owner.tolist() == [0] * len(kl)
+        # the field's own table slices, uncopied: views of one buffer at one place
+        for a, own in ((kl, own_kl), (w, own_w)):
+            assert a.base is own.base
+            assert (a.ctypes.data, a.shape, a.strides) == (own.ctypes.data, own.shape, own.strides)
+        assert owner.tolist() == [0] * len(kl)
     # the owner sum equals the spread matmul of a set, bit for bit
     for kl, w, owner in rows:
         spread = np.zeros((len(kl), 1, 4), dtype=complex)
