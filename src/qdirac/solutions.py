@@ -138,8 +138,7 @@ def _u_rows(k, mass, mass_sign, norm_choice, chi) -> np.ndarray:
         bound = verify.RESIDUAL_TOL * (energy + m) * root
         scalars += (energy + m, target, 1e-12 * root, min(bound * bound, sys.float_info.max),
                     t, x, y, z, -s * m)
-        c0, c1, c2, c3 = _U_COLUMNS[2 * (t > 0) + ((s > 0) == (t > 0))]
-        flat += (6 * i + c0, 6 * i + c1, 6 * i + c2, 6 * i + c3)
+        flat += [6 * i + c for c in _U_COLUMNS[2 * (t > 0) + ((s > 0) == (t > 0))]]
     rows = len(scalars) // 9
     chi = chi(rows + (rows < len(k)))
     if rows < len(k):
@@ -149,8 +148,8 @@ def _u_rows(k, mass, mass_sign, norm_choice, chi) -> np.ndarray:
             raise ValueError(f"four-momentum {kk} is off the mass shell for m={m}")
         raise ValueError(f"mass {m!r} is too small: u^dag u = |k.t|/m overflows")
 
-    # every product below is complex
-    nums = np.array(scalars, dtype=complex).reshape(-1, 9)
+    # every product below is complex; the floats are cast in one step, not one by one
+    nums = np.array(scalars).reshape(-1, 9).astype(complex)
     # sigma.k: one term per real and imaginary part, so exact, signed zeros included
     sk = (nums[:, 5:8] @ PAULI.reshape(3, 4)).reshape(-1, 2, 2)
     lower = (sk @ chi[:, :, None])[:, :, 0] / nums[:, :1]
@@ -210,10 +209,6 @@ class _PlaneWaveSum:
         theta)."""
         table, n = self._run
         return table[4][n], table[5][n]
-
-    @property
-    def _u_scale(self) -> float:
-        return self._scales[0]
 
     def eval_points(self, points):
         """Values (psi0, psi1), each of shape (P, 4), at a batch of points."""
@@ -278,7 +273,7 @@ class PlaneWaveSolution(_PlaneWaveSum):
         """One term per half at constant phase; with a running phase,
         cos(Theta) exp(i k.x) = (e^{i theta0} exp(i(k+theta).x)
         + e^{-i theta0} exp(i(k-theta).x)) / 2, and likewise for sin."""
-        if self.theta is ZERO_FOUR or self.theta.is_zero():
+        if self.theta.is_zero():
             return (((math.cos(self.theta0), self.k0, self.u0),),
                     ((math.sin(self.theta0), self.k1, self.u1),))
         e = 0.5 * cmath.exp(1j * self.theta0)
@@ -331,19 +326,6 @@ def _massive_label(spin0: str, spin1: str, esign0: int) -> str:
     return f"{spin0[0]}{spin1[0]}{'+-' if esign0 > 0 else '-+'}"
 
 
-_SET_T, _SET_X, _SET_Y, _SET_Z = (getattr(FourVector, name).__set__ for name in ("t", "x", "y", "z"))
-
-
-def _four(t, x, y, z) -> FourVector:
-    """FourVector(t, x, y, z), its components set once as floats."""
-    k = object.__new__(FourVector)
-    _SET_T(k, float(t))
-    _SET_X(k, float(x))
-    _SET_Y(k, float(y))
-    _SET_Z(k, float(z))
-    return k
-
-
 def _half(kvec, mass, half, esign, spin, norm_choice, spin_axis):
     """Four-momenta and read-only kernel spinors (T, 4) of T plane-wave
     terms, from per-row lists of checked values: spatial momentum (or a
@@ -367,7 +349,7 @@ def _half(kvec, mass, half, esign, spin, norm_choice, spin_axis):
             if k is None:
                 if key not in energies:
                     energies[key] = _energy(kv, m)
-                k = momenta[key, mass_sign * e] = _four(mass_sign * e * energies[key], *kv)
+                k = momenta[key, mass_sign * e] = FourVector(mass_sign * e * energies[key], *kv)
         # the row's spin basis: 0 for z, else its momentum's helicity basis, numbered by first use
         basis = 0 if m > 0 and axis is None else helicity.setdefault(id(kv), (len(helicity) + 1, k))[0]
         ks.append(k)
@@ -380,7 +362,7 @@ def _half(kvec, mass, half, esign, spin, norm_choice, spin_axis):
         z basis and the helicity bases those rows use, made in row order."""
         used = list(helicity.values())[:max(index[:n]) // 2]
         # at zero frequency the z basis stands in: _u_rows rejects the row
-        table = _Z_ROWS if not used else np.concatenate(
+        table = np.concatenate(
             [_Z_ROWS, *(_Z_ROWS if k.t == 0.0 else spin_basis((k.x, k.y, k.z)) for _, k in used)])
         return table.take(index[:n], axis=0)
 
@@ -499,7 +481,7 @@ class MasslessThetaSpec:
     def __post_init__(self) -> None:
         for name in ("kappa0", "kappa1", "theta0"):
             object.__setattr__(self, name, number(getattr(self, name), name))
-        if self.theta is ZERO_FOUR or self.theta.is_zero():
+        if self.theta.is_zero():
             raise ValueError("theta must be nonzero (use the constant-phase family otherwise)")
         scale = max(self.theta.t**2, float(self.theta.spatial() @ self.theta.spatial()))
         if abs(self.theta.dot(self.theta)) > verify.RESIDUAL_TOL * scale:
@@ -609,20 +591,23 @@ def check_constraints(
     )
 
     kappas = []
+    th_peak = max(map(abs, (theta.t, theta.x, theta.y, theta.z)))
     for name, k in (("0", k0), ("1", k1)):
         k_arr = k.as_array()
-        k_scale = max(float(np.abs(k_arr).max()) * float(np.abs(th_arr).max()), 1e-300)
+        k_scale = max(max(map(abs, (k.t, k.x, k.y, k.z))) * th_peak, 1e-300)
         r_dot = abs(k.dot(theta))
         checks.append(ConstraintCheck(f"k{name}_dot_theta", r_dot, r_dot <= tol * k_scale))
         kappa = float(k_arr @ th_arr) / th_scale
         kappas.append(kappa)
-        r_prop = float(np.linalg.norm(k_arr - kappa * th_arr))
-        prop_scale = max(float(np.linalg.norm(k_arr)), math.sqrt(th_scale))
+        # the norms in np.linalg.norm's float operations for a real vector, sqrt(x.dot(x))
+        d = k_arr - kappa * th_arr
+        r_prop = math.sqrt(d.dot(d))
+        prop_scale = max(math.sqrt(k_arr.dot(k_arr)), math.sqrt(th_scale))
         checks.append(ConstraintCheck(f"k{name}_proportional", r_prop, r_prop <= tol * prop_scale))
-        r_shell = max(
-            abs((k + theta).dot(k + theta) - mass * mass),
-            abs((k - theta).dot(k - theta) - mass * mass),
-        )
+        # (k + theta).(k + theta) - m^2 and (k - theta).(k - theta) - m^2
+        r_shell = max(abs(pt * pt - px * px - py * py - pz * pz - mass * mass)
+                      for pt, px, py, pz in ((k.t + theta.t, k.x + theta.x, k.y + theta.y, k.z + theta.z),
+                                             (k.t - theta.t, k.x - theta.x, k.y - theta.y, k.z - theta.z)))
         shell_scale = max(k.t * k.t + mass * mass, th_scale)
         checks.append(ConstraintCheck(f"p{name}_shell", r_shell, r_shell <= tol * shell_scale))
 
@@ -745,7 +730,9 @@ def certify_solution(sol):
     off = ~(disp <= verify.RESIDUAL_TOL)
     # per field, the sum of its term residual norms in row order, against its bound
     res = np.bincount(owner, norms, len(fields))
-    bounds = [verify.RESIDUAL_TOL * k_scale * u_scale for u_scale, k_scale in (f._scales for f in fields)]
+    # each bound capped at the largest float, so an overflowing sum fails an overflowing bound
+    bounds = [min(verify.RESIDUAL_TOL * k_scale * u_scale, sys.float_info.max)
+              for u_scale, k_scale in (f._scales for f in fields)]
     over = ~(res <= bounds)
     if off.any() or over.any():
         # in field order, the first field holding an off-shell term or failing its bound

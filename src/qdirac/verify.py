@@ -60,22 +60,22 @@ def _stack_terms(fields) -> None:
         counts1.append(len(terms1))
     c, k, u = zip(*half0, *half1)
     # each term's (t, x, y, z), then times the metric diagonal: the lowered momenta
-    components = list(itertools.chain.from_iterable(map(_COMPONENTS, k)))
-    kl = np.array(components, dtype=float).reshape(-1, 4) * METRIC_DIAG
+    kl = np.array(list(map(_COMPONENTS, k)), dtype=float) * METRIC_DIAG
     u = np.array(u, dtype=complex).reshape(-1, 4)
     cu = np.array(c, dtype=complex)[:, None] * u
     kl.setflags(write=False)
     cu.setflags(write=False)
-    # max(1, |c|) * math.hypot(*|u|) per term
-    scales = list(map(operator.mul, map(max, itertools.repeat(1.0), map(abs, c)),
+    # per term, max(1, |c|) * math.hypot(*|u|) and the largest |component| of its momentum
+    u_peak = list(map(operator.mul, map(max, itertools.repeat(1.0), map(abs, c)),
                       map(math.hypot, *np.abs(u).T.tolist())))
+    k_peak = np.abs(kl).max(axis=1).tolist()
     # the half-1 rows follow every half-0 row; each half's last start ends it
     s0, s1 = starts = (list(itertools.accumulate(counts0, initial=0)),
                        list(itertools.accumulate(counts1, initial=len(half0))))
     # the index of each row's field, which only a run of several fields reads
     owner = (np.arange(2 * len(fields)) % len(fields)).repeat(counts0 + counts1) if len(fields) > 1 else None
-    u_scale = [max([1.0, *scales[a0:b0], *scales[a1:b1]]) for a0, b0, a1, b1 in zip(s0, s0[1:], s1, s1[1:])]
-    k_scale = [max(1.0, f.mass, *map(abs, components[4 * a0:4 * b0]), *map(abs, components[4 * a1:4 * b1]))
+    u_scale = [max([1.0, *u_peak[a0:b0], *u_peak[a1:b1]]) for a0, b0, a1, b1 in zip(s0, s0[1:], s1, s1[1:])]
+    k_scale = [max([1.0, f.mass, *k_peak[a0:b0], *k_peak[a1:b1]])
                for f, a0, b0, a1, b1 in zip(fields, s0, s0[1:], s1, s1[1:])]
     table = kl, cu, owner, starts, u_scale, k_scale
     for n, f in enumerate(fields):

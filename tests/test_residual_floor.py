@@ -56,7 +56,7 @@ def _exact_residual(field) -> float:
 def _scale(field) -> float:
     """k_scale * u_scale of the field's certification bound."""
     k_scale = max(1.0, field.mass, *(float(np.abs(kl).max()) for kl, _ in field.stacked_terms()))
-    return k_scale * field._u_scale
+    return k_scale * field._scales[0]
 
 
 def _sets():

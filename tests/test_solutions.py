@@ -824,7 +824,7 @@ def test_spinor_scale_of_each_field_is_its_largest_scaled_term_spinor():
               *_verify_pass()]
     for f in fields:
         terms = [term for half in f._terms() for term in half]
-        assert f._u_scale == max([1.0, *(max(1.0, abs(c)) * math.hypot(*np.abs(u)) for c, _, u in terms)])
+        assert f._scales[0] == max([1.0, *(max(1.0, abs(c)) * math.hypot(*np.abs(u)) for c, _, u in terms)])
 
 
 def test_set_certification_holds_each_solution_to_its_own_bound():
@@ -917,6 +917,17 @@ def test_certification_rejects_wrong_kernel_spinor():
     broken = dataclasses.replace(sol, u0=sol.u1)
     with pytest.raises(CertificationError):
         certify_solution(broken)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflowing_residual_fails_even_when_its_bound_overflows():
+    # both halves on shell at m = 1; half 0's finite residual squares to inf, and half 1's
+    # k.t = 1e21 with half 0's |u| = 1e300 takes the bound past the largest float too
+    k0, k1 = FourVector(math.sqrt(2.0), 0, 0, 1.0), FourVector(math.sqrt(1e42 + 1.0), 0, 0, 1e21)
+    sol = PlaneWaveSolution(0.0, k0, k1, (1e300, 0, 0, 0), (0, 0, 0, 0), 1.0)
+    for fields in (sol, [sol], [build_massive_solution(MassiveSpec(1.0, 0.3, (0, 0, 1), (0, 0, 1))), sol]):
+        with pytest.raises(ValueError, match="overflows: mass, momenta or amplitudes too large"):
+            certify_solution(fields)
 
 
 BIG_THETA = FourVector(1e4, 6e3, 0, 8e3)
