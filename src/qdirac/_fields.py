@@ -18,7 +18,9 @@ def number(v, name: str, integral: bool = False):
     """A finite real number as a float, or as an int when `integral`.
 
     Booleans and numeric strings are not numbers."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+    # an exact float or int, the common case, skips the slower ABC check
+    if type(v) is not float and type(v) is not int and (
+            isinstance(v, bool) or not isinstance(v, numbers.Real)):
         raise ValueError(f"field {name!r} must be a number, got {v!r}")
     try:
         x = float(v)

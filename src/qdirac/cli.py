@@ -18,8 +18,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -36,6 +36,8 @@ SCHEMA_VERSION = sol.SCHEMA_VERSION
 # draws of the quaternion identity sweep and of the slashed-square check
 _SWEEP_DRAWS = 2000
 _SLASHED_DRAWS = 200
+# temp names tried per --out write before giving up
+_TEMP_ATTEMPTS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +74,24 @@ def _load_config(path: str) -> dict:
 
 @dataclass(frozen=True, slots=True)
 class Table:
-    """A named table: a header and rows that hold one plain value per column."""
+    """A named table: a header and one sequence of plain values per column."""
 
     name: str
     header: list
-    rows: list
+    columns: list
+
+    @classmethod
+    def of_rows(cls, name: str, header: list, rows: list) -> "Table":
+        """The table of `rows`, each holding one value per column."""
+        return cls(name, header, list(zip(*rows)) if rows else [()] * len(header))
+
+    @property
+    def rows(self) -> list:
+        return list(zip(*self.columns))
 
     def pick(self, *columns: str) -> "Table":
         """The same rows restricted to `columns`, in that order."""
-        idx = [self.header.index(c) for c in columns]
-        return Table(self.name, list(columns), [[row[i] for i in idx] for row in self.rows])
+        return Table(self.name, list(columns), [self.columns[self.header.index(c)] for c in columns])
 
 
 class Report(dict):
@@ -97,47 +107,155 @@ class Report(dict):
         self.sections, self.head, self.table = sections, head, table
 
 
+# the cell types whose %r is their JSON text (for a finite float)
+_JSON_REPR = {float, int}
+
+
+def _json_float(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(v))
+    return float.__repr__(v)
+
+
+# the JSON text of a value of each exact scalar type
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    float: _json_float,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if isinstance(k, (float, int)) or k is None:
+        return '"' + _json(k, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _json(v, pad: str) -> str:
+    """v in the bytes of json.dumps(v, indent=2, sort_keys=True,
+    allow_nan=False), written from a line indented by `pad`; a Table
+    renders as its list of row objects."""
+    scalar = _JSON_SCALARS.get(type(v))
+    if scalar is not None:
+        return scalar(v)
+    inner = pad + "  "
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        kinds = set(map(type, v))
+        if kinds <= _JSON_REPR and (float not in kinds or all(map(math.isfinite, v))):
+            items = map(repr, v)
+        else:
+            items = [_json(x, inner) for x in v]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = [(encode_basestring_ascii(k) if type(k) is str else _json_key(k)) + ": " + _json(x, inner)
+                 for k, x in sorted(v.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(v, Table):
+        return _json_table(v, pad)
+    # subclasses of the scalar types, in json's order
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _json_float(v)
+    raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _json_cells(table: Table, key: str, column, pad: str) -> list:
+    """Each cell of `column` as JSON; a cell that is not (a non-finite
+    float) raises a ValueError naming the table, column and row."""
+    cells = []
+    for row, x in enumerate(column):
+        try:
+            cells.append(_json(x, pad))
+        except ValueError as exc:
+            raise ValueError(f"table {table.name!r} column {key!r} row {row}: {exc}") from None
+    return cells
+
+
+def _json_table(table: Table, pad: str) -> str:
+    """The table as the JSON list of its row objects, keys in sorted
+    order, from one row template: an int or finite-float column is
+    formatted by %r, any other is encoded cell by cell."""
+    if not table.columns or not len(table.columns[0]):
+        return "[]"
+    row_pad, cell_pad = pad + "  ", pad + "    "
+    # a repeated header name keeps its last column, as dict(zip(header, row)) does
+    last = {h: i for i, h in enumerate(table.header)}
+    specs, columns = [], []
+    for key in sorted(last):
+        column = table.columns[last[key]]
+        kinds = set(map(type, column))
+        if kinds <= _JSON_REPR and (float not in kinds or all(map(math.isfinite, column))):
+            spec = "%r"
+        else:
+            spec, column = "%s", _json_cells(table, key, column, cell_pad)
+        specs.append(_json_key(key).replace("%", "%%") + ": " + spec)
+        columns.append(column)
+    row = "{\n" + cell_pad + (",\n" + cell_pad).join(specs) + "\n" + row_pad + "}"
+    return "[\n" + row_pad + (",\n" + row_pad).join(map(row.__mod__, zip(*columns))) + "\n" + pad + "]"
+
+
 def _csv_section(table: Table) -> str:
-    lines = [f"# section: {table.name}", ",".join(table.header)]
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-              for row in table.rows]
+    """`str` of every cell, comma-separated (a float's str is its repr)."""
+    row = ",".join(["%s"] * len(table.header))
+    lines = [f"# section: {table.name}", ",".join(table.header), *map(row.__mod__, zip(*table.columns))]
     return "\n".join(lines) + "\n"
 
 
 def _text_table(table: Table) -> str:
-    cells = [table.header] + [[f"{v:.6e}" if isinstance(v, float) else str(v) for v in row]
-                              for row in table.rows]
-    widths = [max(map(len, col)) for col in zip(*cells)]
-    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)) + "\n" for row in cells)
+    cells = [[h, *(f"{v:.6e}" if isinstance(v, float) else str(v) for v in column)]
+             for h, column in zip(table.header, table.columns)]
+    widths = [max(map(len, column)) for column in cells]
+    padded = [[c.ljust(w) for c in column] for column, w in zip(cells, widths)]
+    return "".join("  ".join(row) + "\n" for row in zip(*padded))
 
 
 def _render(report: Report, fmt: str) -> str:
     if fmt == "json":
-        # Tables become row objects here, not in a `default` hook: the hook
-        # nests each table one generator level deeper in json's pure-Python
-        # encoder (used because of `indent`), which is slower on large packets
-        body = {k: [dict(zip(v.header, row)) for row in v.rows] if isinstance(v, Table) else v
-                for k, v in report.items()}
-        return json.dumps(body, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json(report, "") + "\n"
     if fmt == "csv":
         return "\n".join(_csv_section(t) for t in report.sections)
     return report.head + "\n" + _text_table(report.table)
 
 
 def _write_output(text: str, out_path: str | None) -> None:
+    """Write `text` to `out_path` through an O_EXCL temp file (mode 0600)
+    in its directory, renamed over it; the temp file is removed on any
+    failure.  stdout when `out_path` is None."""
     if out_path is None:
         click.echo(text, nl=False)
         return
-    directory = os.path.dirname(os.path.abspath(out_path)) or "."
+    data = text.encode("utf-8")
+    stem = os.path.join(os.path.dirname(os.path.abspath(out_path)), f".qdirac-{os.getpid()}-")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qdirac-", text=True)
+        for n in range(_TEMP_ATTEMPTS):
+            tmp = stem + str(n)
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+                break
+            except FileExistsError:
+                if n == _TEMP_ATTEMPTS - 1:
+                    raise
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
             os.replace(tmp, out_path)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.unlink(tmp)
             raise
     except OSError as exc:
         raise ValueError(f"cannot write --out {out_path}: {exc}") from exc
@@ -186,7 +304,7 @@ def run_catalog(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     residuals = ver.dirac_residual(sols, points=ver.default_points(seed=seed))
     records = [_solution_record(i, *rec) for i, rec in enumerate(zip(sols, densities, residuals))]
     passed = all(r["residual"] <= residual_tol for r in records)
-    table = Table("solutions", _SOLUTION_COLUMNS, [
+    table = Table.of_rows("solutions", _SOLUTION_COLUMNS, [
         [r["index"], r["label"], r["mass"], r["theta0"], r["density"], r["residual"],
          *r["k0"], *r["k1"], *(x for u in ("u0", "u1") for pair in r[u] for x in pair)]
         for r in records])
@@ -363,9 +481,8 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     add("continuity_plane_wave", ver.continuity_residual(massive[0], pw_grid).defect, ver.QUADRATURE_TOL)
 
     passed = all(c[3] for c in checks)
-    check_table = Table("checks", ["name", "value", "tolerance", "passed"], checks)
-    gram_table = Table("gram", ["label", *gram.labels],
-                       [[lab, *vals] for lab, vals in zip(gram.labels, gram.matrix.tolist())])
+    check_table = Table.of_rows("checks", ["name", "value", "tolerance", "passed"], checks)
+    gram_table = Table("gram", ["label", *gram.labels], [gram.labels, *gram.matrix.T.tolist()])
     report = Report("verify", seed, {
         "tolerance": residual_tol,
         "gram_tolerance": gram_tol,
@@ -373,7 +490,7 @@ def run_verify(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
         "gram": {**gram.to_dict(), "tolerance": gram_tol},
         "passed": passed,
     }, [check_table, gram_table], f"verify seed={seed} passed={passed}",
-        Table("checks", ["check", "value", "tolerance", "status"],
+        Table.of_rows("checks", ["check", "value", "tolerance", "status"],
               [[n, v, t, "PASS" if ok else "FAIL"] for n, v, t, ok in checks]))
     return (0 if passed else 1), report
 
@@ -438,9 +555,9 @@ def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report
     rounding_level = all(r.defect <= ver.QUADRATURE_TOL for r in conv.levels)
     passed = b is not None or rounding_level or (order_lo <= conv.fitted_order <= order_hi)
     order = conv.fitted_order if math.isfinite(conv.fitted_order) else None
-    levels = Table("levels", ["h_scale", "grid", "lhs_norm", "rhs_norm", "defect", "interior_points"],
-                   [[h, r.grid, r.lhs_norm, r.rhs_norm, r.defect, r.interior_points]
-                    for h, r in zip(conv.h_scales, conv.levels)])
+    levels = Table.of_rows("levels", ["h_scale", "grid", "lhs_norm", "rhs_norm", "defect", "interior_points"],
+                           [[h, r.grid, r.lhs_norm, r.rhs_norm, r.defect, r.interior_points]
+                            for h, r in zip(conv.h_scales, conv.levels)])
     order_str = f"{order:.4f}" if order is not None else "n/a (rounding level)"
     report = Report("continuity", seed, {
         "levels": levels,
@@ -450,7 +567,7 @@ def run_continuity(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report
         "source_active": b is not None,
         "passed": passed,
     }, [levels.pick("h_scale", "lhs_norm", "rhs_norm", "defect", "interior_points"),
-        Table("summary", ["fitted_order", "passed"], [[order, passed]])],
+        Table("summary", ["fitted_order", "passed"], [[order], [passed]])],
         f"continuity fitted_order={order_str} passed={passed}",
         levels.pick("h_scale", "lhs_norm", "defect"))
     return (0 if passed else 1), report
@@ -471,11 +588,10 @@ def run_packet(cfg: dict, tol: float | None, seed: int) -> tuple[int, Report]:
     if not (np.isfinite(density).all() and all(math.isfinite(n) for _, n in norms)):
         raise ValueError("packet density overflows: amplitudes or momenta are too large")
     index = np.indices(grid.counts).reshape(4, -1)
-    columns = [*index.tolist(), *(axis[i].tolist() for axis, i in zip(axes, index)),
-               density.ravel().tolist()]
     density_table = Table("density", ["it", "ix", "iy", "iz", "t", "x", "y", "z", "density"],
-                          list(zip(*columns)))
-    norm_table = Table("norms", ["t", "norm"], norms)
+                          [*index.tolist(), *(axis[i].tolist() for axis, i in zip(axes, index)),
+                           density.ravel().tolist()])
+    norm_table = Table.of_rows("norms", ["t", "norm"], norms)
     report = Report("packet", seed, {
         "component": spec.component,
         "mass": spec.mass,

@@ -198,7 +198,7 @@ class _PlaneWaveSum:
     def stacked_terms(self):
         """Per half: lowered momenta (T, 4) and weighted spinors c*u (T, 4),
         read-only slices of the field's term table."""
-        (kl, cu, _, starts, _, _), n = self._run
+        (kl, cu, _, starts, *_), n = self._run
         return [(kl[h[n]:h[n + 1]], cu[h[n]:h[n + 1]]) for h in starts]
 
     @property

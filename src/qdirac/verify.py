@@ -44,13 +44,15 @@ def default_points(seed: int = 7) -> np.ndarray:
 
 
 def _stack_terms(fields) -> None:
-    """Write one read-only table (kl, cu, owner, starts, u_scale, k_scale)
-    of the terms (c, k, u) of `fields`, half 0 of every field then half 1,
-    as lowered momenta kl and cu = c*u; starts[h][f] is field f's first
-    row in half h, owner[n] the field of row n (None for one field), and
-    u_scale[f] and k_scale[f] field f's certification scales, see
-    `_PlaneWaveSum._scales`.  Each field gets `_run` (table, f).  Past
-    reading each field's terms, no step runs Python code per term."""
+    """Write one read-only table (kl, cu, owner, starts, u_scale, k_scale,
+    residuals) of the terms (c, k, u) of `fields`, half 0 of every field
+    then half 1, as lowered momenta kl and cu = c*u; starts[h][f] is field
+    f's first row in half h, owner[n] the field of row n (None for one
+    field), u_scale[f] and k_scale[f] field f's certification scales, see
+    `_PlaneWaveSum._scales`, and residuals a one-slot list that keeps the
+    table's `term_residuals` once they are formed.  Each field gets `_run`
+    (table, f).  Past reading each field's terms, no step runs Python code
+    per term."""
     half0, half1, counts0, counts1 = [], [], [], []
     for f in fields:
         terms0, terms1 = f._terms()
@@ -77,9 +79,20 @@ def _stack_terms(fields) -> None:
     u_scale = [max([1.0, *u_peak[a0:b0], *u_peak[a1:b1]]) for a0, b0, a1, b1 in zip(s0, s0[1:], s1, s1[1:])]
     k_scale = [max([1.0, f.mass, *k_peak[a0:b0], *k_peak[a1:b1]])
                for f, a0, b0, a1, b1 in zip(fields, s0, s0[1:], s1, s1[1:])]
-    table = kl, cu, owner, starts, u_scale, k_scale
+    table = kl, cu, owner, starts, u_scale, k_scale, [None]
     for n, f in enumerate(fields):
         object.__setattr__(f, "_run", (table, n))
+
+
+def _table_run(fields):
+    """(table, first) when `fields` are the consecutive fields of one
+    `_stack_terms` table from its field `first` on, else None."""
+    if not fields:
+        return None
+    table, first = fields[0]._run
+    if all(f._run[0] is table and f._run[1] == n for n, f in enumerate(fields, first)):
+        return table, first
+    return None
 
 
 def _stack_rows(fields):
@@ -92,9 +105,9 @@ def _stack_rows(fields):
         return [(kl, w, np.zeros(len(kl), dtype=int)) for kl, w in fields[0].stacked_terms()]
     if not fields:
         return [(np.zeros((0, 4)), np.zeros((0, 4), dtype=complex), np.zeros(0, dtype=int))] * 2
-    table, first = fields[0]._run
-    if all(f._run[0] is table and f._run[1] == n for n, f in enumerate(fields, first)):
-        kl, w, owner, starts, _, _ = table
+    run = _table_run(fields)
+    if run is not None:
+        (kl, w, owner, starts, *_), first = run
         return [(kl[h[first]:h[first + len(fields)]], w[h[first]:h[first + len(fields)]],
                  owner[h[first]:h[first + len(fields)]] - first) for h in starts]
     halves = [[f.stacked_terms()[h] for f in fields] for h in (0, 1)]
@@ -134,7 +147,28 @@ def term_residuals(fields, a: FourVector | None = None):
     """Per half: lowered momenta (M, 4), residual spinors (M, 4) and owner
     indices (M,) of the terms w exp(i k.x) of `fields`, each at its own
     field's mass m, in gamma^mu ((d_mu - a_mu i .) Psi) i - m Psi: by
-    HALF_MASS_SIGN, -(slashed(k - a) + m) w and (slashed(k - a) - m) w."""
+    HALF_MASS_SIGN, -(slashed(k - a) + m) w and (slashed(k - a) - m) w.
+    Without `a`, the rows formed for a whole `_stack_terms` table are kept
+    in it, and a run of its fields reads slices of them."""
+    run = _table_run(fields) if a is None else None
+    if run is not None:
+        (*_, starts, _, _, kept), first = run
+        if kept[0] is not None:
+            end = first + len(fields)
+            # each half's rows of the run, counted from that half's first row
+            spans = [(h[first] - h[0], h[end] - h[0]) for h in starts]
+            return [(kl[lo:hi], r[lo:hi], owner[lo:hi] - first)
+                    for (lo, hi), (kl, r, owner) in zip(spans, kept[0])]
+    halves = _residual_rows(fields, a)
+    if run is not None and run[1] == 0 and len(fields) == len(starts[0]) - 1:
+        for _, r, _ in halves:
+            r.setflags(write=False)
+        kept[0] = halves
+    return halves
+
+
+def _residual_rows(fields, a):
+    """`term_residuals`, formed from the fields' term rows."""
     masses = [f.mass for f in fields]
     # a set of one mass takes it as a number, a set of several row by row
     column = None if len(set(masses)) == 1 else np.array(masses, dtype=float)[:, None]

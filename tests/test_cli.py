@@ -476,7 +476,7 @@ def test_run_command_restores_the_numpy_error_state(massive_config, runner, code
 
 
 def test_json_renders_tables_and_rejects_other_objects():
-    table = Table("rows", ["a", "b"], [[1, 0.5], [2, 1.5]])
+    table = Table.of_rows("rows", ["a", "b"], [[1, 0.5], [2, 1.5]])
     report = Report("packet", 0, {"rows": table}, [table], "head", table)
     assert json.loads(_render(report, "json"))["rows"] == [{"a": 1, "b": 0.5}, {"a": 2, "b": 1.5}]
     report["rows"] = np.zeros(2)

@@ -322,3 +322,39 @@ def test_verify_table_changes_no_check_value():
         got = {name: value for name, value, _, _ in report["checks"].rows if name in want}
         assert got == want, (cfg, seed)
         assert report["gram"]["matrix"] == gram, (cfg, seed)
+
+
+# --- the term residuals of a table, formed once ----------------------------------------
+
+def _mixed_table():
+    """One certified table of fields of three masses (0, 1.3 and 2.0)."""
+    from qdirac.solutions import _build, _massive_set, _massless_set
+    return _build(_massive_set(1.3, KV0, KV1, 0.77) + _massless_set(KV0, KV1, 0.4)
+                  + _massive_set(2.0, KV1, KV0, 0.2, "momentum"))
+
+
+def test_a_run_of_a_certified_table_slices_its_kept_residuals():
+    import qdirac.verify as ver
+    table = _mixed_table()
+    for lo, hi in ((0, 13), (0, len(table)), (3, 11), (8, 12), (12, 20), (5, 6)):
+        run = table[lo:hi]
+        kept = term_residuals(run)
+        for (kl, r, owner), (want_kl, want_r, want_owner) in zip(kept, ver._residual_rows(run, None)):
+            # slices of the rows certification formed, equal bit for bit to a fresh pass
+            assert not r.flags.writeable
+            assert kl.tobytes() == want_kl.tobytes() and r.tobytes() == want_r.tobytes()
+            assert owner.tolist() == want_owner.tolist()
+        assert dirac_residual(run, points=POINTS) == [dirac_residual(f, points=POINTS) for f in run]
+    # a gauge potential forms its own rows
+    assert dirac_residual(table[:13], a=A, points=POINTS) == [
+        dirac_residual(f, a=A, points=POINTS) for f in table[:13]]
+
+
+def test_a_verify_op_forms_its_term_residuals_once(monkeypatch):
+    import qdirac.verify as ver
+    passes = []
+    form = ver._residual_rows
+    monkeypatch.setattr(ver, "_residual_rows", lambda fields, a: passes.append(len(fields)) or form(fields, a))
+    assert run_verify({"box_cells": 4}, None, 3)[0] == 0
+    # certification's pass over all 30 fields; the 13-field residual check slices it
+    assert passes == [30]
