@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -668,6 +669,18 @@ def test_failed_replace_removes_temp_file(massive_config, tmp_path):
     out.mkdir()
     assert_rejected(run_cli("catalog", "--config", massive_config, "--out", str(out)), "--out")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["massive.json", "taken"]
+
+
+def test_config_and_out_paths_are_read_as_plain_strings(tmp_path, monkeypatch):
+    # click checks no path: an existing --out that os.access calls
+    # unreadable (or such a config) neither exits 2 nor stops the run
+    cfg = write_json(tmp_path / "verify.json", {})
+    out = tmp_path / "report.json"
+    out.write_text("old")
+    monkeypatch.setattr("os.access", lambda *args, **kwargs: False)
+    result = CliRunner().invoke(cli, ["verify", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / "verify_default.json").read_bytes()
 
 
 # --- fuzz: one field of a valid config replaced by an arbitrary JSON value -----
